@@ -26,6 +26,16 @@ std::vector<double> ConsolidationRule::MaterializeAtVersion(
   return Materialize(w);
 }
 
+void ConsolidationRule::GatherMaterialized(const ParamBlock& w,
+                                           const int64_t* indices, size_t n,
+                                           double* out) const {
+  w.Gather(indices, n, out);
+}
+
+void ConsolidationRule::AppendStateKeys(std::vector<int64_t>* keys) const {
+  (void)keys;
+}
+
 Status ConsolidationRule::SaveState(std::ostream& os) const {
   os << "stateless\n";
   return os ? Status::OK() : Status::IOError("checkpoint write failed");

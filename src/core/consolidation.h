@@ -56,6 +56,18 @@ class ConsolidationRule {
   virtual std::vector<double> MaterializeAtVersion(const ParamBlock& w,
                                                    int64_t version) const;
 
+  /// out[i] = Materialize(w)[indices[i]] for sorted keys in [0, dim),
+  /// without densifying the block (a zero may differ in sign only).
+  virtual void GatherMaterialized(const ParamBlock& w,
+                                  const int64_t* indices, size_t n,
+                                  double* out) const;
+
+  /// Appends the keys the rule's own state can still write into w or a
+  /// read on a later push (DynSGD: each live version summary's keys).
+  /// Checkpoint restore rebuilds a shard's support set from these plus
+  /// the restored parameter's nonzeros. Single-version rules add none.
+  virtual void AppendStateKeys(std::vector<int64_t>* keys) const;
+
   /// Number of global-update versions this partition has created. 0 for
   /// single-version rules.
   virtual int64_t CurrentVersion() const { return 0; }

@@ -142,6 +142,27 @@ std::vector<double> DynSgdRule::MaterializeAtVersion(const ParamBlock& w,
   return out;
 }
 
+void DynSgdRule::GatherMaterialized(const ParamBlock& w,
+                                    const int64_t* indices, size_t n,
+                                    double* out) const {
+  w.Gather(indices, n, out);
+  if (options_.mode != ApplyMode::kDeferred || versions_.empty()) return;
+  // Same per-key sums as Materialize: w first, then each active version
+  // in order (an absent summary entry adds 0.0).
+  std::vector<double> part(n);
+  for (const auto& [v, entry] : versions_) {
+    entry.summary.Gather(indices, n, part.data());
+    for (size_t i = 0; i < n; ++i) out[i] += part[i];
+  }
+}
+
+void DynSgdRule::AppendStateKeys(std::vector<int64_t>* keys) const {
+  for (const auto& [v, entry] : versions_) {
+    const SparseVector sv = entry.summary.ToSparse();
+    keys->insert(keys->end(), sv.indices().begin(), sv.indices().end());
+  }
+}
+
 size_t DynSgdRule::AuxMemoryBytes() const {
   size_t total = worker_version_.size() * sizeof(int64_t) +
                  versions_.size() * (sizeof(int64_t) + sizeof(int));

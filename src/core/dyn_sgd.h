@@ -76,6 +76,9 @@ class DynSgdRule final : public ConsolidationRule {
   std::vector<double> Materialize(const ParamBlock& w) const override;
   std::vector<double> MaterializeAtVersion(const ParamBlock& w,
                                            int64_t version) const override;
+  void GatherMaterialized(const ParamBlock& w, const int64_t* indices,
+                          size_t n, double* out) const override;
+  void AppendStateKeys(std::vector<int64_t>* keys) const override;
   int64_t CurrentVersion() const override { return next_version_; }
   int64_t CompletedVersionCount() const override;
   size_t AuxMemoryBytes() const override;

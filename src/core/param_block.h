@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "math/sparse_vector.h"
@@ -16,6 +15,14 @@ namespace hetps {
 /// non-zero fraction drops below `kSparsityThreshold` can be stored in
 /// sparse format to save memory (important for the multi-version global
 /// updates of DynSGD, measured in Figure 13).
+///
+/// The sparse layout is the paper's "ordered indexes and the corresponding
+/// values": two flat arrays, keys strictly increasing, 16 B per entry.
+/// Sparse updates merge-add into it (one add per touched key, new keys
+/// merged in from the back), so every key sees exactly the floating-point
+/// operations a dense block would apply to it. An entry whose sum cancels
+/// to 0.0 stays stored; only Set(i, 0) and DropSmallEntries remove
+/// entries.
 ///
 /// Indices are block-local, i.e. in [0, dim).
 class ParamBlock {
@@ -43,7 +50,7 @@ class ParamBlock {
   /// this *= scale.
   void Scale(double scale);
 
-  /// Point read; O(1) dense, expected O(1) sparse.
+  /// Point read; O(1) dense, O(log nnz) sparse.
   double At(size_t i) const;
 
   /// out[i] = this[indices[i]] — bulk point read (delta-log snapshots).
@@ -59,6 +66,11 @@ class ParamBlock {
   /// Number of stored non-zero entries (exact for sparse, counted for
   /// dense).
   size_t CountNonZero(double epsilon = 0.0) const;
+
+  /// Number of non-zero entries among this[indices[0..n)] — CountNonZero
+  /// restricted to a key set known to hold every non-zero. `indices` must
+  /// be sorted ascending and in [0, dim).
+  size_t CountNonZeroAt(const int64_t* indices, size_t n) const;
 
   /// Switches to whichever layout the 50% rule prefers for the current
   /// contents. Returns true if the layout changed.
@@ -84,7 +96,8 @@ class ParamBlock {
 
   double SquaredNorm() const;
 
-  /// Approximate heap footprint in bytes — the quantity Theorem 3 bounds.
+  /// Heap footprint in bytes — the quantity Theorem 3 bounds: 8 B per key
+  /// dense, 16 B (key + value) per stored entry sparse.
   size_t MemoryBytes() const;
 
   std::string DebugString() const;
@@ -92,8 +105,15 @@ class ParamBlock {
  private:
   size_t dim_;
   Layout layout_;
-  std::vector<double> dense_;                     // layout == kDense
-  std::unordered_map<int64_t, double> sparse_;    // layout == kSparse
+  std::vector<double> dense_;        // layout == kDense
+  std::vector<int64_t> sp_index_;    // layout == kSparse: sorted keys
+  std::vector<double> sp_value_;     // layout == kSparse: their values
+
+  /// Sparse layout: this[index[k]] += scale * value[k] for sorted, unique
+  /// `index`. Existing keys add in place; keys not yet stored are merged
+  /// in from the back, starting at 0.0.
+  void MergeAdd(const int64_t* index, const double* value, size_t n,
+                double scale);
 
   void ToDenseLayout();
   void ToSparseLayout();

@@ -51,25 +51,6 @@ constexpr int64_t kTagValueMask = (int64_t{1} << kTagValueBits) - 1;
 constexpr int64_t kTagVersionedBit = int64_t{1} << 61;
 constexpr int64_t kTagEpochMask = (int64_t{1} << 14) - 1;
 
-/// Content bytes of a materialized dense block under the 50% rule:
-/// sparse (16 B/nonzero) when less than half full, dense (8 B/key)
-/// otherwise. Mirrors ServerShard::WirePayloadBytes for a vector we
-/// already hold.
-int64_t MaterializedWireBytes(const std::vector<double>& block,
-                              size_t* nnz_out) {
-  size_t nnz = 0;
-  for (double v : block) {
-    if (v != 0.0) ++nnz;
-  }
-  if (nnz_out != nullptr) *nnz_out = nnz;
-  const int64_t dense = static_cast<int64_t>(block.size()) *
-                        static_cast<int64_t>(sizeof(double));
-  const int64_t sparse = static_cast<int64_t>(nnz) *
-                         static_cast<int64_t>(sizeof(int64_t) +
-                                              sizeof(double));
-  return std::min(dense, sparse);
-}
-
 }  // namespace
 
 bool ParameterServer::TagIsVersioned(int64_t tag) {
@@ -599,23 +580,12 @@ PartitionPull ParameterServer::BuildPartitionPull(
         return out;
       }
     }
-    // Whole-block ship: materialize, then pick the cheaper layout
-    // (ParamBlock's 50% rule applied to the materialized content).
-    std::vector<double> block =
-        version >= 0 ? shard->PullAtVersion(worker, cmax_now, version)
-                     : shard->Pull(worker, cmax_now);
-    size_t nnz = 0;
-    const int64_t dense_bytes =
-        static_cast<int64_t>(block.size()) *
-        static_cast<int64_t>(sizeof(double));
-    const int64_t wire_bytes = MaterializedWireBytes(block, &nnz);
-    if (wire_bytes < dense_bytes) {
-      out.encoding = PartitionPull::Encoding::kSparse;
-      out.sparse = SparseVector::FromDense(block);
-    } else {
-      out.encoding = PartitionPull::Encoding::kDense;
-      out.dense = std::move(block);
-    }
+    // Whole-block ship in the cheaper layout (ParamBlock's 50% rule
+    // applied to the read's content).
+    out.encoding =
+        shard->PullBlock(worker, cmax_now, version, &out.dense, &out.sparse)
+            ? PartitionPull::Encoding::kSparse
+            : PartitionPull::Encoding::kDense;
   }
   pull_piece_us_[static_cast<size_t>(partition)]->RecordInt(
       MicrosSince(start));
@@ -976,10 +946,6 @@ Status ParameterServer::LoadCheckpoint(std::istream& is) {
       return Status::IOError("bad shard header for partition " +
                              std::to_string(p));
     }
-    ServerShard* shard = staged[static_cast<size_t>(p)].get();
-    ParamBlock* param = shard->mutable_param();
-    param->ForceLayout(ParamBlock::Layout::kDense);
-    param->Clear();
     SparseVector sv;
     for (size_t i = 0; i < nnz; ++i) {
       int64_t idx = 0;
@@ -989,16 +955,11 @@ Status ParameterServer::LoadCheckpoint(std::istream& is) {
       }
       sv.PushBack(idx, value);
     }
-    param->Add(sv);
-    if (sparse_layout != 0) {
-      param->ForceLayout(ParamBlock::Layout::kSparse);
-    }
-    shard->set_push_count(push_count);
     // data_version tracks pushes 1:1 (ServerShard::Push), so the restored
     // stamp is the restored push count. The epoch bump at commit below
     // keeps it from aliasing any pre-restore client tag regardless.
-    shard->set_data_version(push_count);
-    HETPS_RETURN_NOT_OK(shard->mutable_rule()->LoadState(is));
+    HETPS_RETURN_NOT_OK(staged[static_cast<size_t>(p)]->Restore(
+        sv, sparse_layout != 0, push_count, is));
   }
   // --- Commit -----------------------------------------------------------
   // Everything decoded. Swap the staged state in under the documented

@@ -1,10 +1,24 @@
 #include "ps/server_shard.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/logging.h"
 
 namespace hetps {
+namespace {
+
+constexpr int64_t kSparseEntryBytes = sizeof(int64_t) + sizeof(double);
+
+/// Bytes of `n` keys shipped dense, or of `nnz` entries shipped sparse.
+int64_t DenseBytes(size_t n) {
+  return static_cast<int64_t>(n) * static_cast<int64_t>(sizeof(double));
+}
+int64_t SparseBytes(size_t nnz) {
+  return static_cast<int64_t>(nnz) * kSparseEntryBytes;
+}
+
+}  // namespace
 
 ServerShard::ServerShard(int shard_id, size_t dim,
                          const ConsolidationRule& rule_proto,
@@ -12,6 +26,7 @@ ServerShard::ServerShard(int shard_id, size_t dim,
     : shard_id_(shard_id),
       param_(dim),
       rule_(rule_proto.Clone()),
+      in_support_(dim, false),
       delta_log_depth_(delta_log_depth) {
   rule_->Reset(dim, num_workers);
   track_deltas_ =
@@ -39,9 +54,11 @@ void ServerShard::Push(int worker, int clock,
     ++push_count_;
     ++data_version_;
     AppendDelta(std::move(delta));
+    GrowSupport(local_update);
     return;
   }
   rule_->OnPush(worker, clock, local_update, &param_);
+  GrowSupport(local_update);
   ++push_count_;
   ++data_version_;
   if (track_deltas_) {
@@ -50,6 +67,40 @@ void ServerShard::Push(int worker, int clock,
     // contiguous without paying for storage.
     AppendDelta(SparseVector());
   }
+}
+
+void ServerShard::GrowSupport(const SparseVector& update) {
+  // Called after OnPush, whose ParamBlock::Add range-checked the keys.
+  const size_t old = support_.size();
+  for (int64_t key : update.indices()) {
+    const size_t k = static_cast<size_t>(key);
+    if (in_support_[k]) continue;
+    in_support_[k] = true;
+    support_.push_back(key);
+  }
+  // The fresh keys arrive sorted (update indices are), so one merge of
+  // the two sorted runs restores the order.
+  if (support_.size() > old) {
+    std::inplace_merge(support_.begin(),
+                       support_.begin() + static_cast<std::ptrdiff_t>(old),
+                       support_.end());
+  }
+}
+
+Status ServerShard::Restore(const SparseVector& param, bool sparse_layout,
+                            int64_t push_count, std::istream& rule_state) {
+  param_.Add(param);
+  if (sparse_layout) param_.ForceLayout(ParamBlock::Layout::kSparse);
+  push_count_ = push_count;
+  data_version_ = push_count;
+  HETPS_RETURN_NOT_OK(rule_->LoadState(rule_state));
+  std::vector<int64_t> keys = param.indices();
+  rule_->AppendStateKeys(&keys);
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  for (int64_t key : keys) in_support_[static_cast<size_t>(key)] = true;
+  support_ = std::move(keys);
+  return Status::OK();
 }
 
 void ServerShard::AppendDelta(SparseVector delta) {
@@ -92,13 +143,9 @@ bool ServerShard::DeltaSince(int64_t from_version,
 }
 
 int64_t ServerShard::WirePayloadBytes() const {
-  const int64_t dense_bytes =
-      static_cast<int64_t>(param_.dim()) *
-      static_cast<int64_t>(sizeof(double));
-  const int64_t sparse_bytes =
-      static_cast<int64_t>(param_.CountNonZero()) *
-      static_cast<int64_t>(sizeof(int64_t) + sizeof(double));
-  return std::min(dense_bytes, sparse_bytes);
+  const size_t nnz =
+      param_.CountNonZeroAt(support_.data(), support_.size());
+  return std::min(DenseBytes(param_.dim()), SparseBytes(nnz));
 }
 
 std::vector<double> ServerShard::Pull(int worker, int cmax) {
@@ -110,6 +157,48 @@ std::vector<double> ServerShard::PullAtVersion(int worker, int cmax,
                                                int64_t version) {
   rule_->OnPull(worker, cmax);
   return rule_->MaterializeAtVersion(param_, version);
+}
+
+bool ServerShard::PullBlock(int worker, int cmax, int64_t version,
+                            std::vector<double>* dense,
+                            SparseVector* sparse) {
+  rule_->OnPull(worker, cmax);
+  const bool live = version < 0 || !rule_->SupportsVersionedSnapshots();
+  // The read's nonzeros lie in the support, so a support under half the
+  // block makes the sparse ship certain: gather there and keep the
+  // nonzeros, the same entries SparseVector::FromDense would keep.
+  if (live && SparseBytes(support_.size()) < DenseBytes(param_.dim())) {
+    const size_t n = support_.size();
+    std::vector<int64_t> index(n);
+    std::vector<double> value(n);
+    rule_->GatherMaterialized(param_, support_.data(), n, value.data());
+    size_t kept = 0;
+    for (size_t k = 0; k < n; ++k) {
+      if (std::fabs(value[k]) > 0.0) {
+        index[kept] = support_[k];
+        value[kept] = value[k];
+        ++kept;
+      }
+    }
+    index.resize(kept);
+    value.resize(kept);
+    *sparse = SparseVector(std::move(index), std::move(value));
+    return true;
+  }
+  std::vector<double> block = live
+                                  ? rule_->Materialize(param_)
+                                  : rule_->MaterializeAtVersion(param_,
+                                                                version);
+  size_t nnz = 0;
+  for (double v : block) {
+    if (v != 0.0) ++nnz;
+  }
+  if (SparseBytes(nnz) < DenseBytes(block.size())) {
+    *sparse = SparseVector::FromDense(block);
+    return true;
+  }
+  *dense = std::move(block);
+  return false;
 }
 
 std::vector<double> ServerShard::Peek() const {

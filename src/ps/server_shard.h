@@ -3,12 +3,14 @@
 
 #include <cstdint>
 #include <deque>
+#include <istream>
 #include <memory>
 #include <vector>
 
 #include "core/consolidation.h"
 #include "core/param_block.h"
 #include "math/sparse_vector.h"
+#include "util/status.h"
 
 namespace hetps {
 
@@ -31,6 +33,15 @@ namespace hetps {
 /// DeltaSince() merges the log into one sparse delta covering
 /// (from_version, data_version], so a pull can ship just the arithmetic
 /// difference instead of the whole block when that is smaller.
+///
+/// ## Support set (O(written keys) whole-block ships)
+///
+/// The shard also keeps the sorted, monotone set of keys its pushes have
+/// written. Every rule's reads are linear combinations of pushed updates
+/// (DynSGD's version summaries included), so each read's nonzeros lie in
+/// that set. Wire sizing counts nonzeros there, and a live read whose
+/// support is under half the block ships sparse, gathered at the support
+/// without materializing the dense block.
 class ServerShard {
  public:
   /// `rule_proto` is cloned; `dim` is the partition-local dimension.
@@ -55,6 +66,16 @@ class ServerShard {
   /// live value). Stamps pull state like Pull().
   std::vector<double> PullAtVersion(int worker, int cmax, int64_t version);
 
+  /// Whole-block read for a pull response (`version` < 0 = live read, as
+  /// Pull(); otherwise as PullAtVersion()). Returns true and fills
+  /// `*sparse` when the ParamBlock 50% rule picks the sparse layout for
+  /// the read's content, else fills `*dense`. A live read whose support
+  /// set is under half the block must ship sparse, so it is gathered at
+  /// the support; dense ships and versioned deferred-DynSGD reads
+  /// materialize the block.
+  bool PullBlock(int worker, int cmax, int64_t version,
+                 std::vector<double>* dense, SparseVector* sparse);
+
   /// Stamps the rule's pull state without materializing — the cheap half
   /// of a cache-hit pull (the client keeps its replica; the server must
   /// still record that the worker read at cmax, Algorithm 2 line 18).
@@ -73,9 +94,18 @@ class ServerShard {
   /// shard. Equal stamps imply byte-identical materialized content.
   int64_t data_version() const { return data_version_; }
 
-  /// Seeds the stamp (checkpoint restore; combined with the facade's
-  /// pull-epoch so restored state can never alias a pre-restore tag).
-  void set_data_version(int64_t v) { data_version_ = v; }
+  /// Checkpoint restore into a freshly built shard: installs the saved
+  /// parameter nonzeros in the saved layout, the push count (which also
+  /// seeds data_version; the facade's pull epoch keeps it from aliasing a
+  /// pre-restore tag) and the rule state read from `rule_state`. The
+  /// support set is rebuilt from the restored nonzeros plus every key the
+  /// rule's state can still write: a version-summary key whose restored
+  /// parameter value is exactly 0 is written by the next push.
+  Status Restore(const SparseVector& param, bool sparse_layout,
+                 int64_t push_count, std::istream& rule_state);
+
+  /// Sorted keys written by any push so far (monotone).
+  const std::vector<int64_t>& support() const { return support_; }
 
   /// Merges the logged deltas covering (from_version, data_version()]
   /// into `*out` (entries sorted, zero-sum entries retained — they are
@@ -85,8 +115,9 @@ class ServerShard {
   bool DeltaSince(int64_t from_version, SparseVector* out) const;
 
   /// Content bytes of a whole-block ship under the ParamBlock 50% rule:
-  /// min(dense 8 B/key, sparse 16 B/nonzero). Used by the simulator's
-  /// comm model to size pull responses without materializing.
+  /// min(dense 8 B/key, sparse 16 B/nonzero), the nonzeros counted at the
+  /// support set. Used by the simulator's comm model to size pull
+  /// responses without materializing.
   int64_t WirePayloadBytes() const;
 
   /// Versions created on this partition.
@@ -108,12 +139,9 @@ class ServerShard {
 
   /// Number of pushes consolidated so far.
   int64_t push_count() const { return push_count_; }
-  void set_push_count(int64_t count) { push_count_ = count; }
 
   const ParamBlock& param() const { return param_; }
-  ParamBlock* mutable_param() { return &param_; }
   const ConsolidationRule& rule() const { return *rule_; }
-  ConsolidationRule* mutable_rule() { return rule_.get(); }
 
  private:
   struct LoggedDelta {
@@ -123,11 +151,19 @@ class ServerShard {
 
   void AppendDelta(SparseVector delta);
 
+  /// Adds the update's keys to the support set: O(nnz) membership bits,
+  /// plus one merge when the update brings keys never written before.
+  void GrowSupport(const SparseVector& update);
+
   int shard_id_;
   ParamBlock param_;
   std::unique_ptr<ConsolidationRule> rule_;
   int64_t push_count_ = 0;
   int64_t data_version_ = 0;
+
+  // Support set: sorted written keys, and one membership bit per key.
+  std::vector<int64_t> support_;
+  std::vector<bool> in_support_;
 
   // Delta log (newest at the back). Kept only when the rule's pushes are
   // support-local; bounded by depth and by bytes (once the log outweighs

@@ -165,18 +165,19 @@ bool WorkerClient::MaybePull(int clock, std::vector<double>* replica) {
   return true;
 }
 
-WorkerClient::PrefetchResult WorkerClient::DoPull() {
-  PrefetchResult result;
-  result.valid = true;
-  if (delta_pull_) {
-    DeltaPullResult delta = ps_->PullDelta(worker_id_, cached_tags_);
-    ApplyToCache(delta);
-    result.replica = cache_;  // trainer gets a mutable copy
-    result.cmin = delta.cmin;
-  } else {
-    result.replica = ps_->PullFull(worker_id_, &result.cmin);
+int WorkerClient::DoPull(std::vector<double>* replica) {
+  if (!delta_pull_) {
+    int cmin = 0;
+    *replica = ps_->PullFull(worker_id_, &cmin);
+    return cmin;
   }
-  return result;
+  const DeltaPullResult delta = ps_->PullDelta(worker_id_, cached_tags_);
+  ApplyToCache(delta);
+  // The trainer gets a mutable copy. Copy-assignment reuses the buffer
+  // it already holds, so a steady-state pull allocates no model-sized
+  // vector.
+  *replica = cache_;
+  return delta.cmin;
 }
 
 void WorkerClient::ApplyToCache(const DeltaPullResult& result) {
@@ -269,10 +270,8 @@ void WorkerClient::PullBlocking(int next_clock,
   ps_->WaitUntilCanAdvance(worker_id_, next_clock);
   breakdown_.wait_seconds += SecondsSince(wait_start);
   const Clock::time_point pull_start = Clock::now();
-  PrefetchResult result = DoPull();
+  cached_cmin_ = DoPull(replica);
   breakdown_.comm_seconds += SecondsSince(pull_start);
-  *replica = std::move(result.replica);
-  cached_cmin_ = result.cmin;
   ++pull_count_;
 }
 
@@ -282,8 +281,11 @@ void WorkerClient::StartPrefetch(int next_clock) {
   prefetch_ = std::async(std::launch::async, [this, next_clock] {
     const bool admitted = ps_->WaitUntilCanAdvance(worker_id_, next_clock,
                                                    &cancel_prefetch_);
-    if (!admitted) return PrefetchResult{};  // cancelled: invalid result
-    return DoPull();
+    PrefetchResult result;
+    if (!admitted) return result;  // cancelled: invalid result
+    result.valid = true;
+    result.cmin = DoPull(&result.replica);
+    return result;
   });
 }
 

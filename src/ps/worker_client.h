@@ -143,10 +143,12 @@ class WorkerClient {
     int cmin = 0;
   };
 
-  /// One blocking pull: delta path (updates cache_/cached_tags_) or
-  /// whole-model path. Runs on the owner thread or the prefetch task —
-  /// never both at once (see class comment).
-  PrefetchResult DoPull();
+  /// One blocking pull into `*replica`: delta path (updates cache_/
+  /// cached_tags_, then copies the pristine cache into the caller's
+  /// buffer) or whole-model path. Returns the pull's cmin. Runs on the
+  /// owner thread or the prefetch task — never both at once (see class
+  /// comment).
+  int DoPull(std::vector<double>* replica);
 
   /// Applies a PullDelta response onto the pristine cache.
   void ApplyToCache(const DeltaPullResult& result);

@@ -1,6 +1,15 @@
 #include "util/status.h"
 
+#include <cstdio>
+#include <cstdlib>
+
 namespace hetps {
+
+void DieOnErrorResult(const Status& status) {
+  std::fprintf(stderr, "Result::value() on error: %s\n",
+               status.ToString().c_str());
+  std::abort();
+}
 
 const char* StatusCodeName(StatusCode code) {
   switch (code) {

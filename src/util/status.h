@@ -104,8 +104,13 @@ inline bool operator==(const Status& a, const Status& b) {
   return a.code() == b.code() && a.message() == b.message();
 }
 
-/// Either a value of type T or an error Status. Accessing `value()` when
-/// `!ok()` is a programming error. T need not be default-constructible.
+/// Prints "Result::value() on error: <status>" to stderr and aborts.
+[[noreturn]] void DieOnErrorResult(const Status& status);
+
+/// Either a value of type T or an error Status. Accessing the value when
+/// `!ok()` is a programming error: it aborts with the status message
+/// rather than reading an empty optional. T need not be
+/// default-constructible.
 template <typename T>
 class Result {
  public:
@@ -117,14 +122,23 @@ class Result {
   bool ok() const { return status_.ok(); }
   const Status& status() const { return status_; }
 
-  const T& value() const& { return *value_; }
-  T& value() & { return *value_; }
-  T&& value() && { return std::move(*value_); }
+  const T& value() const& { return *Checked(); }
+  T& value() & { return *Checked(); }
+  T&& value() && { return std::move(*Checked()); }
 
-  const T& operator*() const& { return *value_; }
-  T& operator*() & { return *value_; }
+  const T& operator*() const& { return value(); }
+  T& operator*() & { return value(); }
 
  private:
+  const std::optional<T>& Checked() const {
+    if (!status_.ok()) DieOnErrorResult(status_);
+    return value_;
+  }
+  std::optional<T>& Checked() {
+    if (!status_.ok()) DieOnErrorResult(status_);
+    return value_;
+  }
+
   Status status_;
   std::optional<T> value_;
 };

@@ -7,10 +7,16 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstring>
+#include <functional>
+#include <memory>
+#include <ostream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/consolidation.h"
+#include "core/dyn_sgd.h"
 #include "ps/checkpoint.h"
 #include "ps/parameter_server.h"
 #include "ps/worker_client.h"
@@ -28,6 +34,60 @@ PsOptions MultiPartOptions(SyncPolicy sync, int servers = 2,
   opts.sync = sync;
   return opts;
 }
+
+bool BitwiseEqual(const std::vector<double>& a,
+                  const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// One consolidation rule under test: every rule's cached replica must
+/// stay coherent with a cache-less full pull.
+struct RuleCase {
+  std::string name;
+  std::function<std::unique_ptr<ConsolidationRule>()> make;
+};
+
+// Test listings print the rule's name, not the bytes of the factory.
+void PrintTo(const RuleCase& c, std::ostream* os) { *os << c.name; }
+
+std::unique_ptr<ConsolidationRule> MakeDyn(DynSgdRule::VersionMode mode,
+                                           DynSgdRule::ApplyMode apply) {
+  DynSgdRule::Options options;
+  options.version_mode = mode;
+  options.mode = apply;
+  return std::make_unique<DynSgdRule>(options);
+}
+
+// Deferred DynSGD without partition sync serves live reads that add the
+// active version summaries to w, so its gathered ships are covered too.
+const RuleCase kRuleCases[] = {
+    {"Ssp", [] { return std::make_unique<SspRule>(); }},
+    {"Con", [] { return std::make_unique<ConRule>(); }},
+    {"DynClockAligned",
+     [] {
+       return MakeDyn(DynSgdRule::VersionMode::kClockAligned,
+                      DynSgdRule::ApplyMode::kImmediate);
+     }},
+    {"DynAlgorithm2",
+     [] {
+       return MakeDyn(DynSgdRule::VersionMode::kAlgorithm2,
+                      DynSgdRule::ApplyMode::kImmediate);
+     }},
+    {"DynDeferred",
+     [] {
+       return MakeDyn(DynSgdRule::VersionMode::kClockAligned,
+                      DynSgdRule::ApplyMode::kDeferred);
+     }},
+};
+
+class PullCacheRuleTest : public testing::TestWithParam<RuleCase> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    AllRules, PullCacheRuleTest, testing::ValuesIn(kRuleCases),
+    [](const testing::TestParamInfo<RuleCase>& info) {
+      return info.param.name;
+    });
 
 std::vector<int64_t> TagsOf(const DeltaPullResult& r) {
   std::vector<int64_t> tags;
@@ -129,35 +189,50 @@ TEST(PullDeltaTest, SmallUpdateShipsAsSparseDelta) {
   EXPECT_LT(after.bytes_shipped, 512 * 8);
 }
 
-TEST(PullCacheTest, WorkerClientReplicaMatchesFullPullUnderRandomTraffic) {
+TEST_P(PullCacheRuleTest,
+       WorkerClientReplicaMatchesFullPullUnderRandomTraffic) {
   // Bit-identical coherence: after any sequence of pushes, the cached
   // client's replica equals a cache-less full pull. Random sparse
-  // updates, multiple partitions, many rounds.
-  SspRule rule;
-  ParameterServer ps(96, 2, rule, MultiPartOptions(SyncPolicy::Asp()));
+  // updates, multiple partitions, many rounds. Partitions 0-2 only ever
+  // see every third key, so their support stays under half the block and
+  // whole-block ships are gathered at the support; partition 3 sees every
+  // key and ships through the materialized path. Some pushes undo an
+  // earlier one, leaving exact zeros inside the support.
+  const std::unique_ptr<ConsolidationRule> rule = GetParam().make();
+  ParameterServer ps(400, 2, *rule, MultiPartOptions(SyncPolicy::Asp()));
   WorkerClient cached(0, &ps, /*delta_pull=*/true);
   WorkerClient full(1, &ps, /*delta_pull=*/false);
   Rng rng(321);
   std::vector<double> a, b;
+  SparseVector last;
   for (int round = 0; round < 50; ++round) {
     const int pushes = 1 + static_cast<int>(rng.NextUint64(3));
     for (int k = 0; k < pushes; ++k) {
-      std::vector<int64_t> idx;
-      std::vector<double> val;
-      int64_t key = static_cast<int64_t>(rng.NextUint64(8));
-      while (key < 96) {
-        idx.push_back(key);
-        val.push_back(rng.NextDouble() - 0.5);
-        key += 1 + static_cast<int64_t>(rng.NextUint64(24));
+      SparseVector update;
+      if (!last.empty() && rng.NextBernoulli(0.2)) {
+        update = last;
+        update.Scale(-1.0);
+      } else {
+        for (int64_t key = 0; key < 400; ++key) {
+          if ((key >= 300 || key % 3 == 0) && rng.NextBernoulli(0.1)) {
+            update.PushBack(key, rng.NextDouble() - 0.5);
+          }
+        }
       }
-      ps.Push(0, round * 8 + k, SparseVector(idx, val));
+      ps.Push(0, round * 8 + k, update);
+      last = update;
     }
     cached.PullBlocking(0, &a);
     full.PullBlocking(0, &b);
-    ASSERT_EQ(a, b) << "round " << round;
+    ASSERT_TRUE(BitwiseEqual(a, b)) << "round " << round;
   }
-  // The cache actually paid off: shipped less than the full-pull cost.
-  EXPECT_LT(cached.pulled_bytes(), cached.pulled_bytes_full());
+  ASSERT_LT(2 * ps.shard(0).support().size(), ps.shard(0).dim());
+  ASSERT_GT(2 * ps.shard(3).support().size(), ps.shard(3).dim());
+  // The cache paid off for rules with a delta log: it shipped less than
+  // the full-pull cost.
+  if (rule->PushTouchesOnlyUpdateSupport()) {
+    EXPECT_LT(cached.pulled_bytes(), cached.pulled_bytes_full());
+  }
   EXPECT_EQ(full.pulled_bytes(), full.pulled_bytes_full());
 }
 
@@ -177,19 +252,23 @@ TEST(PullCacheTest, TrainerMutatingItsReplicaDoesNotPoisonTheCache) {
   EXPECT_EQ(replica, ps.Snapshot());
 }
 
-TEST(PullCacheTest, CheckpointRestoreInvalidatesClientTags) {
+TEST_P(PullCacheRuleTest, CheckpointRestoreInvalidatesClientTags) {
   // Restoring a checkpoint rewinds shard state; the pull epoch bump must
   // invalidate every cached tag, or a client whose tag happens to match
-  // the restored data_version would keep stale content forever.
-  SspRule rule;
-  ParameterServer ps(32, 1, rule, MultiPartOptions(SyncPolicy::Asp()));
+  // the restored data_version would keep stale content forever. With one
+  // worker every rule applies each push in full, so the values below
+  // hold for all of them.
+  const std::unique_ptr<ConsolidationRule> rule = GetParam().make();
+  ParameterServer ps(32, 1, *rule, MultiPartOptions(SyncPolicy::Asp()));
   WorkerClient client(0, &ps);
+  WorkerClient uncached(0, &ps, /*delta_pull=*/false);
   ps.Push(0, 0, SparseVector({4}, {1.0}));
   std::vector<double> replica;
+  std::vector<double> full;
   client.PullBlocking(0, &replica);  // warm cache at version 1
 
-  const std::string path =
-      testing::TempDir() + "/hetps_pull_cache_ckpt.txt";
+  const std::string path = testing::TempDir() + "/hetps_pull_cache_ckpt_" +
+                           GetParam().name + ".txt";
   ASSERT_TRUE(SaveCheckpointToFile(ps, path).ok());
 
   // Diverge, then rewind. The restored shard has the same push count as
@@ -201,9 +280,42 @@ TEST(PullCacheTest, CheckpointRestoreInvalidatesClientTags) {
   std::remove(path.c_str());
 
   client.PullBlocking(0, &replica);
-  EXPECT_EQ(replica, ps.Snapshot());
+  uncached.PullBlocking(0, &full);
+  EXPECT_TRUE(BitwiseEqual(replica, full));
   EXPECT_DOUBLE_EQ(replica[4], 1.0);
   EXPECT_DOUBLE_EQ(replica[5], 0.0);
+}
+
+TEST(PullCacheTest, RestoredSummaryKeyAtZeroStillShips) {
+  // DynSGD under ASP: worker 0 pushes +a at key k for clock 0 and -a for
+  // clock 1 while worker 1 is still at clock 0. The parameter at k is
+  // exactly 0, yet version 0's summary still holds +a. A restore must
+  // keep k in the shard's support set: worker 1's clock-0 push revises
+  // version 0 and writes -a/2 at k without touching k itself, and the
+  // next cold pull (a sparse ship gathered at the support) must carry it.
+  DynSgdRule rule;
+  ParameterServer ps(64, 2, rule, MultiPartOptions(SyncPolicy::Asp(), 1, 1));
+  constexpr int64_t k = 5;
+  constexpr double a = 0.75;
+  ps.Push(0, 0, SparseVector({k}, {a}));
+  ps.Push(0, 1, SparseVector({k}, {-a}));
+  ASSERT_EQ(ps.Snapshot()[k], 0.0);
+
+  const std::string path =
+      testing::TempDir() + "/hetps_pull_cache_summary_ckpt.txt";
+  ASSERT_TRUE(SaveCheckpointToFile(ps, path).ok());
+  ASSERT_TRUE(RestoreCheckpointFromFile(&ps, path).ok());
+  std::remove(path.c_str());
+
+  ps.Push(1, 0, SparseVector({40}, {1.0}));
+  const DeltaPullResult cold = ps.PullDelta(1, {kNoCachedTag});
+  ASSERT_EQ(cold.partitions[0].encoding, PartitionPull::Encoding::kSparse);
+  EXPECT_EQ(cold.partitions[0].sparse, SparseVector({k, 40}, {-a / 2, 0.5}))
+      << cold.partitions[0].sparse.DebugString();
+  WorkerClient client(0, &ps);
+  std::vector<double> replica;
+  client.PullBlocking(0, &replica);
+  EXPECT_TRUE(BitwiseEqual(replica, ps.Snapshot()));
 }
 
 TEST(PullCacheTest, ParallelAndSerialAssemblyAgree) {

@@ -48,6 +48,14 @@ TEST(FlagParserTest, TypeErrorsSurfaceAsStatus) {
   EXPECT_FALSE(p.GetDouble("x", 0.0).ok());
 }
 
+TEST(FlagParserDeathTest, ReadingABadValueAbortsWithTheParseError) {
+  // The CLI reads every numeric flag through .value(): a malformed value
+  // must stop it with the parse error, not train on a garbage count.
+  FlagParser p = Parsed({"--clocks=2x"});
+  EXPECT_DEATH((void)p.GetInt("clocks", 10).value(),
+               "flag --clocks expects an integer, got '2x'");
+}
+
 TEST(FlagParserTest, BoolValueForms) {
   FlagParser p = Parsed({"--a=true", "--b=1", "--c=yes", "--d=false"});
   EXPECT_TRUE(p.GetBool("a", false));

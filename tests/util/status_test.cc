@@ -59,6 +59,16 @@ TEST(ResultTest, HoldsError) {
   EXPECT_TRUE(r.status().IsNotFound());
 }
 
+TEST(ResultDeathTest, ValueOfErrorAbortsWithTheStatusMessage) {
+  // Reading the value of an error Result stops the program with the
+  // status message instead of dereferencing an empty optional.
+  Result<int> r = Status::NotFound("missing");
+  EXPECT_DEATH((void)r.value(), "Result::value\\(\\) on error: "
+                                "NotFound: missing");
+  EXPECT_DEATH((void)*r, "NotFound: missing");
+  EXPECT_DEATH((void)std::move(r).value(), "NotFound: missing");
+}
+
 TEST(ResultTest, MoveOutValue) {
   Result<std::string> r = std::string("payload");
   ASSERT_TRUE(r.ok());
