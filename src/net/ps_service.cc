@@ -772,7 +772,7 @@ void RpcWorkerClient::SenderLoop() {
 std::vector<uint8_t> RpcWorkerClient::EncodePush(
     int clock, const SparseVector& update) {
   ByteWriter w;
-  if (partitioner_ == nullptr) {
+  if (!cache_.has_value()) {
     // No layout handshake yet: ship the classic global-indexed frame.
     w.WriteU8(static_cast<uint8_t>(PsOpCode::kPush));
     w.WriteI64(worker_id_);
@@ -784,7 +784,8 @@ std::vector<uint8_t> RpcWorkerClient::EncodePush(
   // service can route each piece straight to its shard. Empty pieces are
   // elided (the frame carries explicit partition ids); an all-empty push
   // still ships — the server must advance the clock table.
-  std::vector<SparseVector> pieces = partitioner_->SplitByPartition(update);
+  std::vector<SparseVector> pieces =
+      cache_->layout().SplitByPartition(update);
   uint64_t kept = 0;
   for (const SparseVector& piece : pieces) {
     if (!piece.empty()) ++kept;
@@ -865,7 +866,7 @@ Status RpcWorkerClient::Push(int clock, const SparseVector& update) {
     ByteReader reader(response.value());
     return ConsumeStatus(&reader);
   }
-  // Pipelined path: encode here (partitioner_ is owner-thread state),
+  // Pipelined path: encode here (cache_ is owner-thread state),
   // then hand the bytes to the sender. Only the backpressure block
   // (window full) costs the owner wall time.
   std::vector<uint8_t> request = EncodePush(clock, update);
@@ -921,7 +922,7 @@ Status RpcWorkerClient::Pull(std::vector<double>* replica, int* cmin) {
 }
 
 Status RpcWorkerClient::EnsureLayout() {
-  if (partitioner_ != nullptr) return Status::OK();
+  if (cache_.has_value()) return Status::OK();
   ByteWriter w;
   w.WriteU8(static_cast<uint8_t>(PsOpCode::kLayout));
   auto response = Roundtrip(w.TakeBuffer());
@@ -941,22 +942,22 @@ Status RpcWorkerClient::EnsureLayout() {
       num_partitions > dim) {
     return Status::InvalidArgument("bad partition-layout handshake");
   }
-  partitioner_ = std::make_unique<Partitioner>(
-      static_cast<PartitionScheme>(scheme), dim,
-      static_cast<int>(num_servers), static_cast<int>(num_partitions));
-  cache_.assign(static_cast<size_t>(dim), 0.0);
-  cached_tags_.assign(static_cast<size_t>(num_partitions), kNoCachedTag);
+  cache_.emplace(Partitioner(static_cast<PartitionScheme>(scheme), dim,
+                             static_cast<int>(num_servers),
+                             static_cast<int>(num_partitions)),
+                 &GlobalMetrics());
   return Status::OK();
 }
 
 Status RpcWorkerClient::PullCachedOnce(int* cmin, bool* tag_mismatch) {
-  *tag_mismatch = false;
+  const Partitioner& layout = cache_->layout();
+  const std::vector<int64_t>& tags = cache_->tags();
   ByteWriter w;
-  w.Reserve(17 + cached_tags_.size() * 8);
+  w.Reserve(17 + tags.size() * 8);
   w.WriteU8(static_cast<uint8_t>(PsOpCode::kPullDelta));
   w.WriteI64(worker_id_);
-  w.WriteU64(cached_tags_.size());
-  for (int64_t tag : cached_tags_) w.WriteI64(tag);
+  w.WriteU64(tags.size());
+  for (int64_t tag : tags) w.WriteI64(tag);
   auto response = Roundtrip(w.TakeBuffer());
   if (!response.ok()) return response.status();
   ByteReader reader(response.value());
@@ -965,91 +966,55 @@ Status RpcWorkerClient::PullCachedOnce(int* cmin, bool* tag_mismatch) {
   uint64_t parts = 0;
   HETPS_RETURN_NOT_OK(reader.ReadI64(&cmin64));
   HETPS_RETURN_NOT_OK(reader.ReadU64(&parts));
-  if (parts != cached_tags_.size()) {
+  if (parts != tags.size()) {
     return Status::InvalidArgument("partition count changed mid-stream");
   }
   // Partitions arrive in index order (the response carries no explicit
-  // ids); every piece is validated against the handshaken layout before
-  // it touches the cache — the response is still untrusted bytes.
+  // ids). The response is untrusted bytes: every piece is decoded and
+  // checked against the handshaken layout before any of them reaches
+  // the cache, so a malformed frame leaves the cache untouched.
+  std::vector<PartitionPull> pieces(static_cast<size_t>(parts));
   int64_t shipped = 0;
-  for (size_t p = 0; p < parts; ++p) {
+  for (size_t p = 0; p < pieces.size(); ++p) {
+    PartitionPull& pp = pieces[p];
+    pp.partition = static_cast<int>(p);
     uint8_t encoding = 0;
-    int64_t tag = 0;
     HETPS_RETURN_NOT_OK(reader.ReadU8(&encoding));
-    HETPS_RETURN_NOT_OK(reader.ReadI64(&tag));
-    const int64_t dim_p = partitioner_->PartitionDim(static_cast<int>(p));
-    bool apply_tag = true;
-    switch (static_cast<PartitionPull::Encoding>(encoding)) {
+    HETPS_RETURN_NOT_OK(reader.ReadI64(&pp.tag));
+    const int64_t dim_p = layout.PartitionDim(pp.partition);
+    pp.encoding = static_cast<PartitionPull::Encoding>(encoding);
+    switch (pp.encoding) {
       case PartitionPull::Encoding::kUnchanged:
         break;
-      case PartitionPull::Encoding::kDense: {
-        std::vector<double> dense;
-        HETPS_RETURN_NOT_OK(reader.ReadDenseVector(&dense));
-        if (dense.size() != static_cast<size_t>(dim_p)) {
+      case PartitionPull::Encoding::kDense:
+        HETPS_RETURN_NOT_OK(reader.ReadDenseVector(&pp.dense));
+        if (pp.dense.size() != static_cast<size_t>(dim_p)) {
           return Status::InvalidArgument("dense piece has wrong length");
         }
-        for (size_t local = 0; local < dense.size(); ++local) {
-          const int64_t g = partitioner_->GlobalIndex(
-              static_cast<int>(p), static_cast<int64_t>(local));
-          cache_[static_cast<size_t>(g)] = dense[local];
-        }
-        shipped += static_cast<int64_t>(dense.size() * sizeof(double));
+        shipped += static_cast<int64_t>(pp.dense.size() * sizeof(double));
         break;
-      }
-      case PartitionPull::Encoding::kSparse: {
-        SparseVector sv;
-        HETPS_RETURN_NOT_OK(reader.ReadSparseVector(&sv));
-        if (sv.MinimumDimension() > dim_p) {
+      case PartitionPull::Encoding::kSparseDelta:
+        HETPS_RETURN_NOT_OK(reader.ReadI64(&pp.base_tag));
+        [[fallthrough]];
+      case PartitionPull::Encoding::kSparse:
+        HETPS_RETURN_NOT_OK(reader.ReadSparseVector(&pp.sparse));
+        if (pp.sparse.MinimumDimension() > dim_p) {
           return Status::InvalidArgument("sparse piece index out of range");
         }
-        for (int64_t local = 0; local < dim_p; ++local) {
-          cache_[static_cast<size_t>(partitioner_->GlobalIndex(
-              static_cast<int>(p), local))] = 0.0;
-        }
-        for (size_t i = 0; i < sv.nnz(); ++i) {
-          const int64_t g =
-              partitioner_->GlobalIndex(static_cast<int>(p), sv.index(i));
-          cache_[static_cast<size_t>(g)] = sv.value(i);
-        }
-        shipped += static_cast<int64_t>(sv.nnz() *
-                                        (sizeof(int64_t) + sizeof(double)));
+        shipped += static_cast<int64_t>(
+            pp.sparse.nnz() * (sizeof(int64_t) + sizeof(double)));
         break;
-      }
-      case PartitionPull::Encoding::kSparseDelta: {
-        int64_t base_tag = 0;
-        SparseVector sv;
-        HETPS_RETURN_NOT_OK(reader.ReadI64(&base_tag));
-        HETPS_RETURN_NOT_OK(reader.ReadSparseVector(&sv));
-        if (sv.MinimumDimension() > dim_p) {
-          return Status::InvalidArgument("delta piece index out of range");
-        }
-        if (base_tag != cached_tags_[p]) {
-          // A delta against state we no longer (or never) held — e.g. a
-          // server-side checkpoint restore between pulls. Drop it and
-          // re-pull this partition whole on the caller's retry.
-          *tag_mismatch = true;
-          cached_tags_[p] = kNoCachedTag;
-          apply_tag = false;
-          break;
-        }
-        for (size_t i = 0; i < sv.nnz(); ++i) {
-          const int64_t g =
-              partitioner_->GlobalIndex(static_cast<int>(p), sv.index(i));
-          cache_[static_cast<size_t>(g)] += sv.value(i);
-        }
-        shipped += static_cast<int64_t>(sv.nnz() *
-                                        (sizeof(int64_t) + sizeof(double)));
-        break;
-      }
       default:
         return Status::InvalidArgument("unknown partition encoding");
     }
-    if (apply_tag) cached_tags_[p] = tag;
   }
+  // A delta against state the cache no longer (or never) held — e.g. a
+  // server-side checkpoint restore between pulls — is dropped, and its
+  // partition ships whole on the caller's retry.
+  *tag_mismatch = !cache_->Apply(pieces);
   pulled_bytes_ += shipped;
   // Baseline: a cache-less kPull ships the whole model dense.
-  pulled_bytes_full_ +=
-      partitioner_->dim() * static_cast<int64_t>(sizeof(double));
+  pulled_bytes_full_ += layout.dim() * static_cast<int64_t>(sizeof(double));
   *cmin = static_cast<int>(cmin64);
   return Status::OK();
 }
@@ -1057,7 +1022,7 @@ Status RpcWorkerClient::PullCachedOnce(int* cmin, bool* tag_mismatch) {
 Status RpcWorkerClient::PullCached(std::vector<double>* replica,
                                    int* cmin) {
   // Drain before the layout handshake too: EnsureLayout installs
-  // partitioner_, and the first drained queue may still hold legacy
+  // cache_, and the first drained queue may still hold legacy
   // frames — ordering stays FIFO either way.
   HETPS_RETURN_NOT_OK(Flush());
   HETPS_RETURN_NOT_OK(EnsureLayout());
@@ -1066,7 +1031,7 @@ Status RpcWorkerClient::PullCached(std::vector<double>* replica,
     int c = 0;
     HETPS_RETURN_NOT_OK(PullCachedOnce(&c, &mismatch));
     if (!mismatch) {
-      *replica = cache_;
+      *replica = cache_->values();
       if (cmin != nullptr) *cmin = c;
       return Status::OK();
     }

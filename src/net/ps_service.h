@@ -9,6 +9,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -18,6 +19,7 @@
 #include "net/message_bus.h"
 #include "net/serializer.h"
 #include "ps/parameter_server.h"
+#include "ps/replica_cache.h"
 #include "util/metrics.h"
 
 namespace hetps {
@@ -374,7 +376,7 @@ class RpcWorkerClient {
   Result<std::vector<uint8_t>> Roundtrip(std::vector<uint8_t> request);
 
   /// Fetches the server's partition layout (kLayout) once and builds the
-  /// local Partitioner + tag map.
+  /// replica cache over it.
   Status EnsureLayout();
 
   /// One kPullDelta round trip; sets `*tag_mismatch` when a delta's base
@@ -382,8 +384,8 @@ class RpcWorkerClient {
   Status PullCachedOnce(int* cmin, bool* tag_mismatch);
 
   /// Encodes one push request on the owner thread: kPushColumnar when
-  /// the layout handshake has run (partitioner_ is owner-only state the
-  /// sender must never touch), legacy kPush otherwise.
+  /// the layout handshake has run (cache_ is owner-only state the sender
+  /// must never touch), legacy kPush otherwise.
   std::vector<uint8_t> EncodePush(int clock, const SparseVector& update);
 
   /// Background sender: pops encoded pushes FIFO, issues the RPC, and
@@ -416,11 +418,9 @@ class RpcWorkerClient {
   Gauge* inflight_peak_gauge_ = nullptr;
   std::thread sender_;
 
-  /// Client partition cache (PullCached): layout handshake result,
-  /// pristine last-received state, and per-partition content tags.
-  std::unique_ptr<Partitioner> partitioner_;
-  std::vector<double> cache_;
-  std::vector<int64_t> cached_tags_;
+  /// Client partition cache (PullCached), built over the layout the
+  /// kLayout handshake returned; empty until then.
+  std::optional<ReplicaCache> cache_;
   int64_t pulled_bytes_ = 0;
   int64_t pulled_bytes_full_ = 0;
 };

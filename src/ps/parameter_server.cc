@@ -146,12 +146,13 @@ void ParameterServer::Push(int worker, int clock,
   // to the survivors, so its gradient would double-count that data)
   // lives in PushPieces, the one choke point both this facade and the
   // columnar wire path go through.
-  const SparseVector filtered =
-      options_.update_filter_epsilon > 0.0
-          ? update.Filtered(options_.update_filter_epsilon)
-          : update;
+  // The filter is the only reason to copy the update; unfiltered pushes
+  // split the caller's vector directly.
   std::vector<SparseVector> pieces =
-      partitioner_.SplitByPartition(filtered);
+      options_.update_filter_epsilon > 0.0
+          ? partitioner_.SplitByPartition(
+                update.Filtered(options_.update_filter_epsilon))
+          : partitioner_.SplitByPartition(update);
   // For no-op-on-empty rules (SSP/Con accumulate), empty pieces carry no
   // information; consolidating them inflates push_count and generates
   // pointless shard-lock traffic (common when update_filter_epsilon
@@ -428,18 +429,9 @@ std::vector<double> ParameterServer::PullFull(int worker, int* cmin_out) {
 
 std::vector<double> ParameterServer::AssemblePull(int worker,
                                                   int64_t version) {
-  const int parts = partitioner_.num_partitions();
   std::vector<double> out(static_cast<size_t>(partitioner_.dim()), 0.0);
-  const auto pull_one = [&](int p) {
-    const std::vector<double> block = PullPiece(p, worker, version);
-    // Partitions scatter into disjoint key sets, so concurrent
-    // ScatterBlock calls never write the same slot.
-    ScatterBlock(partitioner_, p, block, out.data());
-  };
-  if (parts > 1 && options_.pull_parallelism != 1) {
-    RunOnApplyPool(parts, pull_one);
-  } else {
-    for (int p = 0; p < parts; ++p) pull_one(p);
+  for (int p = 0; p < partitioner_.num_partitions(); ++p) {
+    ScatterBlock(partitioner_, p, PullPiece(p, worker, version), out.data());
   }
   return out;
 }
@@ -595,18 +587,10 @@ PartitionPull ParameterServer::BuildPartitionPull(
 ThreadPool* ParameterServer::ApplyPool() {
   std::lock_guard<std::mutex> lock(pool_mu_);
   if (apply_pool_ == nullptr) {
-    const auto resolve = [](int knob) {
-      if (knob > 0) return knob;
-      int n = static_cast<int>(std::thread::hardware_concurrency());
-      return n > 0 ? n : 2;
-    };
-    // One pool serves both the pull-assembly and the push-apply paths:
-    // size it for whichever knob asks for more (a knob pinned to 1
-    // never routes work here, so it never inflates the pool).
-    int n = std::max(resolve(options_.pull_parallelism),
-                     resolve(options_.push_parallelism));
+    int n = options_.push_parallelism;
+    if (n <= 0) n = static_cast<int>(std::thread::hardware_concurrency());
+    if (n <= 0) n = 2;
     n = std::min(n, partitioner_.num_partitions());
-    n = std::max(n, 1);
     apply_pool_ = std::make_unique<ThreadPool>(static_cast<size_t>(n));
   }
   return apply_pool_.get();
@@ -619,9 +603,8 @@ void ParameterServer::ShutdownApplyPoolForTest() {
 
 void ParameterServer::RunOnApplyPool(int count,
                                      const std::function<void(int)>& fn) {
-  // Per-call latch: the pool is shared across concurrent pulls and
-  // pushes, so we count down *our* tasks instead of waiting for the
-  // pool to drain.
+  // Per-call latch: the pool is shared across concurrent pushes, so we
+  // count down *our* tasks instead of waiting for the pool to drain.
   std::mutex latch_mu;
   std::condition_variable latch_cv;
   int remaining = count;
@@ -666,35 +649,21 @@ DeltaPullResult ParameterServer::PullDelta(
 
   DeltaPullResult result;
   result.cmin = cmin_now;
-  result.partitions.resize(static_cast<size_t>(parts));
-  std::vector<int64_t> bytes_full(static_cast<size_t>(parts), 0);
-
-  const auto build_one = [&](int p) {
-    const int64_t cached =
-        static_cast<size_t>(p) < cached_tags.size()
-            ? cached_tags[static_cast<size_t>(p)]
-            : kNoCachedTag;
-    result.partitions[static_cast<size_t>(p)] = BuildPartitionPull(
-        p, worker, cmax_now, version, use_versioned_tags, stable_version,
-        cached, &bytes_full[static_cast<size_t>(p)]);
-  };
-
-  const bool parallel = parts > 1 && options_.pull_parallelism != 1;
-  if (parallel) {
-    // Partition slots are disjoint, so the writes need no extra locking.
-    RunOnApplyPool(parts, build_one);
-  } else {
-    for (int p = 0; p < parts; ++p) build_one(p);
-  }
-
-  // Wire accounting + counters, summed once after assembly (tasks touch
-  // only their own slots above).
+  result.partitions.reserve(static_cast<size_t>(parts));
   int64_t hits = 0;
   int64_t shipped = 0;
   int64_t delta_ships = 0;
   for (int p = 0; p < parts; ++p) {
-    const PartitionPull& pp = result.partitions[static_cast<size_t>(p)];
-    result.bytes_full += bytes_full[static_cast<size_t>(p)];
+    const int64_t cached =
+        static_cast<size_t>(p) < cached_tags.size()
+            ? cached_tags[static_cast<size_t>(p)]
+            : kNoCachedTag;
+    int64_t bytes_full = 0;
+    result.partitions.push_back(BuildPartitionPull(
+        p, worker, cmax_now, version, use_versioned_tags, stable_version,
+        cached, &bytes_full));
+    const PartitionPull& pp = result.partitions.back();
+    result.bytes_full += bytes_full;
     switch (pp.encoding) {
       case PartitionPull::Encoding::kUnchanged:
         ++hits;

@@ -40,17 +40,12 @@ struct PsOptions {
   /// delta capture; unchanged-partition detection still works — it only
   /// needs the version stamp). See ServerShard.
   int delta_log_depth = 64;
-  /// Threads used to assemble multi-partition pulls shard-parallel.
-  /// 0 = auto (hardware concurrency, capped at the partition count);
-  /// 1 = serial assembly on the calling thread.
-  int pull_parallelism = 0;
   /// Threads used to apply a push's partition pieces shard-parallel
   /// (each piece under its own shard mutex; AdvanceClock fires once
   /// after the last piece). 0 = auto (hardware concurrency, capped at
   /// the partition count); 1 = serial apply on the calling thread —
-  /// the default, which is byte-for-byte today's push path. Pull
-  /// assembly and push apply share one pool (sized for whichever knob
-  /// asks for more).
+  /// the default, which is byte-for-byte today's push path. Pulls are
+  /// always assembled on the calling thread.
   int push_parallelism = 1;
   /// Registry receiving the PS telemetry (per-shard push/pull latency
   /// histograms, per-worker staleness, admission-wait times). nullptr =
@@ -229,8 +224,9 @@ class ParameterServer {
   /// nothing (kUnchanged), the whole block (dense or sparse, 50% rule),
   /// or the sparse delta since the cached tag — whichever is smallest.
   /// Pull state is stamped on *every* partition (a cache hit is still a
-  /// read at cmax, Algorithm 2 line 18). Assembly is shard-parallel when
-  /// options().pull_parallelism allows.
+  /// read at cmax, Algorithm 2 line 18). Partitions are built serially
+  /// on the calling thread: each costs about what it ships, so a fan-out
+  /// to the apply pool would only add thread handoffs.
   DeltaPullResult PullDelta(int worker,
                             const std::vector<int64_t>& cached_tags);
 
@@ -322,10 +318,9 @@ class ParameterServer {
   static bool TagIsVersioned(int64_t tag);
   static int64_t TagValue(int64_t tag);
 
-  /// Test-only: shuts the shared apply pool down in place. Subsequent
-  /// parallel pulls/pushes must degrade to inline execution (the
-  /// Submit-refused fallback) instead of silently dropping work —
-  /// regression hook for the pull-during-shutdown bug.
+  /// Test-only: shuts the apply pool down in place. Subsequent parallel
+  /// push applies must degrade to inline execution (the Submit-refused
+  /// fallback) instead of silently dropping work.
   void ShutdownApplyPoolForTest();
 
  private:
@@ -339,11 +334,11 @@ class ParameterServer {
   void ApplyPushPiece(int partition, int worker, int clock,
                       const SparseVector& local_piece);
 
-  /// Runs fn(0..count-1) on the shared apply pool, blocking until all
-  /// complete (per-call latch — the pool is shared across concurrent
-  /// calls, so ThreadPool::Wait() is not usable). A task the pool
-  /// refuses (shutdown race) runs inline on the calling thread instead
-  /// of being dropped, so the latch can never undercount.
+  /// Runs fn(0..count-1) on the apply pool, blocking until all complete
+  /// (per-call latch — the pool is shared across concurrent pushes, so
+  /// ThreadPool::Wait() is not usable). A task the pool refuses
+  /// (shutdown race) runs inline on the calling thread instead of being
+  /// dropped, so the latch can never undercount.
   void RunOnApplyPool(int count, const std::function<void(int)>& fn);
 
   /// ## Content-tag encoding
@@ -377,9 +372,8 @@ class ParameterServer {
                                    int64_t cached_tag,
                                    int64_t* bytes_full_out);
 
-  /// Lazily creates the shared apply pool (first multi-partition
-  /// parallel pull assembly or push apply). Sized for whichever of
-  /// pull_parallelism / push_parallelism asks for more threads.
+  /// Lazily creates the apply pool (first parallel push apply), sized
+  /// by push_parallelism.
   ThreadPool* ApplyPool();
 
   /// Records `worker`'s push of `clock` in the clock table and wakes
@@ -409,13 +403,12 @@ class ParameterServer {
   // computed after it (restored shards restart their version stamps).
   std::atomic<uint32_t> pull_epoch_{0};
 
-  // Shared apply pool: shard-parallel pull assembly AND shard-parallel
-  // push application run their per-partition tasks here. Created lazily
-  // under pool_mu_; sized by options_.pull_parallelism /
+  // Apply pool: shard-parallel push application runs its per-partition
+  // tasks here. Created lazily under pool_mu_; sized by
   // options_.push_parallelism. Tasks synchronize with their issuing
   // call through a per-call latch (the pool is shared across concurrent
-  // calls, so ThreadPool::Wait() — which waits for *all* tasks — is not
-  // usable here).
+  // pushes, so ThreadPool::Wait() — which waits for *all* tasks — is
+  // not usable here).
   std::mutex pool_mu_;
   std::unique_ptr<ThreadPool> apply_pool_;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "util/logging.h"
 #include "util/rng.h"
@@ -144,6 +145,10 @@ int64_t Partitioner::PartitionDim(int p) const {
 std::vector<SparseVector> Partitioner::SplitByPartition(
     const SparseVector& v) const {
   std::vector<SparseVector> parts(static_cast<size_t>(num_partitions_));
+  if (v.empty()) return parts;
+  // Indices are strictly increasing, so the two ends bound every key.
+  HETPS_CHECK(v.index(0) >= 0 && v.index(v.nnz() - 1) < dim_)
+      << "key out of range";
   if (scheme_ == PartitionScheme::kHash) {
     // Local indices key/P are increasing within each residue class when
     // keys are increasing, so PushBack order is valid.
@@ -155,11 +160,23 @@ std::vector<SparseVector> Partitioner::SplitByPartition(
     }
     return parts;
   }
-  for (size_t i = 0; i < v.nnz(); ++i) {
-    const int64_t key = v.index(i);
-    const int p = PartitionOf(key);
-    parts[static_cast<size_t>(p)].PushBack(
-        key - boundaries_[static_cast<size_t>(p)], v.value(i));
+  // Range schemes: each partition's keys are one contiguous run of the
+  // sorted update, found with one lower_bound and cut out in bulk.
+  const std::vector<int64_t>& idx = v.indices();
+  const std::vector<double>& val = v.values();
+  auto first = idx.begin();
+  for (int p = 0; p < num_partitions_ && first != idx.end(); ++p) {
+    const auto last = std::lower_bound(
+        first, idx.end(), boundaries_[static_cast<size_t>(p) + 1]);
+    if (first == last) continue;
+    const int64_t base = boundaries_[static_cast<size_t>(p)];
+    std::vector<int64_t> local(first, last);
+    for (int64_t& key : local) key -= base;
+    parts[static_cast<size_t>(p)] = SparseVector(
+        std::move(local),
+        std::vector<double>(val.begin() + (first - idx.begin()),
+                            val.begin() + (last - idx.begin())));
+    first = last;
   }
   return parts;
 }

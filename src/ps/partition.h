@@ -65,7 +65,7 @@ class Partitioner {
   int64_t PartitionDim(int p) const;
 
   /// Splits a global sparse vector into per-partition pieces with local
-  /// indices; result[p] may be empty.
+  /// indices; result[p] may be empty. Aborts on a key outside [0, dim).
   std::vector<SparseVector> SplitByPartition(const SparseVector& v) const;
 
   /// Number of partitions a contiguous key interval [begin, end) touches —

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 
-#include "math/kernels.h"
 #include "util/logging.h"
 
 namespace hetps {
@@ -20,18 +18,12 @@ double SecondsSince(Clock::time_point start) {
 
 WorkerClient::WorkerClient(int worker_id, ParameterServer* ps,
                            bool delta_pull, int push_window)
-    : worker_id_(worker_id),
-      ps_(ps),
-      delta_pull_(delta_pull),
-      push_window_(push_window) {
+    : worker_id_(worker_id), ps_(ps), push_window_(push_window) {
   HETPS_CHECK(ps != nullptr) << "null ParameterServer";
   HETPS_CHECK(worker_id >= 0 && worker_id < ps->num_workers())
       << "worker id out of range";
   HETPS_CHECK(push_window >= 0) << "negative push window";
-  if (delta_pull_) {
-    cached_tags_.assign(static_cast<size_t>(ps->num_partitions()),
-                        kNoCachedTag);
-  }
+  if (delta_pull) cache_.emplace(ps->partitioner(), ps->metrics());
   if (push_window_ >= 1) {
     inflight_gauge_ = ps_->metrics()->gauge("push.inflight");
     inflight_peak_gauge_ = ps_->metrics()->gauge("push.inflight_peak");
@@ -165,101 +157,38 @@ bool WorkerClient::MaybePull(int clock, std::vector<double>* replica) {
   return true;
 }
 
+const std::vector<int64_t>& WorkerClient::cached_tags() const {
+  HETPS_CHECK(cache_.has_value()) << "cached_tags() needs delta_pull";
+  return cache_->tags();
+}
+
 int WorkerClient::DoPull(std::vector<double>* replica) {
-  if (!delta_pull_) {
+  if (!cache_.has_value()) {
     int cmin = 0;
     *replica = ps_->PullFull(worker_id_, &cmin);
     return cmin;
   }
-  const DeltaPullResult delta = ps_->PullDelta(worker_id_, cached_tags_);
-  ApplyToCache(delta);
+  const DeltaPullResult delta = ps_->PullDelta(worker_id_, cache_->tags());
+  const bool applied = cache_->Apply(delta.partitions);
+  // In-process there is no retry or reordering, so a delta's base is
+  // exactly what the cache holds; anything else is a server bug (the RPC
+  // client handles a mismatch by re-pulling instead).
+  HETPS_CHECK(applied) << "delta base tag mismatch on worker "
+                       << worker_id_;
+  pulled_bytes_ += delta.bytes_shipped;
+  pulled_bytes_full_ += delta.bytes_full;
   // The trainer gets a mutable copy. Copy-assignment reuses the buffer
   // it already holds, so a steady-state pull allocates no model-sized
   // vector.
-  *replica = cache_;
+  *replica = cache_->values();
   return delta.cmin;
-}
-
-void WorkerClient::ApplyToCache(const DeltaPullResult& result) {
-  const Partitioner& part = ps_->partitioner();
-  if (cache_.empty()) {
-    cache_.assign(static_cast<size_t>(ps_->dim()), 0.0);
-  }
-  for (const PartitionPull& pp : result.partitions) {
-    const int p = pp.partition;
-    const size_t slot = static_cast<size_t>(p);
-    // Range-based schemes map a partition onto one contiguous global key
-    // interval, so whole pieces apply with memcpy / vector kernels at the
-    // base offset; hash striding falls back to per-key GlobalIndex.
-    int64_t base = 0;
-    const bool contiguous = part.ContiguousKeyRange(p, &base);
-    switch (pp.encoding) {
-      case PartitionPull::Encoding::kUnchanged:
-        // Content tag matched: the pristine copy is already current.
-        break;
-      case PartitionPull::Encoding::kDense:
-        if (contiguous) {
-          std::memcpy(cache_.data() + base, pp.dense.data(),
-                      pp.dense.size() * sizeof(double));
-        } else {
-          for (size_t local = 0; local < pp.dense.size(); ++local) {
-            const int64_t g =
-                part.GlobalIndex(p, static_cast<int64_t>(local));
-            cache_[static_cast<size_t>(g)] = pp.dense[local];
-          }
-        }
-        break;
-      case PartitionPull::Encoding::kSparse: {
-        // Whole block in sparse layout: clear the partition's slots,
-        // then scatter the nonzeros.
-        const int64_t dim_p = part.PartitionDim(p);
-        if (contiguous) {
-          std::fill(cache_.begin() + base, cache_.begin() + base + dim_p,
-                    0.0);
-          kernels::ScatterAxpy(1.0, pp.sparse.indices().data(),
-                               pp.sparse.values().data(), pp.sparse.nnz(),
-                               cache_.data() + base);
-        } else {
-          for (int64_t local = 0; local < dim_p; ++local) {
-            cache_[static_cast<size_t>(part.GlobalIndex(p, local))] = 0.0;
-          }
-          for (size_t i = 0; i < pp.sparse.nnz(); ++i) {
-            const int64_t g = part.GlobalIndex(p, pp.sparse.index(i));
-            cache_[static_cast<size_t>(g)] = pp.sparse.value(i);
-          }
-        }
-        break;
-      }
-      case PartitionPull::Encoding::kSparseDelta: {
-        // In-process there is no retry or reordering, so the delta's
-        // base must be exactly what we hold; anything else is a server
-        // bug (the RPC client handles mismatch by re-pulling instead).
-        HETPS_CHECK(pp.base_tag == cached_tags_[slot])
-            << "delta base tag mismatch on partition " << p;
-        if (contiguous) {
-          kernels::ScatterAxpy(1.0, pp.sparse.indices().data(),
-                               pp.sparse.values().data(), pp.sparse.nnz(),
-                               cache_.data() + base);
-        } else {
-          for (size_t i = 0; i < pp.sparse.nnz(); ++i) {
-            const int64_t g = part.GlobalIndex(p, pp.sparse.index(i));
-            cache_[static_cast<size_t>(g)] += pp.sparse.value(i);
-          }
-        }
-        break;
-      }
-    }
-    cached_tags_[slot] = pp.tag;
-  }
-  pulled_bytes_ += result.bytes_shipped;
-  pulled_bytes_full_ += result.bytes_full;
 }
 
 void WorkerClient::PullBlocking(int next_clock,
                                 std::vector<double>* replica) {
   // A pull on the owner thread while the prefetch task owns the replica
-  // cache would race cache_/cached_tags_ — the caller must finish (or
-  // never start) the prefetch first.
+  // cache would race cache_ — the caller must finish (or never start)
+  // the prefetch first.
   HETPS_CHECK(!prefetch_.has_value())
       << "PullBlocking racing in-flight prefetch";
   // Read-your-writes: drain the push window so the refreshed replica

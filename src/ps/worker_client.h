@@ -15,6 +15,7 @@
 #include "math/sparse_vector.h"
 #include "obs/breakdown.h"
 #include "ps/parameter_server.h"
+#include "ps/replica_cache.h"
 
 namespace hetps {
 
@@ -24,14 +25,12 @@ namespace hetps {
 ///
 /// ## Partition replica cache (version-aware pull path)
 ///
-/// With `delta_pull` on (default), the client keeps a *pristine* copy of
-/// the last server state it received (`cache_`) plus one content tag per
-/// partition. A pull sends the tag map; the PS answers per partition
-/// with nothing (tag unchanged), a whole block, or a sparse delta that
-/// is applied on top of the cached copy (ParameterServer::PullDelta).
-/// The pristine copy is required because the trainer mutates the replica
-/// it is handed (local SGD steps), so deltas can never be applied to the
-/// trainer's vector directly.
+/// With `delta_pull` on (default), the client keeps a ReplicaCache: a
+/// *pristine* copy of the last server state it received plus one content
+/// tag per partition. A pull sends the tag map; the PS answers per
+/// partition with nothing (tag unchanged), a whole block, or a sparse
+/// delta that is applied on top of the cached copy
+/// (ParameterServer::PullDelta), and the caller gets a copy.
 ///
 /// ## Threading & the push pipeline
 ///
@@ -126,8 +125,9 @@ class WorkerClient {
   int64_t pulled_bytes() const { return pulled_bytes_; }
   int64_t pulled_bytes_full() const { return pulled_bytes_full_; }
 
-  /// Content tags of the cached partitions (tests / introspection).
-  const std::vector<int64_t>& cached_tags() const { return cached_tags_; }
+  /// Content tags of the cached partitions (tests / introspection;
+  /// requires delta_pull).
+  const std::vector<int64_t>& cached_tags() const;
 
   /// Where this worker's PS-facing time went (Figure 6's comm vs. SSP
   /// wait; compute_seconds stays 0 — the trainer owns compute).
@@ -143,15 +143,11 @@ class WorkerClient {
     int cmin = 0;
   };
 
-  /// One blocking pull into `*replica`: delta path (updates cache_/
-  /// cached_tags_, then copies the pristine cache into the caller's
-  /// buffer) or whole-model path. Returns the pull's cmin. Runs on the
-  /// owner thread or the prefetch task — never both at once (see class
-  /// comment).
+  /// One blocking pull into `*replica`: delta path (updates cache_, then
+  /// copies it into the caller's buffer) or whole-model path. Returns the
+  /// pull's cmin. Runs on the owner thread or the prefetch task — never
+  /// both at once (see class comment).
   int DoPull(std::vector<double>* replica);
-
-  /// Applies a PullDelta response onto the pristine cache.
-  void ApplyToCache(const DeltaPullResult& result);
 
   /// Cancels and joins an in-flight prefetch (destructor path).
   void CancelPrefetch();
@@ -168,7 +164,6 @@ class WorkerClient {
 
   int worker_id_;
   ParameterServer* ps_;
-  bool delta_pull_;
   int push_window_;
   int cached_cmin_ = 0;
   int64_t push_count_ = 0;
@@ -176,10 +171,8 @@ class WorkerClient {
   int64_t pulled_bytes_ = 0;
   int64_t pulled_bytes_full_ = 0;
 
-  // Pristine last-received server state (delta_pull only) and its
-  // per-partition content tags.
-  std::vector<double> cache_;
-  std::vector<int64_t> cached_tags_;
+  // Pristine last-received server state; present iff delta_pull.
+  std::optional<ReplicaCache> cache_;
 
   std::optional<std::future<PrefetchResult>> prefetch_;
   int prefetch_clock_ = -1;

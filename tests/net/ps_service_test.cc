@@ -4,7 +4,13 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstring>
+#include <functional>
+#include <mutex>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "core/consolidation.h"
 #include "core/dyn_sgd.h"
@@ -311,6 +317,122 @@ TEST(PsServiceTest, PullCachedRecoversAfterCheckpointRestore) {
   EXPECT_EQ(replica, ps.Snapshot());
   EXPECT_DOUBLE_EQ(replica[2], 1.0);
   EXPECT_DOUBLE_EQ(replica[3], 0.0);
+}
+
+TEST(PsServiceTest, PullCachedRejectsMalformedResponses) {
+  // The pull response is untrusted bytes. A fake "ps" endpoint forwards
+  // every request to the real service, except that it answers an armed
+  // kPullDelta with a crafted frame whose partition 0 is well-formed
+  // (garbage content under the server's current tag) and whose later
+  // part is not. Each frame must fail with InvalidArgument and reach the
+  // cache not even in part: the next good pull equals the server state
+  // bit for bit, which it would not if partition 0's garbage had landed
+  // under a tag the server then reports as unchanged.
+  SspRule rule;
+  PsOptions opts;
+  opts.num_servers = 2;
+  opts.partitions_per_server = 2;
+  opts.scheme = PartitionScheme::kRange;
+  opts.sync = SyncPolicy::Asp();
+  ParameterServer ps(64, 1, rule, opts);
+  ASSERT_EQ(ps.num_partitions(), 4);
+  // Declared before the bus: its endpoint thread holds the handler below.
+  std::mutex mu;
+  std::vector<uint8_t> armed;  // guarded by mu
+  MessageBus bus;
+  PsService service(&ps, &bus, "real-ps");
+  ASSERT_TRUE(service.status().ok());
+  ASSERT_TRUE(bus.RegisterEndpoint("ps", [&](const Envelope& request) {
+                   {
+                     std::lock_guard<std::mutex> lock(mu);
+                     if (!armed.empty() && !request.payload.empty() &&
+                         request.payload[0] ==
+                             static_cast<uint8_t>(PsOpCode::kPullDelta)) {
+                       return std::exchange(armed, {});
+                     }
+                   }
+                   return bus
+                       .BlockingCall(request.from, "real-ps",
+                                     request.payload, kForever)
+                       .payload;
+                 }).ok());
+
+  RpcWorkerClient client(0, &bus, "ps");
+  std::vector<double> replica;
+  int cmin = -1;
+  ASSERT_TRUE(client.PullCached(&replica, &cmin).ok());
+
+  // Each crafted frame: header, a valid partition 0 that would poison the
+  // cache if applied on its own, then a malformed rest.
+  struct Case {
+    std::string name;
+    uint64_t parts;
+    std::function<void(ByteWriter*)> rest;
+  };
+  const auto unchanged = [](ByteWriter* w, int count) {
+    for (int i = 0; i < count; ++i) {
+      w->WriteU8(static_cast<uint8_t>(PartitionPull::Encoding::kUnchanged));
+      w->WriteI64(1);
+    }
+  };
+  const std::vector<Case> cases = {
+      {"dense piece of the wrong length", 4,
+       [&](ByteWriter* w) {
+         w->WriteU8(static_cast<uint8_t>(PartitionPull::Encoding::kDense));
+         w->WriteI64(1);
+         w->WriteDenseVector(std::vector<double>(5, 1.0));  // needs 16
+         unchanged(w, 2);
+       }},
+      {"sparse index out of range", 4,
+       [&](ByteWriter* w) {
+         w->WriteU8(static_cast<uint8_t>(PartitionPull::Encoding::kSparse));
+         w->WriteI64(1);
+         w->WriteSparseVector(SparseVector({20}, {1.0}));  // local < 16
+         unchanged(w, 2);
+       }},
+      {"unknown encoding", 4,
+       [&](ByteWriter* w) {
+         w->WriteU8(9);
+         w->WriteI64(1);
+         unchanged(w, 2);
+       }},
+      {"changed partition count", 3,
+       [&](ByteWriter* w) { unchanged(w, 2); }},
+  };
+
+  Rng rng(17);
+  int clock = 0;
+  for (const Case& c : cases) {
+    // Fresh state in every partition, so the good pull has work to do
+    // and partition 0's tag moves past the one the cache holds.
+    SparseVector update;
+    for (int64_t key = 0; key < 64;
+         key += 1 + static_cast<int64_t>(rng.NextUint64(6))) {
+      update.PushBack(key, rng.NextDouble() - 0.5);
+    }
+    ASSERT_TRUE(client.Push(clock++, update).ok()) << c.name;
+    ByteWriter w;
+    w.WriteU8(0);   // status OK
+    w.WriteI64(0);  // cmin
+    w.WriteU64(c.parts);
+    w.WriteU8(static_cast<uint8_t>(PartitionPull::Encoding::kSparse));
+    w.WriteI64(ps.PartitionTag(0));
+    w.WriteSparseVector(SparseVector({3}, {123.0}));
+    c.rest(&w);
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      armed = w.TakeBuffer();
+    }
+    EXPECT_TRUE(client.PullCached(&replica, &cmin).IsInvalidArgument())
+        << c.name;
+    ASSERT_TRUE(client.PullCached(&replica, &cmin).ok()) << c.name;
+    const std::vector<double> truth = ps.Snapshot();
+    ASSERT_EQ(replica.size(), truth.size());
+    EXPECT_EQ(std::memcmp(replica.data(), truth.data(),
+                          truth.size() * sizeof(double)),
+              0)
+        << c.name;
+  }
 }
 
 TEST(PsServiceTest, DistributedSgdTrainsOverRpc) {

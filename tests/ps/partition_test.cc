@@ -154,6 +154,14 @@ TEST(PartitionerDeathTest, Validates) {
   const Partitioner part(PartitionScheme::kRange, 10, 2, 2);
   EXPECT_DEATH(part.PartitionOf(10), "out of range");
   EXPECT_DEATH(part.PartitionOf(-1), "out of range");
+  for (const PartitionScheme scheme :
+       {PartitionScheme::kRange, PartitionScheme::kHash}) {
+    const Partitioner split(scheme, 10, 2, 2);
+    EXPECT_DEATH(split.SplitByPartition(SparseVector({3, 10}, {1.0, 1.0})),
+                 "out of range");
+    EXPECT_DEATH(split.SplitByPartition(SparseVector({-1, 3}, {1.0, 1.0})),
+                 "out of range");
+  }
 }
 
 TEST(PartitionSchemeNameTest, Names) {

@@ -257,7 +257,7 @@ TEST(PsConcurrencyTest, ParallelPushApplyMatchesSerial) {
   }
 }
 
-// Edge configurations of the pool-sizing knobs: 0 (auto), 1 (serial)
+// Edge configurations of the pool-sizing knob: 0 (auto), 1 (serial)
 // and far more threads than the hardware has must all produce the same
 // pull and push results.
 TEST(PsConcurrencyTest, PoolSizeEdgeConfigsAgree) {
@@ -266,7 +266,6 @@ TEST(PsConcurrencyTest, PoolSizeEdgeConfigsAgree) {
   for (const int parallelism : {0, 1, 256}) {
     PsOptions opts = StressOptions();
     opts.partitions_per_server = 4;
-    opts.pull_parallelism = parallelism;
     opts.push_parallelism = parallelism;
     ParameterServer ps(96, 2, rule, opts);
     ps.Push(0, 0, SparseVector({0, 50, 95}, {1.0, 2.0, 3.0}));
@@ -284,16 +283,16 @@ TEST(PsConcurrencyTest, PoolSizeEdgeConfigsAgree) {
   }
 }
 
-// Concurrent pulls and parallel push applies share ONE pool; neither
-// may starve or race the other. TSan verifies the locking; the final
-// clock/state checks verify nothing was dropped.
+// Concurrent pushers share ONE apply pool for their pieces while pulls
+// run on the callers' threads; neither may starve or race the other.
+// TSan verifies the locking; the final clock/state checks verify nothing
+// was dropped.
 TEST(PsConcurrencyTest, SharedPoolServesPullsAndPushApplies) {
   DynSgdRule rule;
   const int kWorkers = 4;
   const int kClocks = 40;
   PsOptions opts = StressOptions();
   opts.partitions_per_server = 4;
-  opts.pull_parallelism = 3;
   opts.push_parallelism = 3;
   ParameterServer ps(128, kWorkers, rule, opts);
 
@@ -308,7 +307,7 @@ TEST(PsConcurrencyTest, SharedPoolServesPullsAndPushApplies) {
         }
         ps.Push(m, c, u);  // parallel piece apply on the shared pool
         if (c % 3 == 0) {
-          ASSERT_EQ(ps.PullFull(m).size(), 128u);  // parallel assembly
+          ASSERT_EQ(ps.PullFull(m).size(), 128u);  // caller-thread assembly
         }
       }
     });
@@ -318,16 +317,14 @@ TEST(PsConcurrencyTest, SharedPoolServesPullsAndPushApplies) {
   EXPECT_EQ(ps.cmax(), kClocks);
 }
 
-// Regression (the AssemblePull silent-drop bug): when the pool refuses
-// work — here, after an explicit shutdown — parallel pulls and push
-// applies must degrade to inline execution, not drop partitions. Before
-// the fix a refused Submit left assembled partitions zeroed and the
-// latch hanging.
+// Regression (the silent-drop bug): when the pool refuses work — here,
+// after an explicit shutdown — parallel push applies must degrade to
+// inline execution, not drop partitions. Before the fix a refused Submit
+// left partitions unwritten and the latch hanging.
 TEST(PsConcurrencyTest, PoolShutdownDegradesToInlineExecution) {
   DynSgdRule rule;
   PsOptions opts = StressOptions();
   opts.partitions_per_server = 4;
-  opts.pull_parallelism = 3;
   opts.push_parallelism = 3;
   ParameterServer ps(64, 1, rule, opts);
   ps.Push(0, 0, SparseVector({0, 33, 63}, {1.0, 2.0, 3.0}));

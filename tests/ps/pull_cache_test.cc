@@ -1,7 +1,6 @@
 // Version-aware pull path: partition content tags, delta encoding,
 // client cache coherence, checkpoint-restore invalidation, and tag
-// monotonicity under concurrent traffic (run under TSan in CI — the
-// shard-parallel assembly pool is exercised here).
+// monotonicity under concurrent traffic (run under TSan in CI).
 
 #include <gtest/gtest.h>
 
@@ -17,6 +16,7 @@
 
 #include "core/consolidation.h"
 #include "core/dyn_sgd.h"
+#include "net/ps_service.h"
 #include "ps/checkpoint.h"
 #include "ps/parameter_server.h"
 #include "ps/worker_client.h"
@@ -192,18 +192,23 @@ TEST(PullDeltaTest, SmallUpdateShipsAsSparseDelta) {
 TEST_P(PullCacheRuleTest,
        WorkerClientReplicaMatchesFullPullUnderRandomTraffic) {
   // Bit-identical coherence: after any sequence of pushes, the cached
-  // client's replica equals a cache-less full pull. Random sparse
-  // updates, multiple partitions, many rounds. Partitions 0-2 only ever
-  // see every third key, so their support stays under half the block and
-  // whole-block ships are gathered at the support; partition 3 sees every
-  // key and ships through the materialized path. Some pushes undo an
-  // earlier one, leaving exact zeros inside the support.
+  // clients' replicas equal a cache-less full pull — in process, and over
+  // the bus through PsService. Random sparse updates, multiple
+  // partitions, many rounds. Partitions 0-2 only ever see every third
+  // key, so their support stays under half the block and whole-block
+  // ships are gathered at the support; partition 3 sees every key and
+  // ships through the materialized path. Some pushes undo an earlier
+  // one, leaving exact zeros inside the support.
   const std::unique_ptr<ConsolidationRule> rule = GetParam().make();
   ParameterServer ps(400, 2, *rule, MultiPartOptions(SyncPolicy::Asp()));
+  MessageBus bus;
+  PsService service(&ps, &bus, "ps");
+  ASSERT_TRUE(service.status().ok());
   WorkerClient cached(0, &ps, /*delta_pull=*/true);
   WorkerClient full(1, &ps, /*delta_pull=*/false);
+  RpcWorkerClient rpc(1, &bus, "ps");
   Rng rng(321);
-  std::vector<double> a, b;
+  std::vector<double> a, b, c;
   SparseVector last;
   for (int round = 0; round < 50; ++round) {
     const int pushes = 1 + static_cast<int>(rng.NextUint64(3));
@@ -224,7 +229,9 @@ TEST_P(PullCacheRuleTest,
     }
     cached.PullBlocking(0, &a);
     full.PullBlocking(0, &b);
+    ASSERT_TRUE(rpc.PullCached(&c, nullptr).ok());
     ASSERT_TRUE(BitwiseEqual(a, b)) << "round " << round;
+    ASSERT_TRUE(BitwiseEqual(c, b)) << "rpc, round " << round;
   }
   ASSERT_LT(2 * ps.shard(0).support().size(), ps.shard(0).dim());
   ASSERT_GT(2 * ps.shard(3).support().size(), ps.shard(3).dim());
@@ -232,8 +239,36 @@ TEST_P(PullCacheRuleTest,
   // the full-pull cost.
   if (rule->PushTouchesOnlyUpdateSupport()) {
     EXPECT_LT(cached.pulled_bytes(), cached.pulled_bytes_full());
+    EXPECT_LT(rpc.pulled_bytes(), rpc.pulled_bytes_full());
   }
   EXPECT_EQ(full.pulled_bytes(), full.pulled_bytes_full());
+}
+
+TEST(PullCacheTest, BothClientsRecordOneCacheApplySamplePerPull) {
+  MetricsRegistry registry;
+  SspRule rule;
+  PsOptions opts = MultiPartOptions(SyncPolicy::Asp());
+  opts.metrics = &registry;
+  ParameterServer ps(32, 1, rule, opts);
+  MessageBus bus;
+  PsService service(&ps, &bus, "ps");
+  ASSERT_TRUE(service.status().ok());
+  WorkerClient client(0, &ps);
+  RpcWorkerClient rpc(0, &bus, "ps");
+  const HistogramMetric* in_process =
+      registry.histogram("client.cache_apply_us");
+  // The RPC client has no PS at hand and records process-wide.
+  const HistogramMetric* over_bus =
+      GlobalMetrics().histogram("client.cache_apply_us");
+  const int64_t bus_before = over_bus->count();
+  std::vector<double> replica;
+  for (int c = 0; c < 3; ++c) {
+    ps.Push(0, c, SparseVector({static_cast<int64_t>(c)}, {1.0}));
+    client.PullBlocking(0, &replica);
+    ASSERT_TRUE(rpc.PullCached(&replica, nullptr).ok());
+  }
+  EXPECT_EQ(in_process->count(), 3);
+  EXPECT_EQ(over_bus->count() - bus_before, 3);
 }
 
 TEST(PullCacheTest, TrainerMutatingItsReplicaDoesNotPoisonTheCache) {
@@ -318,49 +353,12 @@ TEST(PullCacheTest, RestoredSummaryKeyAtZeroStillShips) {
   EXPECT_TRUE(BitwiseEqual(replica, ps.Snapshot()));
 }
 
-TEST(PullCacheTest, ParallelAndSerialAssemblyAgree) {
-  // pull_parallelism 1 (serial, calling thread) and 0 (auto, shard pool)
-  // must produce identical results for identical traffic.
-  SspRule rule;
-  PsOptions serial = MultiPartOptions(SyncPolicy::Asp(), 2, 4);
-  serial.pull_parallelism = 1;
-  PsOptions parallel = MultiPartOptions(SyncPolicy::Asp(), 2, 4);
-  parallel.pull_parallelism = 0;
-  ParameterServer ps_a(128, 1, rule, serial);
-  ParameterServer ps_b(128, 1, rule, parallel);
-  Rng rng(77);
-  for (int c = 0; c < 10; ++c) {
-    std::vector<int64_t> idx;
-    std::vector<double> val;
-    for (int64_t key = static_cast<int64_t>(rng.NextUint64(4)); key < 128;
-         key += 1 + static_cast<int64_t>(rng.NextUint64(16))) {
-      idx.push_back(key);
-      val.push_back(rng.NextDouble());
-    }
-    const SparseVector update(idx, val);
-    ps_a.Push(0, c, update);
-    ps_b.Push(0, c, update);
-  }
-  const std::vector<int64_t> cold(
-      static_cast<size_t>(ps_a.num_partitions()), kNoCachedTag);
-  const DeltaPullResult a = ps_a.PullDelta(0, cold);
-  const DeltaPullResult b = ps_b.PullDelta(0, cold);
-  ASSERT_EQ(a.partitions.size(), b.partitions.size());
-  EXPECT_EQ(a.bytes_shipped, b.bytes_shipped);
-  for (size_t p = 0; p < a.partitions.size(); ++p) {
-    EXPECT_EQ(a.partitions[p].encoding, b.partitions[p].encoding);
-    EXPECT_EQ(a.partitions[p].dense, b.partitions[p].dense);
-    EXPECT_TRUE(a.partitions[p].sparse == b.partitions[p].sparse);
-  }
-  EXPECT_EQ(ps_a.Snapshot(), ps_b.Snapshot());
-}
-
 TEST(PullCacheTest, ObservedPartitionVersionsNeverRegress) {
   // Monotonicity under concurrent pushes (ASP): across successive pulls
   // a worker must never observe a partition *older* than one it already
   // pulled. Live tags encode the shard's push count, so within one epoch
   // TagValue must be non-decreasing per partition. This is also the TSan
-  // workout for the shard-parallel assembly pool.
+  // workout for pulls racing pushes on the shard mutexes.
   SspRule rule;
   ParameterServer ps(64, 3, rule, MultiPartOptions(SyncPolicy::Asp()));
   std::atomic<bool> stop{false};
