@@ -73,6 +73,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -578,21 +579,6 @@ Result<std::string> GatewayCall(GatewayClient* client,
   return body;
 }
 
-/// Maps `--slow_op` names onto wire opcodes; 0 is the service's
-/// "all opcodes" wildcard, 255 flags an unknown name.
-uint8_t OpByteFromName(const std::string& name) {
-  static const std::map<std::string, uint8_t> kOps = {
-      {"all", 0},          {"push", 1},
-      {"pull", 2},         {"pull_range", 3},
-      {"can_advance", 4},  {"stable_version", 5},
-      {"pull_delta", 6},   {"layout", 7},
-      {"report_clock", 8}, {"readmit", 9},
-      {"push_columnar", 10}, {"status", 11},
-      {"metrics_scrape", 12}, {"obs_control", 13}};
-  const auto it = kOps.find(name);
-  return it == kOps.end() ? 255 : it->second;
-}
-
 Status ConnectGateway(const FlagParser& flags, GatewayClient* client) {
   const std::string path = flags.GetString("bus", "");
   if (path.empty()) {
@@ -674,9 +660,13 @@ int RunObsCtl(const FlagParser& flags) {
   const int64_t slow_us = flags.GetInt("slow_us", -1).value();
   if (slow_us >= 0) {
     const std::string op_name = flags.GetString("slow_op", "all");
-    const uint8_t op = OpByteFromName(op_name);
-    if (op == 255) {
-      return Fail(Status::InvalidArgument("unknown --slow_op: " + op_name));
+    uint8_t op = 0;  // the service's "all opcodes" wildcard
+    if (op_name != "all") {
+      const std::optional<PsOpCode> named = PsOpCodeFromName(op_name);
+      if (!named.has_value()) {
+        return Fail(Status::InvalidArgument("unknown --slow_op: " + op_name));
+      }
+      op = static_cast<uint8_t>(*named);
     }
     ByteWriter w;
     w.WriteU8(kCtl);

@@ -48,26 +48,25 @@ bool IsObsOpcode(const std::vector<uint8_t>& payload) {
          op == static_cast<uint8_t>(PsOpCode::kObsControl);
 }
 
-/// Opcode-byte -> literal name (flight-recorder notes must be string
-/// literals; the ring never copies).
-const char* OpName(uint8_t op) {
-  switch (static_cast<PsOpCode>(op)) {
-    case PsOpCode::kPush: return "push";
-    case PsOpCode::kPull: return "pull";
-    case PsOpCode::kPullRange: return "pull_range";
-    case PsOpCode::kCanAdvance: return "can_advance";
-    case PsOpCode::kStableVersion: return "stable_version";
-    case PsOpCode::kPullDelta: return "pull_delta";
-    case PsOpCode::kLayout: return "layout";
-    case PsOpCode::kReportClock: return "report_clock";
-    case PsOpCode::kReadmit: return "readmit";
-    case PsOpCode::kPushColumnar: return "push_columnar";
-    case PsOpCode::kStatus: return "status";
-    case PsOpCode::kMetricsScrape: return "metrics_scrape";
-    case PsOpCode::kObsControl: return "obs_control";
-  }
-  return "unknown";
-}
+/// Every opcode's wire name. Names are literals, which flight-recorder
+/// notes require (the ring never copies).
+constexpr struct {
+  PsOpCode op;
+  const char* name;
+} kOpNames[] = {
+    {PsOpCode::kPull, "pull"},
+    {PsOpCode::kPullRange, "pull_range"},
+    {PsOpCode::kCanAdvance, "can_advance"},
+    {PsOpCode::kStableVersion, "stable_version"},
+    {PsOpCode::kPullDelta, "pull_delta"},
+    {PsOpCode::kLayout, "layout"},
+    {PsOpCode::kReportClock, "report_clock"},
+    {PsOpCode::kReadmit, "readmit"},
+    {PsOpCode::kPush, "push"},
+    {PsOpCode::kStatus, "status"},
+    {PsOpCode::kMetricsScrape, "metrics_scrape"},
+    {PsOpCode::kObsControl, "obs_control"},
+};
 
 /// Parses "worker-<id>" endpoint names; -1 for anything else (servers,
 /// test drivers — only worker endpoints participate in liveness).
@@ -88,6 +87,20 @@ int ParseWorkerId(const std::string& endpoint) {
 }
 
 }  // namespace
+
+const char* PsOpCodeName(uint8_t op) {
+  for (const auto& entry : kOpNames) {
+    if (static_cast<uint8_t>(entry.op) == op) return entry.name;
+  }
+  return "unknown";
+}
+
+std::optional<PsOpCode> PsOpCodeFromName(const std::string& name) {
+  for (const auto& entry : kOpNames) {
+    if (name == entry.name) return entry.op;
+  }
+  return std::nullopt;
+}
 
 PsService::PsService(ParameterServer* ps, MessageBus* bus,
                      std::string endpoint_name,
@@ -112,8 +125,6 @@ PsService::PsService(ParameterServer* ps, MessageBus* bus,
   }
   MetricsRegistry& global = GlobalMetrics();
   handle_push_us_ = global.histogram("rpc.handle_us", {{"op", "push"}});
-  handle_push_columnar_us_ =
-      global.histogram("rpc.handle_us", {{"op", "push_columnar"}});
   handle_pull_us_ = global.histogram("rpc.handle_us", {{"op", "pull"}});
   handle_pull_delta_us_ =
       global.histogram("rpc.handle_us", {{"op", "pull_delta"}});
@@ -228,11 +239,6 @@ std::vector<uint8_t> PsService::Handle(const Envelope& request) {
         handle_us = handle_push_us_;
         response = HandlePush(&reader);
         break;
-      case PsOpCode::kPushColumnar:
-        metrics_.counter("rpc.push_columnar")->Increment();
-        handle_us = handle_push_columnar_us_;
-        response = HandlePushColumnar(&reader);
-        break;
       case PsOpCode::kPull:
         metrics_.counter("rpc.pull")->Increment();
         handle_us = handle_pull_us_;
@@ -308,7 +314,7 @@ std::vector<uint8_t> PsService::Handle(const Envelope& request) {
     // sender, duration, and the trace_id that finds the full span.
     FlightRecorder::Global().Record(
         "slow_request", ParseWorkerId(request.from), /*clock=*/-1,
-        static_cast<double>(duration_us), OpName(op), request.trace_id);
+        static_cast<double>(duration_us), PsOpCodeName(op), request.trace_id);
     metrics_.counter("rpc.slow_requests")->Increment();
   }
   if (!response.empty() && response[0] != 0) {
@@ -326,39 +332,6 @@ std::vector<uint8_t> PsService::Handle(const Envelope& request) {
 std::vector<uint8_t> PsService::HandlePush(ByteReader* reader) {
   int64_t worker = 0;
   int64_t clock = 0;
-  SparseVector update;
-  Status st = reader->ReadI64(&worker);
-  if (st.ok()) st = reader->ReadI64(&clock);
-  if (st.ok()) st = reader->ReadSparseVector(&update);
-  if (st.ok() && (worker < 0 || worker >= ps_->num_workers())) {
-    st = Status::InvalidArgument("worker id out of range");
-  }
-  if (st.ok() && !update.empty() &&
-      update.MinimumDimension() > ps_->dim()) {
-    st = Status::InvalidArgument("update index out of range");
-  }
-  if (!st.ok()) return ErrorResponse(st);
-  // At-least-once delivery tolerance: a retried push (lost response or
-  // duplicated request) must not be applied twice. Workers push strictly
-  // increasing clocks, so clock <= last-applied identifies a duplicate;
-  // acknowledge it idempotently.
-  if (options_.dedup_pushes &&
-      clock <= last_push_clock_[static_cast<size_t>(worker)]) {
-    metrics_.counter("rpc.push_duplicates")->Increment();
-    ByteWriter w;
-    w.WriteU8(0);
-    return w.TakeBuffer();
-  }
-  ps_->Push(static_cast<int>(worker), static_cast<int>(clock), update);
-  last_push_clock_[static_cast<size_t>(worker)] = clock;
-  ByteWriter w;
-  w.WriteU8(0);
-  return w.TakeBuffer();
-}
-
-std::vector<uint8_t> PsService::HandlePushColumnar(ByteReader* reader) {
-  int64_t worker = 0;
-  int64_t clock = 0;
   uint64_t num_pieces = 0;
   Status st = reader->ReadI64(&worker);
   if (st.ok()) st = reader->ReadI64(&clock);
@@ -372,10 +345,9 @@ std::vector<uint8_t> PsService::HandlePushColumnar(ByteReader* reader) {
     st = Status::InvalidArgument("more pieces than partitions");
   }
   if (!st.ok()) return ErrorResponse(st);
-  // Same retry-dedup contract as kPush: a duplicate (worker, clock) is
-  // acknowledged without decoding or re-applying its pieces.
-  if (options_.dedup_pushes &&
-      clock <= last_push_clock_[static_cast<size_t>(worker)]) {
+  // Retry dedup: a duplicate (worker, clock) is acknowledged without
+  // decoding or re-applying its pieces.
+  if (clock <= last_push_clock_[static_cast<size_t>(worker)]) {
     metrics_.counter("rpc.push_duplicates")->Increment();
     ByteWriter w;
     w.WriteU8(0);
@@ -384,8 +356,8 @@ std::vector<uint8_t> PsService::HandlePushColumnar(ByteReader* reader) {
   // Decode piece by piece straight into partition-local vectors — the
   // dim-wide global update is never materialized. Partition ids must be
   // strictly increasing (rejects duplicates, which would double-apply)
-  // and every piece is bounds-checked against the handshaken layout
-  // before anything is applied: a bad frame mutates nothing.
+  // and every piece is bounds-checked against the layout before
+  // anything is applied: a bad frame mutates nothing.
   std::vector<std::pair<int, SparseVector>> pieces;
   pieces.reserve(static_cast<size_t>(num_pieces));
   int64_t prev_partition = -1;
@@ -524,6 +496,9 @@ std::vector<uint8_t> PsService::HandleCanAdvance(ByteReader* reader) {
   int64_t next_clock = 0;
   Status st = reader->ReadI64(&worker);
   if (st.ok()) st = reader->ReadI64(&next_clock);
+  if (st.ok() && (worker < 0 || worker >= ps_->num_workers())) {
+    st = Status::InvalidArgument("worker id out of range");
+  }
   if (!st.ok()) return ErrorResponse(st);
   ByteWriter w;
   w.WriteU8(0);
@@ -702,95 +677,32 @@ RpcWorkerClient::RpcWorkerClient(int worker_id, MessageBus* bus,
       my_endpoint_("worker-" + std::to_string(worker_id)),
       retry_(retry),
       retries_metric_(GlobalMetrics().counter("rpc.client_retries")),
-      push_window_(push_window) {
+      window_(push_window, &GlobalMetrics(),
+              [this](int, const std::vector<uint8_t>& request) {
+                return Call(request);
+              }) {
   HETPS_CHECK(bus != nullptr) << "null MessageBus";
   HETPS_CHECK(retry_.max_attempts >= 1) << "need at least one attempt";
-  HETPS_CHECK(push_window >= 0) << "negative push window";
-  if (push_window_ >= 1) {
-    inflight_gauge_ = GlobalMetrics().gauge("push.inflight");
-    inflight_peak_gauge_ = GlobalMetrics().gauge("push.inflight_peak");
-    sender_ = std::thread([this] { SenderLoop(); });
-  }
 }
 
-RpcWorkerClient::~RpcWorkerClient() {
-  if (sender_.joinable()) {
-    // The sender drains the queue before exiting, so every accepted push
-    // is attempted even when the trainer tears down mid-window (failures
-    // at this point have nowhere to surface, which is fine: the bus is
-    // usually shutting down too).
-    {
-      std::lock_guard<std::mutex> lock(send_mu_);
-      stop_sender_ = true;
-    }
-    send_cv_.notify_all();
-    sender_.join();
-  }
-}
-
-void RpcWorkerClient::SenderLoop() {
-  for (;;) {
-    std::pair<int, std::vector<uint8_t>> item;
-    {
-      std::unique_lock<std::mutex> lock(send_mu_);
-      send_cv_.wait(lock, [this] {
-        return stop_sender_ || !send_queue_.empty();
-      });
-      if (send_queue_.empty()) return;  // stop requested and drained
-      item = std::move(send_queue_.front());
-      send_queue_.pop_front();
-    }
-    const auto start = std::chrono::steady_clock::now();
-    auto response = Roundtrip(std::move(item.second));
-    Status st;
-    if (response.ok()) {
-      ByteReader reader(response.value());
-      st = ConsumeStatus(&reader);
-    } else {
-      st = response.status();
-    }
-    const double dur = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - start)
-                           .count();
-    {
-      std::lock_guard<std::mutex> lock(send_mu_);
-      async_push_seconds_ += dur;
-      if (!st.ok() && push_error_.ok()) {
-        // First failure wins; it is surfaced (and the clock recorded in
-        // the message) by the next owner-thread call that drains.
-        push_error_ = Status(st.code(), "async push of clock " +
-                                            std::to_string(item.first) +
-                                            " failed: " + st.message());
-      }
-      --inflight_;
-      if (inflight_gauge_ != nullptr) inflight_gauge_->Add(-1.0);
-    }
-    space_cv_.notify_all();
-  }
-}
-
-std::vector<uint8_t> RpcWorkerClient::EncodePush(
+Result<std::vector<uint8_t>> RpcWorkerClient::EncodePush(
     int clock, const SparseVector& update) {
-  ByteWriter w;
-  if (!cache_.has_value()) {
-    // No layout handshake yet: ship the classic global-indexed frame.
-    w.WriteU8(static_cast<uint8_t>(PsOpCode::kPush));
-    w.WriteI64(worker_id_);
-    w.WriteI64(clock);
-    w.WriteSparseVector(update);
-    return w.TakeBuffer();
+  const Partitioner& layout = *layout_;
+  if (!update.empty() &&
+      (update.index(0) < 0 || update.MinimumDimension() > layout.dim())) {
+    return Status::InvalidArgument("update index out of range");
   }
-  // Columnar frame: per-partition pieces with local indices, so the
-  // service can route each piece straight to its shard. Empty pieces are
-  // elided (the frame carries explicit partition ids); an all-empty push
-  // still ships — the server must advance the clock table.
-  std::vector<SparseVector> pieces =
-      cache_->layout().SplitByPartition(update);
+  // Per-partition pieces with local indices, so the service can route
+  // each piece straight to its shard. Empty pieces are left off (the
+  // frame carries explicit partition ids); an all-empty push still
+  // ships — the server must advance the clock table.
+  std::vector<SparseVector> pieces = layout.SplitByPartition(update);
   uint64_t kept = 0;
   for (const SparseVector& piece : pieces) {
     if (!piece.empty()) ++kept;
   }
-  w.WriteU8(static_cast<uint8_t>(PsOpCode::kPushColumnar));
+  ByteWriter w;
+  w.WriteU8(static_cast<uint8_t>(PsOpCode::kPush));
   w.WriteI64(worker_id_);
   w.WriteI64(clock);
   w.WriteU64(kept);
@@ -802,26 +714,14 @@ std::vector<uint8_t> RpcWorkerClient::EncodePush(
   return w.TakeBuffer();
 }
 
-Status RpcWorkerClient::Flush() {
-  if (push_window_ == 0) return Status::OK();
-  std::unique_lock<std::mutex> lock(send_mu_);
-  if (inflight_ > 0) {
-    const auto start = std::chrono::steady_clock::now();
-    space_cv_.wait(lock, [this] { return inflight_ == 0; });
-    owner_blocked_seconds_ += std::chrono::duration<double>(
-                                  std::chrono::steady_clock::now() - start)
-                                  .count();
-  }
-  return push_error_;
-}
+Status RpcWorkerClient::Flush() { return window_.Drain(); }
 
 double RpcWorkerClient::push_hidden_seconds() const {
-  std::lock_guard<std::mutex> lock(send_mu_);
-  return std::max(0.0, async_push_seconds_ - owner_blocked_seconds_);
+  return window_.hidden_seconds();
 }
 
 Result<std::vector<uint8_t>> RpcWorkerClient::Roundtrip(
-    std::vector<uint8_t> request) {
+    const std::vector<uint8_t>& request) {
   std::chrono::microseconds backoff = retry_.initial_backoff;
   Status last = Status::Internal("rpc never attempted");
   for (int attempt = 0; attempt < retry_.max_attempts; ++attempt) {
@@ -853,54 +753,18 @@ Result<std::vector<uint8_t>> RpcWorkerClient::Roundtrip(
   return last;
 }
 
+Status RpcWorkerClient::Call(const std::vector<uint8_t>& request) {
+  auto response = Roundtrip(request);
+  if (!response.ok()) return response.status();
+  ByteReader reader(response.value());
+  return ConsumeStatus(&reader);
+}
+
 Status RpcWorkerClient::Push(int clock, const SparseVector& update) {
-  if (push_window_ == 0) {
-    // Synchronous path — unchanged: one blocking roundtrip per push.
-    ByteWriter w;
-    w.WriteU8(static_cast<uint8_t>(PsOpCode::kPush));
-    w.WriteI64(worker_id_);
-    w.WriteI64(clock);
-    w.WriteSparseVector(update);
-    auto response = Roundtrip(w.TakeBuffer());
-    if (!response.ok()) return response.status();
-    ByteReader reader(response.value());
-    return ConsumeStatus(&reader);
-  }
-  // Pipelined path: encode here (cache_ is owner-thread state),
-  // then hand the bytes to the sender. Only the backpressure block
-  // (window full) costs the owner wall time.
-  std::vector<uint8_t> request = EncodePush(clock, update);
-  {
-    std::unique_lock<std::mutex> lock(send_mu_);
-    if (!push_error_.ok()) {
-      // The pipeline already failed (e.g. this worker was evicted while
-      // a push was in flight): refuse new work so the caller sees the
-      // failure at the next push instead of silently queueing behind it.
-      return push_error_;
-    }
-    if (inflight_ >= push_window_) {
-      const auto start = std::chrono::steady_clock::now();
-      space_cv_.wait(lock, [this] {
-        return inflight_ < push_window_ || !push_error_.ok();
-      });
-      owner_blocked_seconds_ +=
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count();
-      if (!push_error_.ok()) return push_error_;
-    }
-    send_queue_.emplace_back(clock, std::move(request));
-    ++inflight_;
-    if (inflight_ > inflight_peak_) {
-      inflight_peak_ = inflight_;
-      if (inflight_peak_gauge_ != nullptr) {
-        inflight_peak_gauge_->Set(static_cast<double>(inflight_peak_));
-      }
-    }
-    if (inflight_gauge_ != nullptr) inflight_gauge_->Add(1.0);
-  }
-  send_cv_.notify_one();
-  return Status::OK();
+  HETPS_RETURN_NOT_OK(EnsureLayout());
+  Result<std::vector<uint8_t>> request = EncodePush(clock, update);
+  if (!request.ok()) return request.status();
+  return window_.Push(clock, request.value());
 }
 
 Status RpcWorkerClient::Pull(std::vector<double>* replica, int* cmin) {
@@ -922,7 +786,7 @@ Status RpcWorkerClient::Pull(std::vector<double>* replica, int* cmin) {
 }
 
 Status RpcWorkerClient::EnsureLayout() {
-  if (cache_.has_value()) return Status::OK();
+  if (layout_.has_value()) return Status::OK();
   ByteWriter w;
   w.WriteU8(static_cast<uint8_t>(PsOpCode::kLayout));
   auto response = Roundtrip(w.TakeBuffer());
@@ -942,10 +806,9 @@ Status RpcWorkerClient::EnsureLayout() {
       num_partitions > dim) {
     return Status::InvalidArgument("bad partition-layout handshake");
   }
-  cache_.emplace(Partitioner(static_cast<PartitionScheme>(scheme), dim,
-                             static_cast<int>(num_servers),
-                             static_cast<int>(num_partitions)),
-                 &GlobalMetrics());
+  layout_.emplace(static_cast<PartitionScheme>(scheme), dim,
+                  static_cast<int>(num_servers),
+                  static_cast<int>(num_partitions));
   return Status::OK();
 }
 
@@ -1021,11 +884,9 @@ Status RpcWorkerClient::PullCachedOnce(int* cmin, bool* tag_mismatch) {
 
 Status RpcWorkerClient::PullCached(std::vector<double>* replica,
                                    int* cmin) {
-  // Drain before the layout handshake too: EnsureLayout installs
-  // cache_, and the first drained queue may still hold legacy
-  // frames — ordering stays FIFO either way.
   HETPS_RETURN_NOT_OK(Flush());
   HETPS_RETURN_NOT_OK(EnsureLayout());
+  if (!cache_.has_value()) cache_.emplace(*layout_, &GlobalMetrics());
   for (int attempt = 0; attempt < 3; ++attempt) {
     bool mismatch = false;
     int c = 0;
@@ -1100,29 +961,18 @@ Status RpcWorkerClient::ReportClock(int clock, double seconds) {
   w.WriteI64(worker_id_);
   w.WriteI64(clock);
   w.WriteDouble(seconds);
-  auto response = Roundtrip(w.TakeBuffer());
-  if (!response.ok()) return response.status();
-  ByteReader reader(response.value());
-  return ConsumeStatus(&reader);
+  return Call(w.TakeBuffer());
 }
 
 Status RpcWorkerClient::Readmit(int clock) {
-  if (push_window_ >= 1) {
-    // Drain whatever the pipeline still holds (pushes queued before the
-    // eviction fail fast with FailedPrecondition — that is expected) and
-    // reset the latch: a successful rejoin starts a clean pipeline.
-    (void)Flush();
-    std::lock_guard<std::mutex> lock(send_mu_);
-    push_error_ = Status::OK();
-  }
+  // Pushes queued before the eviction fail fast with FailedPrecondition
+  // — that is expected; a successful rejoin starts a clean window.
+  window_.Reset();
   ByteWriter w;
   w.WriteU8(static_cast<uint8_t>(PsOpCode::kReadmit));
   w.WriteI64(worker_id_);
   w.WriteI64(clock);
-  auto response = Roundtrip(w.TakeBuffer());
-  if (!response.ok()) return response.status();
-  ByteReader reader(response.value());
-  return ConsumeStatus(&reader);
+  return Call(w.TakeBuffer());
 }
 
 Result<int64_t> RpcWorkerClient::StableVersion() {

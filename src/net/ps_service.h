@@ -3,24 +3,21 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
-#include <utility>
 #include <vector>
 
 #include "net/heartbeat.h"
 #include "net/message_bus.h"
 #include "net/serializer.h"
+#include "obs/metrics.h"
 #include "ps/parameter_server.h"
+#include "ps/partition.h"
+#include "ps/push_window.h"
 #include "ps/replica_cache.h"
-#include "util/metrics.h"
 
 namespace hetps {
 
@@ -29,7 +26,6 @@ namespace hetps {
 /// one-byte status code (0 = OK) followed by an error string when
 /// non-zero.
 enum class PsOpCode : uint8_t {
-  kPush = 1,
   kPull = 2,
   kPullRange = 3,
   kCanAdvance = 4,
@@ -53,14 +49,14 @@ enum class PsOpCode : uint8_t {
   /// come back as FailedPrecondition. On success the sender is
   /// re-registered with the heartbeat monitor.
   kReadmit = 9,
-  /// Columnar push: (worker, clock, piece count), then per piece a
-  /// partition id + a partition-local columnar SparseVector. The handler
-  /// routes pieces straight to their shards (ParameterServer::PushPieces)
-  /// without rebuilding a dim-wide global vector, and pieces apply
-  /// shard-parallel when PsOptions::push_parallelism allows. Clients fall
-  /// back to kPush until the kLayout handshake has run (the split needs
-  /// the Partitioner). Dedup semantics are identical to kPush.
-  kPushColumnar = 10,
+  /// Push: (worker, clock, piece count), then per piece a partition id
+  /// + a partition-local columnar SparseVector, in increasing partition
+  /// order. Empty pieces are left off; ParameterServer::PushPieces, where
+  /// the handler routes the pieces, decides what an absent partition
+  /// means to the rule. A retried (worker, clock) is acknowledged without
+  /// re-applying. Clients learn the layout (kLayout) on first use. Byte
+  /// 1 is unassigned.
+  kPush = 10,
   /// Live-introspection snapshot (hetps.status.v1 JSON): per-worker
   /// clock/staleness/liveness, cmin/cmax, loan balances, push-window
   /// inflight, per-shard key counts. Read-mostly and out-of-band of
@@ -82,6 +78,14 @@ enum class PsOpCode : uint8_t {
   /// 4 = trigger an on-demand flight-recorder dump.
   kObsControl = 13,
 };
+
+/// Wire name of an opcode byte ("push", "pull_delta", ...), or "unknown".
+/// The service's slow-request notes and the CLI's --slow_op flag both
+/// read this one table.
+const char* PsOpCodeName(uint8_t op);
+
+/// The opcode named `name`; nullopt when no opcode has that name.
+std::optional<PsOpCode> PsOpCodeFromName(const std::string& name);
 
 /// Heartbeat-driven worker liveness (the SSP liveness repair: one dead
 /// worker must not pin cmin and stall every survivor forever).
@@ -119,13 +123,6 @@ struct PsLivenessOptions {
 
 /// Service-side behavior knobs.
 struct PsServiceOptions {
-  /// Exactly-once push application under at-least-once delivery: the
-  /// worker protocol pushes strictly increasing clocks, so a push whose
-  /// clock is <= the last clock applied for that worker is a retry
-  /// duplicate (its response was dropped, or the request was
-  /// retransmitted) and is acknowledged without re-applying. Disable
-  /// only for non-standard clients that intentionally re-push a clock.
-  bool dedup_pushes = true;
   /// Heartbeat-driven eviction; off by default (timeout <= 0).
   PsLivenessOptions liveness;
   /// Called (on the service loop, no PS locks held) after a kReportClock
@@ -149,6 +146,12 @@ struct PsServiceOptions {
 /// One service instance handles all partitions of the wrapped PS; the
 /// bus endpoint's service loop serializes request handling (so the
 /// dedup table and metrics need no extra locking).
+///
+/// Pushes are applied exactly once under at-least-once delivery: workers
+/// push strictly increasing clocks, so a push whose clock is <= the last
+/// clock applied for that worker is a retry duplicate (its response was
+/// dropped, or the request was retransmitted) and is acknowledged
+/// without re-applying.
 class PsService {
  public:
   /// Registers endpoint `endpoint_name` on `bus`. Both pointers must
@@ -184,7 +187,6 @@ class PsService {
   /// last heartbeat predates now - timeout. Runs on the service loop.
   void SweepDeadWorkers(double now);
   std::vector<uint8_t> HandlePush(ByteReader* reader);
-  std::vector<uint8_t> HandlePushColumnar(ByteReader* reader);
   std::vector<uint8_t> HandlePull(ByteReader* reader);
   std::vector<uint8_t> HandlePullDelta(ByteReader* reader);
   std::vector<uint8_t> HandleLayout(ByteReader* reader);
@@ -208,7 +210,6 @@ class PsService {
   /// the per-instance counters above stay in metrics_ for tests and
   /// per-server "sources" sections.
   HistogramMetric* handle_push_us_;
-  HistogramMetric* handle_push_columnar_us_;
   HistogramMetric* handle_pull_us_;
   HistogramMetric* handle_pull_delta_us_;
   HistogramMetric* handle_layout_us_;
@@ -284,32 +285,31 @@ struct RpcRetryPolicy {
 /// server call would stall the single-threaded service loop and deadlock
 /// the cluster), with a small sleep between probes.
 ///
-/// ## The push pipeline (push_window >= 1)
+/// ## Pushes
 ///
-/// With a window, Push() encodes the request on the caller's thread
-/// (columnar once the kLayout handshake has run, legacy kPush before)
-/// and hands the bytes to a background sender; the caller blocks only
-/// when `push_window` encoded pushes are already in flight. The sender
-/// issues the RPCs FIFO, so the server still sees strictly increasing
-/// clocks per worker and its retry dedup stays sound. The first failed
-/// async push is latched and surfaced by the next Push/Flush (and by
-/// the pull/admission calls, which drain the window first for
-/// read-your-writes) — an eviction mid-flight therefore resolves as
-/// FailedPrecondition on the owner thread instead of hanging, and
-/// Readmit() clears the latch after draining. push_window == 0 is the
-/// synchronous path, byte-for-byte as before.
+/// Every push is one kPush frame, split by partition on the caller's
+/// thread against the layout the kLayout handshake returned; the
+/// handshake runs on the first Push or PullCached, whichever comes
+/// first. A key outside [0, dim) is refused here with InvalidArgument.
+/// The encoded frame then goes through a PushWindow: sent inline at
+/// push_window 0, else queued behind a background sender, so the caller
+/// blocks only when `push_window` pushes are already in flight. The
+/// first failed async push is latched and surfaced by the next
+/// Push/Flush (and by the pull/admission calls, which drain the window
+/// first for read-your-writes) — an eviction mid-flight therefore
+/// resolves as FailedPrecondition on the owner thread instead of
+/// hanging, and Readmit() clears the latch after draining.
 class RpcWorkerClient {
  public:
   RpcWorkerClient(int worker_id, MessageBus* bus, std::string ps_endpoint,
                   const RpcRetryPolicy& retry = RpcRetryPolicy(),
                   int push_window = 0);
-  ~RpcWorkerClient();
 
   RpcWorkerClient(const RpcWorkerClient&) = delete;
   RpcWorkerClient& operator=(const RpcWorkerClient&) = delete;
 
   int worker_id() const { return worker_id_; }
-  int push_window() const { return push_window_; }
+  int push_window() const { return window_.window(); }
 
   /// Retries performed so far (attempts beyond the first). Atomic: the
   /// push sender retries concurrently with the owner's RPCs.
@@ -320,7 +320,7 @@ class RpcWorkerClient {
   /// Synchronous when push_window == 0. Pipelined otherwise: returns as
   /// soon as the update is queued (or the window has space), with any
   /// earlier async failure returned instead — once latched, nothing
-  /// further is enqueued until Readmit() resets the pipeline.
+  /// further is enqueued until Readmit() resets the window.
   Status Push(int clock, const SparseVector& update);
 
   /// Drains the push window (no-op when push_window == 0) and returns
@@ -338,10 +338,10 @@ class RpcWorkerClient {
   /// Version-aware pull through the client-side partition cache: sends
   /// the cached per-partition content tags, applies the changed pieces
   /// (whole blocks or sparse deltas) onto the pristine cache, and hands
-  /// back a mutable copy. Transparently performs the kLayout handshake
-  /// on first use. Falls back to re-pulling with cleared tags when a
-  /// delta's base tag no longer matches (e.g. the server restored a
-  /// checkpoint between pulls). Result is bit-identical to Pull().
+  /// back a mutable copy. Builds the cache on first use. Falls back to
+  /// re-pulling with cleared tags when a delta's base tag no longer
+  /// matches (e.g. the server restored a checkpoint between pulls).
+  /// Result is bit-identical to Pull().
   Status PullCached(std::vector<double>* replica, int* cmin);
 
   /// Cumulative content bytes received by PullCached vs. what cache-less
@@ -373,24 +373,22 @@ class RpcWorkerClient {
   Status Readmit(int clock);
 
  private:
-  Result<std::vector<uint8_t>> Roundtrip(std::vector<uint8_t> request);
+  Result<std::vector<uint8_t>> Roundtrip(const std::vector<uint8_t>& request);
 
-  /// Fetches the server's partition layout (kLayout) once and builds the
-  /// replica cache over it.
+  /// Roundtrip for requests whose reply is a bare status.
+  Status Call(const std::vector<uint8_t>& request);
+
+  /// Fetches the server's partition layout (kLayout) once.
   Status EnsureLayout();
 
   /// One kPullDelta round trip; sets `*tag_mismatch` when a delta's base
   /// tag did not match the cache (caller resets tags and retries).
   Status PullCachedOnce(int* cmin, bool* tag_mismatch);
 
-  /// Encodes one push request on the owner thread: kPushColumnar when
-  /// the layout handshake has run (cache_ is owner-only state the sender
-  /// must never touch), legacy kPush otherwise.
-  std::vector<uint8_t> EncodePush(int clock, const SparseVector& update);
-
-  /// Background sender: pops encoded pushes FIFO, issues the RPC, and
-  /// latches the first failure into push_error_.
-  void SenderLoop();
+  /// Encodes one kPush frame. Runs on the owner thread, which owns the
+  /// layout.
+  Result<std::vector<uint8_t>> EncodePush(int clock,
+                                          const SparseVector& update);
 
   int worker_id_;
   MessageBus* bus_;
@@ -402,27 +400,17 @@ class RpcWorkerClient {
   /// summed across clients) for metrics.json.
   Counter* retries_metric_;
 
-  /// --- Push pipeline (all guarded by send_mu_ unless noted). ---
-  const int push_window_;
-  mutable std::mutex send_mu_;
-  std::condition_variable send_cv_;   // wakes the sender (work / stop)
-  std::condition_variable space_cv_;  // wakes the owner (slot / drained)
-  std::deque<std::pair<int, std::vector<uint8_t>>> send_queue_;
-  bool stop_sender_ = false;
-  int inflight_ = 0;  // queued + currently sending
-  int inflight_peak_ = 0;
-  Status push_error_;  // first async failure, latched until Readmit()
-  double async_push_seconds_ = 0.0;
-  double owner_blocked_seconds_ = 0.0;
-  Gauge* inflight_gauge_ = nullptr;
-  Gauge* inflight_peak_gauge_ = nullptr;
-  std::thread sender_;
-
-  /// Client partition cache (PullCached), built over the layout the
-  /// kLayout handshake returned; empty until then.
+  /// The server's partition layout, from the kLayout handshake.
+  std::optional<Partitioner> layout_;
+  /// Client partition cache (PullCached), built over layout_ on the
+  /// first PullCached; clients that only use Pull never allocate it.
   std::optional<ReplicaCache> cache_;
   int64_t pulled_bytes_ = 0;
   int64_t pulled_bytes_full_ = 0;
+
+  /// Encoded kPush frames. Declared last: destroyed (drained) before
+  /// anything its sends use.
+  PushWindow<std::vector<uint8_t>> window_;
 };
 
 }  // namespace hetps

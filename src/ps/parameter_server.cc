@@ -141,41 +141,31 @@ ParameterServer::ParameterServer(int64_t dim, int num_workers,
 void ParameterServer::Push(int worker, int clock,
                            const SparseVector& update) {
   HETPS_TRACE_SPAN2("ps.push", "worker", worker, "nnz", update.nnz());
-  // Membership guard (a push that raced its sender's eviction must not
-  // touch shard state — the worker's data shard has already been handed
-  // to the survivors, so its gradient would double-count that data)
-  // lives in PushPieces, the one choke point both this facade and the
-  // columnar wire path go through.
   // The filter is the only reason to copy the update; unfiltered pushes
   // split the caller's vector directly.
-  std::vector<SparseVector> pieces =
+  std::vector<SparseVector> split =
       options_.update_filter_epsilon > 0.0
           ? partitioner_.SplitByPartition(
                 update.Filtered(options_.update_filter_epsilon))
           : partitioner_.SplitByPartition(update);
-  // For no-op-on-empty rules (SSP/Con accumulate), empty pieces carry no
-  // information; consolidating them inflates push_count and generates
-  // pointless shard-lock traffic (common when update_filter_epsilon
-  // empties a partition's slice), so they are skipped. Version-tracking
-  // rules (DynSGD) still receive every piece — an empty piece is their
-  // "worker finished this clock here" completion marker (§6). Either
-  // way the clock advances exactly once per whole-update push,
-  // even if filtering emptied every piece.
-  std::vector<std::pair<int, SparseVector>> kept;
-  kept.reserve(pieces.size());
+  // Only the non-empty pieces go on, as on the wire: PushPieces decides
+  // what an absent partition means to the rule.
+  std::vector<std::pair<int, SparseVector>> pieces;
+  pieces.reserve(split.size());
   for (int p = 0; p < partitioner_.num_partitions(); ++p) {
-    SparseVector& piece = pieces[static_cast<size_t>(p)];
-    if (piece.empty() && empty_push_is_noop_) continue;
-    kept.emplace_back(p, std::move(piece));
+    SparseVector& piece = split[static_cast<size_t>(p)];
+    if (!piece.empty()) pieces.emplace_back(p, std::move(piece));
   }
-  PushPieces(worker, clock, kept);
+  PushPieces(worker, clock, pieces);
 }
 
 void ParameterServer::PushPieces(
     int worker, int clock,
     const std::vector<std::pair<int, SparseVector>>& pieces) {
-  // Membership guard, once per logical push (matches Push()'s
-  // accounting of ps.evicted_pushes_dropped).
+  // Membership guard, once per logical push: a push that raced its
+  // sender's eviction must not touch shard state — the worker's data
+  // shard has already been handed to the survivors, so its gradient
+  // would double-count that data.
   if (!IsWorkerLive(worker)) {
     evicted_pushes_dropped_->Increment();
     return;
@@ -184,43 +174,61 @@ void ParameterServer::PushPieces(
   for (const auto& pr : pieces) shipped += PieceBytes(pr.second);
   push_pieces_counter_->Increment(static_cast<int64_t>(pieces.size()));
   push_bytes_shipped_->Increment(shipped);
-  const bool parallel =
-      pieces.size() > 1 && options_.push_parallelism != 1;
-  if (parallel) {
+  // The one place that decides which partitions a push touches. A
+  // partition absent from `pieces` is an empty piece. Rules that count
+  // versions (DynSGD) receive it: to them an empty piece is the "worker
+  // finished this clock here" completion marker (§6). For no-op-on-empty
+  // rules (SSP/Con) it carries nothing, so it is skipped — no shard
+  // lock, no push_count inflation, no data_version bump that would make
+  // a clean partition look dirty to the version-aware pull path.
+  static const SparseVector kEmptyPiece;
+  std::vector<std::pair<int, const SparseVector*>> touched;
+  touched.reserve(static_cast<size_t>(num_partitions()));
+  size_t next = 0;
+  for (int p = 0; p < num_partitions(); ++p) {
+    const SparseVector* piece = &kEmptyPiece;
+    if (next < pieces.size() && pieces[next].first == p) {
+      piece = &pieces[next++].second;
+    }
+    if (piece->empty() && empty_push_is_noop_) continue;
+    touched.emplace_back(p, piece);
+  }
+  HETPS_CHECK(next == pieces.size())
+      << "push pieces must name distinct partitions in increasing order";
+  if (touched.size() > 1 && options_.push_parallelism != 1) {
     // Pieces of one push hit distinct shards, so parallel apply is
     // content-deterministic: every shard sees exactly the piece it
     // would see serially, under the same shard mutex.
-    RunOnApplyPool(static_cast<int>(pieces.size()), [&](int i) {
-      const auto& pr = pieces[static_cast<size_t>(i)];
-      ApplyPushPiece(pr.first, worker, clock, pr.second);
+    RunOnApplyPool(static_cast<int>(touched.size()), [&](int i) {
+      const auto& pr = touched[static_cast<size_t>(i)];
+      ApplyPushPiece(pr.first, worker, clock, *pr.second);
     });
   } else {
-    for (const auto& pr : pieces) {
-      ApplyPushPiece(pr.first, worker, clock, pr.second);
+    for (const auto& pr : touched) {
+      ApplyPushPiece(pr.first, worker, clock, *pr.second);
     }
   }
   // Lock order: every shard mutex (L2) is released before AdvanceClock
   // takes clock_mu_ (L1); the two are never nested. Exactly one clock
-  // advance per logical push, after the last piece landed.
+  // advance per logical push, after the last piece landed — even when
+  // no piece touched a shard.
   AdvanceClock(worker, clock);
 }
 
 void ParameterServer::PushPiece(int partition, int worker, int clock,
                                 const SparseVector& local_piece,
                                 bool last_piece) {
-  // Same no-op-on-empty rule as Push() above, applied here so the
-  // per-piece callers (PsService, the event simulator) agree with the
-  // facade: an empty SSP/Con piece must not touch the shard — and in
-  // particular must not bump its data_version, which would make a clean
-  // partition look dirty to the version-aware pull path. The clock
-  // still advances when this was the update's last piece.
+  // Same no-op-on-empty rule as PushPieces above, applied here so the
+  // event simulator agrees with the facade: an empty SSP/Con piece must
+  // not touch the shard. The clock still advances when this was the
+  // update's last piece.
   if (local_piece.empty() && empty_push_is_noop_) {
     if (last_piece) AdvanceClock(worker, clock);
     return;
   }
-  // Same membership guard as Push(), for the piecewise callers (PsService,
-  // the event simulator). Counted once per logical push (on the final
-  // piece) so both paths agree on ps.evicted_pushes_dropped.
+  // Same membership guard as PushPieces, for the event simulator.
+  // Counted once per logical push (on the final piece) so both paths
+  // agree on ps.evicted_pushes_dropped.
   if (!IsWorkerLive(worker)) {
     if (last_piece) evicted_pushes_dropped_->Increment();
     return;

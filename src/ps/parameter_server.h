@@ -158,19 +158,22 @@ class ParameterServer {
 
   /// --- Whole-push/pull API (threaded runtime, tests) ---
 
-  /// Splits `update` by partition, applies the client-side filter, and
-  /// consolidates every piece; advances the clock table once.
+  /// Applies the client-side filter, splits `update` by partition and
+  /// hands the non-empty pieces to PushPieces.
   void Push(int worker, int clock, const SparseVector& update);
 
   /// Applies the partition-local pieces of ONE logical push (worker,
-  /// clock) — the columnar wire path (PsService) and the facade Push
-  /// both land here. Pieces apply shard-parallel on the shared apply
-  /// pool when options().push_parallelism != 1 (each under its own
-  /// shard mutex; pieces of one push touch distinct shards, so the
-  /// result is independent of apply order). AdvanceClock fires exactly
-  /// once after the last piece, with no shard mutex held (L2 before
-  /// L1, never nested). Pieces must already be partition-local (from
-  /// partitioner().SplitByPartition or the columnar wire decoder).
+  /// clock) — the wire path (PsService) and the facade Push both land
+  /// here. A partition absent from `pieces` is an empty piece: rules
+  /// that count versions (EmptyPushIsNoOp() false) receive it, SSP/Con
+  /// skip it, as they skip any empty piece. Pieces apply shard-parallel
+  /// on the shared apply pool when options().push_parallelism != 1
+  /// (each under its own shard mutex; pieces of one push touch distinct
+  /// shards, so the result is independent of apply order). AdvanceClock
+  /// fires exactly once after the last piece, with no shard mutex held
+  /// (L2 before L1, never nested). Pieces must be partition-local (from
+  /// partitioner().SplitByPartition or the wire decoder) and in strictly
+  /// increasing partition order.
   void PushPieces(int worker, int clock,
                   const std::vector<std::pair<int, SparseVector>>& pieces);
 
@@ -390,7 +393,8 @@ class ParameterServer {
   Master master_;
 
   // Whether the consolidation rule treats empty pushes as no-ops (lets
-  // Push skip filter-emptied pieces). Immutable after construction.
+  // PushPieces skip empty and absent pieces). Immutable after
+  // construction.
   bool empty_push_is_noop_ = false;
   // Whether the rule's MaterializeAtVersion snapshots are genuine and
   // time-invariant at stable versions (deferred DynSGD). Gates the

@@ -1,6 +1,5 @@
 #include "ps/worker_client.h"
 
-#include <algorithm>
 #include <chrono>
 
 #include "util/logging.h"
@@ -14,79 +13,38 @@ double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
+ParameterServer* CheckedPs(ParameterServer* ps, int worker_id) {
+  HETPS_CHECK(ps != nullptr) << "null ParameterServer";
+  HETPS_CHECK(worker_id >= 0 && worker_id < ps->num_workers())
+      << "worker id out of range";
+  return ps;
+}
+
 }  // namespace
 
 WorkerClient::WorkerClient(int worker_id, ParameterServer* ps,
                            bool delta_pull, int push_window)
-    : worker_id_(worker_id), ps_(ps), push_window_(push_window) {
-  HETPS_CHECK(ps != nullptr) << "null ParameterServer";
-  HETPS_CHECK(worker_id >= 0 && worker_id < ps->num_workers())
-      << "worker id out of range";
-  HETPS_CHECK(push_window >= 0) << "negative push window";
+    : worker_id_(worker_id),
+      ps_(CheckedPs(ps, worker_id)),
+      window_(push_window, ps_->metrics(),
+              [this](int clock, const SparseVector& update) {
+                ps_->Push(worker_id_, clock, update);
+                return Status::OK();
+              }) {
   if (delta_pull) cache_.emplace(ps->partitioner(), ps->metrics());
-  if (push_window_ >= 1) {
-    inflight_gauge_ = ps_->metrics()->gauge("push.inflight");
-    inflight_peak_gauge_ = ps_->metrics()->gauge("push.inflight_peak");
-    sender_ = std::thread([this] { SenderLoop(); });
-  }
 }
 
 WorkerClient::~WorkerClient() {
+  // window_ drains after this, so every accepted push reaches the
+  // server even when the trainer tears down mid-window.
   CancelPrefetch();
-  if (sender_.joinable()) {
-    // The sender drains the queue before exiting — every accepted push
-    // reaches the server even when the trainer tears down mid-window.
-    {
-      std::lock_guard<std::mutex> lock(send_mu_);
-      stop_sender_ = true;
-    }
-    send_cv_.notify_all();
-    sender_.join();
-    RefreshHiddenLocked();  // sender joined: no lock needed, none taken
-  }
-}
-
-void WorkerClient::SenderLoop() {
-  for (;;) {
-    std::pair<int, SparseVector> item;
-    {
-      std::unique_lock<std::mutex> lock(send_mu_);
-      send_cv_.wait(lock, [this] {
-        return stop_sender_ || !send_queue_.empty();
-      });
-      if (send_queue_.empty()) return;  // stop requested and drained
-      item = std::move(send_queue_.front());
-      send_queue_.pop_front();
-    }
-    const Clock::time_point start = Clock::now();
-    ps_->Push(worker_id_, item.first, item.second);
-    const double dur = SecondsSince(start);
-    {
-      std::lock_guard<std::mutex> lock(send_mu_);
-      async_push_seconds_ += dur;
-      --inflight_;
-      if (inflight_gauge_ != nullptr) inflight_gauge_->Add(-1.0);
-    }
-    space_cv_.notify_all();
-  }
-}
-
-void WorkerClient::RefreshHiddenLocked() {
-  breakdown_.push_hidden_seconds =
-      std::max(0.0, async_push_seconds_ - owner_blocked_seconds_);
 }
 
 void WorkerClient::Flush() {
-  if (push_window_ == 0) return;
-  std::unique_lock<std::mutex> lock(send_mu_);
-  if (inflight_ > 0) {
-    const Clock::time_point start = Clock::now();
-    space_cv_.wait(lock, [this] { return inflight_ == 0; });
-    const double blocked = SecondsSince(start);
-    owner_blocked_seconds_ += blocked;
-    breakdown_.comm_seconds += blocked;
-  }
-  RefreshHiddenLocked();
+  const Clock::time_point start = Clock::now();
+  (void)window_.Drain();  // in-process sends cannot fail
+  breakdown_.comm_seconds += SecondsSince(start);
+  breakdown_.push_hidden_seconds = window_.hidden_seconds();
 }
 
 void WorkerClient::CancelPrefetch() {
@@ -112,39 +70,11 @@ void WorkerClient::Push(int clock, const SparseVector& update) {
   HETPS_CHECK(!prefetch_.has_value() || clock < prefetch_clock_)
       << "Push(clock=" << clock << ") racing in-flight prefetch for clock "
       << prefetch_clock_;
-  if (push_window_ == 0) {
-    // Synchronous path — unchanged: the caller eats the full apply
-    // latency before its next clock.
-    const Clock::time_point start = Clock::now();
-    ps_->Push(worker_id_, clock, update);
-    breakdown_.comm_seconds += SecondsSince(start);
-    ++breakdown_.clocks_completed;
-    ++push_count_;
-    return;
-  }
-  // Pipelined path: hand the update to the sender and return. Only the
-  // backpressure block (window full) costs the owner wall time — that
-  // is the part of push latency the pipeline failed to hide.
-  {
-    std::unique_lock<std::mutex> lock(send_mu_);
-    if (inflight_ >= push_window_) {
-      const Clock::time_point start = Clock::now();
-      space_cv_.wait(lock, [this] { return inflight_ < push_window_; });
-      const double blocked = SecondsSince(start);
-      owner_blocked_seconds_ += blocked;
-      breakdown_.comm_seconds += blocked;
-    }
-    send_queue_.emplace_back(clock, update);
-    ++inflight_;
-    if (inflight_ > inflight_peak_) {
-      inflight_peak_ = inflight_;
-      if (inflight_peak_gauge_ != nullptr) {
-        inflight_peak_gauge_->Set(static_cast<double>(inflight_peak_));
-      }
-    }
-    if (inflight_gauge_ != nullptr) inflight_gauge_->Add(1.0);
-  }
-  send_cv_.notify_one();
+  // At window 0 the caller eats the full apply latency before its next
+  // clock; with a window only a full window blocks it.
+  const Clock::time_point start = Clock::now();
+  (void)window_.Push(clock, update);
+  breakdown_.comm_seconds += SecondsSince(start);
   ++breakdown_.clocks_completed;
   ++push_count_;
 }

@@ -2,19 +2,15 @@
 #define HETPS_PS_WORKER_CLIENT_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <future>
-#include <mutex>
 #include <optional>
-#include <thread>
-#include <utility>
 #include <vector>
 
 #include "math/sparse_vector.h"
 #include "obs/breakdown.h"
 #include "ps/parameter_server.h"
+#include "ps/push_window.h"
 #include "ps/replica_cache.h"
 
 namespace hetps {
@@ -45,19 +41,16 @@ namespace hetps {
 ///    the prefetched clock itself while its pull is still in flight is
 ///    a loop-sequencing bug.
 ///
-/// 2. The push sender (`push_window >= 1`): Push() enqueues the update
-///    and returns so the owner computes clock c+1 while the push of
-///    clock c is in flight (window 1 = double-buffering; Push blocks
-///    once `push_window` pushes are outstanding). The sender issues
-///    pushes FIFO, preserving the per-worker clock monotonicity the
-///    clock table requires. The worker's own unsent pushes keep its
-///    clock-table entry (hence cmin) low, so pipelining is
-///    self-limiting under SSP: a worker can run at most `push_window`
+/// 2. The push window (`push_window >= 1`, see PushWindow): Push()
+///    queues the update and returns so the owner computes clock c+1
+///    while the push of clock c is in flight. The worker's own unsent
+///    pushes keep its clock-table entry (hence cmin) low, so pipelining
+///    is self-limiting under SSP: a worker can run at most `push_window`
 ///    clocks ahead of what the server has consolidated from it, on top
 ///    of the policy's staleness bound. PullBlocking drains the window
 ///    first (read-your-writes: a refresh must observe this worker's own
-///    updates), as do Flush() and the destructor. `push_window == 0` is
-///    byte-for-byte the synchronous path — no sender thread exists.
+///    updates), as do Flush() and the destructor. At `push_window == 0`
+///    the update goes straight to ParameterServer::Push, uncopied.
 ///
 /// The destructor cancels/joins any in-flight prefetch, so a
 /// WorkerClient can be destroyed (and the PS torn down after it) even
@@ -77,7 +70,7 @@ class WorkerClient {
   WorkerClient& operator=(const WorkerClient&) = delete;
 
   int worker_id() const { return worker_id_; }
-  int push_window() const { return push_window_; }
+  int push_window() const { return window_.window(); }
 
   /// Pushes the local update that finishes `clock`. With a push window,
   /// enqueues and returns — blocking only while the window is full.
@@ -152,19 +145,8 @@ class WorkerClient {
   /// Cancels and joins an in-flight prefetch (destructor path).
   void CancelPrefetch();
 
-  /// Sender-thread body (push_window_ >= 1): dequeues FIFO, pushes to
-  /// the PS, decrements the in-flight count, wakes blocked producers.
-  void SenderLoop();
-
-  /// Recomputes push_hidden_seconds (call with send_mu_ held): the
-  /// sender's push wall time minus the time the owner thread spent
-  /// blocked on the pipeline (enqueue backpressure + drains) — i.e. the
-  /// push latency the pipeline actually hid behind compute.
-  void RefreshHiddenLocked();
-
   int worker_id_;
   ParameterServer* ps_;
-  int push_window_;
   int cached_cmin_ = 0;
   int64_t push_count_ = 0;
   int64_t pull_count_ = 0;
@@ -179,23 +161,8 @@ class WorkerClient {
   std::atomic<bool> cancel_prefetch_{false};
   WorkerTimeBreakdown breakdown_;
 
-  // --- Push pipeline (push_window_ >= 1 only) ---
-  // send_mu_ guards the queue, the in-flight count and the sender-side
-  // time accumulators; the owner thread and the sender are its only
-  // users. FIFO order on the queue preserves per-worker clock
-  // monotonicity at the server.
-  std::mutex send_mu_;
-  std::condition_variable send_cv_;   // wakes the sender (work / stop)
-  std::condition_variable space_cv_;  // wakes the owner (slot free / drained)
-  std::deque<std::pair<int, SparseVector>> send_queue_;
-  bool stop_sender_ = false;
-  int inflight_ = 0;       // queued + currently sending
-  int inflight_peak_ = 0;  // high-water mark over the client's lifetime
-  double async_push_seconds_ = 0.0;    // sender wall time inside ps_->Push
-  double owner_blocked_seconds_ = 0.0; // owner wall time blocked on the pipe
-  Gauge* inflight_gauge_ = nullptr;
-  Gauge* inflight_peak_gauge_ = nullptr;
-  std::thread sender_;
+  // Declared last: destroyed (drained) before anything its sends use.
+  PushWindow<SparseVector> window_;
 };
 
 }  // namespace hetps

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -120,9 +121,59 @@ TEST(PsServiceTest, ServerRejectsMalformedRequests) {
     EXPECT_TRUE(client.Push(0, SparseVector({9}, {1.0}))
                     .IsInvalidArgument());
   }
+  // Update index beyond dim, through the push window after a pull.
+  {
+    RpcWorkerClient client(0, &h.bus, "ps", RpcRetryPolicy(),
+                           /*push_window=*/1);
+    std::vector<double> replica;
+    ASSERT_TRUE(client.PullCached(&replica, nullptr).ok());
+    EXPECT_TRUE(client.Push(0, SparseVector({9}, {1.0}))
+                    .IsInvalidArgument());
+    EXPECT_TRUE(client.Flush().ok());
+  }
+  // Admission probes with worker ids outside the one-worker PS.
+  for (const int id : {1, -1, 200000000}) {
+    RpcWorkerClient bad(id, &h.bus, "ps");
+    EXPECT_TRUE(bad.CanAdvance(1).status().IsInvalidArgument()) << id;
+  }
   // The server survives all of it.
   RpcWorkerClient client(0, &h.bus, "ps");
   EXPECT_TRUE(client.Push(0, SparseVector({1}, {1.0})).ok());
+}
+
+TEST(PsServiceTest, OpcodeNamesMapBothWays) {
+  const std::vector<std::pair<PsOpCode, std::string>> expected = {
+      {PsOpCode::kPull, "pull"},
+      {PsOpCode::kPullRange, "pull_range"},
+      {PsOpCode::kCanAdvance, "can_advance"},
+      {PsOpCode::kStableVersion, "stable_version"},
+      {PsOpCode::kPullDelta, "pull_delta"},
+      {PsOpCode::kLayout, "layout"},
+      {PsOpCode::kReportClock, "report_clock"},
+      {PsOpCode::kReadmit, "readmit"},
+      {PsOpCode::kPush, "push"},
+      {PsOpCode::kStatus, "status"},
+      {PsOpCode::kMetricsScrape, "metrics_scrape"},
+      {PsOpCode::kObsControl, "obs_control"},
+  };
+  for (const auto& [op, name] : expected) {
+    EXPECT_EQ(PsOpCodeName(static_cast<uint8_t>(op)), name);
+    const std::optional<PsOpCode> back = PsOpCodeFromName(name);
+    ASSERT_TRUE(back.has_value()) << name;
+    EXPECT_EQ(*back, op) << name;
+  }
+  // No other byte has a name.
+  int named = 0;
+  for (int byte = 0; byte < 256; ++byte) {
+    if (std::string(PsOpCodeName(static_cast<uint8_t>(byte))) != "unknown") {
+      ++named;
+    }
+  }
+  EXPECT_EQ(named, static_cast<int>(expected.size()));
+  EXPECT_STREQ(PsOpCodeName(1), "unknown");
+  for (const char* bad : {"push_columnar", "unknown", "all", "", "PUSH"}) {
+    EXPECT_FALSE(PsOpCodeFromName(bad).has_value()) << bad;
+  }
 }
 
 TEST(PsServiceTest, ServiceMetricsCountRequests) {
@@ -131,8 +182,9 @@ TEST(PsServiceTest, ServiceMetricsCountRequests) {
   ASSERT_TRUE(client.Push(0, SparseVector({1}, {1.0})).ok());
   std::vector<double> replica;
   ASSERT_TRUE(client.Pull(&replica, nullptr).ok());
-  EXPECT_TRUE(client.Push(0, SparseVector({20}, {1.0}))
-                  .IsInvalidArgument());  // out of range -> error
+  RpcWorkerClient bad(7, &h.bus, "ps");
+  EXPECT_TRUE(bad.Push(0, SparseVector({1}, {1.0}))
+                  .IsInvalidArgument());  // worker out of range -> error
   h.bus.Flush();
   const std::string report = h.service.metrics().Report();
   EXPECT_NE(report.find("rpc.push 2"), std::string::npos);

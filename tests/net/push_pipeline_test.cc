@@ -1,9 +1,9 @@
-// The asynchronous push pipeline end to end: the columnar wire format
-// and its server-side validation/dedup, the background sender's window
-// and error latch, read-your-writes drains, and composition with the
-// lossy bus, worker eviction and live rebalancing. All fixtures here
-// are named PushPipeline* so CI's TSan leg picks them up
-// (scripts/run_sanitizers.sh tsan 'PushPipeline|PsConcurrency|PullCache').
+// The push path end to end: the one push frame and its server-side
+// validation/dedup, the background sender's window and error latch,
+// read-your-writes drains, every push path applying the same update,
+// and composition with the lossy bus, worker eviction and live
+// rebalancing. All fixtures here are named PushPipeline* so CI's TSan
+// leg picks them up (scripts/run_sanitizers.sh tsan 'PushPipeline|...').
 
 #include <gtest/gtest.h>
 
@@ -60,8 +60,8 @@ uint8_t StatusByteOf(const BusReply& reply) {
 }
 
 // After the layout handshake (PullCached) a pipelined client ships the
-// columnar frame; the pieces land on the right shards and the clock
-// table advances exactly once per push.
+// partition-split frame; the pieces land on the right shards and the
+// clock table advances exactly once per push.
 TEST(PushPipelineTest, ColumnarPushRoundtripAppliesOnce) {
   PipelineHarness h(1, 16);
   RpcWorkerClient client(0, &h.bus, "ps", RpcRetryPolicy(),
@@ -77,25 +77,31 @@ TEST(PushPipelineTest, ColumnarPushRoundtripAppliesOnce) {
   EXPECT_DOUBLE_EQ(replica[15], 3.0);
   EXPECT_EQ(h.ps.cmin(), 1);  // the clock advanced exactly once
   h.bus.Flush();
-  EXPECT_NE(h.service.metrics().Report().find("rpc.push_columnar 1"),
+  EXPECT_NE(h.service.metrics().Report().find("rpc.push 1"),
             std::string::npos);
 }
 
-// Before any PullCached the client has no layout, so a pipelined push
-// falls back to the legacy global-indexed kPush frame and still works.
-TEST(PushPipelineTest, LegacyFrameFallbackBeforeLayoutHandshake) {
-  PipelineHarness h(1, 8);
-  RpcWorkerClient client(0, &h.bus, "ps", RpcRetryPolicy(),
-                         /*push_window=*/1);
-  ASSERT_TRUE(client.Push(0, SparseVector({2, 6}, {1.0, -1.0})).ok());
-  ASSERT_TRUE(client.Flush().ok());
-  std::vector<double> replica;
-  ASSERT_TRUE(client.Pull(&replica, nullptr).ok());
-  EXPECT_DOUBLE_EQ(replica[2], 1.0);
-  EXPECT_DOUBLE_EQ(replica[6], -1.0);
-  h.bus.Flush();
-  const std::string report = h.service.metrics().Report();
-  EXPECT_EQ(report.find("rpc.push_columnar"), std::string::npos);
+// A push before any pull runs the layout handshake itself, at either
+// window: one kLayout round trip, then the one push opcode.
+TEST(PushPipelineTest, PushBeforeAnyPullHandshakesOnce) {
+  for (int window = 0; window <= 1; ++window) {
+    SCOPED_TRACE(window);
+    PipelineHarness h(1, 8);
+    RpcWorkerClient client(0, &h.bus, "ps", RpcRetryPolicy(), window);
+    ASSERT_TRUE(client.Push(0, SparseVector({2, 6}, {1.0, -1.0})).ok());
+    ASSERT_TRUE(client.Push(1, SparseVector({2}, {1.0})).ok());
+    ASSERT_TRUE(client.Flush().ok());
+    std::vector<double> replica;
+    ASSERT_TRUE(client.Pull(&replica, nullptr).ok());
+    EXPECT_DOUBLE_EQ(replica[2], 2.0);
+    EXPECT_DOUBLE_EQ(replica[6], -1.0);
+    EXPECT_EQ(h.ps.cmin(), 2);
+    h.bus.Flush();
+    const std::string report = h.service.metrics().Report();
+    EXPECT_NE(report.find("rpc.layout 1\n"), std::string::npos) << report;
+    EXPECT_NE(report.find("rpc.push 2\n"), std::string::npos) << report;
+    EXPECT_EQ(report.find("rpc.errors"), std::string::npos) << report;
+  }
 }
 
 std::vector<uint8_t> ColumnarFrame(const ParameterServer& ps, int worker,
@@ -107,7 +113,7 @@ std::vector<uint8_t> ColumnarFrame(const ParameterServer& ps, int worker,
     if (!piece.empty()) ++kept;
   }
   ByteWriter w;
-  w.WriteU8(static_cast<uint8_t>(PsOpCode::kPushColumnar));
+  w.WriteU8(static_cast<uint8_t>(PsOpCode::kPush));
   w.WriteI64(worker);
   w.WriteI64(clock);
   w.WriteU64(kept);
@@ -147,7 +153,7 @@ TEST(PushPipelineTest, MalformedColumnarFramesAreRejectedAtomically) {
   // Non-increasing partition ids.
   {
     ByteWriter w;
-    w.WriteU8(static_cast<uint8_t>(PsOpCode::kPushColumnar));
+    w.WriteU8(static_cast<uint8_t>(PsOpCode::kPush));
     w.WriteI64(0);   // worker
     w.WriteI64(0);   // clock
     w.WriteU64(2);
@@ -162,7 +168,7 @@ TEST(PushPipelineTest, MalformedColumnarFramesAreRejectedAtomically) {
   // Piece index beyond the partition's local dim.
   {
     ByteWriter w;
-    w.WriteU8(static_cast<uint8_t>(PsOpCode::kPushColumnar));
+    w.WriteU8(static_cast<uint8_t>(PsOpCode::kPush));
     w.WriteI64(0);
     w.WriteI64(0);
     w.WriteU64(1);
@@ -175,7 +181,7 @@ TEST(PushPipelineTest, MalformedColumnarFramesAreRejectedAtomically) {
   // More pieces than partitions.
   {
     ByteWriter w;
-    w.WriteU8(static_cast<uint8_t>(PsOpCode::kPushColumnar));
+    w.WriteU8(static_cast<uint8_t>(PsOpCode::kPush));
     w.WriteI64(0);
     w.WriteI64(0);
     w.WriteU64(100);

@@ -20,6 +20,7 @@
 #include "ps/checkpoint.h"
 #include "ps/parameter_server.h"
 #include "ps/worker_client.h"
+#include "rule_cases.h"
 #include "util/rng.h"
 
 namespace hetps {
@@ -41,46 +42,8 @@ bool BitwiseEqual(const std::vector<double>& a,
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
-/// One consolidation rule under test: every rule's cached replica must
-/// stay coherent with a cache-less full pull.
-struct RuleCase {
-  std::string name;
-  std::function<std::unique_ptr<ConsolidationRule>()> make;
-};
-
-// Test listings print the rule's name, not the bytes of the factory.
-void PrintTo(const RuleCase& c, std::ostream* os) { *os << c.name; }
-
-std::unique_ptr<ConsolidationRule> MakeDyn(DynSgdRule::VersionMode mode,
-                                           DynSgdRule::ApplyMode apply) {
-  DynSgdRule::Options options;
-  options.version_mode = mode;
-  options.mode = apply;
-  return std::make_unique<DynSgdRule>(options);
-}
-
-// Deferred DynSGD without partition sync serves live reads that add the
-// active version summaries to w, so its gathered ships are covered too.
-const RuleCase kRuleCases[] = {
-    {"Ssp", [] { return std::make_unique<SspRule>(); }},
-    {"Con", [] { return std::make_unique<ConRule>(); }},
-    {"DynClockAligned",
-     [] {
-       return MakeDyn(DynSgdRule::VersionMode::kClockAligned,
-                      DynSgdRule::ApplyMode::kImmediate);
-     }},
-    {"DynAlgorithm2",
-     [] {
-       return MakeDyn(DynSgdRule::VersionMode::kAlgorithm2,
-                      DynSgdRule::ApplyMode::kImmediate);
-     }},
-    {"DynDeferred",
-     [] {
-       return MakeDyn(DynSgdRule::VersionMode::kClockAligned,
-                      DynSgdRule::ApplyMode::kDeferred);
-     }},
-};
-
+// Every rule's cached replica must stay coherent with a cache-less full
+// pull.
 class PullCacheRuleTest : public testing::TestWithParam<RuleCase> {};
 
 INSTANTIATE_TEST_SUITE_P(

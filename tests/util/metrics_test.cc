@@ -1,4 +1,4 @@
-#include "util/metrics.h"
+#include "obs/metrics.h"
 
 #include <gtest/gtest.h>
 
