@@ -6,8 +6,8 @@
 
 #include "core/dyn_sgd.h"
 #include "core/param_block.h"
+#include "math/kernels.h"
 #include "math/sparse_vector.h"
-#include "math/vector_ops.h"
 #include "ps/parameter_server.h"
 #include "util/rng.h"
 
@@ -41,7 +41,7 @@ void BM_Axpy(benchmark::State& state) {
   std::vector<double> x = RandomDense(n, 1);
   std::vector<double> y = RandomDense(n, 2);
   for (auto _ : state) {
-    Axpy(0.5, x, &y);
+    kernels::Axpy(0.5, x.data(), y.data(), n);
     benchmark::DoNotOptimize(y.data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -54,7 +54,7 @@ void BM_Dot(benchmark::State& state) {
   std::vector<double> x = RandomDense(n, 1);
   std::vector<double> y = RandomDense(n, 2);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(Dot(x, y));
+    benchmark::DoNotOptimize(kernels::Dot(x.data(), y.data(), n));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n));

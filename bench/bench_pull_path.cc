@@ -1,13 +1,15 @@
 // Pull-path trajectory bench — version-aware delta pulls vs. cache-less
-// full-model pulls, measured at three layers:
+// pulls (delta_pull off: no tags sent, every partition ships whole in
+// its cheaper layout), measured at three layers:
 //
 //   1. "rpc": the real MessageBus/PsService/RpcWorkerClient stack on a
 //      sparse-update SSP workload (every clock dirties ~1 of 32
 //      partitions). Reports content bytes actually shipped vs. what
-//      whole-model pulls would have cost, plus wall time for both pull
-//      modes. This is the acceptance number: the reduction must be >= 5x.
+//      dense whole-model pulls would have cost, plus wall time for both
+//      pull modes. This is the acceptance number: the reduction must be
+//      >= 5x.
 //   2. "sim": the event simulator's comm model with delta_pull on/off on
-//      a URL-like SSP run — shows the simulated job-time effect of
+//      a CTR-like SSP run — shows the simulated job-time effect of
 //      shipping only changed partitions.
 //   3. "serializer": bulk (columnar/memcpy) wire throughput for dense
 //      and sparse vectors, seeding the serialization trajectory.
@@ -46,7 +48,7 @@ double SecondsSince(WallClock::time_point start) {
 struct RpcRunStats {
   double wall_seconds = 0.0;
   int64_t pulled_bytes = 0;       // content bytes actually shipped
-  int64_t pulled_bytes_full = 0;  // cache-less whole-model cost
+  int64_t pulled_bytes_full = 0;  // dense whole-model cost
 };
 
 /// Sparse-update SSP workload over the real RPC stack. Every worker's
@@ -76,17 +78,16 @@ RpcRunStats RunRpcWorkload(bool delta_pull, int64_t dim, int num_workers,
   std::vector<std::thread> threads;
   for (int m = 0; m < num_workers; ++m) {
     threads.emplace_back([&, m] {
-      RpcWorkerClient client(m, &bus, "ps", RpcRetryPolicy::NoRetry());
+      RpcWorkerClient client(m, &bus, "ps", RpcRetryPolicy::NoRetry(),
+                             /*push_window=*/0, delta_pull);
       const SyncPolicy sync = SyncPolicy::Ssp(1);
       std::vector<double> replica;
       int cp = 0;
       auto pull = [&] {
-        const Status st = delta_pull ? client.PullCached(&replica, &cp)
-                                     : client.Pull(&replica, &cp);
+        const Status st = client.PullCached(&replica, &cp);
         HETPS_CHECK(st.ok()) << st.ToString();
       };
       pull();
-      int64_t full_pulls = 1;
       for (int c = 0; c < clocks; ++c) {
         // 32 keys inside one partition: the whole cluster dirties one of
         // `parts` partitions per clock.
@@ -103,16 +104,10 @@ RpcRunStats RunRpcWorkload(bool delta_pull, int64_t dim, int num_workers,
         if (sync.NeedsPull(c, cp)) {
           HETPS_CHECK(client.WaitUntilCanAdvance(c + 1).ok());
           pull();
-          ++full_pulls;
         }
       }
-      if (delta_pull) {
-        shipped[static_cast<size_t>(m)] = client.pulled_bytes();
-        full[static_cast<size_t>(m)] = client.pulled_bytes_full();
-      } else {
-        shipped[static_cast<size_t>(m)] = full_pulls * dim * 8;
-        full[static_cast<size_t>(m)] = full_pulls * dim * 8;
-      }
+      shipped[static_cast<size_t>(m)] = client.pulled_bytes();
+      full[static_cast<size_t>(m)] = client.pulled_bytes_full();
     });
   }
   for (auto& t : threads) t.join();
@@ -256,10 +251,8 @@ int main(int argc, char** argv) {
     FixedRate sched(0.5);
     sim[d] = RunSimulation(dataset, cluster, rule, sched, *loss, options);
   }
-  // Cross-run ratio: the full-model run's dense shipping cost over what
-  // the tag-aware run actually shipped. (sim[1].pull_bytes_full is NOT
-  // the right baseline — WirePayloadBytes already credits the sparse
-  // layout to both sides.)
+  // Cross-run ratio: what the tag-less run shipped (every partition
+  // whole, in its cheaper layout) over what the tag-aware run shipped.
   const double sim_reduction =
       sim[1].pull_bytes_shipped > 0
           ? static_cast<double>(sim[0].pull_bytes_shipped) /

@@ -39,7 +39,7 @@
 //                        [--iters=0]
 //   hetps_train obs-ctl  --bus=/tmp/hetps.sock [--trace=on|off]
 //                        [--exemplars=on|off]
-//                        [--slow_us=N [--slow_op=push|pull|...|all]]
+//                        [--slow_us=N [--slow_op=push|pull_delta|...|all]]
 //                        [--flight_dump]
 //
 // The last three talk to a *running* `train --runtime=rpc

@@ -41,7 +41,7 @@ void RunPhase(MessageBus* bus, const Dataset& dataset,
       // A (re)started worker pulls the latest parameter from the PS.
       std::vector<double> replica;
       int cp = 0;
-      Status st = client.Pull(&replica, &cp);
+      Status st = client.PullCached(&replica, &cp);
       HETPS_CHECK(st.ok()) << st.ToString();
       const SyncPolicy ssp = SyncPolicy::Ssp(2);
       for (int c = start_clock; c < start_clock + clocks; ++c) {
@@ -50,7 +50,7 @@ void RunPhase(MessageBus* bus, const Dataset& dataset,
         HETPS_CHECK(client.Push(c, update).ok());
         if (ssp.NeedsPull(c, cp)) {
           HETPS_CHECK(client.WaitUntilCanAdvance(c + 1).ok());
-          HETPS_CHECK(client.Pull(&replica, &cp).ok());
+          HETPS_CHECK(client.PullCached(&replica, &cp).ok());
         }
       }
     });

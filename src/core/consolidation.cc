@@ -32,6 +32,12 @@ void ConsolidationRule::GatherMaterialized(const ParamBlock& w,
   w.Gather(indices, n, out);
 }
 
+size_t ConsolidationRule::CountNonZeroMaterializedAt(const ParamBlock& w,
+                                                     const int64_t* indices,
+                                                     size_t n) const {
+  return w.CountNonZeroAt(indices, n);
+}
+
 void ConsolidationRule::AppendStateKeys(std::vector<int64_t>* keys) const {
   (void)keys;
 }

@@ -62,6 +62,13 @@ class ConsolidationRule {
                                   const int64_t* indices, size_t n,
                                   double* out) const;
 
+  /// Nonzeros of Materialize(w) at sorted keys in [0, dim) that cover
+  /// every nonzero of the read (a shard's support set). Rules whose read
+  /// is w itself count w's nonzeros there without gathering.
+  virtual size_t CountNonZeroMaterializedAt(const ParamBlock& w,
+                                            const int64_t* indices,
+                                            size_t n) const;
+
   /// Appends the keys the rule's own state can still write into w or a
   /// read on a later push (DynSGD: each live version summary's keys).
   /// Checkpoint restore rebuilds a shard's support set from these plus

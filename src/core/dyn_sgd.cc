@@ -1,6 +1,7 @@
 #include "core/dyn_sgd.h"
 
 #include <algorithm>
+#include <cmath>
 #include <iomanip>
 
 #include "util/logging.h"
@@ -154,6 +155,20 @@ void DynSgdRule::GatherMaterialized(const ParamBlock& w,
     entry.summary.Gather(indices, n, part.data());
     for (size_t i = 0; i < n; ++i) out[i] += part[i];
   }
+}
+
+size_t DynSgdRule::CountNonZeroMaterializedAt(const ParamBlock& w,
+                                              const int64_t* indices,
+                                              size_t n) const {
+  // Only a deferred-mode read with live versions differs from w.
+  if (options_.mode != ApplyMode::kDeferred || versions_.empty()) {
+    return w.CountNonZeroAt(indices, n);
+  }
+  std::vector<double> read(n);
+  GatherMaterialized(w, indices, n, read.data());
+  return static_cast<size_t>(
+      std::count_if(read.begin(), read.end(),
+                    [](double v) { return std::fabs(v) > 0.0; }));
 }
 
 void DynSgdRule::AppendStateKeys(std::vector<int64_t>* keys) const {

@@ -78,6 +78,9 @@ class DynSgdRule final : public ConsolidationRule {
                                            int64_t version) const override;
   void GatherMaterialized(const ParamBlock& w, const int64_t* indices,
                           size_t n, double* out) const override;
+  size_t CountNonZeroMaterializedAt(const ParamBlock& w,
+                                    const int64_t* indices,
+                                    size_t n) const override;
   void AppendStateKeys(std::vector<int64_t>* keys) const override;
   int64_t CurrentVersion() const override { return next_version_; }
   int64_t CompletedVersionCount() const override;

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
-#include "math/vector_ops.h"
+#include "math/kernels.h"
 #include "util/logging.h"
 
 namespace hetps {
@@ -40,7 +40,7 @@ double Dataset::Objective(const LossFunction& loss,
     sum += loss.Loss(ex.features.Dot(w), ex.label);
   }
   return sum / static_cast<double>(examples_.size()) +
-         0.5 * l2 * SquaredNorm(w);
+         0.5 * l2 * kernels::SquaredNorm(w.data(), w.size());
 }
 
 double Dataset::ObjectiveSample(const LossFunction& loss,
@@ -53,7 +53,8 @@ double Dataset::ObjectiveSample(const LossFunction& loss,
     const Example& ex = examples_[i];
     sum += loss.Loss(ex.features.Dot(w), ex.label);
   }
-  return sum / static_cast<double>(n) + 0.5 * l2 * SquaredNorm(w);
+  return sum / static_cast<double>(n) +
+         0.5 * l2 * kernels::SquaredNorm(w.data(), w.size());
 }
 
 double Dataset::Accuracy(const LossFunction& loss,

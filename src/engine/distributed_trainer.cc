@@ -240,7 +240,7 @@ Result<DistributedTrainResult> TrainDistributed(
     TraceRecorder::Global().NameThisThread("worker-" +
                                            std::to_string(m));
     RpcWorkerClient client(m, &bus, "ps", options.rpc_retry,
-                           options.push_window);
+                           options.push_window, options.delta_pull);
     LocalWorkerSgd::Options sgd_opts;
     sgd_opts.batch_size = LocalWorkerSgd::BatchSizeForFraction(
         shards[static_cast<size_t>(m)].size(), options.batch_fraction);
@@ -255,19 +255,12 @@ Result<DistributedTrainResult> TrainDistributed(
         static_cast<size_t>(m) < options.injected_compute_delay.size()
             ? options.injected_compute_delay[static_cast<size_t>(m)]
             : 0.0;
-    // One pull path per run: the version-aware cached pull (ships only
-    // changed partitions) or the legacy whole-model pull.
-    const auto do_pull = [&](std::vector<double>* replica_out,
-                             int* cp_out) {
-      return options.delta_pull ? client.PullCached(replica_out, cp_out)
-                                : client.Pull(replica_out, cp_out);
-    };
     // A (re)starting worker pulls the latest parameter from the PS.
     std::vector<double> replica;
     int cp = 0;
     {
       const auto pull_start = SteadyClock::now();
-      my_status = do_pull(&replica, &cp);
+      my_status = client.PullCached(&replica, &cp);
       breakdown.comm_seconds += seconds_since(pull_start);
     }
     if (!my_status.ok()) {
@@ -385,7 +378,7 @@ Result<DistributedTrainResult> TrainDistributed(
         }
         {
           const auto pull_start = SteadyClock::now();
-          my_status = do_pull(&replica, &cp);
+          my_status = client.PullCached(&replica, &cp);
           breakdown.comm_seconds += seconds_since(pull_start);
         }
         if (!my_status.ok()) {

@@ -47,9 +47,10 @@ struct DistributedTrainerOptions {
   FaultPlan fault_plan = FaultPlan::None();
   /// Per-RPC timeout/backoff for the worker clients.
   RpcRetryPolicy rpc_retry = RpcRetryPolicy();
-  /// Version-aware pull path (§6): workers pull through the client-side
-  /// partition cache (RpcWorkerClient::PullCached) so only changed
-  /// partitions cross the bus. Off = every pull ships the whole model.
+  /// Version-aware pull path (§6): every pull goes through the
+  /// client-side partition cache (RpcWorkerClient::PullCached). On, the
+  /// pull sends the cached tags, so only changed partitions cross the
+  /// bus. Off, it sends none, so every partition ships whole.
   bool delta_pull = true;
   /// Asynchronous push pipeline (RpcWorkerClient): 0 = synchronous push
   /// RPCs (the pre-pipeline behavior), >= 1 = bounded in-flight window

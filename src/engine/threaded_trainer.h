@@ -42,9 +42,9 @@ struct ThreadedTrainerOptions {
   /// slightly staler replica.
   bool prefetch = false;
   /// Version-aware pull path (§6): workers cache partition replicas by
-  /// content tag and the PS ships only changed partitions (dense piece
-  /// or sparse delta, whichever is smaller). Off = every pull ships the
-  /// whole model.
+  /// content tag and the PS ships only changed partitions (whole block
+  /// or sparse delta, whichever is smaller). Off = the pull sends no
+  /// tags, so every partition ships whole, in its cheaper layout.
   bool delta_pull = true;
   /// Asynchronous push pipeline (WorkerClient): 0 = synchronous pushes
   /// (bitwise-identical to the pre-pipeline trainer), >= 1 = bounded

@@ -48,16 +48,14 @@ bool IsObsOpcode(const std::vector<uint8_t>& payload) {
          op == static_cast<uint8_t>(PsOpCode::kObsControl);
 }
 
-/// Every opcode's wire name. Names are literals, which flight-recorder
+/// Every opcode's wire name, which also names its request counter and
+/// its rpc.handle_us histogram. Names are literals, which flight-recorder
 /// notes require (the ring never copies).
 constexpr struct {
   PsOpCode op;
   const char* name;
 } kOpNames[] = {
-    {PsOpCode::kPull, "pull"},
-    {PsOpCode::kPullRange, "pull_range"},
     {PsOpCode::kCanAdvance, "can_advance"},
-    {PsOpCode::kStableVersion, "stable_version"},
     {PsOpCode::kPullDelta, "pull_delta"},
     {PsOpCode::kLayout, "layout"},
     {PsOpCode::kReportClock, "report_clock"},
@@ -124,29 +122,13 @@ PsService::PsService(ParameterServer* ps, MessageBus* bus,
     }
   }
   MetricsRegistry& global = GlobalMetrics();
-  handle_push_us_ = global.histogram("rpc.handle_us", {{"op", "push"}});
-  handle_pull_us_ = global.histogram("rpc.handle_us", {{"op", "pull"}});
-  handle_pull_delta_us_ =
-      global.histogram("rpc.handle_us", {{"op", "pull_delta"}});
-  handle_layout_us_ =
-      global.histogram("rpc.handle_us", {{"op", "layout"}});
-  handle_pull_range_us_ =
-      global.histogram("rpc.handle_us", {{"op", "pull_range"}});
-  handle_can_advance_us_ =
-      global.histogram("rpc.handle_us", {{"op", "can_advance"}});
-  handle_stable_version_us_ =
-      global.histogram("rpc.handle_us", {{"op", "stable_version"}});
-  handle_report_clock_us_ =
-      global.histogram("rpc.handle_us", {{"op", "report_clock"}});
-  handle_readmit_us_ =
-      global.histogram("rpc.handle_us", {{"op", "readmit"}});
-  handle_status_us_ =
-      global.histogram("rpc.handle_us", {{"op", "status"}});
-  handle_metrics_scrape_us_ =
-      global.histogram("rpc.handle_us", {{"op", "metrics_scrape"}});
-  handle_obs_control_us_ =
-      global.histogram("rpc.handle_us", {{"op", "obs_control"}});
-  handle_other_us_ = global.histogram("rpc.handle_us", {{"op", "other"}});
+  op_metrics_.fill(
+      {nullptr, global.histogram("rpc.handle_us", {{"op", "other"}})});
+  for (const auto& entry : kOpNames) {
+    op_metrics_[static_cast<uint8_t>(entry.op)] = {
+        metrics_.counter(std::string("rpc.") + entry.name),
+        global.histogram("rpc.handle_us", {{"op", entry.name}})};
+  }
   registration_ = bus->RegisterEndpoint(
       endpoint_name_,
       [this](const Envelope& request) { return Handle(request); });
@@ -229,69 +211,37 @@ std::vector<uint8_t> PsService::Handle(const Envelope& request) {
   Status st = reader.ReadU8(&op);
   std::vector<uint8_t> response;
   const auto start = std::chrono::steady_clock::now();
-  HistogramMetric* handle_us = handle_other_us_;
+  const OpMetrics& op_metrics = op_metrics_[op];
+  if (op_metrics.requests != nullptr) op_metrics.requests->Increment();
   if (!st.ok()) {
     response = ErrorResponse(st);
   } else {
     switch (static_cast<PsOpCode>(op)) {
       case PsOpCode::kPush:
-        metrics_.counter("rpc.push")->Increment();
-        handle_us = handle_push_us_;
         response = HandlePush(&reader);
         break;
-      case PsOpCode::kPull:
-        metrics_.counter("rpc.pull")->Increment();
-        handle_us = handle_pull_us_;
-        response = HandlePull(&reader);
-        break;
       case PsOpCode::kPullDelta:
-        metrics_.counter("rpc.pull_delta")->Increment();
-        handle_us = handle_pull_delta_us_;
         response = HandlePullDelta(&reader);
         break;
       case PsOpCode::kLayout:
-        metrics_.counter("rpc.layout")->Increment();
-        handle_us = handle_layout_us_;
         response = HandleLayout(&reader);
         break;
-      case PsOpCode::kPullRange:
-        metrics_.counter("rpc.pull_range")->Increment();
-        handle_us = handle_pull_range_us_;
-        response = HandlePullRange(&reader);
-        break;
       case PsOpCode::kCanAdvance:
-        metrics_.counter("rpc.can_advance")->Increment();
-        handle_us = handle_can_advance_us_;
         response = HandleCanAdvance(&reader);
         break;
-      case PsOpCode::kStableVersion:
-        metrics_.counter("rpc.stable_version")->Increment();
-        handle_us = handle_stable_version_us_;
-        response = HandleStableVersion(&reader);
-        break;
       case PsOpCode::kReportClock:
-        metrics_.counter("rpc.report_clock")->Increment();
-        handle_us = handle_report_clock_us_;
         response = HandleReportClock(&reader);
         break;
       case PsOpCode::kReadmit:
-        metrics_.counter("rpc.readmit")->Increment();
-        handle_us = handle_readmit_us_;
         response = HandleReadmit(request, &reader);
         break;
       case PsOpCode::kStatus:
-        metrics_.counter("rpc.status")->Increment();
-        handle_us = handle_status_us_;
         response = HandleStatus(&reader);
         break;
       case PsOpCode::kMetricsScrape:
-        metrics_.counter("rpc.metrics_scrape")->Increment();
-        handle_us = handle_metrics_scrape_us_;
         response = HandleMetricsScrape(&reader);
         break;
       case PsOpCode::kObsControl:
-        metrics_.counter("rpc.obs_control")->Increment();
-        handle_us = handle_obs_control_us_;
         response = HandleObsControl(&reader);
         break;
       default:
@@ -307,7 +257,7 @@ std::vector<uint8_t> PsService::Handle(const Envelope& request) {
   // The envelope's trace_id rides along so a tail rpc.handle_us bucket
   // can retain it as an OpenMetrics exemplar (no-op unless exemplars
   // are enabled via kObsControl / --exemplars).
-  handle_us->RecordInt(duration_us, request.trace_id);
+  op_metrics.handle_us->RecordInt(duration_us, request.trace_id);
   if (st.ok() && op < 32 && slow_threshold_us_[op] > 0 &&
       duration_us >= slow_threshold_us_[op]) {
     // Structured slow-request entry: the black box keeps the opcode,
@@ -388,23 +338,6 @@ std::vector<uint8_t> PsService::HandlePush(ByteReader* reader) {
   return w.TakeBuffer();
 }
 
-std::vector<uint8_t> PsService::HandlePull(ByteReader* reader) {
-  int64_t worker = 0;
-  Status st = reader->ReadI64(&worker);
-  if (st.ok() && (worker < 0 || worker >= ps_->num_workers())) {
-    st = Status::InvalidArgument("worker id out of range");
-  }
-  if (!st.ok()) return ErrorResponse(st);
-  int cmin = 0;
-  const std::vector<double> values =
-      ps_->PullFull(static_cast<int>(worker), &cmin);
-  ByteWriter w;
-  w.WriteU8(0);
-  w.WriteI64(cmin);
-  w.WriteDenseVector(values);
-  return w.TakeBuffer();
-}
-
 std::vector<uint8_t> PsService::HandlePullDelta(ByteReader* reader) {
   int64_t worker = 0;
   uint64_t num_tags = 0;
@@ -469,28 +402,6 @@ std::vector<uint8_t> PsService::HandleLayout(ByteReader* reader) {
   return w.TakeBuffer();
 }
 
-std::vector<uint8_t> PsService::HandlePullRange(ByteReader* reader) {
-  int64_t worker = 0;
-  int64_t begin = 0;
-  int64_t end = 0;
-  Status st = reader->ReadI64(&worker);
-  if (st.ok()) st = reader->ReadI64(&begin);
-  if (st.ok()) st = reader->ReadI64(&end);
-  if (st.ok() && (worker < 0 || worker >= ps_->num_workers())) {
-    st = Status::InvalidArgument("worker id out of range");
-  }
-  if (st.ok() && (begin < 0 || begin > end || end > ps_->dim())) {
-    st = Status::InvalidArgument("bad key interval");
-  }
-  if (!st.ok()) return ErrorResponse(st);
-  const std::vector<double> values =
-      ps_->PullRange(static_cast<int>(worker), begin, end);
-  ByteWriter w;
-  w.WriteU8(0);
-  w.WriteDenseVector(values);
-  return w.TakeBuffer();
-}
-
 std::vector<uint8_t> PsService::HandleCanAdvance(ByteReader* reader) {
   int64_t worker = 0;
   int64_t next_clock = 0;
@@ -506,14 +417,6 @@ std::vector<uint8_t> PsService::HandleCanAdvance(ByteReader* reader) {
                             static_cast<int>(next_clock))
                 ? 1
                 : 0);
-  return w.TakeBuffer();
-}
-
-std::vector<uint8_t> PsService::HandleStableVersion(ByteReader* reader) {
-  (void)reader;
-  ByteWriter w;
-  w.WriteU8(0);
-  w.WriteI64(ps_->StableVersion());
   return w.TakeBuffer();
 }
 
@@ -670,12 +573,13 @@ std::vector<uint8_t> PsService::HandleObsControl(ByteReader* reader) {
 RpcWorkerClient::RpcWorkerClient(int worker_id, MessageBus* bus,
                                  std::string ps_endpoint,
                                  const RpcRetryPolicy& retry,
-                                 int push_window)
+                                 int push_window, bool delta_pull)
     : worker_id_(worker_id),
       bus_(bus),
       ps_endpoint_(std::move(ps_endpoint)),
       my_endpoint_("worker-" + std::to_string(worker_id)),
       retry_(retry),
+      delta_pull_(delta_pull),
       retries_metric_(GlobalMetrics().counter("rpc.client_retries")),
       window_(push_window, &GlobalMetrics(),
               [this](int, const std::vector<uint8_t>& request) {
@@ -767,24 +671,6 @@ Status RpcWorkerClient::Push(int clock, const SparseVector& update) {
   return window_.Push(clock, request.value());
 }
 
-Status RpcWorkerClient::Pull(std::vector<double>* replica, int* cmin) {
-  // Read-your-writes: drain the push window (and surface any latched
-  // async failure) before pulling.
-  HETPS_RETURN_NOT_OK(Flush());
-  ByteWriter w;
-  w.WriteU8(static_cast<uint8_t>(PsOpCode::kPull));
-  w.WriteI64(worker_id_);
-  auto response = Roundtrip(w.TakeBuffer());
-  if (!response.ok()) return response.status();
-  ByteReader reader(response.value());
-  HETPS_RETURN_NOT_OK(ConsumeStatus(&reader));
-  int64_t cmin64 = 0;
-  HETPS_RETURN_NOT_OK(reader.ReadI64(&cmin64));
-  HETPS_RETURN_NOT_OK(reader.ReadDenseVector(replica));
-  if (cmin != nullptr) *cmin = static_cast<int>(cmin64);
-  return Status::OK();
-}
-
 Status RpcWorkerClient::EnsureLayout() {
   if (layout_.has_value()) return Status::OK();
   ByteWriter w;
@@ -820,7 +706,7 @@ Status RpcWorkerClient::PullCachedOnce(int* cmin, bool* tag_mismatch) {
   w.WriteU8(static_cast<uint8_t>(PsOpCode::kPullDelta));
   w.WriteI64(worker_id_);
   w.WriteU64(tags.size());
-  for (int64_t tag : tags) w.WriteI64(tag);
+  for (int64_t tag : tags) w.WriteI64(delta_pull_ ? tag : kNoCachedTag);
   auto response = Roundtrip(w.TakeBuffer());
   if (!response.ok()) return response.status();
   ByteReader reader(response.value());
@@ -876,7 +762,7 @@ Status RpcWorkerClient::PullCachedOnce(int* cmin, bool* tag_mismatch) {
   // partition ships whole on the caller's retry.
   *tag_mismatch = !cache_->Apply(pieces);
   pulled_bytes_ += shipped;
-  // Baseline: a cache-less kPull ships the whole model dense.
+  // Baseline: the whole model shipped dense.
   pulled_bytes_full_ += layout.dim() * static_cast<int64_t>(sizeof(double));
   *cmin = static_cast<int>(cmin64);
   return Status::OK();
@@ -900,21 +786,6 @@ Status RpcWorkerClient::PullCached(std::vector<double>* replica,
     // whole. One round trip normally suffices.
   }
   return Status::Internal("delta pull base tags kept mismatching");
-}
-
-Status RpcWorkerClient::PullRange(int64_t begin, int64_t end,
-                                  std::vector<double>* values) {
-  HETPS_RETURN_NOT_OK(Flush());
-  ByteWriter w;
-  w.WriteU8(static_cast<uint8_t>(PsOpCode::kPullRange));
-  w.WriteI64(worker_id_);
-  w.WriteI64(begin);
-  w.WriteI64(end);
-  auto response = Roundtrip(w.TakeBuffer());
-  if (!response.ok()) return response.status();
-  ByteReader reader(response.value());
-  HETPS_RETURN_NOT_OK(ConsumeStatus(&reader));
-  return reader.ReadDenseVector(values);
 }
 
 Result<bool> RpcWorkerClient::CanAdvance(int next_clock) {
@@ -973,19 +844,6 @@ Status RpcWorkerClient::Readmit(int clock) {
   w.WriteI64(worker_id_);
   w.WriteI64(clock);
   return Call(w.TakeBuffer());
-}
-
-Result<int64_t> RpcWorkerClient::StableVersion() {
-  HETPS_RETURN_NOT_OK(Flush());
-  ByteWriter w;
-  w.WriteU8(static_cast<uint8_t>(PsOpCode::kStableVersion));
-  auto response = Roundtrip(w.TakeBuffer());
-  if (!response.ok()) return response.status();
-  ByteReader reader(response.value());
-  HETPS_RETURN_NOT_OK(ConsumeStatus(&reader));
-  int64_t version = 0;
-  HETPS_RETURN_NOT_OK(reader.ReadI64(&version));
-  return version;
 }
 
 }  // namespace hetps

@@ -1,6 +1,7 @@
 #ifndef HETPS_NET_PS_SERVICE_H_
 #define HETPS_NET_PS_SERVICE_H_
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -24,15 +25,14 @@ namespace hetps {
 /// Wire protocol between workers and the parameter-server service. All
 /// requests start with a one-byte opcode; responses start with a
 /// one-byte status code (0 = OK) followed by an error string when
-/// non-zero.
+/// non-zero. Bytes 1, 2, 3 and 5 are unassigned and answer "unknown
+/// opcode".
 enum class PsOpCode : uint8_t {
-  kPull = 2,
-  kPullRange = 3,
   kCanAdvance = 4,
-  kStableVersion = 5,
-  /// Version-aware pull: request carries the client's per-partition
-  /// content tags; response ships only changed partitions (dense piece,
-  /// sparse piece, or sparse delta — see ParameterServer::PullDelta).
+  /// The one pull: the request carries the client's per-partition
+  /// content tags (kNoCachedTag for a partition it does not hold); the
+  /// response carries every partition, changed ones with a dense piece,
+  /// sparse piece, or sparse delta — see ParameterServer::PullDelta.
   kPullDelta = 6,
   /// Partition-layout handshake: returns (scheme, dim, num_servers,
   /// num_partitions) so a client can reconstruct the Partitioner and
@@ -54,8 +54,7 @@ enum class PsOpCode : uint8_t {
   /// order. Empty pieces are left off; ParameterServer::PushPieces, where
   /// the handler routes the pieces, decides what an absent partition
   /// means to the rule. A retried (worker, clock) is acknowledged without
-  /// re-applying. Clients learn the layout (kLayout) on first use. Byte
-  /// 1 is unassigned.
+  /// re-applying. Clients learn the layout (kLayout) on first use.
   kPush = 10,
   /// Live-introspection snapshot (hetps.status.v1 JSON): per-worker
   /// clock/staleness/liveness, cmin/cmax, loan balances, push-window
@@ -187,12 +186,9 @@ class PsService {
   /// last heartbeat predates now - timeout. Runs on the service loop.
   void SweepDeadWorkers(double now);
   std::vector<uint8_t> HandlePush(ByteReader* reader);
-  std::vector<uint8_t> HandlePull(ByteReader* reader);
   std::vector<uint8_t> HandlePullDelta(ByteReader* reader);
   std::vector<uint8_t> HandleLayout(ByteReader* reader);
-  std::vector<uint8_t> HandlePullRange(ByteReader* reader);
   std::vector<uint8_t> HandleCanAdvance(ByteReader* reader);
-  std::vector<uint8_t> HandleStableVersion(ByteReader* reader);
   std::vector<uint8_t> HandleReportClock(ByteReader* reader);
   std::vector<uint8_t> HandleReadmit(const Envelope& request,
                                      ByteReader* reader);
@@ -205,23 +201,17 @@ class PsService {
   PsServiceOptions options_;
   Status registration_;
   MetricsRegistry metrics_;
-  /// Per-op handler latency quantiles land in GlobalMetrics() (as
-  /// rpc.handle_us{op=...}) so RunReporter's single snapshot sees them;
-  /// the per-instance counters above stay in metrics_ for tests and
-  /// per-server "sources" sections.
-  HistogramMetric* handle_push_us_;
-  HistogramMetric* handle_pull_us_;
-  HistogramMetric* handle_pull_delta_us_;
-  HistogramMetric* handle_layout_us_;
-  HistogramMetric* handle_pull_range_us_;
-  HistogramMetric* handle_can_advance_us_;
-  HistogramMetric* handle_stable_version_us_;
-  HistogramMetric* handle_report_clock_us_;
-  HistogramMetric* handle_readmit_us_;
-  HistogramMetric* handle_status_us_;
-  HistogramMetric* handle_metrics_scrape_us_;
-  HistogramMetric* handle_obs_control_us_;
-  HistogramMetric* handle_other_us_;
+  /// Per-opcode telemetry, resolved once from the opcode name table and
+  /// indexed by the opcode byte: the request counter rpc.<name> (in
+  /// metrics_, for tests and per-server "sources" sections) and the
+  /// handler latency histogram rpc.handle_us{op=<name>} (in
+  /// GlobalMetrics(), so RunReporter's single snapshot sees it). A byte
+  /// with no name counts no request and times into op=other.
+  struct OpMetrics {
+    Counter* requests = nullptr;
+    HistogramMetric* handle_us = nullptr;
+  };
+  std::array<OpMetrics, 256> op_metrics_;
   /// Last clock applied per worker (-1 = none); only touched by the
   /// single service-loop thread.
   std::vector<int64_t> last_push_clock_;
@@ -285,6 +275,14 @@ struct RpcRetryPolicy {
 /// server call would stall the single-threaded service loop and deadlock
 /// the cluster), with a small sleep between probes.
 ///
+/// ## Pulls
+///
+/// Every pull is one kPullDelta round trip applied to a ReplicaCache,
+/// the same cache the in-process WorkerClient keeps. With `delta_pull`
+/// on (default) the request carries the cached tags; off, it carries
+/// kNoCachedTag for every partition, so every partition ships whole in
+/// its cheaper layout.
+///
 /// ## Pushes
 ///
 /// Every push is one kPush frame, split by partition on the caller's
@@ -303,7 +301,7 @@ class RpcWorkerClient {
  public:
   RpcWorkerClient(int worker_id, MessageBus* bus, std::string ps_endpoint,
                   const RpcRetryPolicy& retry = RpcRetryPolicy(),
-                  int push_window = 0);
+                  int push_window = 0, bool delta_pull = true);
 
   RpcWorkerClient(const RpcWorkerClient&) = delete;
   RpcWorkerClient& operator=(const RpcWorkerClient&) = delete;
@@ -332,26 +330,21 @@ class RpcWorkerClient {
   /// the window. Call after Flush() for a settled value.
   double push_hidden_seconds() const;
 
-  /// Full pull; fills `replica` and `cmin`.
-  Status Pull(std::vector<double>* replica, int* cmin);
-
-  /// Version-aware pull through the client-side partition cache: sends
-  /// the cached per-partition content tags, applies the changed pieces
-  /// (whole blocks or sparse deltas) onto the pristine cache, and hands
-  /// back a mutable copy. Builds the cache on first use. Falls back to
-  /// re-pulling with cleared tags when a delta's base tag no longer
-  /// matches (e.g. the server restored a checkpoint between pulls).
-  /// Result is bit-identical to Pull().
+  /// The pull: sends the per-partition content tags (see "Pulls"),
+  /// applies the changed pieces (whole blocks or sparse deltas) onto the
+  /// pristine cache, and hands back a mutable copy with the server's
+  /// cmin. Builds the cache on first use. Falls back to re-pulling with
+  /// cleared tags when a delta's base tag no longer matches (e.g. the
+  /// server restored a checkpoint between pulls). The replica equals
+  /// the server's materialized state bit for bit.
   Status PullCached(std::vector<double>* replica, int* cmin);
 
-  /// Cumulative content bytes received by PullCached vs. what cache-less
-  /// full pulls would have cost (tests / experiments).
+  /// Cumulative content bytes received by PullCached vs. the dense
+  /// whole model (dim × 8 bytes) per pull — bench_pull_path's reduction
+  /// baseline. (WorkerClient's baseline is the server's whole-block
+  /// bytes instead.)
   int64_t pulled_bytes() const { return pulled_bytes_; }
   int64_t pulled_bytes_full() const { return pulled_bytes_full_; }
-
-  /// Values of keys [begin, end).
-  Status PullRange(int64_t begin, int64_t end,
-                   std::vector<double>* values);
 
   /// Single admission probe.
   Result<bool> CanAdvance(int next_clock);
@@ -360,8 +353,6 @@ class RpcWorkerClient {
   /// retry.max_admission_probes denied probes (0 = forever), or
   /// FailedPrecondition when the service has evicted this worker.
   Status WaitUntilCanAdvance(int next_clock);
-
-  Result<int64_t> StableVersion();
 
   /// Reports the measured duration of this worker's last compute clock
   /// to the master's straggler statistics (kReportClock).
@@ -395,6 +386,7 @@ class RpcWorkerClient {
   std::string ps_endpoint_;
   std::string my_endpoint_;
   RpcRetryPolicy retry_;
+  bool delta_pull_;
   std::atomic<int64_t> retry_count_{0};
   /// Mirrors retry_count_ into GlobalMetrics() ("rpc.client_retries",
   /// summed across clients) for metrics.json.
@@ -402,8 +394,8 @@ class RpcWorkerClient {
 
   /// The server's partition layout, from the kLayout handshake.
   std::optional<Partitioner> layout_;
-  /// Client partition cache (PullCached), built over layout_ on the
-  /// first PullCached; clients that only use Pull never allocate it.
+  /// Client partition cache, built over layout_ on the first PullCached;
+  /// clients that only push never allocate it.
   std::optional<ReplicaCache> cache_;
   int64_t pulled_bytes_ = 0;
   int64_t pulled_bytes_full_ = 0;

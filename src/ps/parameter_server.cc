@@ -446,24 +446,10 @@ std::vector<double> ParameterServer::AssemblePull(int worker,
 
 std::vector<double> ParameterServer::PullPiece(int partition, int worker,
                                                int64_t version) {
-  return PullPieceTagged(partition, worker, version, /*tag_out=*/nullptr);
-}
-
-std::vector<double> ParameterServer::PullPieceTagged(int partition,
-                                                     int worker,
-                                                     int64_t version,
-                                                     int64_t* tag_out) {
-  // Lock order (L1 before L2): snapshot cmax under clock_mu_ *before*
-  // taking the shard mutex. Taking clock_mu_ inside the shard critical
-  // section inverted the SaveCheckpoint order (clock -> shard) and was a
-  // real ABBA deadlock under concurrent pull + checkpoint; regression
-  // test: PsConcurrencyTest.PullsRaceCheckpointsWithoutDeadlock.
   const Clock::time_point start = Clock::now();
-  int cmax_now;
-  {
-    std::lock_guard<std::mutex> clock_lock(clock_mu_);
-    cmax_now = clock_table_.cmax();
-  }
+  // L1 before L2: cmax is snapshotted before the shard lock (see
+  // PullPartition).
+  const int cmax_now = cmax();
   std::vector<double> block;
   {
     std::lock_guard<std::mutex> lock(
@@ -471,15 +457,6 @@ std::vector<double> ParameterServer::PullPieceTagged(int partition,
     ServerShard* shard = shards_[static_cast<size_t>(partition)].get();
     block = version >= 0 ? shard->PullAtVersion(worker, cmax_now, version)
                          : shard->Pull(worker, cmax_now);
-    if (tag_out != nullptr) {
-      // The tag must be computed under the same shard critical section as
-      // the materialization — a push between the two would stamp content
-      // the client never received.
-      const bool versioned =
-          options_.partition_sync && versioned_snapshots_ && version >= 0;
-      *tag_out = versioned ? MakeTag(true, version)
-                           : MakeTag(false, shard->data_version());
-    }
   }
   pull_piece_us_[static_cast<size_t>(partition)]->RecordInt(
       MicrosSince(start));
@@ -487,18 +464,23 @@ std::vector<double> ParameterServer::PullPieceTagged(int partition,
   return block;
 }
 
+int64_t ParameterServer::ContentTag(const ServerShard& shard,
+                                    int64_t version) const {
+  const bool versioned =
+      version >= 0 && options_.partition_sync && versioned_snapshots_;
+  return versioned ? MakeTag(true, version)
+                   : MakeTag(false, shard.data_version());
+}
+
 PiecePullPlan ParameterServer::PlanPullPiece(int partition, int worker,
                                              int64_t version,
                                              int64_t cached_tag) const {
   (void)worker;  // planning is worker-independent; kept for symmetry
-  const bool versioned =
-      options_.partition_sync && versioned_snapshots_ && version >= 0;
   PiecePullPlan plan;
   std::lock_guard<std::mutex> lock(
       *shard_mu_[static_cast<size_t>(partition)]);
   const ServerShard& shard = *shards_[static_cast<size_t>(partition)];
-  plan.tag = versioned ? MakeTag(true, version)
-                       : MakeTag(false, shard.data_version());
+  plan.tag = ContentTag(shard, version);
   plan.bytes_full = shard.WirePayloadBytes();
   if (cached_tag == plan.tag) {
     plan.changed = false;
@@ -510,7 +492,8 @@ PiecePullPlan ParameterServer::PlanPullPiece(int partition, int worker,
   // A delta ship can undercut the whole-block ship when the client's tag
   // is a live tag from the current epoch and the delta log still reaches
   // back to it.
-  if (!versioned && TagInCurrentEpoch(cached_tag, /*versioned=*/false)) {
+  if (!TagIsVersioned(plan.tag) &&
+      TagInCurrentEpoch(cached_tag, /*versioned=*/false)) {
     SparseVector delta;
     if (shard.DeltaSince(TagValue(cached_tag), &delta)) {
       const int64_t delta_bytes = PieceBytes(delta);
@@ -533,22 +516,19 @@ void ParameterServer::RecordPlannedPull(const PiecePullPlan& plan) {
 }
 
 int64_t ParameterServer::PartitionTag(int partition) const {
-  const bool versioned = options_.partition_sync && versioned_snapshots_;
   // Master::mu_ is a leaf lock — never held across the shard lock below.
-  const int64_t stable = versioned ? master_.StableVersion() : -1;
+  const int64_t version =
+      options_.partition_sync ? master_.StableVersion() : -1;
   std::lock_guard<std::mutex> lock(
       *shard_mu_[static_cast<size_t>(partition)]);
-  return versioned
-             ? MakeTag(true, stable)
-             : MakeTag(false,
-                       shards_[static_cast<size_t>(partition)]
-                           ->data_version());
+  return ContentTag(*shards_[static_cast<size_t>(partition)], version);
 }
 
-PartitionPull ParameterServer::BuildPartitionPull(
-    int partition, int worker, int cmax_now, int64_t version,
-    bool use_versioned_tags, int64_t stable_version, int64_t cached_tag,
-    int64_t* bytes_full_out) {
+PartitionPull ParameterServer::BuildPartitionPull(int partition, int worker,
+                                                  int cmax_now,
+                                                  int64_t version,
+                                                  int64_t cached_tag,
+                                                  int64_t* bytes_full_out) {
   const Clock::time_point start = Clock::now();
   PartitionPull out;
   out.partition = partition;
@@ -556,8 +536,9 @@ PartitionPull ParameterServer::BuildPartitionPull(
     std::lock_guard<std::mutex> lock(
         *shard_mu_[static_cast<size_t>(partition)]);
     ServerShard* shard = shards_[static_cast<size_t>(partition)].get();
-    out.tag = use_versioned_tags ? MakeTag(true, stable_version)
-                                 : MakeTag(false, shard->data_version());
+    // The tag is computed in the same critical section as the read — a
+    // push between the two would stamp content the client never received.
+    out.tag = ContentTag(*shard, version);
     *bytes_full_out = shard->WirePayloadBytes();
     if (cached_tag == out.tag) {
       // Cache hit: the client's copy is byte-identical. Still a read at
@@ -568,7 +549,7 @@ PartitionPull ParameterServer::BuildPartitionPull(
     }
     // Try the delta ship first (live-tag mode only; versioned snapshots
     // change wholesale at stable-version boundaries).
-    if (!use_versioned_tags &&
+    if (!TagIsVersioned(out.tag) &&
         TagInCurrentEpoch(cached_tag, /*versioned=*/false)) {
       SparseVector delta;
       if (shard->DeltaSince(TagValue(cached_tag), &delta) &&
@@ -589,6 +570,22 @@ PartitionPull ParameterServer::BuildPartitionPull(
   }
   pull_piece_us_[static_cast<size_t>(partition)]->RecordInt(
       MicrosSince(start));
+  return out;
+}
+
+PartitionPull ParameterServer::PullPartition(int partition, int worker,
+                                             int64_t version,
+                                             int64_t cached_tag) {
+  // Lock order (L1 before L2): snapshot cmax under clock_mu_ *before*
+  // taking the shard mutex. Taking clock_mu_ inside the shard critical
+  // section inverted the SaveCheckpoint order (clock -> shard) and was a
+  // real ABBA deadlock under concurrent pull + checkpoint; regression
+  // test: PsConcurrencyTest.PullsRaceCheckpointsWithoutDeadlock.
+  const int cmax_now = cmax();
+  int64_t bytes_full = 0;
+  PartitionPull out = BuildPartitionPull(partition, worker, cmax_now,
+                                         version, cached_tag, &bytes_full);
+  pull_counter_->Increment();
   return out;
 }
 
@@ -649,11 +646,8 @@ DeltaPullResult ParameterServer::PullDelta(
     cmax_now = clock_table_.cmax();
     cmin_now = clock_table_.cmin();
   }
-  const int64_t stable_version =
+  const int64_t version =
       options_.partition_sync ? master_.StableVersion() : -1;
-  const int64_t version = options_.partition_sync ? stable_version : -1;
-  const bool use_versioned_tags =
-      options_.partition_sync && versioned_snapshots_;
 
   DeltaPullResult result;
   result.cmin = cmin_now;
@@ -668,8 +662,7 @@ DeltaPullResult ParameterServer::PullDelta(
             : kNoCachedTag;
     int64_t bytes_full = 0;
     result.partitions.push_back(BuildPartitionPull(
-        p, worker, cmax_now, version, use_versioned_tags, stable_version,
-        cached, &bytes_full));
+        p, worker, cmax_now, version, cached, &bytes_full));
     const PartitionPull& pp = result.partitions.back();
     result.bytes_full += bytes_full;
     switch (pp.encoding) {
@@ -701,39 +694,6 @@ DeltaPullResult ParameterServer::PullDelta(
   const int64_t saved = result.bytes_full - result.bytes_shipped;
   if (saved > 0) pull_bytes_saved_->Increment(saved);
   return result;
-}
-
-std::vector<double> ParameterServer::PullRange(int worker, int64_t begin,
-                                               int64_t end) {
-  HETPS_CHECK(begin >= 0 && begin <= end && end <= dim())
-      << "bad key interval";
-  std::vector<double> out(static_cast<size_t>(end - begin), 0.0);
-  const int64_t version =
-      options_.partition_sync ? master_.StableVersion() : -1;
-  for (int p : partitioner_.PartitionsForRange(begin, end)) {
-    const std::vector<double> block = PullPiece(p, worker, version);
-    int64_t base = 0;
-    if (partitioner_.ContiguousKeyRange(p, &base)) {
-      // Copy only the overlap of [base, base + |block|) with [begin, end).
-      const int64_t lo = std::max(base, begin);
-      const int64_t hi =
-          std::min(base + static_cast<int64_t>(block.size()), end);
-      if (lo < hi) {
-        std::memcpy(out.data() + (lo - begin),
-                    block.data() + (lo - base),
-                    static_cast<size_t>(hi - lo) * sizeof(double));
-      }
-      continue;
-    }
-    for (size_t local = 0; local < block.size(); ++local) {
-      const int64_t g =
-          partitioner_.GlobalIndex(p, static_cast<int64_t>(local));
-      if (g >= begin && g < end) {
-        out[static_cast<size_t>(g - begin)] = block[local];
-      }
-    }
-  }
-  return out;
 }
 
 std::vector<double> ParameterServer::Snapshot() const {

@@ -118,9 +118,12 @@ struct PiecePullPlan {
 /// Thread-safe facade over the partitioned server shards, the global clock
 /// table, and the master — the "logical PS" the paper's Figure 1 shows.
 ///
-/// The threaded runtime calls Push/PullFull/WaitUntilCanAdvance directly.
-/// The event simulator drives shards piecewise (PushPiece / PullAssemble)
-/// so it can model per-partition message timing.
+/// Every runtime pulls through one piece build (BuildPartitionPull): the
+/// threaded client and PsService call PullDelta for all partitions; the
+/// event simulator plans each partition at grant time (PlanPullPiece) and
+/// reads it at link-service time (PullPartition), so it can model
+/// per-partition message timing. Pushes go through PushPieces (or
+/// PushPiece in the simulator).
 ///
 /// ## Lock-ordering discipline (enforced; see DESIGN.md §"Concurrency &
 /// fault model")
@@ -216,13 +219,17 @@ class ParameterServer {
 
   /// Assembles the full dense parameter. When partition_sync is on, pulls
   /// every partition at the master's stable version. Returns the vector
-  /// and the current cmin (Algorithm 1's pull returns both).
+  /// and the current cmin (Algorithm 1's pull returns both). No runtime
+  /// pulls this way: it materializes each shard without PullBlock's
+  /// support gather, which makes it the independent dense reference the
+  /// tests compare replicas against (and bench_micro's pull benchmark).
   std::vector<double> PullFull(int worker, int* cmin_out = nullptr);
 
-  /// Version-aware pull (the tentpole of the client-cache path).
+  /// Version-aware pull: the one pull of the threaded and RPC runtimes.
   ///
   /// `cached_tags[p]` is the content tag the client holds for partition p
-  /// (kNoCachedTag if none; a short vector is padded with kNoCachedTag).
+  /// (kNoCachedTag if none; a short vector is padded with kNoCachedTag, so
+  /// an empty vector pulls every partition whole).
   /// For every partition the response carries the new tag plus either
   /// nothing (kUnchanged), the whole block (dense or sparse, 50% rule),
   /// or the sparse delta since the cached tag — whichever is smallest.
@@ -232,13 +239,6 @@ class ParameterServer {
   /// to the apply pool would only add thread handoffs.
   DeltaPullResult PullDelta(int worker,
                             const std::vector<int64_t>& cached_tags);
-
-  /// Range pull (the "range push and pull" optimization of Appendix D):
-  /// returns the values of keys [begin, end), reading only the partitions
-  /// the range touches — cheap under range/range-hash partitioning, a
-  /// full fan-out under hash partitioning (§6). Stamps pull state on the
-  /// touched partitions only.
-  std::vector<double> PullRange(int worker, int64_t begin, int64_t end);
 
   /// Read-only global snapshot (no pull stamping) for evaluation.
   std::vector<double> Snapshot() const;
@@ -251,8 +251,9 @@ class ParameterServer {
   void PushPiece(int partition, int worker, int clock,
                  const SparseVector& local_piece, bool last_piece);
 
-  /// Pulls one partition's block (stamping pull state). If
-  /// `version >= 0`, pulls the snapshot at that version.
+  /// Pulls one partition's dense block (stamping pull state), the piece
+  /// PullFull assembles. If `version >= 0`, pulls the snapshot at that
+  /// version.
   std::vector<double> PullPiece(int partition, int worker,
                                 int64_t version = -1);
 
@@ -260,20 +261,23 @@ class ParameterServer {
   /// compares `cached_tag` against the partition's current content tag
   /// and reports what a response would ship (delta / sparse / dense
   /// bytes, 50% rule). Does NOT stamp pull state — the simulator calls
-  /// this at grant time to size messages, then PullPieceTagged at read
+  /// this at grant time to size messages, then PullPartition at read
   /// time. `version` as in PullPiece.
   PiecePullPlan PlanPullPiece(int partition, int worker, int64_t version,
                               int64_t cached_tag) const;
+
+  /// One partition's share of a version-aware pull: the PartitionPull
+  /// PullDelta builds for `partition`, read at `version` (-1 = live) and
+  /// answered against `cached_tag`. Stamps pull state; the pull.*
+  /// counters are left to RecordPlannedPull.
+  PartitionPull PullPartition(int partition, int worker, int64_t version,
+                              int64_t cached_tag);
 
   /// Accounting hook for callers that size messages via PlanPullPiece
   /// (the event simulator): folds one planned partition response into the
   /// pull.* counters so simulated and served pulls share a metric
   /// namespace.
   void RecordPlannedPull(const PiecePullPlan& plan);
-
-  /// PullPiece plus the partition's content tag (for client caching).
-  std::vector<double> PullPieceTagged(int partition, int worker,
-                                      int64_t version, int64_t* tag_out);
 
   /// Current content tag of one partition (no pull stamping).
   int64_t PartitionTag(int partition) const;
@@ -366,13 +370,16 @@ class ParameterServer {
   /// the expected versioned bit — i.e. TagValue() is comparable.
   bool TagInCurrentEpoch(int64_t tag, bool versioned) const;
 
-  /// Builds one partition's share of a PullDelta response. Takes only the
-  /// shard mutex (L2); `cmax_now` / `version` / `use_versioned_tags` are
-  /// pre-snapshotted by the caller (L1 before L2 discipline).
+  /// Content tag of `shard` for a read at `version` (-1 = live): the
+  /// stable version itself when versioned snapshots apply, else the
+  /// shard's data_version. Call under the shard's mutex.
+  int64_t ContentTag(const ServerShard& shard, int64_t version) const;
+
+  /// Builds one partition's share of a pull response. Takes only the
+  /// shard mutex (L2); `cmax_now` and `version` are pre-snapshotted by
+  /// the caller (L1 before L2 discipline).
   PartitionPull BuildPartitionPull(int partition, int worker, int cmax_now,
-                                   int64_t version, bool use_versioned_tags,
-                                   int64_t stable_version,
-                                   int64_t cached_tag,
+                                   int64_t version, int64_t cached_tag,
                                    int64_t* bytes_full_out);
 
   /// Lazily creates the apply pool (first parallel push apply), sized

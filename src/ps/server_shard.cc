@@ -143,8 +143,8 @@ bool ServerShard::DeltaSince(int64_t from_version,
 }
 
 int64_t ServerShard::WirePayloadBytes() const {
-  const size_t nnz =
-      param_.CountNonZeroAt(support_.data(), support_.size());
+  const size_t nnz = rule_->CountNonZeroMaterializedAt(
+      param_, support_.data(), support_.size());
   return std::min(DenseBytes(param_.dim()), SparseBytes(nnz));
 }
 

@@ -114,10 +114,11 @@ class ServerShard {
   /// caller must ship the whole block instead.
   bool DeltaSince(int64_t from_version, SparseVector* out) const;
 
-  /// Content bytes of a whole-block ship under the ParamBlock 50% rule:
-  /// min(dense 8 B/key, sparse 16 B/nonzero), the nonzeros counted at the
-  /// support set. Used by the simulator's comm model to size pull
-  /// responses without materializing.
+  /// Content bytes of a live whole-block ship under the ParamBlock 50%
+  /// rule: min(dense 8 B/key, sparse 16 B/nonzero), the read's nonzeros
+  /// counted at the support set through the rule (deferred DynSGD's read
+  /// adds its active version summaries to w). The pull.* accounting's
+  /// cache-less baseline, and the simulator's whole-block charge.
   int64_t WirePayloadBytes() const;
 
   /// Versions created on this partition.

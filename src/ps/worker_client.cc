@@ -26,13 +26,13 @@ WorkerClient::WorkerClient(int worker_id, ParameterServer* ps,
                            bool delta_pull, int push_window)
     : worker_id_(worker_id),
       ps_(CheckedPs(ps, worker_id)),
+      delta_pull_(delta_pull),
+      cache_(ps_->partitioner(), ps_->metrics()),
       window_(push_window, ps_->metrics(),
               [this](int clock, const SparseVector& update) {
                 ps_->Push(worker_id_, clock, update);
                 return Status::OK();
-              }) {
-  if (delta_pull) cache_.emplace(ps->partitioner(), ps->metrics());
-}
+              }) {}
 
 WorkerClient::~WorkerClient() {
   // window_ drains after this, so every accepted push reaches the
@@ -87,19 +87,13 @@ bool WorkerClient::MaybePull(int clock, std::vector<double>* replica) {
   return true;
 }
 
-const std::vector<int64_t>& WorkerClient::cached_tags() const {
-  HETPS_CHECK(cache_.has_value()) << "cached_tags() needs delta_pull";
-  return cache_->tags();
-}
-
 int WorkerClient::DoPull(std::vector<double>* replica) {
-  if (!cache_.has_value()) {
-    int cmin = 0;
-    *replica = ps_->PullFull(worker_id_, &cmin);
-    return cmin;
-  }
-  const DeltaPullResult delta = ps_->PullDelta(worker_id_, cache_->tags());
-  const bool applied = cache_->Apply(delta.partitions);
+  // Without delta_pull no tag is sent (PullDelta pads the empty vector
+  // with kNoCachedTag), so every partition ships whole.
+  static const std::vector<int64_t> kNoTags;
+  const DeltaPullResult delta =
+      ps_->PullDelta(worker_id_, delta_pull_ ? cache_.tags() : kNoTags);
+  const bool applied = cache_.Apply(delta.partitions);
   // In-process there is no retry or reordering, so a delta's base is
   // exactly what the cache holds; anything else is a server bug (the RPC
   // client handles a mismatch by re-pulling instead).
@@ -110,7 +104,7 @@ int WorkerClient::DoPull(std::vector<double>* replica) {
   // The trainer gets a mutable copy. Copy-assignment reuses the buffer
   // it already holds, so a steady-state pull allocates no model-sized
   // vector.
-  *replica = cache_->values();
+  *replica = cache_.values();
   return delta.cmin;
 }
 

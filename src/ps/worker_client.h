@@ -21,12 +21,14 @@ namespace hetps {
 ///
 /// ## Partition replica cache (version-aware pull path)
 ///
-/// With `delta_pull` on (default), the client keeps a ReplicaCache: a
-/// *pristine* copy of the last server state it received plus one content
-/// tag per partition. A pull sends the tag map; the PS answers per
-/// partition with nothing (tag unchanged), a whole block, or a sparse
-/// delta that is applied on top of the cached copy
-/// (ParameterServer::PullDelta), and the caller gets a copy.
+/// The client keeps a ReplicaCache: a *pristine* copy of the last server
+/// state it received plus one content tag per partition. Every pull is
+/// one ParameterServer::PullDelta whose pieces the cache applies, and
+/// the caller gets a copy. With `delta_pull` on (default) the pull sends
+/// the cached tags, and the PS answers per partition with nothing (tag
+/// unchanged), a whole block, or a sparse delta applied on top of the
+/// cached copy. With it off the pull sends no tags, so every partition
+/// ships whole, in its cheaper layout.
 ///
 /// ## Threading & the push pipeline
 ///
@@ -57,11 +59,11 @@ namespace hetps {
 /// while a prefetch is blocked in the SSP admission wait.
 class WorkerClient {
  public:
-  /// `delta_pull` enables the partition replica cache; off = every pull
-  /// ships the whole model (the pre-cache behavior, kept for A/B).
-  /// `push_window` bounds the asynchronous push pipeline: 0 =
-  /// synchronous pushes (today's path, bitwise-identical), >= 1 = at
-  /// most that many pushes in flight behind a background sender.
+  /// `delta_pull` sends the cached tags with each pull; off = every
+  /// partition ships whole (kept for A/B). `push_window` bounds the
+  /// asynchronous push pipeline: 0 = synchronous pushes (today's path,
+  /// bitwise-identical), >= 1 = at most that many pushes in flight
+  /// behind a background sender.
   WorkerClient(int worker_id, ParameterServer* ps, bool delta_pull = true,
                int push_window = 0);
   ~WorkerClient();
@@ -113,14 +115,14 @@ class WorkerClient {
   int64_t pull_count() const { return pull_count_; }
 
   /// Cumulative wire accounting of this client's pulls: content bytes
-  /// the server actually shipped vs. what cache-less whole-model pulls
-  /// would have cost. Equal when delta_pull is off.
+  /// the server actually shipped vs. what cache-less pulls would have
+  /// cost, each partition's whole block in its cheaper layout (the
+  /// server's DeltaPullResult::bytes_full). Equal when delta_pull is off.
   int64_t pulled_bytes() const { return pulled_bytes_; }
   int64_t pulled_bytes_full() const { return pulled_bytes_full_; }
 
-  /// Content tags of the cached partitions (tests / introspection;
-  /// requires delta_pull).
-  const std::vector<int64_t>& cached_tags() const;
+  /// Content tags of the cached partitions (tests / introspection).
+  const std::vector<int64_t>& cached_tags() const { return cache_.tags(); }
 
   /// Where this worker's PS-facing time went (Figure 6's comm vs. SSP
   /// wait; compute_seconds stays 0 — the trainer owns compute).
@@ -136,10 +138,10 @@ class WorkerClient {
     int cmin = 0;
   };
 
-  /// One blocking pull into `*replica`: delta path (updates cache_, then
-  /// copies it into the caller's buffer) or whole-model path. Returns the
-  /// pull's cmin. Runs on the owner thread or the prefetch task — never
-  /// both at once (see class comment).
+  /// One blocking pull into `*replica`: applies a PullDelta to cache_,
+  /// then copies it into the caller's buffer. Returns the pull's cmin.
+  /// Runs on the owner thread or the prefetch task — never both at once
+  /// (see class comment).
   int DoPull(std::vector<double>* replica);
 
   /// Cancels and joins an in-flight prefetch (destructor path).
@@ -147,14 +149,15 @@ class WorkerClient {
 
   int worker_id_;
   ParameterServer* ps_;
+  bool delta_pull_;
   int cached_cmin_ = 0;
   int64_t push_count_ = 0;
   int64_t pull_count_ = 0;
   int64_t pulled_bytes_ = 0;
   int64_t pulled_bytes_full_ = 0;
 
-  // Pristine last-received server state; present iff delta_pull.
-  std::optional<ReplicaCache> cache_;
+  // Pristine last-received server state.
+  ReplicaCache cache_;
 
   std::optional<std::future<PrefetchResult>> prefetch_;
   int prefetch_clock_ = -1;

@@ -1,8 +1,8 @@
 #include "sim/event_sim.h"
 
 #include <algorithm>
-#include <cstring>
 #include <deque>
+#include <optional>
 #include <queue>
 #include <sstream>
 #include <unordered_map>
@@ -16,6 +16,7 @@
 #include "obs/trace.h"
 #include "ps/load_balancer.h"
 #include "ps/parameter_server.h"
+#include "ps/replica_cache.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -142,7 +143,6 @@ struct WorkerSim {
   bool evicted = false;
   double pull_request_time = 0.0;
   int pending_next_clock = 0;
-  std::vector<double> pending_pull;
   int pending_cmin = 0;
   // Version limit captured at pull grant (partition sync); -1 = live.
   int64_t pending_pull_version = -1;
@@ -153,12 +153,14 @@ struct WorkerSim {
   // in-flight pushes, oldest first. Monotone because per-pair link FIFO
   // makes a push's last arrival non-decreasing across clocks.
   std::deque<double> outstanding_push_arrivals;
-  // Version-aware pull state (delta_pull): pristine copy of the last
-  // values each partition served, plus the content tags they were served
-  // under. The replica drifts during compute, so unchanged partitions
-  // must be re-read from this cache — never from the replica.
-  std::vector<double> pull_cache;
-  std::vector<int64_t> cached_tags;
+  // Pristine copy of the last server state this worker's pulls received,
+  // with the content tags it was served under — the real clients' cache.
+  // The replica drifts during compute, so unchanged partitions must be
+  // re-read from this cache, never from the replica.
+  std::optional<ReplicaCache> cache;
+  // Pieces the in-flight pull has read so far, applied to the cache at
+  // the pull response.
+  std::vector<PartitionPull> pending_pieces;
   Rng rng{0};
   WorkerTimeBreakdown breakdown;
   // Live per-clock phase histograms in virtual µs — same series the
@@ -216,12 +218,7 @@ class Simulation {
           &dataset, shards[static_cast<size_t>(m)], &loss, &schedule,
           sgd_opts);
       w.replica.assign(static_cast<size_t>(dataset.dimension()), 0.0);
-      if (options.delta_pull) {
-        w.pull_cache.assign(static_cast<size_t>(dataset.dimension()), 0.0);
-        w.cached_tags.assign(
-            static_cast<size_t>(ps_->partitioner().num_partitions()),
-            kNoCachedTag);
-      }
+      w.cache.emplace(ps_->partitioner(), ps_->metrics());
       w.wait_us = GlobalMetrics().histogram(
           "worker.wait_us", {{"worker", std::to_string(m)}});
       w.compute_us = GlobalMetrics().histogram(
@@ -783,35 +780,23 @@ class Simulation {
     // what mixes versions across partitions (Figure 5's desynchrony).
     w.pending_pull_version =
         options_.partition_sync ? ps_->StableVersion() : -1;
-    if (!options_.delta_pull) {
-      w.pending_pull.assign(static_cast<size_t>(dataset_.dimension()),
-                            0.0);
-    }
     double max_arrival = now_;
     const Partitioner& part = ps_->partitioner();
     for (int p = 0; p < part.num_partitions(); ++p) {
-      double content_bytes =
-          static_cast<double>(part.PartitionDim(p)) * 8.0;
-      bool read_needed = true;
-      if (options_.delta_pull) {
-        // Size the response the way a tag-aware server would at request-
-        // processing time: nothing for an unchanged partition, the delta
-        // or sparse block when cheaper, the dense block otherwise. The
-        // actual read still happens when the link starts serving (below),
-        // mirroring the real service's handling delay.
-        const PiecePullPlan plan = ps_->PlanPullPiece(
-            p, worker, w.pending_pull_version,
-            w.cached_tags[static_cast<size_t>(p)]);
-        ps_->RecordPlannedPull(plan);
-        pull_bytes_shipped_ += plan.bytes;
-        pull_bytes_full_ += plan.bytes_full;
-        content_bytes = static_cast<double>(plan.bytes);
-        read_needed = plan.changed;
-      } else {
-        pull_bytes_shipped_ += static_cast<int64_t>(content_bytes);
-        pull_bytes_full_ += static_cast<int64_t>(content_bytes);
-      }
-      const double bytes = 64.0 + content_bytes;
+      // Size the response the way the server would at request-processing
+      // time: nothing for an unchanged partition, the delta or sparse
+      // block when cheaper, the dense block otherwise. Without delta_pull
+      // the worker sends no tags, so every partition ships whole. The
+      // actual read still happens when the link starts serving (below),
+      // mirroring the real service's handling delay.
+      const PiecePullPlan plan = ps_->PlanPullPiece(
+          p, worker, w.pending_pull_version,
+          options_.delta_pull ? w.cache->tags()[static_cast<size_t>(p)]
+                              : kNoCachedTag);
+      ps_->RecordPlannedPull(plan);
+      pull_bytes_shipped_ += plan.bytes;
+      pull_bytes_full_ += plan.bytes_full;
+      const double bytes = 64.0 + static_cast<double>(plan.bytes);
       // The server reads the block when its link starts serving the
       // response; transit follows.
       const LinkSlot slot =
@@ -819,7 +804,7 @@ class Simulation {
                           prof.network_multiplier);
       // An unchanged partition ships only the response header — there is
       // nothing to read or apply.
-      if (read_needed) {
+      if (plan.changed) {
         Schedule(slot.start, EventType::kPullPieceRead, worker, p);
       }
       max_arrival = std::max(max_arrival, slot.arrival);
@@ -832,51 +817,26 @@ class Simulation {
   }
 
   void HandlePullPieceRead(int worker, int partition) {
+    // The read ships the whole block (no cached tag): a delta would add
+    // onto the held values and round differently from the block itself.
+    // A push landing between the grant-time plan and this read makes the
+    // piece's tag newer than the plan — exactly the request-processing
+    // race a real service exhibits; the cache stays coherent because the
+    // tag always matches the content read here.
     WorkerSim& w = workers_[static_cast<size_t>(worker)];
-    const Partitioner& part = ps_->partitioner();
-    std::vector<double> block;
-    if (options_.delta_pull) {
-      // Tag-aware read: remember the content tag the read was served
-      // under so the next pull's plan can skip (or delta-ship) this
-      // partition. A push landing between the grant-time plan and this
-      // read makes the tag newer than the plan — exactly the request-
-      // processing race a real service exhibits; the cache stays
-      // coherent because the tag always matches the content read here.
-      int64_t tag = kNoCachedTag;
-      block = ps_->PullPieceTagged(partition, worker,
-                                   w.pending_pull_version, &tag);
-      w.cached_tags[static_cast<size_t>(partition)] = tag;
-    } else {
-      block = ps_->PullPiece(partition, worker, w.pending_pull_version);
-    }
-    std::vector<double>& dst =
-        options_.delta_pull ? w.pull_cache : w.pending_pull;
-    int64_t base = 0;
-    if (part.ContiguousKeyRange(partition, &base)) {
-      // Range-based schemes: the piece lands as one contiguous memcpy.
-      std::memcpy(dst.data() + base, block.data(),
-                  block.size() * sizeof(double));
-      return;
-    }
-    for (size_t local = 0; local < block.size(); ++local) {
-      const int64_t g =
-          part.GlobalIndex(partition, static_cast<int64_t>(local));
-      dst[static_cast<size_t>(g)] = block[local];
-    }
+    w.pending_pieces.push_back(ps_->PullPartition(
+        partition, worker, w.pending_pull_version, kNoCachedTag));
   }
 
   void HandlePullResponse(int worker) {
     WorkerSim& w = workers_[static_cast<size_t>(worker)];
     if (w.evicted) return;
     Beat(worker);
-    if (options_.delta_pull) {
-      // Unchanged partitions keep their cached values; the cache stays
-      // pristine while the replica drifts under local SGD.
-      w.replica = w.pull_cache;
-    } else {
-      w.replica = std::move(w.pending_pull);
-      w.pending_pull.clear();
-    }
+    // Unchanged partitions keep their cached values; the cache stays
+    // pristine while the replica drifts under local SGD.
+    w.cache->Apply(w.pending_pieces);
+    w.pending_pieces.clear();
+    w.replica = w.cache->values();
     w.cp = w.pending_cmin;
     w.clock += 1;
     Schedule(now_, EventType::kStartClock, worker, 0);

@@ -49,13 +49,13 @@ struct SimOptions {
   bool partition_sync = false;
   /// Client-side small-update filter (§5.3); 0 disables.
   double update_filter_epsilon = 0.0;
-  /// Version-aware pull path (§6-style content tags): workers cache a
-  /// per-partition content tag and the comm model charges only the bytes
-  /// a tag-aware server would actually ship — nothing for an unchanged
-  /// partition (header only), a sparse delta or sparse block when that
-  /// undercuts the dense block (ParamBlock's 50% rule), the dense block
-  /// otherwise. Off = the legacy model that ships the full dense block
-  /// on every pull.
+  /// Version-aware pull path (§6-style content tags): each worker pulls
+  /// into a ReplicaCache and sends its per-partition content tags, and
+  /// the comm model charges only the bytes the server would actually
+  /// ship — nothing for an unchanged partition (header only), a sparse
+  /// delta or sparse block when that undercuts the dense block
+  /// (ParamBlock's 50% rule), the dense block otherwise. Off = the worker
+  /// sends no tags, so every partition ships whole, in its cheaper layout.
   bool delta_pull = true;
   int partitions_per_server = 1;
   PartitionScheme scheme = PartitionScheme::kRangeHash;
@@ -170,8 +170,9 @@ struct SimResult {
   double mean_staleness = 1.0;
 
   /// Pull-path comm accounting: content bytes the simulated servers
-  /// actually shipped vs. what cache-less full pulls would have cost
-  /// (identical when delta_pull is off).
+  /// actually shipped vs. what cache-less pulls would have cost, each
+  /// partition's whole block in its cheaper layout (identical when
+  /// delta_pull is off).
   int64_t pull_bytes_shipped = 0;
   int64_t pull_bytes_full = 0;
 

@@ -133,8 +133,9 @@ TEST(DistributedTrainerTest, ConvergesOnALossyBus) {
 TEST(DistributedTrainerTest, DeltaPullMatchesFullPullOnALossyBus) {
   // Cache coherence must not change learning semantics. With a single
   // worker both runs are step-deterministic (each RPC blocks, pushes
-  // dedup, and PullCached is bit-identical to Pull), so the final
-  // objective must match exactly even on a faulty bus.
+  // dedup, and a pull's replica is the server state bit for bit whether
+  // or not it sends tags), so the final objective must match exactly even
+  // on a faulty bus.
   const Dataset d = DistData();
   LogisticLoss loss;
   FixedRate sched(0.5);

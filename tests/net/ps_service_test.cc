@@ -53,25 +53,14 @@ TEST(PsServiceTest, PushAndPullOverTheWire) {
   ASSERT_TRUE(client.Push(0, SparseVector({1, 5}, {2.0, -1.0})).ok());
   std::vector<double> replica;
   int cmin = -1;
-  ASSERT_TRUE(client.Pull(&replica, &cmin).ok());
+  ASSERT_TRUE(client.PullCached(&replica, &cmin).ok());
   ASSERT_EQ(replica.size(), 8u);
   EXPECT_DOUBLE_EQ(replica[1], 2.0);
   EXPECT_DOUBLE_EQ(replica[5], -1.0);
   EXPECT_EQ(cmin, 0);  // worker 1 has not pushed
 }
 
-TEST(PsServiceTest, PullRangeOverTheWire) {
-  RpcHarness h(1, 16);
-  RpcWorkerClient client(0, &h.bus, "ps");
-  ASSERT_TRUE(client.Push(0, SparseVector({3, 12}, {1.0, 4.0})).ok());
-  std::vector<double> window;
-  ASSERT_TRUE(client.PullRange(2, 13, &window).ok());
-  ASSERT_EQ(window.size(), 11u);
-  EXPECT_DOUBLE_EQ(window[1], 1.0);
-  EXPECT_DOUBLE_EQ(window[10], 4.0);
-}
-
-TEST(PsServiceTest, CanAdvanceAndStableVersion) {
+TEST(PsServiceTest, CanAdvanceOverTheWire) {
   RpcHarness h(2, 4, SyncPolicy::Ssp(1));
   RpcWorkerClient client(0, &h.bus, "ps");
   auto admitted = client.CanAdvance(1);
@@ -80,23 +69,26 @@ TEST(PsServiceTest, CanAdvanceAndStableVersion) {
   admitted = client.CanAdvance(2);
   ASSERT_TRUE(admitted.ok());
   EXPECT_FALSE(admitted.value());
-  auto version = client.StableVersion();
-  ASSERT_TRUE(version.ok());
-  EXPECT_EQ(version.value(), 0);
 }
 
 TEST(PsServiceTest, ServerRejectsMalformedRequests) {
   RpcHarness h(1, 4);
-  // Unknown opcode.
-  {
+  // Unknown opcodes, among them every unassigned byte below kPush, each
+  // followed by a worker id as a pull request would be.
+  for (const uint8_t op : {1, 2, 3, 5, 250}) {
     ByteWriter w;
-    w.WriteU8(250);
+    w.WriteU8(op);
+    w.WriteI64(0);
     BusReply reply = h.bus.BlockingCall("c", "ps", w.TakeBuffer(), kForever);
     ASSERT_TRUE(reply.ok());
     ByteReader r(reply.payload);
     uint8_t code = 0;
+    std::string message;
     ASSERT_TRUE(r.ReadU8(&code).ok());
-    EXPECT_NE(code, 0);
+    EXPECT_EQ(code, static_cast<uint8_t>(StatusCode::kInvalidArgument))
+        << int{op};
+    ASSERT_TRUE(r.ReadString(&message).ok());
+    EXPECT_EQ(message, "unknown opcode " + std::to_string(op));
   }
   // Truncated push.
   {
@@ -143,10 +135,7 @@ TEST(PsServiceTest, ServerRejectsMalformedRequests) {
 
 TEST(PsServiceTest, OpcodeNamesMapBothWays) {
   const std::vector<std::pair<PsOpCode, std::string>> expected = {
-      {PsOpCode::kPull, "pull"},
-      {PsOpCode::kPullRange, "pull_range"},
       {PsOpCode::kCanAdvance, "can_advance"},
-      {PsOpCode::kStableVersion, "stable_version"},
       {PsOpCode::kPullDelta, "pull_delta"},
       {PsOpCode::kLayout, "layout"},
       {PsOpCode::kReportClock, "report_clock"},
@@ -181,14 +170,14 @@ TEST(PsServiceTest, ServiceMetricsCountRequests) {
   RpcWorkerClient client(0, &h.bus, "ps");
   ASSERT_TRUE(client.Push(0, SparseVector({1}, {1.0})).ok());
   std::vector<double> replica;
-  ASSERT_TRUE(client.Pull(&replica, nullptr).ok());
+  ASSERT_TRUE(client.PullCached(&replica, nullptr).ok());
   RpcWorkerClient bad(7, &h.bus, "ps");
   EXPECT_TRUE(bad.Push(0, SparseVector({1}, {1.0}))
                   .IsInvalidArgument());  // worker out of range -> error
   h.bus.Flush();
   const std::string report = h.service.metrics().Report();
   EXPECT_NE(report.find("rpc.push 2"), std::string::npos);
-  EXPECT_NE(report.find("rpc.pull 1"), std::string::npos);
+  EXPECT_NE(report.find("rpc.pull_delta 1"), std::string::npos);
   EXPECT_NE(report.find("rpc.errors 1"), std::string::npos);
   EXPECT_NE(report.find("ps.param_bytes"), std::string::npos);
 }
@@ -212,7 +201,7 @@ TEST(PsServiceTest, RetriesRecoverFromLostRequests) {
     ASSERT_TRUE(client.Push(c, SparseVector({2}, {1.0})).ok());
   }
   std::vector<double> replica;
-  ASSERT_TRUE(client.Pull(&replica, nullptr).ok());
+  ASSERT_TRUE(client.PullCached(&replica, nullptr).ok());
   ASSERT_EQ(replica.size(), 8u);
   EXPECT_GT(h.bus.fault_stats().dropped_requests, 0);
   EXPECT_GT(client.retry_count(), 0);
@@ -257,8 +246,9 @@ TEST(PsServiceTest, DroppedResponsesDontDoubleApplyPushes) {
 }
 
 TEST(PsServiceTest, PullCachedMatchesPullBitForBit) {
-  // The version-aware cached pull must be indistinguishable from a full
-  // pull, round after round, while shipping fewer content bytes.
+  // The version-aware cached pull must be indistinguishable from the
+  // server's dense reference (PullFull) and from a client that sends no
+  // tags, round after round, while shipping fewer content bytes.
   SspRule rule;
   PsOptions opts;
   opts.num_servers = 2;
@@ -270,7 +260,8 @@ TEST(PsServiceTest, PullCachedMatchesPullBitForBit) {
   PsService service(&ps, &bus, "ps");
   ASSERT_TRUE(service.status().ok());
   RpcWorkerClient cached(0, &bus, "ps");
-  RpcWorkerClient full(1, &bus, "ps");
+  RpcWorkerClient full(1, &bus, "ps", RpcRetryPolicy(), /*push_window=*/0,
+                       /*delta_pull=*/false);
 
   Rng rng(88);
   for (int round = 0; round < 20; ++round) {
@@ -283,13 +274,23 @@ TEST(PsServiceTest, PullCachedMatchesPullBitForBit) {
     }
     ASSERT_TRUE(cached.Push(round, SparseVector(idx, val)).ok());
     std::vector<double> a, b;
-    int cmin_a = -1, cmin_b = -1;
+    int cmin_a = -1, cmin_b = -1, cmin_ref = -1;
     ASSERT_TRUE(cached.PullCached(&a, &cmin_a).ok());
-    ASSERT_TRUE(full.Pull(&b, &cmin_b).ok());
-    ASSERT_EQ(a, b) << "round " << round;
-    EXPECT_EQ(cmin_a, cmin_b);
+    ASSERT_TRUE(full.PullCached(&b, &cmin_b).ok());
+    const std::vector<double> ref = ps.PullFull(0, &cmin_ref);
+    ASSERT_EQ(a.size(), ref.size());
+    ASSERT_EQ(std::memcmp(a.data(), ref.data(), ref.size() * sizeof(double)),
+              0)
+        << "cached, round " << round;
+    ASSERT_EQ(b.size(), ref.size());
+    ASSERT_EQ(std::memcmp(b.data(), ref.data(), ref.size() * sizeof(double)),
+              0)
+        << "tag-less, round " << round;
+    EXPECT_EQ(cmin_a, cmin_ref);
+    EXPECT_EQ(cmin_b, cmin_ref);
   }
   EXPECT_LT(cached.pulled_bytes(), cached.pulled_bytes_full());
+  EXPECT_LT(cached.pulled_bytes(), full.pulled_bytes());
 }
 
 TEST(PsServiceTest, PullCachedSurvivesLossyBus) {
@@ -523,7 +524,7 @@ TEST(PsServiceTest, DistributedSgdTrainsOverRpc) {
         if (SyncPolicy::Ssp(2).NeedsPull(c, cp)) {
           ASSERT_TRUE(client.WaitUntilCanAdvance(c + 1).ok());
           int cmin = 0;
-          ASSERT_TRUE(client.Pull(&replica, &cmin).ok());
+          ASSERT_TRUE(client.PullCached(&replica, &cmin).ok());
           cp = cmin;
         }
       }
@@ -602,7 +603,7 @@ TEST(PsServiceTest, EvictedSenderMayOnlyReadmit) {
   // sneak state in behind the eviction's back.
   std::vector<double> replica;
   int cp = 0;
-  EXPECT_TRUE(c1.Pull(&replica, &cp).IsFailedPrecondition());
+  EXPECT_TRUE(c1.PullCached(&replica, &cp).IsFailedPrecondition());
   EXPECT_TRUE(c1.Push(1, SparseVector({2}, {1.0})).IsFailedPrecondition());
   EXPECT_TRUE(c1.ReportClock(1, 1.0).IsFailedPrecondition());
 
@@ -611,7 +612,7 @@ TEST(PsServiceTest, EvictedSenderMayOnlyReadmit) {
   // normal service.
   ASSERT_TRUE(c1.Readmit(ps.cmin()).ok());
   EXPECT_TRUE(ps.IsWorkerLive(1));
-  EXPECT_TRUE(c1.Pull(&replica, &cp).ok());
+  EXPECT_TRUE(c1.PullCached(&replica, &cp).ok());
   EXPECT_NE(service.heartbeat_monitor(), nullptr);
 }
 

@@ -92,7 +92,7 @@ TEST(PushPipelineTest, PushBeforeAnyPullHandshakesOnce) {
     ASSERT_TRUE(client.Push(1, SparseVector({2}, {1.0})).ok());
     ASSERT_TRUE(client.Flush().ok());
     std::vector<double> replica;
-    ASSERT_TRUE(client.Pull(&replica, nullptr).ok());
+    ASSERT_TRUE(client.PullCached(&replica, nullptr).ok());
     EXPECT_DOUBLE_EQ(replica[2], 2.0);
     EXPECT_DOUBLE_EQ(replica[6], -1.0);
     EXPECT_EQ(h.ps.cmin(), 2);

@@ -59,7 +59,7 @@ TEST(StatusScrapeTest, ScraperSeesConsistentWindowUnderChurn) {
                         SparseVector({static_cast<int64_t>(m)}, {0.01}));
       std::vector<double> replica;
       int cmin = -1;
-      (void)client.Pull(&replica, &cmin);
+      (void)client.PullCached(&replica, &cmin);
     }
   };
 

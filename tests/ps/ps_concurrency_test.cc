@@ -53,9 +53,12 @@ TEST(PsConcurrencyTest, PullsRaceCheckpointsWithoutDeadlock) {
   for (int m = 0; m < 3; ++m) {
     pullers.emplace_back([&, m] {
       for (int i = 0; i < 400; ++i) {
-        // PullPiece is the shard->clock path that deadlocked.
+        // PullPiece is the shard->clock path that deadlocked; the
+        // simulator's PullPartition takes the same locks in the same
+        // order.
         for (int p = 0; p < ps.num_partitions(); ++p) {
           ps.PullPiece(p, m);
+          ps.PullPartition(p, m, /*version=*/-1, kNoCachedTag);
         }
         ps.PullFull(m);
       }
@@ -88,7 +91,7 @@ TEST(PsConcurrencyTest, ConcurrentPushPullSnapshotCheckpoint) {
         }
         ps.Push(m, c, u);
         if (c % 5 == 0) ps.PullFull(m);
-        if (c % 7 == 0) ps.PullRange(m, 10, 90);
+        if (c % 7 == 0) ps.PullDelta(m, {});
       }
     });
   }

@@ -126,6 +126,31 @@ TEST(PullDeltaTest, EmptyPiecePushDoesNotDirtyPartition) {
   EXPECT_NE(ps.PartitionTag(0), tag_before);
 }
 
+TEST(PullDeltaTest, CachelessPullChargesWhatItShips) {
+  // A pull that sends no tags ships every partition whole, so its
+  // bytes_full baseline must equal what it shipped. Only worker 0 pushes,
+  // so DynSGD's versions never complete: under deferred application the
+  // read is the version summaries while the stored w stays zero, and a
+  // baseline counted on w would read 0. Partition 3 is filled densely
+  // and ships dense.
+  for (const RuleCase& rc : kRuleCases) {
+    SCOPED_TRACE(rc.name);
+    const std::unique_ptr<ConsolidationRule> rule = rc.make();
+    ParameterServer ps(64, 2, *rule, MultiPartOptions(SyncPolicy::Asp()));
+    for (int c = 0; c < 3; ++c) {
+      SparseVector update({1, 5, 20}, {0.5, -0.25, 1.0 + c});
+      for (int64_t key = 48; key < 64; ++key) {
+        update.PushBack(key, 0.125 * static_cast<double>(key - c));
+      }
+      ps.Push(0, c, update);
+    }
+    const DeltaPullResult pull = ps.PullDelta(1, {});
+    EXPECT_EQ(pull.partitions[3].encoding, PartitionPull::Encoding::kDense);
+    EXPECT_GT(pull.bytes_shipped, 0);
+    EXPECT_EQ(pull.bytes_full, pull.bytes_shipped);
+  }
+}
+
 TEST(PullDeltaTest, SmallUpdateShipsAsSparseDelta) {
   // A 3-key update against a 512-key partition must travel as a delta
   // (or sparse piece), far below the dense 512 * 8 bytes.
@@ -154,14 +179,15 @@ TEST(PullDeltaTest, SmallUpdateShipsAsSparseDelta) {
 
 TEST_P(PullCacheRuleTest,
        WorkerClientReplicaMatchesFullPullUnderRandomTraffic) {
-  // Bit-identical coherence: after any sequence of pushes, the cached
-  // clients' replicas equal a cache-less full pull — in process, and over
-  // the bus through PsService. Random sparse updates, multiple
-  // partitions, many rounds. Partitions 0-2 only ever see every third
-  // key, so their support stays under half the block and whole-block
-  // ships are gathered at the support; partition 3 sees every key and
-  // ships through the materialized path. Some pushes undo an earlier
-  // one, leaving exact zeros inside the support.
+  // Bit-identical coherence: after any sequence of pushes, every client's
+  // replica — cached and tag-less, in process and over the bus through
+  // PsService — equals PullFull, the server's dense reference, which
+  // materializes each shard without the support gather. Random sparse
+  // updates, multiple partitions, many rounds. Partitions 0-2 only ever
+  // see every third key, so their support stays under half the block
+  // and whole-block ships are gathered at the support; partition 3 sees
+  // every key and ships through the materialized path. Some pushes undo
+  // an earlier one, leaving exact zeros inside the support.
   const std::unique_ptr<ConsolidationRule> rule = GetParam().make();
   ParameterServer ps(400, 2, *rule, MultiPartOptions(SyncPolicy::Asp()));
   MessageBus bus;
@@ -169,9 +195,11 @@ TEST_P(PullCacheRuleTest,
   ASSERT_TRUE(service.status().ok());
   WorkerClient cached(0, &ps, /*delta_pull=*/true);
   WorkerClient full(1, &ps, /*delta_pull=*/false);
-  RpcWorkerClient rpc(1, &bus, "ps");
+  RpcWorkerClient rpc(0, &bus, "ps");
+  RpcWorkerClient rpc_full(1, &bus, "ps", RpcRetryPolicy(),
+                           /*push_window=*/0, /*delta_pull=*/false);
   Rng rng(321);
-  std::vector<double> a, b, c;
+  std::vector<double> replica;
   SparseVector last;
   for (int round = 0; round < 50; ++round) {
     const int pushes = 1 + static_cast<int>(rng.NextUint64(3));
@@ -190,11 +218,16 @@ TEST_P(PullCacheRuleTest,
       ps.Push(0, round * 8 + k, update);
       last = update;
     }
-    cached.PullBlocking(0, &a);
-    full.PullBlocking(0, &b);
-    ASSERT_TRUE(rpc.PullCached(&c, nullptr).ok());
-    ASSERT_TRUE(BitwiseEqual(a, b)) << "round " << round;
-    ASSERT_TRUE(BitwiseEqual(c, b)) << "rpc, round " << round;
+    const std::vector<double> reference = ps.PullFull(0);
+    cached.PullBlocking(0, &replica);
+    ASSERT_TRUE(BitwiseEqual(replica, reference)) << "cached, " << round;
+    full.PullBlocking(0, &replica);
+    ASSERT_TRUE(BitwiseEqual(replica, reference)) << "tag-less, " << round;
+    ASSERT_TRUE(rpc.PullCached(&replica, nullptr).ok());
+    ASSERT_TRUE(BitwiseEqual(replica, reference)) << "rpc, " << round;
+    ASSERT_TRUE(rpc_full.PullCached(&replica, nullptr).ok());
+    ASSERT_TRUE(BitwiseEqual(replica, reference))
+        << "rpc tag-less, " << round;
   }
   ASSERT_LT(2 * ps.shard(0).support().size(), ps.shard(0).dim());
   ASSERT_GT(2 * ps.shard(3).support().size(), ps.shard(3).dim());
@@ -204,7 +237,12 @@ TEST_P(PullCacheRuleTest,
     EXPECT_LT(cached.pulled_bytes(), cached.pulled_bytes_full());
     EXPECT_LT(rpc.pulled_bytes(), rpc.pulled_bytes_full());
   }
+  // A tag-less pull ships every partition whole, which is what the
+  // server's cache-less baseline counts, and both clients receive the
+  // same blocks.
+  EXPECT_GT(full.pulled_bytes(), 0);
   EXPECT_EQ(full.pulled_bytes(), full.pulled_bytes_full());
+  EXPECT_EQ(rpc_full.pulled_bytes(), full.pulled_bytes());
 }
 
 TEST(PullCacheTest, BothClientsRecordOneCacheApplySamplePerPull) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <vector>
+
 #include "core/consolidation.h"
 #include "core/dyn_sgd.h"
 #include "core/learning_rate.h"
@@ -218,6 +222,42 @@ TEST(EventSimTest, PushWindowLegacyDefaultIsUnchanged) {
       RunSimulation(d, cluster, rule, sched, loss, explicit_legacy);
   EXPECT_DOUBLE_EQ(a.total_sim_seconds, b.total_sim_seconds);
   EXPECT_DOUBLE_EQ(a.final_objective, b.final_objective);
+}
+
+TEST(EventSimTest, DeltaPullOnlyChangesBytesShipped) {
+  // delta_pull only picks the tags a pull sends. On links that cost no
+  // time the bytes charged cannot reorder events, so both runs read the
+  // same server states and must train bit for bit alike; sending the
+  // tags only ships less. The update filter keeps each pull's delta
+  // smaller than the block it changes.
+  const Dataset d = TestData();
+  ClusterConfig cluster = ClusterConfig::WithStragglers(4, 2, 2.0);
+  cluster.net_latency = 0.0;
+  cluster.net_bytes_per_sec = std::numeric_limits<double>::infinity();
+  SspRule rule;
+  FixedRate sched(0.5);
+  LogisticLoss loss;
+  SimResult r[2];
+  for (int delta = 0; delta <= 1; ++delta) {
+    SimOptions opts = FastOptions();
+    opts.partitions_per_server = 4;
+    opts.sync = SyncPolicy::Ssp(0);  // a pull after every clock
+    opts.update_filter_epsilon = 1e-2;
+    opts.delta_pull = delta != 0;
+    r[delta] = RunSimulation(d, cluster, rule, sched, loss, opts);
+  }
+  const std::vector<double>& off = r[0].objective_per_clock;
+  const std::vector<double>& on = r[1].objective_per_clock;
+  ASSERT_EQ(on.size(), 12u);
+  ASSERT_EQ(off.size(), on.size());
+  EXPECT_EQ(std::memcmp(off.data(), on.data(), on.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(r[0].total_sim_seconds, r[1].total_sim_seconds);
+  // Both runs size every pull against the same server state; without
+  // tags every partition ships whole, which is the cache-less baseline.
+  EXPECT_EQ(r[0].pull_bytes_full, r[1].pull_bytes_full);
+  EXPECT_EQ(r[0].pull_bytes_shipped, r[0].pull_bytes_full);
+  EXPECT_LT(r[1].pull_bytes_shipped, r[0].pull_bytes_shipped);
 }
 
 TEST(EventSimTest, DynSgdReportsStalenessAndMemory) {
