@@ -31,6 +31,19 @@ TEST(SspRuleTest, MaterializeReturnsParameter) {
   EXPECT_DOUBLE_EQ(dense[1], 5.0);
 }
 
+// A single-version rule's read is w itself, so the count is w's.
+TEST(SspRuleTest, CountNonZeroMaterializedAtCountsTheParameter) {
+  SspRule rule;
+  rule.Reset(4, 2);
+  ParamBlock w(4);
+  const int64_t keys[] = {0, 2};
+  EXPECT_EQ(rule.CountNonZeroMaterializedAt(w, keys, 2), 0u);
+  rule.OnPush(0, 0, U({0, 2}, {1.0, 3.0}), &w);
+  EXPECT_EQ(rule.CountNonZeroMaterializedAt(w, keys, 2), 2u);
+  rule.OnPush(1, 0, U({0}, {-1.0}), &w);  // key 0 cancels to exactly zero
+  EXPECT_EQ(rule.CountNonZeroMaterializedAt(w, keys, 2), 1u);
+}
+
 TEST(ConRuleTest, HeuristicUsesInverseM) {
   ConRule rule;
   rule.Reset(4, 10);

@@ -140,6 +140,36 @@ TEST(DynSgdDeferredTest, MaterializeAtVersionGivesSnapshots) {
   EXPECT_EQ(rule.CurrentVersion(), 2);
 }
 
+// Deferred mode reads w plus the live version summaries, so the count
+// follows the read, not w: a summary can add nonzeros w lacks or cancel
+// one it has.
+TEST(DynSgdDeferredTest, CountNonZeroMaterializedAtCountsTheRead) {
+  DynSgdRule::Options opts;
+  opts.mode = DynSgdRule::ApplyMode::kDeferred;
+  DynSgdRule rule(opts);
+  rule.Reset(3, 2);
+  ParamBlock w(3);
+  const int64_t keys[] = {0, 1, 2};
+  const auto read_nnz = [&] {
+    size_t n = 0;
+    for (double v : rule.Materialize(w)) n += v != 0.0 ? 1 : 0;
+    return n;
+  };
+  rule.OnPush(0, 0, SparseVector({0, 2}, {2.0, 1.0}), &w);  // version 0
+  EXPECT_EQ(w.CountNonZeroAt(keys, 3), 0u);
+  EXPECT_EQ(rule.CountNonZeroMaterializedAt(w, keys, 3), 2u);
+  EXPECT_EQ(read_nnz(), 2u);
+  rule.OnPush(1, 0, SparseVector({0, 2}, {-2.0, 3.0}), &w);  // evicts v0
+  EXPECT_EQ(rule.LiveVersionCount(), 0u);
+  EXPECT_DOUBLE_EQ(w.At(0), 0.0);
+  EXPECT_DOUBLE_EQ(w.At(2), 2.0);
+  EXPECT_EQ(rule.CountNonZeroMaterializedAt(w, keys, 3), 1u);
+  rule.OnPush(0, 1, SparseVector({2}, {-2.0}), &w);  // version 1 cancels w
+  EXPECT_EQ(w.CountNonZeroAt(keys, 3), 1u);
+  EXPECT_EQ(rule.CountNonZeroMaterializedAt(w, keys, 3), 0u);
+  EXPECT_EQ(read_nnz(), 0u);
+}
+
 TEST(DynSgdTest, CompletedVersionCountIsMinWorkerProgress) {
   DynSgdRule rule;
   rule.Reset(1, 3);

@@ -52,6 +52,24 @@ TEST(ServerShardTest, VersionedPullWithDeferredDyn) {
   EXPECT_DOUBLE_EQ(shard.PullAtVersion(1, 2, 2)[0], 10.0);
 }
 
+// The whole-block price follows what a pull reads: under deferred DynSGD
+// the live summaries, not the still-zero base parameter.
+TEST(ServerShardTest, WirePayloadBytesPricesTheReadNotTheBaseParameter) {
+  DynSgdRule::Options opts;
+  opts.mode = DynSgdRule::ApplyMode::kDeferred;
+  DynSgdRule proto(opts);
+  ServerShard shard(0, 8, proto, 2);
+  constexpr int64_t kEntry = sizeof(int64_t) + sizeof(double);
+  EXPECT_EQ(shard.WirePayloadBytes(), 0);
+  shard.Push(0, 0, SparseVector({1, 5}, {2.0, 1.0}));  // version 0
+  EXPECT_EQ(shard.param().CountNonZero(), 0u);
+  EXPECT_EQ(shard.WirePayloadBytes(), 2 * kEntry);  // two sparse entries
+  shard.Push(0, 1, SparseVector({0, 2, 3, 4, 6}, {1, 1, 1, 1, 1}));
+  // Seven nonzeros of eight keys: the dense layout is cheaper.
+  EXPECT_EQ(shard.WirePayloadBytes(),
+            static_cast<int64_t>(8 * sizeof(double)));
+}
+
 TEST(ServerShardTest, MemoryAccounting) {
   DynSgdRule proto;
   ServerShard shard(0, 100, proto, 2);
