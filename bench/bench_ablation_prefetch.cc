@@ -36,7 +36,7 @@ int main() {
     opts.prefetch = pf != 0;
     // One worker sleeps 80 ms per clock: fast workers hit the SSP
     // barrier every clock.
-    opts.worker_sleep_seconds = {0.0, 0.0, 0.0, 0.08};
+    opts.injected_compute_delay = {0.0, 0.0, 0.0, 0.08};
     double total = 0.0;
     double objective = 0.0;
     const int reps = 3;

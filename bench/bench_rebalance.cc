@@ -60,10 +60,10 @@ ModeStats RunMode(bool rebalance, const Dataset& dataset,
     // and the fastest-of-six baseline is itself a low outlier) but well
     // below the 2x injected slowdown — FlexRR's 1.2 default false-flags
     // fast workers here and churns shards without end.
-    options.straggler_threshold = 1.45;
-    options.rebalance_hysteresis = 3;
-    options.reassign_fraction = 0.15;
-    options.rebalance_min_shard = 8;
+    options.balancer.straggler_threshold = 1.45;
+    options.balancer.hysteresis = 3;
+    options.balancer.reassign_fraction = 0.15;
+    options.balancer.min_shard_size = 8;
     SspRule rule;
     FixedRate sched(0.1);
     const SimResult r =

@@ -12,6 +12,8 @@
 //     rpc runtime only:  [--serve_status=/tmp/hetps.sock]
 //                        [--heartbeat_timeout=0] [--evict_dead_workers=1]
 //                        [--rebalance] [--compute_delay=0,0.05,...]
+//                        (seconds per clock per worker: missing entries
+//                        are 0, entries beyond --workers an error)
 //   hetps_train evaluate --data=test.libsvm --model=in.model
 //   hetps_train predict  --data=test.libsvm --model=in.model [--out=preds.txt]
 //   hetps_train simulate [--hl=2] [--workers=30] [--servers=10]
@@ -263,15 +265,15 @@ int RunTrainRpc(const FlagParser& flags) {
       static_cast<int>(flags.GetInt("push_window", 0).value());
   opts.push_parallelism =
       static_cast<int>(flags.GetInt("push_parallelism", 1).value());
-  opts.heartbeat_timeout =
+  opts.heartbeat_timeout_seconds =
       flags.GetDouble("heartbeat_timeout", 0.0).value();
   opts.evict_dead_workers = flags.GetBool("evict_dead_workers", true);
   opts.rebalance = flags.GetBool("rebalance", false);
-  opts.straggler_threshold =
+  opts.balancer.straggler_threshold =
       flags.GetDouble("straggler_threshold", 1.2).value();
-  opts.rebalance_hysteresis = static_cast<int>(
+  opts.balancer.hysteresis = static_cast<int>(
       flags.GetInt("rebalance_hysteresis", 3).value());
-  opts.reassign_fraction =
+  opts.balancer.reassign_fraction =
       flags.GetDouble("reassign_fraction", 0.05).value();
   auto delays = ParseDelayList(flags.GetString("compute_delay", ""));
   if (!delays.ok()) return Fail(delays.status());
@@ -489,11 +491,11 @@ int RunSimulate(const FlagParser& flags) {
   // stragglers; --slow_worker/--slow_multiplier inject a transient
   // congestion episode to chase (see EXPERIMENTS.md).
   options.rebalance = flags.GetBool("rebalance", false);
-  options.straggler_threshold =
+  options.balancer.straggler_threshold =
       flags.GetDouble("straggler_threshold", 1.2).value();
-  options.rebalance_hysteresis = static_cast<int>(
+  options.balancer.hysteresis = static_cast<int>(
       flags.GetInt("rebalance_hysteresis", 3).value());
-  options.reassign_fraction =
+  options.balancer.reassign_fraction =
       flags.GetDouble("reassign_fraction", 0.05).value();
   options.slow_worker =
       static_cast<int>(flags.GetInt("slow_worker", -1).value());

@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <memory>
 #include <mutex>
 #include <thread>
 
-#include "core/sgd_compute.h"
-#include "data/sharding.h"
 #include "net/ps_service.h"
 #include "net/status_gateway.h"
 #include "obs/flight_recorder.h"
@@ -26,13 +23,10 @@ Result<DistributedTrainResult> TrainDistributed(
     const LearningRateSchedule& schedule,
     const ConsolidationRule& rule_proto,
     const DistributedTrainerOptions& options) {
-  if (dataset.empty()) return Status::InvalidArgument("empty dataset");
-  if (options.num_workers <= 0 || options.num_servers <= 0) {
-    return Status::InvalidArgument("need positive worker/server counts");
-  }
-  if (options.max_clocks <= 0) {
-    return Status::InvalidArgument("max_clocks must be positive");
-  }
+  Result<WorkerLoop> prepared =
+      PrepareWorkerLoop(dataset, loss, schedule, options);
+  if (!prepared.ok()) return prepared.status();
+  WorkerLoop& loop = prepared.value();
   if (options.resume && options.resume_clock < 0) {
     return Status::InvalidArgument("resume_clock must be >= 0");
   }
@@ -57,10 +51,6 @@ Result<DistributedTrainResult> TrainDistributed(
     bus.SetFaultPlan(options.fault_plan);
   }
 
-  const std::vector<DataShard> shards =
-      SplitData(dataset.size(), static_cast<size_t>(options.num_workers),
-                ShardingPolicy::kContiguous);
-
   // --- Shard entitlement plane ------------------------------------------
   // `owned[m]` is worker m's authoritative example entitlement; the
   // worker's local SGD shard is a *copy* it refreshes at clock boundaries.
@@ -78,8 +68,9 @@ Result<DistributedTrainResult> TrainDistributed(
   std::mutex failover_mu;
   std::vector<std::vector<size_t>> owned(n_workers);
   std::vector<uint64_t> shard_gen(n_workers, 0);  // guarded by failover_mu
+  std::vector<uint64_t> seen_gen(n_workers, 0);   // guarded by failover_mu
   for (size_t m = 0; m < n_workers; ++m) {
-    owned[m] = shards[m].example_indices;
+    owned[m] = loop.shards[m].example_indices;
   }
   std::unique_ptr<std::atomic<bool>[]> evicted(
       new std::atomic<bool>[n_workers]);
@@ -90,14 +81,8 @@ Result<DistributedTrainResult> TrainDistributed(
 
   std::unique_ptr<LoadBalancer> lb;
   if (options.rebalance) {
-    LoadBalancerOptions lb_opts;
-    lb_opts.straggler_threshold = options.straggler_threshold;
-    lb_opts.hysteresis = options.rebalance_hysteresis;
-    lb_opts.reassign_fraction = options.reassign_fraction;
-    lb_opts.max_examples_per_round = options.rebalance_max_per_round;
-    lb_opts.min_shard_size = options.rebalance_min_shard;
-    lb_opts.recovery_windows = options.rebalance_recovery_windows;
-    lb = std::make_unique<LoadBalancer>(options.num_workers, lb_opts);
+    lb = std::make_unique<LoadBalancer>(options.num_workers,
+                                        options.balancer);
   }
 
   PsServiceOptions svc_opts;
@@ -124,7 +109,8 @@ Result<DistributedTrainResult> TrainDistributed(
       }
     };
   }
-  svc_opts.liveness.heartbeat_timeout_seconds = options.heartbeat_timeout;
+  svc_opts.liveness.heartbeat_timeout_seconds =
+      options.heartbeat_timeout_seconds;
   svc_opts.liveness.evict_dead_workers = options.evict_dead_workers;
   svc_opts.liveness.virtual_seconds_per_request =
       options.virtual_seconds_per_request;
@@ -198,222 +184,50 @@ Result<DistributedTrainResult> TrainDistributed(
     HETPS_LOG(Info) << "introspection gateway listening on "
                     << options.serve_status_path;
   }
-  const int start_clock = options.resume ? options.resume_clock : 0;
-  const int end_clock = start_clock + options.max_clocks;
-
-  std::vector<double> trace;           // worker-0 objective per clock
-  Status checkpoint_status;            // written only by worker 0
-  std::vector<Status> worker_status(
-      static_cast<size_t>(options.num_workers));
-  std::vector<int64_t> worker_retries(
-      static_cast<size_t>(options.num_workers), 0);
-  // Per-worker slots, each written only by its own thread before join.
-  std::vector<WorkerTimeBreakdown> breakdowns(
-      static_cast<size_t>(options.num_workers));
-
-  auto worker_body = [&](int m) {
-    using SteadyClock = std::chrono::steady_clock;
-    auto seconds_since = [](SteadyClock::time_point start) {
-      return std::chrono::duration<double>(SteadyClock::now() - start)
-          .count();
-    };
-    Status& my_status = worker_status[static_cast<size_t>(m)];
-    WorkerTimeBreakdown& breakdown = breakdowns[static_cast<size_t>(m)];
-    // An RPC rejected because *this* worker was evicted is the liveness
-    // plane working as designed (e.g. a hung worker waking up after its
-    // eviction), not a run failure: clear the status so the run's
-    // verdict comes from the survivors.
-    const auto evicted_by_design = [&]() {
-      return my_status.IsFailedPrecondition() &&
-             evicted[static_cast<size_t>(m)].load(
-                 std::memory_order_acquire);
-    };
-    HistogramMetric* iter_us = GlobalMetrics().histogram(
-        "worker.iter_us", {{"worker", std::to_string(m)}});
-    // Live per-clock phase histograms: the end-of-run breakdown gauges
-    // only show totals, but the TimeSeriesRecorder needs per-window
-    // deltas to draw a straggler's wait time *diverging over time*.
-    HistogramMetric* wait_us = GlobalMetrics().histogram(
-        "worker.wait_us", {{"worker", std::to_string(m)}});
-    HistogramMetric* compute_us = GlobalMetrics().histogram(
-        "worker.compute_us", {{"worker", std::to_string(m)}});
-    TraceRecorder::Global().NameThisThread("worker-" +
-                                           std::to_string(m));
-    RpcWorkerClient client(m, &bus, "ps", options.rpc_retry,
-                           options.push_window, options.delta_pull);
-    LocalWorkerSgd::Options sgd_opts;
-    sgd_opts.batch_size = LocalWorkerSgd::BatchSizeForFraction(
-        shards[static_cast<size_t>(m)].size(), options.batch_fraction);
-    sgd_opts.l2 = options.l2;
-    LocalWorkerSgd sgd(&dataset, shards[static_cast<size_t>(m)], &loss,
-                       &schedule, sgd_opts);
-    // Entitlement generation this worker's SGD shard reflects; refreshed
-    // from owned[m] at clock boundaries when the service loop moved
-    // examples (failover or rebalancing).
-    uint64_t seen_gen = 0;
-    const double injected_delay =
-        static_cast<size_t>(m) < options.injected_compute_delay.size()
-            ? options.injected_compute_delay[static_cast<size_t>(m)]
-            : 0.0;
-    // A (re)starting worker pulls the latest parameter from the PS.
-    std::vector<double> replica;
-    int cp = 0;
-    {
-      const auto pull_start = SteadyClock::now();
-      my_status = client.PullCached(&replica, &cp);
-      breakdown.comm_seconds += seconds_since(pull_start);
-    }
-    if (!my_status.ok()) {
-      if (evicted_by_design()) my_status = Status::OK();
-      return;
-    }
-    for (int c = start_clock; c < end_clock; ++c) {
-      // Injected process faults (FaultPlan.fault_worker), applied just
-      // before this clock starts.
-      if (m == options.fault_plan.fault_worker &&
-          c == options.fault_plan.kill_at_clock) {
-        if (options.fault_plan.hang_seconds > 0.0) {
-          // Temporary hang: go silent for hang_seconds of virtual time.
-          // The clock only advances while other workers' requests tick
-          // the service, so this needs no wall-clock sleep. Own-eviction
-          // is an exit condition — once evicted, ticks may stop (the
-          // survivors finish) and the resume time would never arrive.
-          FlightRecorder::Global().Record(
-              "fault.hang", m, c, options.fault_plan.hang_seconds);
-          const double resume_at =
-              service.LivenessNow() + options.fault_plan.hang_seconds;
-          while (service.LivenessNow() < resume_at &&
-                 !evicted[static_cast<size_t>(m)].load(
-                     std::memory_order_acquire)) {
-            std::this_thread::yield();
-          }
-        } else {
-          // Crash-stop: the worker simply stops sending, forever. Not an
-          // error — the run's verdict is the survivors' business.
-          HETPS_LOG(Warning) << "fault injection: killing worker " << m
-                             << " before clock " << c;
-          FlightRecorder::Global().Record("fault.kill", m, c);
-          return;
-        }
-      }
-      // Refresh the SGD shard from the owned[] entitlement when the
-      // service loop changed it (eviction failover or rebalancing) —
-      // copied at clock boundaries so a batch never changes mid-compute.
-      {
-        std::lock_guard<std::mutex> lock(failover_mu);
-        const uint64_t gen = shard_gen[static_cast<size_t>(m)];
-        if (gen != seen_gen) {
-          sgd.mutable_shard()->example_indices =
-              owned[static_cast<size_t>(m)];
-          seen_gen = gen;
-        }
-      }
-      HETPS_TRACE_SPAN2("worker.clock", "worker", m, "clock", c);
-      const auto iter_start = SteadyClock::now();
-      SparseVector update;
-      double compute_secs = 0.0;
-      {
-        HETPS_TRACE_SPAN1("worker.compute", "worker", m);
-        const auto compute_start = SteadyClock::now();
-        if (injected_delay > 0.0) {
-          // The paper's slowdown-injection protocol: the straggler's
-          // clock really takes longer, so the timing report below and
-          // every downstream straggler decision see a genuine slowdown.
-          std::this_thread::sleep_for(
-              std::chrono::duration<double>(injected_delay));
-        }
-        sgd.RunClock(c, &replica, &update);
-        compute_secs = seconds_since(compute_start);
-        breakdown.compute_seconds += compute_secs;
-        compute_us->RecordInt(static_cast<int64_t>(compute_secs * 1e6));
-      }
-      {
-        const auto push_start = SteadyClock::now();
-        my_status = client.Push(c, update);
-        breakdown.comm_seconds += seconds_since(push_start);
-      }
-      if (!my_status.ok()) {
-        if (evicted_by_design()) my_status = Status::OK();
-        return;
-      }
-      if (options.rebalance) {
-        // Feed the load-balancing plane this clock's measured compute
-        // time (kReportClock drives Master::ReportClockTime and the
-        // balancer's decision on the service loop).
-        const auto report_start = SteadyClock::now();
-        my_status = client.ReportClock(c, compute_secs);
-        breakdown.comm_seconds += seconds_since(report_start);
-        if (!my_status.ok()) {
-          if (evicted_by_design()) my_status = Status::OK();
-          return;
-        }
-      }
-      ++breakdown.clocks_completed;
-      if (m == 0) {
-        const size_t n = options.eval_sample == 0 ? dataset.size()
-                                                  : options.eval_sample;
-        trace.push_back(
-            dataset.ObjectiveSample(loss, replica, options.l2, n));
-        if (options.checkpoint_every_clocks > 0 &&
-            (c + 1 - start_clock) % options.checkpoint_every_clocks ==
-                0) {
-          // Checkpointing runs beside live traffic; the PS serializes
-          // shard access internally.
-          Status st = SaveCheckpointToFile(ps, options.checkpoint_path);
-          if (!st.ok()) checkpoint_status = st;
-        }
-      }
-      if (options.sync.NeedsPull(c, cp)) {
-        {
-          HETPS_TRACE_SPAN1("worker.wait", "worker", m);
-          const auto wait_start = SteadyClock::now();
-          my_status = client.WaitUntilCanAdvance(c + 1);
-          const double secs = seconds_since(wait_start);
-          breakdown.wait_seconds += secs;
-          wait_us->RecordInt(static_cast<int64_t>(secs * 1e6));
-        }
-        if (!my_status.ok()) {
-          if (evicted_by_design()) my_status = Status::OK();
-          return;
-        }
-        {
-          const auto pull_start = SteadyClock::now();
-          my_status = client.PullCached(&replica, &cp);
-          breakdown.comm_seconds += seconds_since(pull_start);
-        }
-        if (!my_status.ok()) {
-          if (evicted_by_design()) my_status = Status::OK();
-          return;
-        }
-      }
-      iter_us->RecordInt(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              SteadyClock::now() - iter_start)
-              .count());
-      if (m == 0 && options.on_epoch) {
-        options.on_epoch(c + 1 - start_clock);
-      }
-    }
-    // Drain the push pipeline: the last clocks' pushes may still be in
-    // flight, and a failure latched after the final Push would otherwise
-    // go unseen. The drain block is the un-hidden remainder (comm); what
-    // the pipeline overlapped with compute is reported separately.
-    {
-      const auto flush_start = SteadyClock::now();
-      my_status = client.Flush();
-      breakdown.comm_seconds += seconds_since(flush_start);
-    }
-    if (!my_status.ok()) {
-      if (evicted_by_design()) my_status = Status::OK();
-      return;
-    }
-    breakdown.push_hidden_seconds = client.push_hidden_seconds();
-    worker_retries[static_cast<size_t>(m)] = client.retry_count();
+  // The planes the worker loop serves at clock boundaries.
+  Status checkpoint_status;  // written only by worker 0
+  BusPlanes planes;
+  planes.faults = options.fault_plan;
+  planes.liveness_now = [&service] { return service.LivenessNow(); };
+  planes.evicted = [&evicted](int m) {
+    return evicted[static_cast<size_t>(m)].load(std::memory_order_acquire);
   };
+  planes.refresh_shard = [&](int m, DataShard* shard) {
+    const size_t mi = static_cast<size_t>(m);
+    std::lock_guard<std::mutex> lock(failover_mu);
+    if (seen_gen[mi] == shard_gen[mi]) return;
+    shard->example_indices = owned[mi];
+    seen_gen[mi] = shard_gen[mi];
+  };
+  planes.report_clock = options.rebalance;
+  if (options.checkpoint_every_clocks > 0) {
+    planes.after_eval = [&](int clocks_run) {
+      if (clocks_run % options.checkpoint_every_clocks != 0) return;
+      // Checkpointing runs beside live traffic; the PS serializes shard
+      // access internally.
+      const Status st = SaveCheckpointToFile(ps, options.checkpoint_path);
+      if (!st.ok()) checkpoint_status = st;
+    };
+  }
 
+  DistributedTrainResult result;
+  loop.start_clock = options.resume ? options.resume_clock : 0;
+  loop.trace = &result.objective_per_clock;
+  loop.planes = &planes;
+  // Per-worker slots, each written only by its own thread before join.
+  std::vector<Status> worker_status(n_workers);
+  std::vector<int64_t> worker_retries(n_workers, 0);
+  result.worker_breakdown.resize(n_workers);
   std::vector<std::thread> threads;
   for (int m = 0; m < options.num_workers; ++m) {
-    threads.emplace_back(worker_body, m);
+    threads.emplace_back([&, m] {
+      const size_t mi = static_cast<size_t>(m);
+      RpcWorkerClient client(m, &bus, "ps", options.rpc_retry,
+                             options.push_window, options.delta_pull);
+      worker_status[mi] =
+          RunWorker(loop, m, &client, &result.worker_breakdown[mi]);
+      worker_retries[mi] = client.retry_count();
+    });
   }
   for (auto& t : threads) t.join();
   for (size_t m = 0; m < worker_status.size(); ++m) {
@@ -428,22 +242,12 @@ Result<DistributedTrainResult> TrainDistributed(
   }
   HETPS_RETURN_NOT_OK(checkpoint_status);
 
-  DistributedTrainResult result;
-  for (int m = 0; m < options.num_workers; ++m) {
-    RecordBreakdown(&GlobalMetrics(), m,
-                    breakdowns[static_cast<size_t>(m)]);
-  }
-  result.worker_breakdown = std::move(breakdowns);
   result.weights = ps.Snapshot();
-  result.objective_per_clock = std::move(trace);
-  const size_t n =
-      options.eval_sample == 0 ? dataset.size() : options.eval_sample;
-  result.final_objective =
-      dataset.ObjectiveSample(loss, result.weights, options.l2, n);
+  result.final_objective = loop.Objective(result.weights);
   result.messages = bus.delivered_count();
   result.faults = bus.fault_stats();
   for (int64_t r : worker_retries) result.rpc_retries += r;
-  result.next_clock = end_clock;
+  result.next_clock = loop.start_clock + options.max_clocks;
   {
     // Workers have joined, but the service loop (which runs on_evict) is
     // still live until `bus` is destroyed — snapshot under the lock.

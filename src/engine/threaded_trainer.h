@@ -2,15 +2,12 @@
 #define HETPS_ENGINE_THREADED_TRAINER_H_
 
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "core/consolidation.h"
 #include "core/learning_rate.h"
-#include "core/sync_policy.h"
 #include "data/dataset.h"
+#include "engine/worker_loop.h"
 #include "math/loss.h"
 #include "obs/breakdown.h"
 #include "ps/partition.h"
@@ -21,45 +18,16 @@ namespace hetps {
 /// worker against a shared, locked ParameterServer). This is the
 /// "production" execution path; the event simulator is the experiment
 /// path (see DESIGN.md §5.1).
-struct ThreadedTrainerOptions {
-  SyncPolicy sync = SyncPolicy::Ssp(3);
-  int max_clocks = 20;
-  double l2 = 1e-4;
-  double batch_fraction = 0.1;
-  int num_servers = 2;
+struct ThreadedTrainerOptions : TrainSpec {
   int partitions_per_server = 2;
   PartitionScheme scheme = PartitionScheme::kRangeHash;
-  bool partition_sync = false;
+  /// Client-side filter: drop |x| <= epsilon update entries before the
+  /// push (§5.3); 0 disables.
   double update_filter_epsilon = 0.0;
-  int num_workers = 4;
-  /// Injected per-clock sleep per worker (seconds) — the paper's
-  /// sleep()-based straggler emulation (§3 Protocol). Empty = none.
-  std::vector<double> worker_sleep_seconds;
-  /// Examples used per objective evaluation (0 = whole dataset).
-  size_t eval_sample = 2000;
   /// Parameter pre-fetching (Appendix D): overlap the SSP admission wait
   /// and the pull with the clock's computation, at the cost of a
   /// slightly staler replica.
   bool prefetch = false;
-  /// Version-aware pull path (§6): workers cache partition replicas by
-  /// content tag and the PS ships only changed partitions (whole block
-  /// or sparse delta, whichever is smaller). Off = the pull sends no
-  /// tags, so every partition ships whole, in its cheaper layout.
-  bool delta_pull = true;
-  /// Asynchronous push pipeline (WorkerClient): 0 = synchronous pushes
-  /// (bitwise-identical to the pre-pipeline trainer), >= 1 = bounded
-  /// in-flight window (1 = double-buffer: compute clock c+1 while the
-  /// push of clock c is in flight).
-  int push_window = 0;
-  /// Threads applying a push's partition pieces server-side (see
-  /// PsOptions::push_parallelism): 1 = serial (default), 0 = auto.
-  int push_parallelism = 1;
-  uint64_t seed = 11;
-  /// Called on worker 0's thread after each of its clocks finishes
-  /// (argument: the 1-based clock count). RunReporter::OnEpoch hooks in
-  /// here to snapshot metrics mid-run. Keep it cheap — it runs inside
-  /// the training loop.
-  std::function<void(int)> on_epoch;
 };
 
 struct ThreadedTrainResult {
@@ -77,8 +45,9 @@ struct ThreadedTrainResult {
 };
 
 /// Runs distributed SGD (Algorithm 1 with the chosen consolidation rule)
-/// on real threads. Deterministic in data order; wall time depends on the
-/// machine.
+/// on real threads, each running RunWorker over a WorkerClient.
+/// Deterministic in data order; wall time depends on the machine. Aborts
+/// on options PrepareWorkerLoop rejects.
 ThreadedTrainResult TrainThreaded(const Dataset& dataset,
                                   const LossFunction& loss,
                                   const LearningRateSchedule& schedule,

@@ -308,7 +308,7 @@ std::vector<uint8_t> PsService::HandlePush(ByteReader* reader) {
   // strictly increasing (rejects duplicates, which would double-apply)
   // and every piece is bounds-checked against the layout before
   // anything is applied: a bad frame mutates nothing.
-  std::vector<std::pair<int, SparseVector>> pieces;
+  PushPieceList pieces;
   pieces.reserve(static_cast<size_t>(num_pieces));
   int64_t prev_partition = -1;
   for (uint64_t i = 0; i < num_pieces; ++i) {
@@ -399,6 +399,7 @@ std::vector<uint8_t> PsService::HandleLayout(ByteReader* reader) {
   w.WriteI64(part.dim());
   w.WriteI64(part.num_servers());
   w.WriteI64(part.num_partitions());
+  w.WriteDouble(ps_->options().update_filter_epsilon);
   return w.TakeBuffer();
 }
 
@@ -570,280 +571,260 @@ std::vector<uint8_t> PsService::HandleObsControl(ByteReader* reader) {
   return w.TakeBuffer();
 }
 
+namespace {
+
+/// RpcWorkerClient's transport: see the class comment.
+class BusChannel final : public PsChannel {
+ public:
+  BusChannel(int worker_id, MessageBus* bus, std::string ps_endpoint,
+             const RpcRetryPolicy& retry)
+      : worker_id_(worker_id),
+        bus_(bus),
+        ps_endpoint_(std::move(ps_endpoint)),
+        my_endpoint_("worker-" + std::to_string(worker_id)),
+        retry_(retry),
+        retries_metric_(GlobalMetrics().counter("rpc.client_retries")) {
+    HETPS_CHECK(bus != nullptr) << "null MessageBus";
+    HETPS_CHECK(retry_.max_attempts >= 1) << "need at least one attempt";
+  }
+
+  int64_t retry_count() const {
+    return retry_count_.load(std::memory_order_relaxed);
+  }
+
+  Result<ServerLayout> Layout() override {
+    ByteWriter w;
+    w.WriteU8(static_cast<uint8_t>(PsOpCode::kLayout));
+    auto response = Roundtrip(w.TakeBuffer());
+    if (!response.ok()) return response.status();
+    ByteReader reader(response.value());
+    HETPS_RETURN_NOT_OK(ConsumeStatus(&reader));
+    uint8_t scheme = 0;
+    int64_t dim = 0;
+    int64_t num_servers = 0;
+    int64_t num_partitions = 0;
+    double filter_epsilon = 0.0;
+    HETPS_RETURN_NOT_OK(reader.ReadU8(&scheme));
+    HETPS_RETURN_NOT_OK(reader.ReadI64(&dim));
+    HETPS_RETURN_NOT_OK(reader.ReadI64(&num_servers));
+    HETPS_RETURN_NOT_OK(reader.ReadI64(&num_partitions));
+    HETPS_RETURN_NOT_OK(reader.ReadDouble(&filter_epsilon));
+    if (scheme > static_cast<uint8_t>(PartitionScheme::kRangeHash) ||
+        dim <= 0 || num_servers <= 0 || num_partitions < num_servers ||
+        num_partitions > dim || !std::isfinite(filter_epsilon) ||
+        filter_epsilon < 0.0) {
+      return Status::InvalidArgument("bad partition-layout handshake");
+    }
+    layout_.emplace(static_cast<PartitionScheme>(scheme), dim,
+                    static_cast<int>(num_servers),
+                    static_cast<int>(num_partitions));
+    return ServerLayout{*layout_, filter_epsilon};
+  }
+
+  Status Push(int clock, const PushPieceList& pieces) override {
+    ByteWriter w = Request(PsOpCode::kPush);
+    w.WriteI64(clock);
+    w.WriteU64(pieces.size());
+    for (const auto& [partition, piece] : pieces) {
+      w.WriteI64(partition);
+      w.WriteSparseVector(piece);
+    }
+    return Call(w.TakeBuffer());
+  }
+
+  Status PullDelta(const std::vector<int64_t>& tags,
+                   DeltaPullResult* out) override {
+    ByteWriter w = Request(PsOpCode::kPullDelta);
+    w.WriteU64(tags.size());
+    for (int64_t tag : tags) w.WriteI64(tag);
+    auto response = Roundtrip(w.TakeBuffer());
+    if (!response.ok()) return response.status();
+    ByteReader reader(response.value());
+    HETPS_RETURN_NOT_OK(ConsumeStatus(&reader));
+    int64_t cmin = 0;
+    uint64_t parts = 0;
+    HETPS_RETURN_NOT_OK(reader.ReadI64(&cmin));
+    HETPS_RETURN_NOT_OK(reader.ReadU64(&parts));
+    if (parts != tags.size()) {
+      return Status::InvalidArgument("partition count changed mid-stream");
+    }
+    // Partitions arrive in index order (the response carries no explicit
+    // ids). Every piece is decoded and checked against the handshaken
+    // layout before the client applies any of them, so a malformed frame
+    // leaves the cache untouched.
+    out->cmin = static_cast<int>(cmin);
+    out->partitions.assign(static_cast<size_t>(parts), PartitionPull());
+    out->bytes_shipped = 0;
+    // Baseline: the whole model shipped dense.
+    out->bytes_full = layout_->dim() * static_cast<int64_t>(sizeof(double));
+    for (size_t p = 0; p < out->partitions.size(); ++p) {
+      PartitionPull& pp = out->partitions[p];
+      pp.partition = static_cast<int>(p);
+      uint8_t encoding = 0;
+      HETPS_RETURN_NOT_OK(reader.ReadU8(&encoding));
+      HETPS_RETURN_NOT_OK(reader.ReadI64(&pp.tag));
+      const int64_t dim_p = layout_->PartitionDim(pp.partition);
+      pp.encoding = static_cast<PartitionPull::Encoding>(encoding);
+      switch (pp.encoding) {
+        case PartitionPull::Encoding::kUnchanged:
+          break;
+        case PartitionPull::Encoding::kDense:
+          HETPS_RETURN_NOT_OK(reader.ReadDenseVector(&pp.dense));
+          if (pp.dense.size() != static_cast<size_t>(dim_p)) {
+            return Status::InvalidArgument("dense piece has wrong length");
+          }
+          out->bytes_shipped +=
+              static_cast<int64_t>(pp.dense.size() * sizeof(double));
+          break;
+        case PartitionPull::Encoding::kSparseDelta:
+          HETPS_RETURN_NOT_OK(reader.ReadI64(&pp.base_tag));
+          [[fallthrough]];
+        case PartitionPull::Encoding::kSparse:
+          HETPS_RETURN_NOT_OK(reader.ReadSparseVector(&pp.sparse));
+          if (pp.sparse.MinimumDimension() > dim_p) {
+            return Status::InvalidArgument(
+                "sparse piece index out of range");
+          }
+          out->bytes_shipped += static_cast<int64_t>(
+              pp.sparse.nnz() * (sizeof(int64_t) + sizeof(double)));
+          break;
+        default:
+          return Status::InvalidArgument("unknown partition encoding");
+      }
+    }
+    return Status::OK();
+  }
+
+  /// One kCanAdvance probe.
+  Result<bool> CanAdvance(int next_clock) {
+    ByteWriter w = Request(PsOpCode::kCanAdvance);
+    w.WriteI64(next_clock);
+    auto response = Roundtrip(w.TakeBuffer());
+    if (!response.ok()) return response.status();
+    ByteReader reader(response.value());
+    HETPS_RETURN_NOT_OK(ConsumeStatus(&reader));
+    uint8_t ok = 0;
+    HETPS_RETURN_NOT_OK(reader.ReadU8(&ok));
+    return ok != 0;
+  }
+
+  Status WaitUntilCanAdvance(int next_clock,
+                             const std::atomic<bool>* cancel) override {
+    int64_t denied = 0;
+    for (;;) {
+      Result<bool> admitted = CanAdvance(next_clock);
+      if (!admitted.ok()) return admitted.status();
+      if (admitted.value()) return Status::OK();
+      ++denied;
+      if (retry_.max_admission_probes > 0 &&
+          denied >= retry_.max_admission_probes) {
+        return Status::DeadlineExceeded(
+            "admission denied after " + std::to_string(denied) +
+            " probes waiting for clock " + std::to_string(next_clock));
+      }
+      if (cancel != nullptr && cancel->load(std::memory_order_acquire)) {
+        return Status::Aborted("admission wait cancelled");
+      }
+      if (retry_.admission_probe_sleep.count() > 0) {
+        std::this_thread::sleep_for(retry_.admission_probe_sleep);
+      }
+    }
+  }
+
+  Status ReportClock(int clock, double seconds) override {
+    ByteWriter w = Request(PsOpCode::kReportClock);
+    w.WriteI64(clock);
+    w.WriteDouble(seconds);
+    return Call(w.TakeBuffer());
+  }
+
+  Status Readmit(int clock) override {
+    ByteWriter w = Request(PsOpCode::kReadmit);
+    w.WriteI64(clock);
+    return Call(w.TakeBuffer());
+  }
+
+  MetricsRegistry* metrics() const override { return &GlobalMetrics(); }
+
+ private:
+  /// A request frame: the opcode and this worker's id.
+  ByteWriter Request(PsOpCode op) const {
+    ByteWriter w;
+    w.WriteU8(static_cast<uint8_t>(op));
+    w.WriteI64(worker_id_);
+    return w;
+  }
+
+  Result<std::vector<uint8_t>> Roundtrip(
+      const std::vector<uint8_t>& request) {
+    std::chrono::microseconds backoff = retry_.initial_backoff;
+    Status last = Status::Internal("rpc never attempted");
+    for (int attempt = 0; attempt < retry_.max_attempts; ++attempt) {
+      if (attempt > 0) {
+        // Exponential backoff between attempts: lets a congested service
+        // loop drain instead of hammering it with retransmits.
+        std::this_thread::sleep_for(backoff);
+        const auto next = static_cast<int64_t>(
+            static_cast<double>(backoff.count()) *
+            retry_.backoff_multiplier);
+        backoff = std::min(std::chrono::microseconds(next),
+                           retry_.max_backoff);
+        retry_count_.fetch_add(1, std::memory_order_relaxed);
+        retries_metric_->Increment();
+        HETPS_TRACE_INSTANT1("rpc.retry", "worker", worker_id_);
+        FlightRecorder::Global().Record("rpc_retry", worker_id_,
+                                        /*clock=*/-1,
+                                        static_cast<double>(attempt));
+      }
+      BusReply reply = bus_->BlockingCall(my_endpoint_, ps_endpoint_,
+                                          request, retry_.timeout);
+      if (reply.ok()) return std::move(reply.payload);
+      last = reply.status;
+      // Only a missed deadline (lost request or lost reply) is retryable;
+      // shutdown, unknown endpoint, etc. will not improve with retries.
+      if (!last.IsDeadlineExceeded()) return last;
+    }
+    return last;
+  }
+
+  /// Roundtrip for requests whose reply is a bare status.
+  Status Call(const std::vector<uint8_t>& request) {
+    auto response = Roundtrip(request);
+    if (!response.ok()) return response.status();
+    ByteReader reader(response.value());
+    return ConsumeStatus(&reader);
+  }
+
+  const int worker_id_;
+  MessageBus* const bus_;
+  const std::string ps_endpoint_;
+  const std::string my_endpoint_;
+  const RpcRetryPolicy retry_;
+  std::atomic<int64_t> retry_count_{0};
+  Counter* const retries_metric_;
+  /// The server's layout from the handshake, which the pull decoder
+  /// checks pieces against. Set once, before any push or pull.
+  std::optional<Partitioner> layout_;
+};
+
+}  // namespace
+
 RpcWorkerClient::RpcWorkerClient(int worker_id, MessageBus* bus,
                                  std::string ps_endpoint,
                                  const RpcRetryPolicy& retry,
                                  int push_window, bool delta_pull)
-    : worker_id_(worker_id),
-      bus_(bus),
-      ps_endpoint_(std::move(ps_endpoint)),
-      my_endpoint_("worker-" + std::to_string(worker_id)),
-      retry_(retry),
-      delta_pull_(delta_pull),
-      retries_metric_(GlobalMetrics().counter("rpc.client_retries")),
-      window_(push_window, &GlobalMetrics(),
-              [this](int, const std::vector<uint8_t>& request) {
-                return Call(request);
-              }) {
-  HETPS_CHECK(bus != nullptr) << "null MessageBus";
-  HETPS_CHECK(retry_.max_attempts >= 1) << "need at least one attempt";
-}
+    : PsClient(worker_id,
+               std::make_unique<BusChannel>(worker_id, bus,
+                                            std::move(ps_endpoint), retry),
+               delta_pull, push_window) {}
 
-Result<std::vector<uint8_t>> RpcWorkerClient::EncodePush(
-    int clock, const SparseVector& update) {
-  const Partitioner& layout = *layout_;
-  if (!update.empty() &&
-      (update.index(0) < 0 || update.MinimumDimension() > layout.dim())) {
-    return Status::InvalidArgument("update index out of range");
-  }
-  // Per-partition pieces with local indices, so the service can route
-  // each piece straight to its shard. Empty pieces are left off (the
-  // frame carries explicit partition ids); an all-empty push still
-  // ships — the server must advance the clock table.
-  std::vector<SparseVector> pieces = layout.SplitByPartition(update);
-  uint64_t kept = 0;
-  for (const SparseVector& piece : pieces) {
-    if (!piece.empty()) ++kept;
-  }
-  ByteWriter w;
-  w.WriteU8(static_cast<uint8_t>(PsOpCode::kPush));
-  w.WriteI64(worker_id_);
-  w.WriteI64(clock);
-  w.WriteU64(kept);
-  for (size_t p = 0; p < pieces.size(); ++p) {
-    if (pieces[p].empty()) continue;
-    w.WriteI64(static_cast<int64_t>(p));
-    w.WriteSparseVector(pieces[p]);
-  }
-  return w.TakeBuffer();
-}
-
-Status RpcWorkerClient::Flush() { return window_.Drain(); }
-
-double RpcWorkerClient::push_hidden_seconds() const {
-  return window_.hidden_seconds();
-}
-
-Result<std::vector<uint8_t>> RpcWorkerClient::Roundtrip(
-    const std::vector<uint8_t>& request) {
-  std::chrono::microseconds backoff = retry_.initial_backoff;
-  Status last = Status::Internal("rpc never attempted");
-  for (int attempt = 0; attempt < retry_.max_attempts; ++attempt) {
-    if (attempt > 0) {
-      // Exponential backoff between attempts: lets a congested service
-      // loop drain instead of hammering it with retransmits.
-      std::this_thread::sleep_for(backoff);
-      const auto next = static_cast<int64_t>(
-          static_cast<double>(backoff.count()) *
-          retry_.backoff_multiplier);
-      backoff = std::min(std::chrono::microseconds(next),
-                         retry_.max_backoff);
-      ++retry_count_;
-      retries_metric_->Increment();
-      HETPS_TRACE_INSTANT1("rpc.retry", "worker", worker_id_);
-      FlightRecorder::Global().Record("rpc_retry", worker_id_,
-                                      /*clock=*/-1,
-                                      static_cast<double>(attempt));
-    }
-    BusReply reply =
-        bus_->BlockingCall(my_endpoint_, ps_endpoint_, request,
-                           retry_.timeout);
-    if (reply.ok()) return std::move(reply.payload);
-    last = reply.status;
-    // Only a missed deadline (lost request or lost reply) is retryable;
-    // shutdown, unknown endpoint, etc. will not improve with retries.
-    if (!last.IsDeadlineExceeded()) return last;
-  }
-  return last;
-}
-
-Status RpcWorkerClient::Call(const std::vector<uint8_t>& request) {
-  auto response = Roundtrip(request);
-  if (!response.ok()) return response.status();
-  ByteReader reader(response.value());
-  return ConsumeStatus(&reader);
-}
-
-Status RpcWorkerClient::Push(int clock, const SparseVector& update) {
-  HETPS_RETURN_NOT_OK(EnsureLayout());
-  Result<std::vector<uint8_t>> request = EncodePush(clock, update);
-  if (!request.ok()) return request.status();
-  return window_.Push(clock, request.value());
-}
-
-Status RpcWorkerClient::EnsureLayout() {
-  if (layout_.has_value()) return Status::OK();
-  ByteWriter w;
-  w.WriteU8(static_cast<uint8_t>(PsOpCode::kLayout));
-  auto response = Roundtrip(w.TakeBuffer());
-  if (!response.ok()) return response.status();
-  ByteReader reader(response.value());
-  HETPS_RETURN_NOT_OK(ConsumeStatus(&reader));
-  uint8_t scheme = 0;
-  int64_t dim = 0;
-  int64_t num_servers = 0;
-  int64_t num_partitions = 0;
-  HETPS_RETURN_NOT_OK(reader.ReadU8(&scheme));
-  HETPS_RETURN_NOT_OK(reader.ReadI64(&dim));
-  HETPS_RETURN_NOT_OK(reader.ReadI64(&num_servers));
-  HETPS_RETURN_NOT_OK(reader.ReadI64(&num_partitions));
-  if (scheme > static_cast<uint8_t>(PartitionScheme::kRangeHash) ||
-      dim <= 0 || num_servers <= 0 || num_partitions < num_servers ||
-      num_partitions > dim) {
-    return Status::InvalidArgument("bad partition-layout handshake");
-  }
-  layout_.emplace(static_cast<PartitionScheme>(scheme), dim,
-                  static_cast<int>(num_servers),
-                  static_cast<int>(num_partitions));
-  return Status::OK();
-}
-
-Status RpcWorkerClient::PullCachedOnce(int* cmin, bool* tag_mismatch) {
-  const Partitioner& layout = cache_->layout();
-  const std::vector<int64_t>& tags = cache_->tags();
-  ByteWriter w;
-  w.Reserve(17 + tags.size() * 8);
-  w.WriteU8(static_cast<uint8_t>(PsOpCode::kPullDelta));
-  w.WriteI64(worker_id_);
-  w.WriteU64(tags.size());
-  for (int64_t tag : tags) w.WriteI64(delta_pull_ ? tag : kNoCachedTag);
-  auto response = Roundtrip(w.TakeBuffer());
-  if (!response.ok()) return response.status();
-  ByteReader reader(response.value());
-  HETPS_RETURN_NOT_OK(ConsumeStatus(&reader));
-  int64_t cmin64 = 0;
-  uint64_t parts = 0;
-  HETPS_RETURN_NOT_OK(reader.ReadI64(&cmin64));
-  HETPS_RETURN_NOT_OK(reader.ReadU64(&parts));
-  if (parts != tags.size()) {
-    return Status::InvalidArgument("partition count changed mid-stream");
-  }
-  // Partitions arrive in index order (the response carries no explicit
-  // ids). The response is untrusted bytes: every piece is decoded and
-  // checked against the handshaken layout before any of them reaches
-  // the cache, so a malformed frame leaves the cache untouched.
-  std::vector<PartitionPull> pieces(static_cast<size_t>(parts));
-  int64_t shipped = 0;
-  for (size_t p = 0; p < pieces.size(); ++p) {
-    PartitionPull& pp = pieces[p];
-    pp.partition = static_cast<int>(p);
-    uint8_t encoding = 0;
-    HETPS_RETURN_NOT_OK(reader.ReadU8(&encoding));
-    HETPS_RETURN_NOT_OK(reader.ReadI64(&pp.tag));
-    const int64_t dim_p = layout.PartitionDim(pp.partition);
-    pp.encoding = static_cast<PartitionPull::Encoding>(encoding);
-    switch (pp.encoding) {
-      case PartitionPull::Encoding::kUnchanged:
-        break;
-      case PartitionPull::Encoding::kDense:
-        HETPS_RETURN_NOT_OK(reader.ReadDenseVector(&pp.dense));
-        if (pp.dense.size() != static_cast<size_t>(dim_p)) {
-          return Status::InvalidArgument("dense piece has wrong length");
-        }
-        shipped += static_cast<int64_t>(pp.dense.size() * sizeof(double));
-        break;
-      case PartitionPull::Encoding::kSparseDelta:
-        HETPS_RETURN_NOT_OK(reader.ReadI64(&pp.base_tag));
-        [[fallthrough]];
-      case PartitionPull::Encoding::kSparse:
-        HETPS_RETURN_NOT_OK(reader.ReadSparseVector(&pp.sparse));
-        if (pp.sparse.MinimumDimension() > dim_p) {
-          return Status::InvalidArgument("sparse piece index out of range");
-        }
-        shipped += static_cast<int64_t>(
-            pp.sparse.nnz() * (sizeof(int64_t) + sizeof(double)));
-        break;
-      default:
-        return Status::InvalidArgument("unknown partition encoding");
-    }
-  }
-  // A delta against state the cache no longer (or never) held — e.g. a
-  // server-side checkpoint restore between pulls — is dropped, and its
-  // partition ships whole on the caller's retry.
-  *tag_mismatch = !cache_->Apply(pieces);
-  pulled_bytes_ += shipped;
-  // Baseline: the whole model shipped dense.
-  pulled_bytes_full_ += layout.dim() * static_cast<int64_t>(sizeof(double));
-  *cmin = static_cast<int>(cmin64);
-  return Status::OK();
-}
-
-Status RpcWorkerClient::PullCached(std::vector<double>* replica,
-                                   int* cmin) {
-  HETPS_RETURN_NOT_OK(Flush());
-  HETPS_RETURN_NOT_OK(EnsureLayout());
-  if (!cache_.has_value()) cache_.emplace(*layout_, &GlobalMetrics());
-  for (int attempt = 0; attempt < 3; ++attempt) {
-    bool mismatch = false;
-    int c = 0;
-    HETPS_RETURN_NOT_OK(PullCachedOnce(&c, &mismatch));
-    if (!mismatch) {
-      *replica = cache_->values();
-      if (cmin != nullptr) *cmin = c;
-      return Status::OK();
-    }
-    // Mismatched partitions had their tags reset; the retry ships them
-    // whole. One round trip normally suffices.
-  }
-  return Status::Internal("delta pull base tags kept mismatching");
+int64_t RpcWorkerClient::retry_count() const {
+  return static_cast<const BusChannel*>(channel())->retry_count();
 }
 
 Result<bool> RpcWorkerClient::CanAdvance(int next_clock) {
-  // The admission decision depends on the clock table this worker's own
-  // queued pushes advance — probe only after they have landed. (Also
-  // surfaces a latched async failure, e.g. eviction, instead of letting
-  // the caller poll forever.)
-  HETPS_RETURN_NOT_OK(Flush());
-  ByteWriter w;
-  w.WriteU8(static_cast<uint8_t>(PsOpCode::kCanAdvance));
-  w.WriteI64(worker_id_);
-  w.WriteI64(next_clock);
-  auto response = Roundtrip(w.TakeBuffer());
-  if (!response.ok()) return response.status();
-  ByteReader reader(response.value());
-  HETPS_RETURN_NOT_OK(ConsumeStatus(&reader));
-  uint8_t ok = 0;
-  HETPS_RETURN_NOT_OK(reader.ReadU8(&ok));
-  return ok != 0;
-}
-
-Status RpcWorkerClient::WaitUntilCanAdvance(int next_clock) {
-  int64_t denied = 0;
-  for (;;) {
-    Result<bool> admitted = CanAdvance(next_clock);
-    if (!admitted.ok()) return admitted.status();
-    if (admitted.value()) return Status::OK();
-    ++denied;
-    if (retry_.max_admission_probes > 0 &&
-        denied >= retry_.max_admission_probes) {
-      return Status::DeadlineExceeded(
-          "admission denied after " + std::to_string(denied) +
-          " probes waiting for clock " + std::to_string(next_clock));
-    }
-    if (retry_.admission_probe_sleep.count() > 0) {
-      std::this_thread::sleep_for(retry_.admission_probe_sleep);
-    }
-  }
-}
-
-Status RpcWorkerClient::ReportClock(int clock, double seconds) {
-  ByteWriter w;
-  w.WriteU8(static_cast<uint8_t>(PsOpCode::kReportClock));
-  w.WriteI64(worker_id_);
-  w.WriteI64(clock);
-  w.WriteDouble(seconds);
-  return Call(w.TakeBuffer());
-}
-
-Status RpcWorkerClient::Readmit(int clock) {
-  // Pushes queued before the eviction fail fast with FailedPrecondition
-  // — that is expected; a successful rejoin starts a clean window.
-  window_.Reset();
-  ByteWriter w;
-  w.WriteU8(static_cast<uint8_t>(PsOpCode::kReadmit));
-  w.WriteI64(worker_id_);
-  w.WriteI64(clock);
-  return Call(w.TakeBuffer());
+  HETPS_RETURN_NOT_OK(Flush());  // as in WaitUntilCanAdvance
+  return static_cast<BusChannel*>(channel())->CanAdvance(next_clock);
 }
 
 }  // namespace hetps

@@ -17,8 +17,7 @@
 #include "obs/metrics.h"
 #include "ps/parameter_server.h"
 #include "ps/partition.h"
-#include "ps/push_window.h"
-#include "ps/replica_cache.h"
+#include "ps/ps_client.h"
 
 namespace hetps {
 
@@ -35,8 +34,9 @@ enum class PsOpCode : uint8_t {
   /// sparse piece, or sparse delta — see ParameterServer::PullDelta.
   kPullDelta = 6,
   /// Partition-layout handshake: returns (scheme, dim, num_servers,
-  /// num_partitions) so a client can reconstruct the Partitioner and
-  /// scatter partition-local pieces without out-of-band configuration.
+  /// num_partitions, update-filter epsilon) so a client can reconstruct
+  /// the Partitioner, filter and split its pushes, and scatter
+  /// partition-local pieces without out-of-band configuration.
   kLayout = 7,
   /// Worker reports the measured duration of its last compute clock
   /// (worker id, clock, seconds). Feeds Master::ReportClockTime — the
@@ -268,141 +268,36 @@ struct RpcRetryPolicy {
   }
 };
 
-/// Worker-side stub issuing PS operations through the bus. One instance
-/// per worker thread.
+/// A PsClient over the message bus to a PsService (the RPC runtime).
 ///
-/// Blocking admission is implemented by polling CanAdvance (a blocking
-/// server call would stall the single-threaded service loop and deadlock
-/// the cluster), with a small sleep between probes.
-///
-/// ## Pulls
-///
-/// Every pull is one kPullDelta round trip applied to a ReplicaCache,
-/// the same cache the in-process WorkerClient keeps. With `delta_pull`
-/// on (default) the request carries the cached tags; off, it carries
-/// kNoCachedTag for every partition, so every partition ships whole in
-/// its cheaper layout.
-///
-/// ## Pushes
-///
-/// Every push is one kPush frame, split by partition on the caller's
-/// thread against the layout the kLayout handshake returned; the
-/// handshake runs on the first Push or PullCached, whichever comes
-/// first. A key outside [0, dim) is refused here with InvalidArgument.
-/// The encoded frame then goes through a PushWindow: sent inline at
-/// push_window 0, else queued behind a background sender, so the caller
-/// blocks only when `push_window` pushes are already in flight. The
-/// first failed async push is latched and surfaced by the next
-/// Push/Flush (and by the pull/admission calls, which drain the window
-/// first for read-your-writes) — an eviction mid-flight therefore
-/// resolves as FailedPrecondition on the owner thread instead of
-/// hanging, and Readmit() clears the latch after draining.
-class RpcWorkerClient {
+/// Its channel makes every operation one request/response round trip to
+/// `ps_endpoint`, each attempt bounded by `retry.timeout` and retried
+/// with backoff on DeadlineExceeded (rpc.client_retries in
+/// GlobalMetrics() counts the retries of all clients). The kLayout
+/// handshake supplies the partition layout and the update filter; a
+/// malformed handshake is InvalidArgument. Pushes are kPush frames, which
+/// the service dedups by (worker, clock), so a retried push applies once.
+/// A kPullDelta response is untrusted bytes: the whole frame is decoded
+/// and checked against the layout before any piece reaches the cache.
+/// Admission polls kCanAdvance — a blocking server call would stall the
+/// single service loop — sleeping `retry.admission_probe_sleep` between
+/// denied probes and giving up with DeadlineExceeded after
+/// `retry.max_admission_probes` of them (0 = never). A request from an
+/// evicted worker answers FailedPrecondition; Readmit is the one it may
+/// still send. pulled_bytes_full() counts dim × 8 bytes per pull, and
+/// push.inflight* and client.cache_apply_us land in GlobalMetrics().
+class RpcWorkerClient : public PsClient {
  public:
   RpcWorkerClient(int worker_id, MessageBus* bus, std::string ps_endpoint,
                   const RpcRetryPolicy& retry = RpcRetryPolicy(),
                   int push_window = 0, bool delta_pull = true);
 
-  RpcWorkerClient(const RpcWorkerClient&) = delete;
-  RpcWorkerClient& operator=(const RpcWorkerClient&) = delete;
+  /// Retries performed so far (attempts beyond the first), the push
+  /// sender's included.
+  int64_t retry_count() const;
 
-  int worker_id() const { return worker_id_; }
-  int push_window() const { return window_.window(); }
-
-  /// Retries performed so far (attempts beyond the first). Atomic: the
-  /// push sender retries concurrently with the owner's RPCs.
-  int64_t retry_count() const {
-    return retry_count_.load(std::memory_order_relaxed);
-  }
-
-  /// Synchronous when push_window == 0. Pipelined otherwise: returns as
-  /// soon as the update is queued (or the window has space), with any
-  /// earlier async failure returned instead — once latched, nothing
-  /// further is enqueued until Readmit() resets the window.
-  Status Push(int clock, const SparseVector& update);
-
-  /// Drains the push window (no-op when push_window == 0) and returns
-  /// the latched async-push error, if any.
-  Status Flush();
-
-  /// Push wall time the pipeline overlapped with the owner's compute:
-  /// total async send time minus the time the owner actually blocked on
-  /// the window. Call after Flush() for a settled value.
-  double push_hidden_seconds() const;
-
-  /// The pull: sends the per-partition content tags (see "Pulls"),
-  /// applies the changed pieces (whole blocks or sparse deltas) onto the
-  /// pristine cache, and hands back a mutable copy with the server's
-  /// cmin. Builds the cache on first use. Falls back to re-pulling with
-  /// cleared tags when a delta's base tag no longer matches (e.g. the
-  /// server restored a checkpoint between pulls). The replica equals
-  /// the server's materialized state bit for bit.
-  Status PullCached(std::vector<double>* replica, int* cmin);
-
-  /// Cumulative content bytes received by PullCached vs. the dense
-  /// whole model (dim × 8 bytes) per pull — bench_pull_path's reduction
-  /// baseline. (WorkerClient's baseline is the server's whole-block
-  /// bytes instead.)
-  int64_t pulled_bytes() const { return pulled_bytes_; }
-  int64_t pulled_bytes_full() const { return pulled_bytes_full_; }
-
-  /// Single admission probe.
+  /// One admission probe, after draining the push window.
   Result<bool> CanAdvance(int next_clock);
-
-  /// Polls CanAdvance until it holds. Returns DeadlineExceeded after
-  /// retry.max_admission_probes denied probes (0 = forever), or
-  /// FailedPrecondition when the service has evicted this worker.
-  Status WaitUntilCanAdvance(int next_clock);
-
-  /// Reports the measured duration of this worker's last compute clock
-  /// to the master's straggler statistics (kReportClock).
-  Status ReportClock(int clock, double seconds);
-
-  /// Asks the service to readmit this (evicted) worker as of `clock`
-  /// finished clocks (kReadmit). FailedPrecondition when the worker is
-  /// already live or `clock` is behind cmin.
-  Status Readmit(int clock);
-
- private:
-  Result<std::vector<uint8_t>> Roundtrip(const std::vector<uint8_t>& request);
-
-  /// Roundtrip for requests whose reply is a bare status.
-  Status Call(const std::vector<uint8_t>& request);
-
-  /// Fetches the server's partition layout (kLayout) once.
-  Status EnsureLayout();
-
-  /// One kPullDelta round trip; sets `*tag_mismatch` when a delta's base
-  /// tag did not match the cache (caller resets tags and retries).
-  Status PullCachedOnce(int* cmin, bool* tag_mismatch);
-
-  /// Encodes one kPush frame. Runs on the owner thread, which owns the
-  /// layout.
-  Result<std::vector<uint8_t>> EncodePush(int clock,
-                                          const SparseVector& update);
-
-  int worker_id_;
-  MessageBus* bus_;
-  std::string ps_endpoint_;
-  std::string my_endpoint_;
-  RpcRetryPolicy retry_;
-  bool delta_pull_;
-  std::atomic<int64_t> retry_count_{0};
-  /// Mirrors retry_count_ into GlobalMetrics() ("rpc.client_retries",
-  /// summed across clients) for metrics.json.
-  Counter* retries_metric_;
-
-  /// The server's partition layout, from the kLayout handshake.
-  std::optional<Partitioner> layout_;
-  /// Client partition cache, built over layout_ on the first PullCached;
-  /// clients that only push never allocate it.
-  std::optional<ReplicaCache> cache_;
-  int64_t pulled_bytes_ = 0;
-  int64_t pulled_bytes_full_ = 0;
-
-  /// Encoded kPush frames. Declared last: destroyed (drained) before
-  /// anything its sends use.
-  PushWindow<std::vector<uint8_t>> window_;
 };
 
 }  // namespace hetps

@@ -138,30 +138,41 @@ ParameterServer::ParameterServer(int64_t dim, int num_workers,
   }
 }
 
-void ParameterServer::Push(int worker, int clock,
-                           const SparseVector& update) {
-  HETPS_TRACE_SPAN2("ps.push", "worker", worker, "nnz", update.nnz());
+Result<PushPieceList> SplitPush(const Partitioner& layout,
+                                double filter_epsilon,
+                                const SparseVector& update) {
+  // Indices are strictly increasing, so the two ends bound every key.
+  if (!update.empty() &&
+      (update.index(0) < 0 || update.MinimumDimension() > layout.dim())) {
+    return Status::InvalidArgument("update index out of range");
+  }
   // The filter is the only reason to copy the update; unfiltered pushes
   // split the caller's vector directly.
   std::vector<SparseVector> split =
-      options_.update_filter_epsilon > 0.0
-          ? partitioner_.SplitByPartition(
-                update.Filtered(options_.update_filter_epsilon))
-          : partitioner_.SplitByPartition(update);
-  // Only the non-empty pieces go on, as on the wire: PushPieces decides
-  // what an absent partition means to the rule.
-  std::vector<std::pair<int, SparseVector>> pieces;
+      filter_epsilon > 0.0
+          ? layout.SplitByPartition(update.Filtered(filter_epsilon))
+          : layout.SplitByPartition(update);
+  // Only the non-empty pieces go on: PushPieces decides what an absent
+  // partition means to the rule.
+  PushPieceList pieces;
   pieces.reserve(split.size());
-  for (int p = 0; p < partitioner_.num_partitions(); ++p) {
+  for (int p = 0; p < layout.num_partitions(); ++p) {
     SparseVector& piece = split[static_cast<size_t>(p)];
     if (!piece.empty()) pieces.emplace_back(p, std::move(piece));
   }
-  PushPieces(worker, clock, pieces);
+  return pieces;
 }
 
-void ParameterServer::PushPieces(
-    int worker, int clock,
-    const std::vector<std::pair<int, SparseVector>>& pieces) {
+void ParameterServer::Push(int worker, int clock,
+                           const SparseVector& update) {
+  PushPieces(worker, clock,
+             SplitPush(partitioner_, options_.update_filter_epsilon, update)
+                 .value());
+}
+
+void ParameterServer::PushPieces(int worker, int clock,
+                                 const PushPieceList& pieces) {
+  HETPS_TRACE_SPAN2("ps.push", "worker", worker, "pieces", pieces.size());
   // Membership guard, once per logical push: a push that raced its
   // sender's eviction must not touch shard state — the worker's data
   // shard has already been handed to the survivors, so its gradient

@@ -101,6 +101,19 @@ struct DeltaPullResult {
   int64_t bytes_full = 0;
 };
 
+/// One push's partition-local pieces: (partition, piece) pairs, each
+/// piece non-empty, in increasing partition order. ParameterServer::
+/// PushPieces applies them and the kPush frame carries them.
+using PushPieceList = std::vector<std::pair<int, SparseVector>>;
+
+/// The client half of a push: drops the |x| <= `filter_epsilon` entries
+/// when `filter_epsilon` > 0 (§5.3), splits the rest by partition and
+/// keeps the non-empty pieces. InvalidArgument when a key lies outside
+/// [0, layout.dim()).
+Result<PushPieceList> SplitPush(const Partitioner& layout,
+                                double filter_epsilon,
+                                const SparseVector& update);
+
 /// Size/route plan for one partition of a pull — the simulator asks for
 /// this at grant time to size the per-partition message without
 /// materializing the block.
@@ -161,8 +174,8 @@ class ParameterServer {
 
   /// --- Whole-push/pull API (threaded runtime, tests) ---
 
-  /// Applies the client-side filter, splits `update` by partition and
-  /// hands the non-empty pieces to PushPieces.
+  /// Applies SplitPush with this server's filter and hands the pieces to
+  /// PushPieces. Aborts on a key outside [0, dim).
   void Push(int worker, int clock, const SparseVector& update);
 
   /// Applies the partition-local pieces of ONE logical push (worker,
@@ -175,10 +188,9 @@ class ParameterServer {
   /// shards, so the result is independent of apply order). AdvanceClock
   /// fires exactly once after the last piece, with no shard mutex held
   /// (L2 before L1, never nested). Pieces must be partition-local (from
-  /// partitioner().SplitByPartition or the wire decoder) and in strictly
-  /// increasing partition order.
-  void PushPieces(int worker, int clock,
-                  const std::vector<std::pair<int, SparseVector>>& pieces);
+  /// SplitPush or the wire decoder) and in strictly increasing partition
+  /// order.
+  void PushPieces(int worker, int clock, const PushPieceList& pieces);
 
   /// True if `worker` may begin `next_clock` under the sync policy.
   /// Always false for an evicted worker.
@@ -214,7 +226,7 @@ class ParameterServer {
                            const std::atomic<bool>* cancel = nullptr);
 
   /// Wakes every thread blocked in WaitUntilCanAdvance so it can re-check
-  /// its cancel token. Used by prefetch teardown (WorkerClient dtor).
+  /// its cancel token. Used by prefetch teardown (PsClient dtor).
   void WakeClockWaiters();
 
   /// Assembles the full dense parameter. When partition_sync is on, pulls

@@ -192,31 +192,6 @@ int Partitioner::PartitionsTouched(int64_t begin, int64_t end) const {
   return PartitionOf(end - 1) - PartitionOf(begin) + 1;
 }
 
-std::vector<int> Partitioner::PartitionsForRange(int64_t begin,
-                                                 int64_t end) const {
-  HETPS_CHECK(begin >= 0 && begin <= end && end <= dim_)
-      << "bad key interval";
-  std::vector<int> out;
-  if (begin == end) return out;
-  if (scheme_ == PartitionScheme::kHash) {
-    const int64_t span = end - begin;
-    if (span >= num_partitions_) {
-      for (int p = 0; p < num_partitions_; ++p) out.push_back(p);
-    } else {
-      for (int64_t key = begin; key < end; ++key) {
-        out.push_back(static_cast<int>(key % num_partitions_));
-      }
-      std::sort(out.begin(), out.end());
-      out.erase(std::unique(out.begin(), out.end()), out.end());
-    }
-    return out;
-  }
-  const int first = PartitionOf(begin);
-  const int last = PartitionOf(end - 1);
-  for (int p = first; p <= last; ++p) out.push_back(p);
-  return out;
-}
-
 std::vector<int64_t> Partitioner::ServerLoads() const {
   std::vector<int64_t> loads(static_cast<size_t>(num_servers_), 0);
   for (int p = 0; p < num_partitions_; ++p) {

@@ -72,9 +72,6 @@ class Partitioner {
   /// the range-query cost the hybrid scheme optimizes.
   int PartitionsTouched(int64_t begin, int64_t end) const;
 
-  /// The partitions holding any key of [begin, end), ascending.
-  std::vector<int> PartitionsForRange(int64_t begin, int64_t end) const;
-
   /// Total keys assigned to each server (load-balance metric).
   std::vector<int64_t> ServerLoads() const;
 

@@ -241,14 +241,8 @@ class Simulation {
       HETPS_CHECK(mitigation == nullptr)
           << "rebalance and a StragglerMitigation baseline are mutually "
              "exclusive";
-      LoadBalancerOptions lb_opts;
-      lb_opts.straggler_threshold = options.straggler_threshold;
-      lb_opts.hysteresis = options.rebalance_hysteresis;
-      lb_opts.reassign_fraction = options.reassign_fraction;
-      lb_opts.max_examples_per_round = options.rebalance_max_per_round;
-      lb_opts.min_shard_size = options.rebalance_min_shard;
-      lb_opts.recovery_windows = options.rebalance_recovery_windows;
-      lb_ = std::make_unique<LoadBalancer>(cluster.num_workers, lb_opts);
+      lb_ = std::make_unique<LoadBalancer>(cluster.num_workers,
+                                           options.balancer);
     }
     if (options.heartbeat_timeout_seconds > 0.0) {
       monitor_ = std::make_unique<HeartbeatMonitor>(

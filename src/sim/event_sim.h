@@ -13,6 +13,7 @@
 #include "data/dataset.h"
 #include "math/loss.h"
 #include "obs/breakdown.h"
+#include "ps/load_balancer.h"
 #include "ps/partition.h"
 #include "ps/status.h"
 #include "sim/cluster_config.h"
@@ -117,18 +118,7 @@ struct SimOptions {
   /// clock boundaries, driven by Master::DetectStragglers. Mutually
   /// exclusive with passing a `mitigation` baseline to RunSimulation.
   bool rebalance = false;
-  /// Flag workers slower than `straggler_threshold` times the fastest.
-  double straggler_threshold = 1.2;
-  /// Consecutive flagged clocks before the first migration.
-  int rebalance_hysteresis = 3;
-  /// Fraction of the straggler's shard shed per flagged clock.
-  double reassign_fraction = 0.05;
-  /// Hard cap on examples moved per decision (0 = uncapped).
-  size_t rebalance_max_per_round = 0;
-  /// Consecutive clean clocks before lent examples are reclaimed.
-  int rebalance_recovery_windows = 3;
-  /// Never shrink a shard below this many examples.
-  size_t rebalance_min_shard = 8;
+  LoadBalancerOptions balancer;
   /// --- Transient congestion episode (exercises the return path) ---
   /// Multiply `slow_worker`'s compute time by `slow_multiplier` for
   /// clocks in [slow_from_clock, slow_until_clock). -1 disables.

@@ -9,6 +9,7 @@
 #include "core/dyn_sgd.h"
 #include "core/learning_rate.h"
 #include "data/synthetic.h"
+#include "engine/threaded_trainer.h"
 #include "util/rng.h"
 
 namespace hetps {
@@ -160,15 +161,36 @@ TEST(DistributedTrainerTest, DeltaPullMatchesFullPullOnALossyBus) {
 }
 
 TEST(DistributedTrainerTest, MatchesSharedMemoryRuntimeQuality) {
-  // The RPC path and the shared-memory path run the same algorithm and
-  // must land in the same quality regime.
+  // The RPC path and the shared-memory path run the same algorithm. With
+  // three workers each run's schedule differs, which moves a single
+  // run's objective by up to about 0.01 (more on a loaded host), so the
+  // runtimes are compared by the mean of ten runs each.
   const Dataset d = DistData();
   LogisticLoss loss;
   FixedRate sched(0.5);
   ConRule rule;
-  auto rpc = TrainDistributed(d, loss, sched, rule, FastOptions());
-  ASSERT_TRUE(rpc.ok());
-  EXPECT_LT(rpc.value().final_objective, 0.5);
+  const DistributedTrainerOptions opts = FastOptions();
+  ThreadedTrainerOptions shared;
+  shared.sync = opts.sync;
+  shared.num_workers = opts.num_workers;
+  shared.num_servers = opts.num_servers;
+  shared.partitions_per_server = 1;
+  shared.max_clocks = opts.max_clocks;
+  shared.eval_sample = opts.eval_sample;
+  constexpr int kRuns = 10;
+  double rpc_mean = 0.0;
+  double threaded_mean = 0.0;
+  for (int run = 0; run < kRuns; ++run) {
+    auto rpc = TrainDistributed(d, loss, sched, rule, opts);
+    ASSERT_TRUE(rpc.ok());
+    const ThreadedTrainResult threaded =
+        TrainThreaded(d, loss, sched, rule, shared);
+    EXPECT_LT(rpc.value().final_objective, 0.5);
+    EXPECT_LT(threaded.final_objective, 0.5);
+    rpc_mean += rpc.value().final_objective / kRuns;
+    threaded_mean += threaded.final_objective / kRuns;
+  }
+  EXPECT_NEAR(rpc_mean, threaded_mean, 0.01);
 }
 
 TEST(DistributedTrainerTest, RebalanceShedsLoadOffInjectedStraggler) {
@@ -184,9 +206,9 @@ TEST(DistributedTrainerTest, RebalanceShedsLoadOffInjectedStraggler) {
   DistributedTrainerOptions opts = FastOptions();
   opts.max_clocks = 12;
   opts.rebalance = true;
-  opts.straggler_threshold = 1.5;
-  opts.rebalance_hysteresis = 2;
-  opts.reassign_fraction = 0.2;
+  opts.balancer.straggler_threshold = 1.5;
+  opts.balancer.hysteresis = 2;
+  opts.balancer.reassign_fraction = 0.2;
   opts.injected_compute_delay = {0.03};  // zero-padded for workers 1, 2
   auto result = TrainDistributed(d, loss, sched, rule, opts);
   ASSERT_TRUE(result.ok()) << result.status().ToString();

@@ -68,7 +68,7 @@ TEST(ThreadedTrainerTest, SleepInjectionSlowsWallClock) {
   ThreadedTrainerOptions opts = FastOptions(2);
   opts.max_clocks = 4;
   const ThreadedTrainResult fast = TrainThreaded(d, loss, sched, rule, opts);
-  opts.worker_sleep_seconds = {0.0, 0.03};
+  opts.injected_compute_delay = {0.0, 0.03};
   opts.sync = SyncPolicy::Bsp();
   const ThreadedTrainResult slow = TrainThreaded(d, loss, sched, rule, opts);
   EXPECT_GT(slow.wall_seconds, fast.wall_seconds + 0.05);
@@ -124,8 +124,11 @@ TEST(ThreadedTrainerDeathTest, ValidatesSleepVector) {
   FixedRate sched(0.5);
   SspRule rule;
   ThreadedTrainerOptions opts = FastOptions(3);
-  opts.worker_sleep_seconds = {0.0};  // wrong size
-  EXPECT_DEATH(TrainThreaded(d, loss, sched, rule, opts), "mismatch");
+  // A shorter vector is zero-padded; a longer one names workers that do
+  // not exist.
+  opts.injected_compute_delay = {0.0, 0.0, 0.0, 0.01};
+  EXPECT_DEATH(TrainThreaded(d, loss, sched, rule, opts),
+               "injected_compute_delay has 4 entries for 3 workers");
 }
 
 }  // namespace

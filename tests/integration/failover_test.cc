@@ -62,7 +62,7 @@ TEST(FailoverTest, KilledWorkerIsEvictedAndTrainingCompletes) {
   // 2.0 virtual seconds = 2000 request ticks: the survivors' admission
   // probes alone advance the clock past the timeout, so detection works
   // even once everyone is parked on the SSP gate.
-  opts.heartbeat_timeout = 2.0;
+  opts.heartbeat_timeout_seconds = 2.0;
 
   const int64_t evicted_before =
       GlobalMetrics().counter("ps.worker_evicted")->value();
@@ -103,7 +103,7 @@ TEST(FailoverTest, EvictionDisabledDeadlocksAtTheAdmissionGate) {
   DistributedTrainerOptions opts = FailoverOptions();
   opts.fault_plan.fault_worker = 2;
   opts.fault_plan.kill_at_clock = 3;
-  opts.heartbeat_timeout = 0.0;  // liveness plane off
+  opts.heartbeat_timeout_seconds = 0.0;  // liveness plane off
   opts.rpc_retry.max_admission_probes = 3000;
   opts.rpc_retry.admission_probe_sleep = std::chrono::microseconds(0);
 
@@ -130,7 +130,7 @@ TEST(FailoverTest, KillSurvivesALossyBusToo) {
   opts.fault_plan.seed = 77;
   opts.fault_plan.fault_worker = 2;
   opts.fault_plan.kill_at_clock = 3;
-  opts.heartbeat_timeout = 2.0;
+  opts.heartbeat_timeout_seconds = 2.0;
   opts.rpc_retry.timeout = std::chrono::milliseconds(10);
   opts.rpc_retry.max_attempts = 40;
   opts.rpc_retry.initial_backoff = std::chrono::microseconds(100);
@@ -158,7 +158,7 @@ TEST(FailoverTest, HangShorterThanTimeoutIsNotEvicted) {
   opts.fault_plan.fault_worker = 2;
   opts.fault_plan.kill_at_clock = 3;
   opts.fault_plan.hang_seconds = 0.5;  // virtual; timeout is 2.0
-  opts.heartbeat_timeout = 2.0;
+  opts.heartbeat_timeout_seconds = 2.0;
 
   auto result = TrainDistributed(d, loss, sched, rule, opts);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -182,7 +182,7 @@ TEST(FailoverTest, HangLongerThanTimeoutIsEvictedAndUnblocksItself) {
   opts.fault_plan.fault_worker = 2;
   opts.fault_plan.kill_at_clock = 3;
   opts.fault_plan.hang_seconds = 10.0;  // virtual; timeout is 2.0
-  opts.heartbeat_timeout = 2.0;
+  opts.heartbeat_timeout_seconds = 2.0;
 
   auto result = TrainDistributed(d, loss, sched, rule, opts);
   ASSERT_TRUE(result.ok()) << result.status().ToString();

@@ -376,7 +376,7 @@ TEST(PushPipelineTest, PipelineComposesWithEviction) {
   opts.sync = SyncPolicy::Ssp(3);
   opts.fault_plan.fault_worker = 2;
   opts.fault_plan.kill_at_clock = 3;
-  opts.heartbeat_timeout = 2.0;
+  opts.heartbeat_timeout_seconds = 2.0;
 
   auto result = TrainDistributed(d, loss, sched, rule, opts);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -397,8 +397,8 @@ TEST(PushPipelineTest, PipelineComposesWithRebalance) {
   DistributedTrainerOptions opts = PipelineOptions();
   opts.max_clocks = 14;
   opts.rebalance = true;
-  opts.rebalance_hysteresis = 2;
-  opts.reassign_fraction = 0.10;
+  opts.balancer.hysteresis = 2;
+  opts.balancer.reassign_fraction = 0.10;
   opts.injected_compute_delay = {0.0, 0.0, 0.004};
 
   auto result = TrainDistributed(d, loss, sched, rule, opts);

@@ -250,7 +250,7 @@ TEST_F(ObsEndToEndTest, LossyKillRunStitchesAllFourArtifacts) {
   dopts.fault_plan = FaultPlan::DropEverywhere(0.05, 77);
   dopts.fault_plan.fault_worker = 2;
   dopts.fault_plan.kill_at_clock = 3;
-  dopts.heartbeat_timeout = 2.0;
+  dopts.heartbeat_timeout_seconds = 2.0;
   dopts.rpc_retry.timeout = std::chrono::milliseconds(10);
   dopts.rpc_retry.max_attempts = 40;
   dopts.rpc_retry.initial_backoff = std::chrono::microseconds(100);

@@ -109,35 +109,6 @@ TEST(PartitionerTest, RangeHashBalancesPopularPrefix) {
   EXPECT_GE(hybrid_servers.size(), range_servers.size());
 }
 
-TEST(PartitionerTest, PartitionsForRangeCoversRangeExactly) {
-  for (PartitionScheme scheme :
-       {PartitionScheme::kRange, PartitionScheme::kHash,
-        PartitionScheme::kRangeHash}) {
-    const Partitioner part(scheme, 100, 2, 4);
-    const auto parts = part.PartitionsForRange(10, 40);
-    // Every key of the range maps to a listed partition.
-    for (int64_t key = 10; key < 40; ++key) {
-      EXPECT_NE(std::find(parts.begin(), parts.end(),
-                          part.PartitionOf(key)),
-                parts.end())
-          << "scheme " << PartitionSchemeName(scheme) << " key " << key;
-    }
-    // Sorted, unique.
-    for (size_t i = 1; i < parts.size(); ++i) {
-      EXPECT_LT(parts[i - 1], parts[i]);
-    }
-  }
-}
-
-TEST(PartitionerTest, PartitionsForRangeEdgeCases) {
-  const Partitioner part(PartitionScheme::kRange, 100, 2, 4);
-  EXPECT_TRUE(part.PartitionsForRange(50, 50).empty());
-  EXPECT_EQ(part.PartitionsForRange(0, 100).size(), 4u);
-  const Partitioner hash(PartitionScheme::kHash, 100, 2, 4);
-  EXPECT_EQ(hash.PartitionsForRange(0, 2).size(), 2u);
-  EXPECT_EQ(hash.PartitionsForRange(0, 100).size(), 4u);
-}
-
 TEST(PartitionerTest, CreateClampsPartitionCount) {
   const Partitioner part =
       Partitioner::Create(PartitionScheme::kRange, /*dim=*/3,

@@ -1,8 +1,9 @@
-// The push path both clients share: the PushWindow on its own (with a
+// The push path both channels share: the PushWindow on its own (with a
 // fake send), and every way a push reaches the shards — the in-process
-// facade and the RPC client at windows 0 and 1 — applying the same
-// update under every consolidation rule. CI's push-smoke sanitizer legs
-// select these by the PushWindow|PushPathParity prefixes.
+// facade and the client over either channel at windows 0 and 1 —
+// applying the same update under every consolidation rule. CI's
+// push-smoke sanitizer legs select these by the PushWindow|PushPathParity
+// prefixes.
 
 #include "ps/push_window.h"
 
@@ -22,6 +23,7 @@
 #include "net/message_bus.h"
 #include "net/ps_service.h"
 #include "ps/parameter_server.h"
+#include "ps/worker_client.h"
 #include "rule_cases.h"
 #include "util/rng.h"
 
@@ -242,64 +244,90 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param.name;
     });
 
-// The same pushes, one after another, through ParameterServer::Push, the
-// RPC client at window 0, and the RPC client at window 1 (flushed after
-// each push) leave bitwise the same model and the same completed-version
-// count in every partition. Every worker first pulls once, through the
-// same PullDelta on every path, so each RPC client has its layout before
-// its first push.
+// The same pushes, one after another, through ParameterServer::Push and
+// through both clients at windows 0 and 1 (flushed after each push) —
+// in process over the PS and over the bus — leave bitwise the same model
+// and the same completed-version count in every partition, with and
+// without the server's update filter, which every path applies before
+// it splits. Every worker first pulls once, through the same PullDelta
+// on every path, so each client has its layout before its first push.
 TEST_P(PushPathParityTest, EveryPushPathAppliesTheSameUpdate) {
   constexpr int kWorkers = 3;
   constexpr int kClocks = 6;
-  PsOptions opts;
-  opts.num_servers = 2;
-  opts.partitions_per_server = 2;
-  opts.scheme = PartitionScheme::kRange;
-  opts.sync = SyncPolicy::Asp();
   const std::unique_ptr<ConsolidationRule> rule = GetParam().make();
-  ParameterServer facade(48, kWorkers, *rule, opts);
-  const std::vector<std::vector<SparseVector>> updates =
-      SkippingUpdates(facade.partitioner(), kWorkers, kClocks);
-  const auto update = [&](int c, int m) -> const SparseVector& {
-    return updates[static_cast<size_t>(c)][static_cast<size_t>(m)];
-  };
-  const std::vector<int64_t> cold(
-      static_cast<size_t>(facade.num_partitions()), kNoCachedTag);
-  for (int m = 0; m < kWorkers; ++m) (void)facade.PullDelta(m, cold);
-  for (int c = 0; c < kClocks; ++c) {
-    for (int m = 0; m < kWorkers; ++m) facade.Push(m, c, update(c, m));
-  }
-  const std::vector<double> expected = facade.Snapshot();
-
-  for (int window = 0; window <= 1; ++window) {
-    SCOPED_TRACE(window);
-    ParameterServer ps(48, kWorkers, *rule, opts);
-    MessageBus bus;
-    PsService service(&ps, &bus, "ps");
-    ASSERT_TRUE(service.status().ok());
-    std::vector<std::unique_ptr<RpcWorkerClient>> clients;
-    std::vector<double> replica;
-    for (int m = 0; m < kWorkers; ++m) {
-      clients.push_back(std::make_unique<RpcWorkerClient>(
-          m, &bus, "ps", RpcRetryPolicy(), window));
-      ASSERT_TRUE(clients.back()->PullCached(&replica, nullptr).ok());
-    }
+  for (const double epsilon : {0.0, 0.2}) {
+    SCOPED_TRACE(epsilon);
+    PsOptions opts;
+    opts.num_servers = 2;
+    opts.partitions_per_server = 2;
+    opts.scheme = PartitionScheme::kRange;
+    opts.sync = SyncPolicy::Asp();
+    opts.update_filter_epsilon = epsilon;
+    ParameterServer facade(48, kWorkers, *rule, opts);
+    const std::vector<std::vector<SparseVector>> updates =
+        SkippingUpdates(facade.partitioner(), kWorkers, kClocks);
+    const auto update = [&](int c, int m) -> const SparseVector& {
+      return updates[static_cast<size_t>(c)][static_cast<size_t>(m)];
+    };
+    const std::vector<int64_t> cold(
+        static_cast<size_t>(facade.num_partitions()), kNoCachedTag);
+    for (int m = 0; m < kWorkers; ++m) (void)facade.PullDelta(m, cold);
     for (int c = 0; c < kClocks; ++c) {
-      for (int m = 0; m < kWorkers; ++m) {
-        RpcWorkerClient& client = *clients[static_cast<size_t>(m)];
-        ASSERT_TRUE(client.Push(c, update(c, m)).ok());
-        ASSERT_TRUE(client.Flush().ok());
-      }
+      for (int m = 0; m < kWorkers; ++m) facade.Push(m, c, update(c, m));
     }
-    const std::vector<double> got = ps.Snapshot();
-    ASSERT_EQ(got.size(), expected.size());
-    EXPECT_EQ(std::memcmp(got.data(), expected.data(),
-                          expected.size() * sizeof(double)),
-              0);
-    for (int p = 0; p < ps.num_partitions(); ++p) {
-      EXPECT_EQ(ps.shard(p).CompletedVersionCount(),
-                facade.shard(p).CompletedVersionCount())
-          << "partition " << p;
+    const std::vector<double> expected = facade.Snapshot();
+
+    // Drives one client per worker against `ps` and compares the result.
+    const auto check = [&](const ParameterServer& ps,
+                           const std::vector<std::unique_ptr<PsClient>>&
+                               clients) {
+      std::vector<double> replica;
+      for (const auto& client : clients) {
+        ASSERT_TRUE(client->PullCached(&replica, nullptr).ok());
+      }
+      for (int c = 0; c < kClocks; ++c) {
+        for (int m = 0; m < kWorkers; ++m) {
+          PsClient& client = *clients[static_cast<size_t>(m)];
+          ASSERT_TRUE(client.Push(c, update(c, m)).ok());
+          ASSERT_TRUE(client.Flush().ok());
+        }
+      }
+      const std::vector<double> got = ps.Snapshot();
+      ASSERT_EQ(got.size(), expected.size());
+      EXPECT_EQ(std::memcmp(got.data(), expected.data(),
+                            expected.size() * sizeof(double)),
+                0);
+      for (int p = 0; p < ps.num_partitions(); ++p) {
+        EXPECT_EQ(ps.shard(p).CompletedVersionCount(),
+                  facade.shard(p).CompletedVersionCount())
+            << "partition " << p;
+      }
+    };
+    for (int window = 0; window <= 1; ++window) {
+      SCOPED_TRACE(window);
+      {
+        SCOPED_TRACE("in process");
+        ParameterServer ps(48, kWorkers, *rule, opts);
+        std::vector<std::unique_ptr<PsClient>> clients;
+        for (int m = 0; m < kWorkers; ++m) {
+          clients.push_back(std::make_unique<WorkerClient>(
+              m, &ps, /*delta_pull=*/true, window));
+        }
+        check(ps, clients);
+      }
+      {
+        SCOPED_TRACE("over the bus");
+        ParameterServer ps(48, kWorkers, *rule, opts);
+        MessageBus bus;
+        PsService service(&ps, &bus, "ps");
+        ASSERT_TRUE(service.status().ok());
+        std::vector<std::unique_ptr<PsClient>> clients;
+        for (int m = 0; m < kWorkers; ++m) {
+          clients.push_back(std::make_unique<RpcWorkerClient>(
+              m, &bus, "ps", RpcRetryPolicy(), window));
+        }
+        check(ps, clients);
+      }
     }
   }
 }

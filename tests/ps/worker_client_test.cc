@@ -85,7 +85,7 @@ TEST(WorkerClientTest, PrefetchDeliversPulledState) {
   client.StartPrefetch(1);
   EXPECT_TRUE(client.prefetch_active());
   std::vector<double> replica(4, 0.0);
-  EXPECT_TRUE(client.FinishPrefetch(&replica));
+  EXPECT_TRUE(client.FinishPrefetch(&replica).ok());
   EXPECT_FALSE(client.prefetch_active());
   EXPECT_DOUBLE_EQ(replica[1], 3.0);
   EXPECT_EQ(client.pull_count(), 1);
@@ -96,7 +96,7 @@ TEST(WorkerClientTest, FinishWithoutStartIsNoOp) {
   ParameterServer ps(4, 1, rule, Options(SyncPolicy::Asp()));
   WorkerClient client(0, &ps);
   std::vector<double> replica(4, 7.0);
-  EXPECT_FALSE(client.FinishPrefetch(&replica));
+  EXPECT_FALSE(client.FinishPrefetch(&replica).ok());
   EXPECT_DOUBLE_EQ(replica[0], 7.0);  // untouched
 }
 
@@ -109,7 +109,7 @@ TEST(WorkerClientTest, PrefetchWaitsForSspAdmission) {
   WorkerClient slow(1, &ps);
   slow.Push(0, SparseVector({1}, {2.0}));
   std::vector<double> replica(4, 0.0);
-  ASSERT_TRUE(fast.FinishPrefetch(&replica));
+  ASSERT_TRUE(fast.FinishPrefetch(&replica).ok());
   EXPECT_DOUBLE_EQ(replica[0], 1.0);
   EXPECT_DOUBLE_EQ(replica[1], 2.0);
 }
@@ -149,7 +149,7 @@ TEST(WorkerClientTest, PushOfEarlierClockOverlapsPrefetch) {
   client.StartPrefetch(1);  // waits for clock 0 to be pushed
   client.Push(0, SparseVector({2}, {4.0}));
   std::vector<double> replica(4, 0.0);
-  ASSERT_TRUE(client.FinishPrefetch(&replica));
+  ASSERT_TRUE(client.FinishPrefetch(&replica).ok());
   EXPECT_DOUBLE_EQ(replica[2], 4.0);
 }
 

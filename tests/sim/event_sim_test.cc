@@ -453,9 +453,9 @@ TEST(EventSimRebalanceTest, ShedsLoadOffPersistentStragglers) {
   plain.max_clocks = 24;
   SimOptions balanced = plain;
   balanced.rebalance = true;
-  balanced.straggler_threshold = 1.45;
-  balanced.rebalance_hysteresis = 2;
-  balanced.reassign_fraction = 0.2;
+  balanced.balancer.straggler_threshold = 1.45;
+  balanced.balancer.hysteresis = 2;
+  balanced.balancer.reassign_fraction = 0.2;
   const SimResult a = RunSimulation(d, cluster, rule, sched, loss, plain);
   const SimResult b =
       RunSimulation(d, cluster, rule, sched, loss, balanced);
@@ -483,10 +483,10 @@ TEST(EventSimRebalanceTest, TransientCongestionRoundTrips) {
   opts.sync = SyncPolicy::Ssp(3);
   opts.max_clocks = 30;
   opts.rebalance = true;
-  opts.straggler_threshold = 1.3;
-  opts.rebalance_hysteresis = 2;
-  opts.rebalance_recovery_windows = 2;
-  opts.reassign_fraction = 0.2;
+  opts.balancer.straggler_threshold = 1.3;
+  opts.balancer.hysteresis = 2;
+  opts.balancer.recovery_windows = 2;
+  opts.balancer.reassign_fraction = 0.2;
   opts.slow_worker = 1;
   opts.slow_from_clock = 2;
   opts.slow_until_clock = 10;
