@@ -70,6 +70,11 @@ class LocalWorkerSgd {
   ClockStats RunClock(int clock, std::vector<double>* replica,
                       SparseVector* update);
 
+  /// The keys the last RunClock wrote into the replica, sorted. A
+  /// superset of its update's indices: the update leaves out keys whose
+  /// clock sum cancelled to exactly 0, but the replica was written there.
+  const std::vector<int64_t>& written_keys() const { return clock_touched_; }
+
   /// Sum of feature nnz over the current shard (compute cost of a clock).
   size_t ShardNnz() const;
 

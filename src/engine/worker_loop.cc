@@ -42,9 +42,12 @@ Status RunClocks(const WorkerLoop& loop, int m, PsClient* client,
                      sgd_opts);
   const double delay = loop.delays[mi];
 
-  // A (re)starting worker pulls the latest parameter from the PS.
+  // A (re)starting worker pulls the latest parameter from the PS. Each
+  // later pull refreshes the replica in place, rewriting only the keys it
+  // changed and the keys compute wrote since the previous pull.
   std::vector<double> replica;
-  HETPS_RETURN_NOT_OK(client->PullCached(&replica, nullptr));
+  std::vector<int64_t> written;
+  HETPS_RETURN_NOT_OK(client->PullCached(&replica, nullptr, &written));
   const int end_clock = loop.start_clock + spec.max_clocks;
   for (int c = loop.start_clock; c < end_clock; ++c) {
     if (planes != nullptr) {
@@ -94,6 +97,8 @@ Status RunClocks(const WorkerLoop& loop, int m, PsClient* client,
       *compute_seconds += compute_secs;
       compute_us->RecordInt(static_cast<int64_t>(compute_secs * 1e6));
     }
+    written.insert(written.end(), sgd.written_keys().begin(),
+                   sgd.written_keys().end());
     HETPS_RETURN_NOT_OK(client->Push(c, update));
     if (planes != nullptr && planes->report_clock) {
       HETPS_RETURN_NOT_OK(client->ReportClock(c, compute_secs));
@@ -114,8 +119,9 @@ Status RunClocks(const WorkerLoop& loop, int m, PsClient* client,
           HETPS_TRACE_SPAN1("worker.wait", "worker", m);
           HETPS_RETURN_NOT_OK(client->WaitUntilCanAdvance(c + 1));
         }
-        HETPS_RETURN_NOT_OK(client->PullCached(&replica, nullptr));
+        HETPS_RETURN_NOT_OK(client->PullCached(&replica, nullptr, &written));
       }
+      written.clear();
       wait_us->RecordInt(static_cast<int64_t>(
           (client->breakdown().wait_seconds - waited) * 1e6));
     }

@@ -102,7 +102,9 @@ Result<WorkerLoop> PrepareWorkerLoop(const Dataset& dataset,
 /// Runs worker `worker` through Algorithm 1 over `client`: one pull, then
 /// per clock compute (the injected delay included), push, worker 0's
 /// evaluation, and — when the cached cmin requires it — the admission
-/// wait and a pull (or the prefetch started at the clock's top). Records
+/// wait and a pull (or the prefetch started at the clock's top). A pull
+/// passes the keys compute wrote since the last one, so the client
+/// refreshes the replica in place instead of copying the model. Records
 /// worker.iter_us, worker.compute_us and worker.wait_us, and the
 /// worker.clock, worker.compute and worker.wait spans. Drains the push
 /// window at the end. On every path `*breakdown` receives the client's

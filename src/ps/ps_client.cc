@@ -32,6 +32,8 @@ PsClient::PsClient(int worker_id, std::unique_ptr<PsChannel> channel,
     : worker_id_(worker_id),
       channel_(std::move(channel)),
       delta_pull_(delta_pull),
+      refresh_us_(channel_->metrics()->histogram("client.replica_refresh_us")),
+      full_copies_(channel_->metrics()->counter("client.replica_full_copies")),
       window_(push_window, channel_->metrics(),
               [this](int clock, const PushPieceList& pieces) {
                 return channel_->Push(clock, pieces);
@@ -98,7 +100,8 @@ Status PsClient::WaitUntilCanAdvance(int next_clock) {
   return st;
 }
 
-Status PsClient::Pull(std::vector<double>* replica, int* cmin) {
+Status PsClient::Pull(std::vector<double>* replica, int* cmin,
+                      const std::vector<int64_t>* written) {
   for (int attempt = 0; attempt < kPullAttempts; ++attempt) {
     DeltaPullResult pull;
     HETPS_RETURN_NOT_OK(
@@ -107,11 +110,23 @@ Status PsClient::Pull(std::vector<double>* replica, int* cmin) {
     pulled_bytes_full_ += pull.bytes_full;
     // A delta against state the cache no longer (or never) held — e.g. a
     // checkpoint restore between pulls — is dropped and its tag reset,
-    // so the next round trip ships that partition whole.
-    if (cache_->Apply(pull.partitions)) {
-      // Copy-assignment reuses the caller's buffer, so a steady-state
-      // pull allocates no model-sized vector.
-      *replica = cache_->values();
+    // so the next round trip ships that partition whole. An in-place
+    // apply has already written what it changed into the replica.
+    if (cache_->Apply(pull.partitions,
+                      written != nullptr ? replica : nullptr)) {
+      const Clock::time_point start = Clock::now();
+      if (written != nullptr) {
+        cache_->ResetKeys(*written, replica);
+      } else {
+        // Copy-assignment reuses the caller's buffer, so a steady-state
+        // pull allocates no model-sized vector.
+        *replica = cache_->values();
+        full_copies_->Increment();
+      }
+      refresh_us_->RecordInt(
+          std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
+                                                                start)
+              .count());
       *cmin = pull.cmin;
       return Status::OK();
     }
@@ -119,7 +134,8 @@ Status PsClient::Pull(std::vector<double>* replica, int* cmin) {
   return Status::Internal("delta pull base tags kept mismatching");
 }
 
-Status PsClient::PullCached(std::vector<double>* replica, int* cmin) {
+Status PsClient::PullCached(std::vector<double>* replica, int* cmin,
+                            const std::vector<int64_t>* written) {
   // A pull on the owner thread while the prefetch task owns the replica
   // cache would race it: finish (or never start) the prefetch first.
   HETPS_CHECK(!prefetch_.has_value())
@@ -129,8 +145,14 @@ Status PsClient::PullCached(std::vector<double>* replica, int* cmin) {
   const Clock::time_point start = Clock::now();
   int pulled_cmin = 0;
   Status st = EnsureLayout();
-  if (st.ok()) st = Pull(replica, &pulled_cmin);
+  if (st.ok()) {
+    const bool in_place = written != nullptr && filled_ != nullptr &&
+                          replica->data() == filled_ &&
+                          replica->size() == cache_->values().size();
+    st = Pull(replica, &pulled_cmin, in_place ? written : nullptr);
+  }
   breakdown_.comm_seconds += SecondsSince(start);
+  filled_ = st.ok() ? replica->data() : nullptr;
   if (!st.ok()) return st;
   cached_cmin_ = pulled_cmin;
   ++pull_count_;
@@ -147,12 +169,15 @@ Status PsClient::StartPrefetch(int next_clock) {
   HETPS_CHECK(!prefetch_.has_value()) << "prefetch already in flight";
   // The handshake runs here, on the owner thread: the task only pulls.
   HETPS_RETURN_NOT_OK(EnsureLayout());
+  filled_ = nullptr;
   prefetch_clock_ = next_clock;
   prefetch_ = std::async(std::launch::async, [this, next_clock] {
     PrefetchResult result;
     result.status =
         channel_->WaitUntilCanAdvance(next_clock, &cancel_prefetch_);
-    if (result.status.ok()) result.status = Pull(&result.replica, &result.cmin);
+    if (result.status.ok()) {
+      result.status = Pull(&result.replica, &result.cmin, nullptr);
+    }
     return result;
   });
   return Status::OK();
@@ -172,6 +197,7 @@ Status PsClient::FinishPrefetch(std::vector<double>* replica) {
   prefetch_clock_ = -1;
   if (!result.status.ok()) return result.status;
   *replica = std::move(result.replica);
+  filled_ = replica->data();
   cached_cmin_ = result.cmin;
   ++pull_count_;
   return Status::OK();

@@ -59,7 +59,7 @@ class PsChannel {
   /// Bus operations: the in-process channel answers NotSupported.
   virtual Status ReportClock(int clock, double seconds);
   virtual Status Readmit(int clock);
-  /// Receives push.inflight* and client.cache_apply_us.
+  /// Receives push.inflight* and the client.* pull metrics.
   virtual MetricsRegistry* metrics() const = 0;
 };
 
@@ -76,11 +76,12 @@ class PsChannel {
 /// Only the owner thread drains the window; a prefetch never does.
 ///
 /// A pull is one PullDelta applied to a ReplicaCache (the pristine last
-/// server state plus one content tag per partition), and the caller gets
-/// a copy. `delta_pull` sends the cached tags, so only changed partitions
-/// ship; off, every partition ships whole. A delta whose base tag the
-/// cache no longer holds is re-pulled whole, up to 3 round trips, then
-/// Internal.
+/// server state plus one content tag per partition), and the caller's
+/// replica becomes the cache's values: refreshed in place when the caller
+/// lists the keys it wrote (see PullCached), else copied whole.
+/// `delta_pull` sends the cached tags, so only changed partitions ship;
+/// off, every partition ships whole. A delta whose base tag the cache no
+/// longer holds is re-pulled whole, up to 3 round trips, then Internal.
 ///
 /// A prefetch (Appendix D) runs the admission wait and the pull on a
 /// background task that owns the cache until FinishPrefetch: meanwhile
@@ -111,7 +112,19 @@ class PsClient {
 
   /// Drains the window and pulls (Algorithm 1 line 9): `*replica` becomes
   /// the server's state bit for bit; `*cmin` (may be null) its cmin.
-  Status PullCached(std::vector<double>* replica, int* cmin);
+  ///
+  /// `written` (may be null) lists every key of `*replica` the caller
+  /// wrote since this client last filled that buffer; repeats are fine.
+  /// If `*replica` is that buffer — the one the last successful pull on
+  /// the owner thread filled, or FinishPrefetch installed — the pull
+  /// refreshes it in place in O(changed + written keys): the cache apply
+  /// writes each value it changes into it, then the written keys are
+  /// reset from the cache. Every other pull copies the whole cache: the
+  /// first pull, a pull into another buffer, the pull after a failed pull
+  /// or a StartPrefetch, and a pull with no list. On an error the client
+  /// forgets the buffer, which may hold part of a refresh.
+  Status PullCached(std::vector<double>* replica, int* cmin,
+                    const std::vector<int64_t>* written = nullptr);
 
   /// WaitUntilCanAdvance(next_clock), then PullCached.
   Status PullBlocking(int next_clock, std::vector<double>* replica);
@@ -120,8 +133,10 @@ class PsClient {
   Status StartPrefetch(int next_clock);
   bool prefetch_active() const { return prefetch_.has_value(); }
 
-  /// Blocks until the prefetch is done and installs its replica; on an
-  /// error (FailedPrecondition: none started) `*replica` is untouched.
+  /// Blocks until the prefetch is done and installs its replica (a whole
+  /// copy of the cache, since compute wrote the live replica meanwhile);
+  /// on an error (FailedPrecondition: none started) `*replica` is
+  /// untouched.
   Status FinishPrefetch(std::vector<double>* replica);
 
   Status ReportClock(int clock, double seconds);
@@ -167,7 +182,10 @@ class PsClient {
   /// Runs the layout handshake once and builds the cache.
   Status EnsureLayout();
   /// Runs on the owner thread or the prefetch task, never both at once.
-  Status Pull(std::vector<double>* replica, int* cmin);
+  /// With `written`, refreshes `*replica` in place (the caller checked it
+  /// is the filled buffer); without, copies the cache into it.
+  Status Pull(std::vector<double>* replica, int* cmin,
+              const std::vector<int64_t>* written);
   void CancelPrefetch();
 
   const int worker_id_;
@@ -177,6 +195,15 @@ class PsClient {
   /// What a delta_pull-off pull sends: kNoCachedTag per partition.
   std::vector<int64_t> no_tags_;
   std::optional<ReplicaCache> cache_;  // built by the handshake
+  /// Data of the buffer the last successful owner-thread pull filled (or
+  /// FinishPrefetch installed): it equals the cache except at keys the
+  /// caller wrote since. Null before the first pull, after a failed one,
+  /// and from StartPrefetch on, whose task changes the cache alone.
+  const double* filled_ = nullptr;
+  /// client.replica_refresh_us (the written-key reset or the whole copy,
+  /// one sample per pull) and client.replica_full_copies.
+  HistogramMetric* refresh_us_;
+  Counter* full_copies_;
   int cached_cmin_ = 0;
   int64_t push_count_ = 0;
   int64_t pull_count_ = 0;

@@ -12,10 +12,11 @@ namespace hetps {
 
 /// A worker's pristine copy of the server state its version-aware pulls
 /// received: the dense model, one content tag per partition, and the
-/// application of PartitionPull pieces onto both. WorkerClient (in
-/// process) and RpcWorkerClient (over the bus) each keep one. The copy
-/// must stay pristine because the trainer mutates the replica it is
-/// handed, so deltas can never be applied to the trainer's vector.
+/// application of PartitionPull pieces onto both. PsClient (over either
+/// channel) and the simulator's worker each keep one. The copy must stay
+/// pristine because the trainer mutates the replica it is handed, so
+/// deltas can never be applied to the trainer's vector: an in-place
+/// refresh writes the cache's resulting values there instead.
 ///
 /// Clear rule: per partition the cache keeps the sorted local keys it may
 /// hold nonzero, or a "fully held" mark, so a whole-block ship costs what
@@ -46,12 +47,26 @@ class ReplicaCache {
   /// whose base_tag is not the held tag is skipped and its partition's
   /// tag reset to kNoCachedTag, so the next pull ships it whole; the
   /// other pieces still apply. Returns false iff some delta was skipped.
-  bool Apply(const std::vector<PartitionPull>& pieces);
+  ///
+  /// With a `replica` (dim entries, checked), every entry the apply
+  /// writes into the cache is written into the replica too, in the same
+  /// pass: a replica that equalled the cache outside some keys still does
+  /// afterwards. Without one the apply touches the cache alone.
+  bool Apply(const std::vector<PartitionPull>& pieces,
+             std::vector<double>* replica = nullptr);
+
+  /// Copies the cache's value at each of `keys` into `replica` (dim
+  /// entries); repeated keys are fine. Aborts on a key outside [0, dim).
+  void ResetKeys(const std::vector<int64_t>& keys,
+                 std::vector<double>* replica) const;
 
  private:
-  // `slot(local)` names the cache entry of a partition-local key.
-  template <typename Slot>
-  void ApplyPiece(const PartitionPull& piece, Slot slot);
+  template <bool kRefresh>
+  bool ApplyAll(const std::vector<PartitionPull>& pieces, double* replica);
+  // `global(local)` is the model index of a partition-local key; with
+  // kRefresh every cache write is repeated into `replica`.
+  template <bool kRefresh, typename Global>
+  void ApplyPiece(const PartitionPull& piece, Global global, double* replica);
 
   Partitioner layout_;
   std::vector<double> values_;

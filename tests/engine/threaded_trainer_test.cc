@@ -2,10 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "core/consolidation.h"
 #include "core/dyn_sgd.h"
 #include "core/learning_rate.h"
+#include "core/sgd_compute.h"
+#include "data/sharding.h"
 #include "data/synthetic.h"
+#include "ps/parameter_server.h"
 #include "util/rng.h"
 
 namespace hetps {
@@ -87,18 +96,101 @@ TEST(ThreadedTrainerTest, PartitionSyncWithDeferredDynSgd) {
   EXPECT_LT(r.final_objective, 0.7);
 }
 
-TEST(ThreadedTrainerTest, SingleWorkerMatchesSequentialSgd) {
+// "dyn_deferred" is deferred DynSGD with partition sync on.
+std::unique_ptr<ConsolidationRule> MakeRule(const std::string& name) {
+  if (name != "dyn_deferred") return MakeConsolidationRule(name);
+  DynSgdRule::Options options;
+  options.mode = DynSgdRule::ApplyMode::kDeferred;
+  return std::make_unique<DynSgdRule>(options);
+}
+
+SyncPolicy MakeSync(Protocol protocol) {
+  switch (protocol) {
+    case Protocol::kBsp:
+      return SyncPolicy::Bsp();
+    case Protocol::kAsp:
+      return SyncPolicy::Asp();
+    case Protocol::kSsp:
+      break;
+  }
+  return SyncPolicy::Ssp(3);
+}
+
+bool BitwiseEqual(const std::vector<double>& a,
+                  const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+using OracleCase = std::tuple<std::string, Protocol, double>;
+
+class ThreadedTrainerTest : public testing::TestWithParam<OracleCase> {};
+
+TEST_P(ThreadedTrainerTest, SingleWorkerMatchesSequentialSgd) {
+  // With one worker nothing is left to schedule, so the threaded runtime
+  // (client, replica cache, worker loop) must equal Algorithm 1 written
+  // out by hand against the PS: compute, push, and re-read the whole
+  // model with the dense reference pull whenever the cached cmin forces
+  // a pull. The update filter drops small entries from the push while
+  // the trainer's replica keeps them, so the pulled replica must undo
+  // every write the trainer made, not only the pushed keys.
+  const auto& [rule_name, protocol, filter] = GetParam();
   const Dataset d = TrainData();
   LogisticLoss loss;
   FixedRate sched(0.5);
-  SspRule rule;
+  const std::unique_ptr<ConsolidationRule> rule = MakeRule(rule_name);
   ThreadedTrainerOptions opts = FastOptions(1);
-  opts.num_servers = 1;
-  const ThreadedTrainResult r = TrainThreaded(d, loss, sched, rule, opts);
-  // One worker, accumulate rule: the PS state equals the worker replica,
-  // i.e. plain sequential mini-batch SGD.
+  opts.sync = MakeSync(protocol);
+  opts.partition_sync = rule_name == "dyn_deferred";
+  opts.update_filter_epsilon = filter;
+  const ThreadedTrainResult r = TrainThreaded(d, loss, sched, *rule, opts);
+
+  PsOptions ps_opts;
+  ps_opts.num_servers = opts.num_servers;
+  ps_opts.partitions_per_server = opts.partitions_per_server;
+  ps_opts.scheme = opts.scheme;
+  ps_opts.sync = opts.sync;
+  ps_opts.partition_sync = opts.partition_sync;
+  ps_opts.update_filter_epsilon = filter;
+  ParameterServer ps(d.dimension(), 1, *rule, ps_opts);
+  LocalWorkerSgd::Options sgd_opts;
+  sgd_opts.batch_size =
+      LocalWorkerSgd::BatchSizeForFraction(d.size(), opts.batch_fraction);
+  sgd_opts.l2 = opts.l2;
+  LocalWorkerSgd sgd(&d, SplitData(d.size(), 1, ShardingPolicy::kContiguous)[0],
+                     &loss, &sched, sgd_opts);
+  int cp = 0;
+  std::vector<double> replica = ps.PullFull(0, &cp);
+  std::vector<double> trace;
+  for (int c = 0; c < opts.max_clocks; ++c) {
+    const bool pull = opts.sync.NeedsPull(c, cp);
+    SparseVector update;
+    sgd.RunClock(c, &replica, &update);
+    ps.Push(0, c, update);
+    trace.push_back(
+        d.ObjectiveSample(loss, replica, opts.l2, opts.eval_sample));
+    if (pull) {
+      ASSERT_TRUE(ps.WaitUntilCanAdvance(0, c + 1));
+      replica = ps.PullFull(0, &cp);
+    }
+  }
+
+  EXPECT_TRUE(BitwiseEqual(r.objective_per_clock, trace));
+  EXPECT_TRUE(BitwiseEqual(r.weights, ps.Snapshot()));
   EXPECT_LT(r.final_objective, 0.5);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    RulesProtocolsFilters, ThreadedTrainerTest,
+    testing::Combine(testing::Values("ssp", "con", "dyn", "dyn_deferred"),
+                     testing::Values(Protocol::kBsp, Protocol::kSsp,
+                                     Protocol::kAsp),
+                     testing::Values(0.0, 1e-2)),
+    [](const testing::TestParamInfo<OracleCase>& info) {
+      return std::get<0>(info.param) + "_" +
+             ProtocolName(std::get<1>(info.param)) +
+             (std::get<2>(info.param) > 0.0 ? "_filter" : "_nofilter");
+    });
 
 TEST(ThreadedTrainerTest, PrefetchingTrainsComparably) {
   const Dataset d = TrainData();

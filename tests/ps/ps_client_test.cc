@@ -13,6 +13,7 @@
 #include "net/message_bus.h"
 #include "net/ps_service.h"
 #include "net/serializer.h"
+#include "obs/metrics.h"
 #include "ps/worker_client.h"
 
 namespace hetps {
@@ -122,6 +123,75 @@ TEST(PsClientTest, BusRejectsAMalformedHandshake) {
     }
     EXPECT_EQ(client.push_count(), 0);
   }
+}
+
+TEST(PsClientTest, RefreshInPlaceOnlyForTheBufferTheLastPullFilled) {
+  // A pull refreshes in place only the buffer the client's last
+  // successful pull filled (or FinishPrefetch installed); every other
+  // pull copies the whole cache. Key 5 is a listed write and key 7 an
+  // unlisted one, which only a copy undoes. No push happens between
+  // scribble and pull, so every partition ships kUnchanged and the pull
+  // itself rewrites nothing.
+  SspRule rule;
+  ParameterServer ps(16, 2, rule, AspOptions());
+  MessageBus bus;
+  PsServiceOptions svc;
+  svc.liveness.heartbeat_timeout_seconds = 5.0;
+  svc.liveness.now_fn = [] { return 0.0; };
+  PsService service(&ps, &bus, "ps", svc);
+  ASSERT_TRUE(service.status().ok());
+  RpcWorkerClient client(0, &bus, "ps", RpcRetryPolicy::NoRetry());
+  // The bus channel records process-wide.
+  const Counter* copies =
+      GlobalMetrics().counter("client.replica_full_copies");
+  const HistogramMetric* refreshes =
+      GlobalMetrics().histogram("client.replica_refresh_us");
+  const int64_t copies_before = copies->value();
+  const int64_t refreshes_before = refreshes->count();
+  const std::vector<int64_t> written = {5};
+  ps.Push(0, 0, SparseVector({1, 5, 9, 13}, {1.0, 2.0, 0.5, -1.0}));
+  const std::vector<double> server = ps.Snapshot();
+  auto scribble = [](std::vector<double>* buffer) {
+    (*buffer)[5] = 42.0;
+    (*buffer)[7] = 42.0;
+  };
+
+  std::vector<double> a;
+  ASSERT_TRUE(client.PullCached(&a, nullptr, &written).ok());  // first: copy
+  EXPECT_EQ(a, server);
+  a[5] = 42.0;
+  ASSERT_TRUE(client.PullCached(&a, nullptr, &written).ok());  // in place
+  EXPECT_EQ(a, server);
+  EXPECT_EQ(copies->value() - copies_before, 1);
+
+  std::vector<double> b = a;  // another buffer of the same size
+  scribble(&b);
+  ASSERT_TRUE(client.PullCached(&b, nullptr, &written).ok());
+  EXPECT_EQ(b, server);
+  scribble(&b);
+  ASSERT_TRUE(client.PullCached(&b, nullptr, nullptr).ok());  // no list
+  EXPECT_EQ(b, server);
+  EXPECT_EQ(copies->value() - copies_before, 3);
+
+  ASSERT_TRUE(ps.EvictWorker(0));
+  EXPECT_TRUE(client.PullCached(&b, nullptr, &written).IsFailedPrecondition());
+  ASSERT_TRUE(client.Readmit(ps.cmin()).ok());
+  scribble(&b);
+  ASSERT_TRUE(client.PullCached(&b, nullptr, &written).ok());  // after error
+  EXPECT_EQ(b, server);
+  EXPECT_EQ(copies->value() - copies_before, 4);
+
+  // A prefetch fills its own buffer, which then counts as filled.
+  ASSERT_TRUE(client.StartPrefetch(0).ok());
+  scribble(&b);
+  ASSERT_TRUE(client.FinishPrefetch(&b).ok());
+  EXPECT_EQ(b, server);
+  b[5] = 42.0;
+  ASSERT_TRUE(client.PullCached(&b, nullptr, &written).ok());  // in place
+  EXPECT_EQ(b, server);
+  EXPECT_EQ(copies->value() - copies_before, 5);
+  // One refresh sample per successful pull, copies included.
+  EXPECT_EQ(refreshes->count() - refreshes_before, 7);
 }
 
 }  // namespace

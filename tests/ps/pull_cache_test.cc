@@ -181,13 +181,14 @@ TEST_P(PullCacheRuleTest,
        WorkerClientReplicaMatchesFullPullUnderRandomTraffic) {
   // Bit-identical coherence: after any sequence of pushes, every client's
   // replica — cached and tag-less, in process and over the bus through
-  // PsService — equals PullFull, the server's dense reference, which
-  // materializes each shard without the support gather. Random sparse
-  // updates, multiple partitions, many rounds. Partitions 0-2 only ever
-  // see every third key, so their support stays under half the block
-  // and whole-block ships are gathered at the support; partition 3 sees
-  // every key and ships through the materialized path. Some pushes undo
-  // an earlier one, leaving exact zeros inside the support.
+  // PsService, copied whole or refreshed in place — equals PullFull, the
+  // server's dense reference, which materializes each shard without the
+  // support gather. Random sparse updates, multiple partitions, many
+  // rounds. Partitions 0-2 only ever see every third key, so their
+  // support stays under half the block and whole-block ships are gathered
+  // at the support; partition 3 sees every key and ships through the
+  // materialized path. Some pushes undo an earlier one, leaving exact
+  // zeros inside the support.
   const std::unique_ptr<ConsolidationRule> rule = GetParam().make();
   ParameterServer ps(400, 2, *rule, MultiPartOptions(SyncPolicy::Asp()));
   MessageBus bus;
@@ -198,6 +199,30 @@ TEST_P(PullCacheRuleTest,
   RpcWorkerClient rpc(0, &bus, "ps");
   RpcWorkerClient rpc_full(1, &bus, "ps", RpcRetryPolicy(),
                            /*push_window=*/0, /*delta_pull=*/false);
+  // The refreshing clients keep their replicas between pulls and scribble
+  // on them the way compute does, listing the keys: pushed keys, keys no
+  // push ever touches (below 300 and not a multiple of 3), and keys of
+  // partitions that ship kUnchanged to the second pull of a round.
+  WorkerClient refreshed(0, &ps, /*delta_pull=*/true);
+  RpcWorkerClient rpc_refreshed(0, &bus, "ps");
+  std::vector<double> refreshed_replica;
+  std::vector<double> rpc_refreshed_replica;
+  std::vector<int64_t> written;
+  std::vector<int64_t> rpc_written;
+  Rng scribble_rng(654);
+  auto scribble = [&scribble_rng](std::vector<double>* buffer,
+                                  std::vector<int64_t>* keys) {
+    keys->clear();
+    for (int k = 0; k < 24; ++k) {
+      const int64_t key = static_cast<int64_t>(scribble_rng.NextUint64(400));
+      (*buffer)[static_cast<size_t>(key)] = scribble_rng.NextDouble();
+      keys->push_back(key);
+    }
+  };
+  ASSERT_TRUE(refreshed.PullCached(&refreshed_replica, nullptr, &written).ok());
+  ASSERT_TRUE(
+      rpc_refreshed.PullCached(&rpc_refreshed_replica, nullptr, &rpc_written)
+          .ok());
   Rng rng(321);
   std::vector<double> replica;
   SparseVector last;
@@ -228,6 +253,19 @@ TEST_P(PullCacheRuleTest,
     ASSERT_TRUE(rpc_full.PullCached(&replica, nullptr).ok());
     ASSERT_TRUE(BitwiseEqual(replica, reference))
         << "rpc tag-less, " << round;
+    for (int again = 0; again < 2; ++again) {
+      scribble(&refreshed_replica, &written);
+      ASSERT_TRUE(
+          refreshed.PullCached(&refreshed_replica, nullptr, &written).ok());
+      ASSERT_TRUE(BitwiseEqual(refreshed_replica, reference))
+          << "refreshed, " << round << "." << again;
+      scribble(&rpc_refreshed_replica, &rpc_written);
+      ASSERT_TRUE(rpc_refreshed
+                      .PullCached(&rpc_refreshed_replica, nullptr, &rpc_written)
+                      .ok());
+      ASSERT_TRUE(BitwiseEqual(rpc_refreshed_replica, reference))
+          << "rpc refreshed, " << round << "." << again;
+    }
   }
   ASSERT_LT(2 * ps.shard(0).support().size(), ps.shard(0).dim());
   ASSERT_GT(2 * ps.shard(3).support().size(), ps.shard(3).dim());

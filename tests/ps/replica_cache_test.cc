@@ -1,6 +1,7 @@
 // ReplicaCache: applying PartitionPull pieces onto the pristine copy, the
 // per-partition clear rule (sparse ship, dense ship, delta), strided
-// hash-scheme addressing and base-tag mismatch reporting.
+// hash-scheme addressing, the in-place replica refresh and base-tag
+// mismatch reporting.
 
 #include "ps/replica_cache.h"
 
@@ -102,20 +103,37 @@ TEST(ReplicaCacheTest, HashSchemeAddressesStridedKeys) {
   MetricsRegistry registry;
   ReplicaCache cache(Partitioner(PartitionScheme::kHash, 10, 1, 3),
                      &registry);
-  ASSERT_TRUE(cache.Apply({Dense(0, 1, {1.0, 2.0, 3.0, 4.0}),
-                           Sparse(1, 1, SparseVector({0, 2}, {5.0, 6.0})),
-                           Sparse(2, 1, SparseVector({1}, {7.0}))}));
+  // The same pieces applied in place: the replica receives every value
+  // the apply writes, so it stays equal to its cache.
+  ReplicaCache mirrored(cache.layout(), &registry);
+  std::vector<double> replica(10, 0.0);
+  auto apply = [&](const std::vector<PartitionPull>& pieces) {
+    EXPECT_TRUE(mirrored.Apply(pieces, &replica));
+    return cache.Apply(pieces);
+  };
+  ASSERT_TRUE(apply({Dense(0, 1, {1.0, 2.0, 3.0, 4.0}),
+                     Sparse(1, 1, SparseVector({0, 2}, {5.0, 6.0})),
+                     Sparse(2, 1, SparseVector({1}, {7.0}))}));
   EXPECT_EQ(cache.values(),
             (std::vector<double>{1, 5, 0, 2, 0, 7, 3, 6, 0, 4}));
+  EXPECT_EQ(replica, cache.values());
 
-  ASSERT_TRUE(cache.Apply({Sparse(0, 2, SparseVector({3}, {9.0})),
-                           Delta(1, 1, 2, SparseVector({1}, {1.0}))}));
+  ASSERT_TRUE(apply({Sparse(0, 2, SparseVector({3}, {9.0})),
+                     Delta(1, 1, 2, SparseVector({1}, {1.0}))}));
   EXPECT_EQ(cache.values(),
             (std::vector<double>{0, 5, 0, 0, 1, 7, 0, 6, 0, 9}));
+  EXPECT_EQ(replica, cache.values());
 
-  ASSERT_TRUE(cache.Apply({Sparse(1, 3, SparseVector())}));
+  ASSERT_TRUE(apply({Sparse(1, 3, SparseVector())}));
   EXPECT_EQ(cache.values(),
             (std::vector<double>{0, 0, 0, 0, 0, 7, 0, 0, 0, 9}));
+  EXPECT_EQ(replica, cache.values());
+
+  // Keys the trainer wrote are reset from the cache; repeats are fine.
+  replica[2] = -1.0;
+  replica[5] = -1.0;
+  mirrored.ResetKeys({5, 2, 5}, &replica);
+  EXPECT_EQ(replica, cache.values());
 }
 
 TEST(ReplicaCacheTest, DeltaBaseMismatchIsReported) {
@@ -152,6 +170,11 @@ TEST(ReplicaCacheDeathTest, PieceCannotWriteOutsideItsPartition) {
                "out of range");
   EXPECT_DEATH(cache.Apply({Dense(1, 1, std::vector<double>(7, 1.0))}),
                "wrong length");
+  std::vector<double> replica(16, 0.0);
+  EXPECT_DEATH(cache.ResetKeys({16}, &replica), "out of range");
+  EXPECT_DEATH(cache.ResetKeys({-1}, &replica), "out of range");
+  std::vector<double> short_replica(15, 0.0);
+  EXPECT_DEATH(cache.Apply({}, &short_replica), "dimension mismatch");
 }
 
 }  // namespace
