@@ -217,6 +217,11 @@ size_t LocalWorkerSgd::ShardNnz() const {
   return total;
 }
 
+LocalWorkerSgd::ClockCost LocalWorkerSgd::NextClockCost() const {
+  const size_t n = shard_.example_indices.size();
+  return {ShardNnz(), (n + options_.batch_size - 1) / options_.batch_size};
+}
+
 size_t LocalWorkerSgd::BatchSizeForFraction(size_t shard_size,
                                             double fraction) {
   HETPS_CHECK(fraction > 0.0 && fraction <= 1.0)

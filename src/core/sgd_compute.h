@@ -78,6 +78,16 @@ class LocalWorkerSgd {
   /// Sum of feature nnz over the current shard (compute cost of a clock).
   size_t ShardNnz() const;
 
+  /// The cost the next RunClock's ClockStats will report, known before
+  /// its gradients: every clock is one pass over the shard, ShardNnz()
+  /// nonzeros in ⌈n/b⌉ batches. The simulator charges a clock's
+  /// simulated time from it while the gradients compute elsewhere.
+  struct ClockCost {
+    size_t nnz_processed = 0;
+    size_t batches = 0;
+  };
+  ClockCost NextClockCost() const;
+
   const DataShard& shard() const { return shard_; }
   DataShard* mutable_shard() { return &shard_; }
   const Options& options() const { return options_; }

@@ -1,10 +1,14 @@
 #include "sim/event_sim.h"
 
 #include <algorithm>
+#include <chrono>
 #include <deque>
+#include <future>
+#include <memory>
 #include <optional>
 #include <queue>
 #include <sstream>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 
@@ -20,6 +24,7 @@
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/stats.h"
+#include "util/thread_pool.h"
 
 namespace hetps {
 
@@ -146,8 +151,12 @@ struct WorkerSim {
   int pending_cmin = 0;
   // Version limit captured at pull grant (partition sync); -1 = live.
   int64_t pending_pull_version = -1;
-  // Pieces computed at clock start, transmitted at the send event.
-  std::vector<SparseVector> pending_push_pieces;
+  // The clock computing on the pool from this worker's kStartClock to
+  // its kPushSend (invalid when none is). Its RunClock writes `replica`
+  // and `pending_update` and reads the shard, so the event loop touches
+  // none of them until the future is joined.
+  std::future<void> computing;
+  SparseVector pending_update;
   int pending_push_clock = 0;
   // Bounded pipeline (push_window >= 1): arrival times of this worker's
   // in-flight pushes, oldest first. Monotone because per-pair link FIFO
@@ -170,9 +179,18 @@ struct WorkerSim {
   HistogramMetric* compute_us = nullptr;
 };
 
-/// One simulated run. Single-threaded; time advances through the event
-/// queue while gradients, consolidation, and convergence are computed for
-/// real.
+/// Threads for one simulation's compute pool: one per core, no more
+/// than there are workers to keep busy (RunSimulation checks there is
+/// at least one).
+size_t ComputePoolSize(int num_workers) {
+  return std::min<size_t>(std::max(1u, std::thread::hardware_concurrency()),
+                          static_cast<size_t>(num_workers));
+}
+
+/// One simulated run. Time advances through the event queue on one
+/// thread, which also runs consolidation, convergence checks and every
+/// callback; only the workers' RunClocks run on the compute pool
+/// (DESIGN.md §6, "The simulator's compute pool").
 class Simulation {
  public:
   Simulation(const Dataset& dataset, const ClusterConfig& cluster,
@@ -184,7 +202,8 @@ class Simulation {
         schedule_(schedule),
         loss_(loss),
         options_(options),
-        mitigation_(mitigation) {
+        mitigation_(mitigation),
+        compute_pool_(ComputePoolSize(cluster.num_workers)) {
     PsOptions ps_opts;
     ps_opts.num_servers = cluster.num_servers;
     ps_opts.partitions_per_server = options.partitions_per_server;
@@ -374,7 +393,8 @@ class Simulation {
   }
 
   /// Assembles the same hetps.status.v1 view the live service serves
-  /// over kStatus, in virtual time. Single-threaded, so no locking.
+  /// over kStatus, in virtual time. Reads only event-loop state, so no
+  /// locking.
   void BuildSimStatus(StatusSnapshot* snap) const {
     ps_->BuildStatusSnapshot(snap);
     snap->source = "sim";
@@ -428,17 +448,18 @@ class Simulation {
     }
     const WorkerProfile& prof = cluster_.profile(worker);
 
-    SparseVector update;
-    const LocalWorkerSgd::ClockStats stats =
-        w.sgd->RunClock(w.clock, &w.replica, &update);
+    // A clock's simulated cost depends only on its shard, so it is
+    // charged here while the gradients compute on the pool.
+    const LocalWorkerSgd::ClockCost cost = w.sgd->NextClockCost();
+    StartCompute(&w, cost);
     double jitter = 1.0;
     if (prof.jitter_sigma > 0.0) {
       jitter = w.rng.NextLognormal(0.0, prof.jitter_sigma);
     }
     double tc =
-        (static_cast<double>(stats.nnz_processed) *
+        (static_cast<double>(cost.nnz_processed) *
              cluster_.seconds_per_nnz +
-         static_cast<double>(stats.batches) * cluster_.batch_overhead) *
+         static_cast<double>(cost.batches) * cluster_.batch_overhead) *
         prof.compute_multiplier * jitter;
     // Injected transient congestion episode: one worker slows down for a
     // clock interval, then recovers — exercises the balancer's hysteresis
@@ -459,6 +480,8 @@ class Simulation {
     // speed; SSP waiting time must not pollute the signal).
     ps_->master()->ReportClockTime(worker, tc);
     if (mitigation_ != nullptr) {
+      // FlexRR may move examples between any two shards.
+      DrainCompute();
       std::vector<LocalWorkerSgd*> all;
       all.reserve(workers_.size());
       for (auto& ws : workers_) all.push_back(ws.sgd.get());
@@ -466,13 +489,9 @@ class Simulation {
     }
     if (lb_ != nullptr) ApplyRebalance(worker, w.clock, tc);
 
-    if (options_.update_filter_epsilon > 0.0) {
-      update = update.Filtered(options_.update_filter_epsilon);
-    }
     // Link reservations must happen in chronological send order (other
     // workers may send before our compute finishes), so transmission is
     // its own event at t_send.
-    w.pending_push_pieces = ps_->partitioner().SplitByPartition(update);
     w.pending_push_clock = w.clock;
     Schedule(t_send, EventType::kPushSend, worker, 0);
 
@@ -526,11 +545,59 @@ class Simulation {
     }
   }
 
+  /// Submits `w`'s clock to the compute pool. `w` is an element of
+  /// workers_, which never reallocates and outlives the pool.
+  void StartCompute(WorkerSim* w, LocalWorkerSgd::ClockCost cost) {
+    HETPS_DCHECK(!w->computing.valid()) << "previous clock never joined";
+    auto task = std::make_shared<std::packaged_task<void()>>(
+        [w, clock = w->clock, cost] {
+          const LocalWorkerSgd::ClockStats stats =
+              w->sgd->RunClock(clock, &w->replica, &w->pending_update);
+          HETPS_DCHECK(stats.nnz_processed == cost.nnz_processed &&
+                       stats.batches == cost.batches)
+              << "clock cost charged before the gradients disagrees with "
+                 "RunClock";
+        });
+    w->computing = task->get_future();
+    // The pool only refuses work after Shutdown, which runs when this
+    // Simulation is destroyed.
+    HETPS_CHECK(compute_pool_.Submit([task] { (*task)(); }))
+        << "compute pool refused a clock";
+  }
+
+  /// Joins `w`'s in-flight clock, if any, and returns the wall µs the
+  /// event loop waited for it (0 when it had already finished).
+  static int64_t JoinCompute(WorkerSim* w) {
+    if (!w->computing.valid()) return 0;
+    const auto start = std::chrono::steady_clock::now();
+    w->computing.get();
+    return std::chrono::duration_cast<std::chrono::microseconds>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+  }
+
+  /// Joins every in-flight clock before an example move edits shards
+  /// their RunClocks may be reading. Counts the drains that found a
+  /// clock in flight — event state, so the count is deterministic.
+  void DrainCompute() {
+    bool any_in_flight = false;
+    for (WorkerSim& w : workers_) {
+      any_in_flight = any_in_flight || w.computing.valid();
+      JoinCompute(&w);
+    }
+    if (any_in_flight) compute_drains_->Increment();
+  }
+
   void HandlePushSend(int worker) {
     WorkerSim& w = workers_[static_cast<size_t>(worker)];
     const WorkerProfile& prof = cluster_.profile(worker);
-    std::vector<SparseVector> pieces = std::move(w.pending_push_pieces);
-    w.pending_push_pieces.clear();
+    compute_wait_us_->RecordInt(JoinCompute(&w));
+    SparseVector update = std::move(w.pending_update);
+    if (options_.update_filter_epsilon > 0.0) {
+      update = update.Filtered(options_.update_filter_epsilon);
+    }
+    std::vector<SparseVector> pieces =
+        ps_->partitioner().SplitByPartition(update);
     const int window = options_.push_window;
     // Bounded pipeline: when the window is full, the owner blocks until
     // enough of its oldest in-flight pushes land to free a slot — that
@@ -712,6 +779,7 @@ class Simulation {
   /// (ReassignAcross splits as evenly as possible) so every example keeps
   /// contributing to the objective.
   void FailOverShard(int victim) {
+    DrainCompute();
     std::vector<DataShard*> survivors;
     for (size_t m = 0; m < workers_.size(); ++m) {
       const WorkerSim& s = workers_[m];
@@ -739,10 +807,10 @@ class Simulation {
   }
 
   /// Load-balancing plane: feed the balancer this clock's timing report
-  /// and apply whatever migrations it decides. Safe here because the
-  /// simulator is single-threaded and the reporter is exactly at a clock
-  /// boundary — its next RunClock sees the new shard, and SSP admission
-  /// is untouched (examples move, clocks do not).
+  /// and apply whatever migrations it decides. The reporter is exactly at
+  /// a clock boundary — its next RunClock sees the new shard, and SSP
+  /// admission is untouched (examples move, clocks do not). Only a
+  /// decided move drains the pool.
   void ApplyRebalance(int worker, int clock, double clock_seconds) {
     std::vector<size_t> sizes;
     sizes.reserve(workers_.size());
@@ -751,6 +819,7 @@ class Simulation {
     }
     const std::vector<ShardMove> moves = lb_->OnClockReport(
         worker, clock, clock_seconds, ps_->master(), sizes);
+    if (!moves.empty()) DrainCompute();
     for (const ShardMove& mv : moves) {
       ReassignTail(
           workers_[static_cast<size_t>(mv.from)].sgd->mutable_shard(),
@@ -867,6 +936,9 @@ class Simulation {
   }
 
   SimResult Finalize() {
+    // A run that stopped on convergence can leave clocks computing; they
+    // finish before the last window closes so their samples land in it.
+    for (WorkerSim& w : workers_) JoinCompute(&w);
     if (options_.timeseries != nullptr) {
       // Flush window: whatever accumulated since worker 0's last clock
       // (e.g. the victim's tail) still lands in a window.
@@ -944,6 +1016,12 @@ class Simulation {
 
   std::unique_ptr<ParameterServer> ps_;
   std::vector<WorkerSim> workers_;
+  // Declared after workers_ (and everything else its tasks read), so it
+  // is joined before they are destroyed.
+  ThreadPool compute_pool_;
+  HistogramMetric* compute_wait_us_ =
+      GlobalMetrics().histogram("sim.compute_wait_us");
+  Counter* compute_drains_ = GlobalMetrics().counter("sim.compute_drains");
   std::vector<double> server_busy_;
   std::vector<double> pair_last_arrival_;  // per (worker, server) FIFO
   Rng net_rng_{0};

@@ -82,19 +82,21 @@ struct SimOptions {
   /// straggler configs) — the paper's convergence curves.
   bool record_clock_objectives = true;
   /// Called after each of worker 0's clocks completes (1-based count);
-  /// RunReporter::OnEpoch hooks in here. Runs on the simulator thread.
+  /// RunReporter::OnEpoch hooks in here. Runs on the event loop (the
+  /// thread that called RunSimulation).
   std::function<void(int)> on_epoch;
   /// Called after each of worker 0's clocks with the same hetps.status.v1
   /// cluster snapshot the live service serves over kStatus — source set
   /// to "sim", timestamps in *virtual* microseconds, push/loan/liveness
-  /// fields filled from the simulated planes. Runs on the simulator
-  /// thread.
+  /// fields filled from the simulated planes. Runs on the event loop.
   std::function<void(const StatusSnapshot&)> on_status;
   /// When set, the simulator closes one time-series window per worker-0
   /// clock via SnapshotAt, stamped with *virtual* time — so windows line
   /// up with the simulated trace and flight record instead of with the
-  /// (milliseconds-long) wall clock of the simulation itself. The owner
-  /// must not also close windows through RunReporter::OnEpoch (see
+  /// (milliseconds-long) wall clock of the simulation itself. Workers'
+  /// clocks compute on a pool, so a compute.* sample can land one window
+  /// after the clock it belongs to. The owner must not also close
+  /// windows through RunReporter::OnEpoch (see
   /// RunReporter::UseExternalTimeSeriesClock).
   TimeSeriesRecorder* timeseries = nullptr;
   /// --- Liveness / failure injection (the SSP liveness repair) ---
@@ -193,8 +195,14 @@ struct SimResult {
 /// consolidation, simulated computation/transmission/waiting time. See
 /// DESIGN.md §2 for why this reproduces the paper's metrics.
 ///
-/// `mitigation` may be null; when set it is invoked at every worker clock
-/// end (the FlexRR-style baseline hooks in here).
+/// The events run on the calling thread; each worker's gradients for a
+/// clock compute on a pool of min(cores, workers) threads between the
+/// clock's start and its push. The result is bitwise the same as a
+/// serial run (DESIGN.md §6, "The simulator's compute pool").
+///
+/// `mitigation` may be null; when set it is invoked on the event loop at
+/// every worker clock end (the FlexRR-style baseline hooks in here),
+/// after every in-flight clock has finished, so it may edit any shard.
 SimResult RunSimulation(const Dataset& dataset,
                         const ClusterConfig& cluster,
                         const ConsolidationRule& rule_proto,

@@ -13,8 +13,9 @@ namespace hetps {
 
 /// Fixed-size thread pool with a FIFO task queue.
 ///
-/// Used by the threaded runtime for background server work (e.g. partition
-/// version reporting) and by tests that need controlled concurrency.
+/// Used by the parameter server's shard-parallel push apply, by the event
+/// simulator to compute its workers' clocks in parallel, and by tests
+/// that need controlled concurrency.
 ///
 /// Shutdown contract: Shutdown() (also run by the destructor) drains the
 /// queue — every task already accepted runs to completion — then joins

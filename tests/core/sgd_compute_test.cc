@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
+#include "data/sharding.h"
 #include "data/synthetic.h"
 #include "math/kernels.h"
 #include "obs/metrics.h"
@@ -116,6 +118,54 @@ TEST(LocalWorkerSgdTest, ShardNnzSumsFeatureCounts) {
     expected += d.example(i).features.nnz();
   }
   EXPECT_EQ(sgd.ShardNnz(), expected);
+}
+
+DataShard PrefixShard(size_t n) {
+  DataShard shard;
+  for (size_t i = 0; i < n; ++i) shard.example_indices.push_back(i);
+  return shard;
+}
+
+// NextClockCost must equal what RunClock then reports: the simulator
+// charges a clock's time from it before the gradients exist.
+void ExpectCostMatchesRunClock(LocalWorkerSgd* sgd, size_t dim) {
+  const LocalWorkerSgd::ClockCost cost = sgd->NextClockCost();
+  std::vector<double> replica(dim, 0.0);
+  SparseVector update;
+  const auto stats = sgd->RunClock(0, &replica, &update);
+  EXPECT_EQ(cost.nnz_processed, stats.nnz_processed);
+  EXPECT_EQ(cost.batches, stats.batches);
+}
+
+TEST(LocalWorkerSgdTest, NextClockCostMatchesRunClock) {
+  const Dataset d = SmallSet();
+  const size_t dim = static_cast<size_t>(d.dimension());
+  LogisticLoss loss;
+  FixedRate rate(0.1);
+  LocalWorkerSgd::Options opts;
+  opts.batch_size = 4;
+  const size_t b = opts.batch_size;
+  for (size_t n : {size_t{1}, b - 1, b, b + 1, 10 * b + 3}) {
+    SCOPED_TRACE("shard of " + std::to_string(n));
+    ASSERT_LE(n, d.size());
+    LocalWorkerSgd sgd(&d, PrefixShard(n), &loss, &rate, opts);
+    ExpectCostMatchesRunClock(&sgd, dim);
+  }
+
+  // Shards edited in place, the way rebalancing and failover move
+  // examples between clocks.
+  LocalWorkerSgd a(&d, PrefixShard(10 * b + 3), &loss, &rate, opts);
+  LocalWorkerSgd r1(&d, PrefixShard(b + 1), &loss, &rate, opts);
+  LocalWorkerSgd r2(&d, PrefixShard(b - 1), &loss, &rate, opts);
+  ASSERT_EQ(ReassignTail(a.mutable_shard(), r1.mutable_shard(), 7), 7u);
+  for (LocalWorkerSgd* sgd : {&a, &r1}) ExpectCostMatchesRunClock(sgd, dim);
+  ASSERT_GT(ReassignAcross(a.mutable_shard(),
+                           {r1.mutable_shard(), r2.mutable_shard()}),
+            0u);
+  EXPECT_EQ(a.NextClockCost().batches, 0u);
+  for (LocalWorkerSgd* sgd : {&a, &r1, &r2}) {
+    ExpectCostMatchesRunClock(sgd, dim);
+  }
 }
 
 /// Line-for-line reimplementation of the pre-kernel RunClock (three

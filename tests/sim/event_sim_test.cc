@@ -4,20 +4,24 @@
 
 #include <cstring>
 #include <limits>
+#include <string>
+#include <type_traits>
 #include <vector>
 
+#include "baselines/flexrr.h"
 #include "core/consolidation.h"
 #include "core/dyn_sgd.h"
 #include "core/learning_rate.h"
 #include "data/synthetic.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace hetps {
 namespace {
 
-Dataset TestData() {
+Dataset TestData(size_t num_examples = 300) {
   SyntheticConfig cfg;
-  cfg.num_examples = 300;
+  cfg.num_examples = num_examples;
   cfg.num_features = 200;
   cfg.avg_nnz = 8;
   cfg.seed = 21;
@@ -558,6 +562,226 @@ TEST(EventSimStatusTest, SnapshotSeesEvictionAndLoanState) {
   // Before the kill the victim was beating like everyone else.
   EXPECT_TRUE(snaps.front().workers[3].live);
   EXPECT_EQ(snaps.front().num_live_workers, 4);
+}
+
+// One scenario for RepeatRunsAreBitwiseEqual. Each reaches a point where
+// the simulator's event loop meets clocks that are still computing: an
+// example move (failover, rebalance, FlexRR), a push that must wait for
+// its gradients, or a run that stops with clocks in flight.
+struct RepeatCase {
+  const char* name;
+  ClusterConfig cluster;
+  SimOptions options;
+  size_t num_examples = 300;
+  bool dyn_sgd = false;
+  bool deferred = false;
+  bool flexrr = false;
+};
+
+// Every case runs SSP(3), the SimOptions default, unless it says
+// otherwise.
+std::vector<RepeatCase> RepeatCases() {
+  std::vector<RepeatCase> cases;
+  cases.push_back({.name = "DynSgdSsp3Stragglers",
+                   .cluster = ClusterConfig::WithStragglers(5, 2, 2.0, 0.2),
+                   .options = FastOptions(),
+                   .dyn_sgd = true});
+  {
+    // ASP never parks anyone and a short link latency keeps the
+    // survivors computing almost all the time, so their clocks are in
+    // flight when the sweep evicts the victim and fails its shard over
+    // onto theirs. The larger shards keep those clocks running on the
+    // pool while the event loop gets there.
+    RepeatCase c{.name = "AspFailover",
+                 .cluster = ClusterConfig::Homogeneous(8, 2),
+                 .options = FastOptions(),
+                 .num_examples = 2400};
+    c.cluster.net_latency = 0.01;
+    c.options.sync = SyncPolicy::Asp();
+    c.options.max_clocks = 24;
+    c.options.kill_worker = 7;
+    c.options.kill_at_clock = 3;
+    c.options.heartbeat_timeout_seconds = 10.0;
+    cases.push_back(c);
+  }
+  {
+    RepeatCase c{.name = "RebalanceSlowWorker",
+                 .cluster = ClusterConfig::Homogeneous(3, 2),
+                 .options = FastOptions()};
+    SimOptions& o = c.options;
+    o.max_clocks = 30;
+    o.rebalance = true;
+    o.balancer.straggler_threshold = 1.3;
+    o.balancer.hysteresis = 2;
+    o.balancer.recovery_windows = 2;
+    o.balancer.reassign_fraction = 0.2;
+    o.slow_worker = 1;
+    o.slow_from_clock = 2;
+    o.slow_until_clock = 10;
+    o.slow_multiplier = 3.0;
+    cases.push_back(c);
+  }
+  cases.push_back({.name = "FlexRr",
+                   .cluster = ClusterConfig::WithStragglers(4, 2, 3.0, 0.25),
+                   .options = FastOptions(),
+                   .flexrr = true});
+  {
+    RepeatCase c{.name = "DeferredDynSgdPartitionSync",
+                 .cluster = ClusterConfig::WithStragglers(4, 2, 2.0, 0.25),
+                 .options = FastOptions(),
+                 .dyn_sgd = true,
+                 .deferred = true};
+    c.options.partition_sync = true;
+    c.options.partitions_per_server = 2;
+    cases.push_back(c);
+  }
+  for (int window : {0, 1}) {
+    RepeatCase c{.name = window == 0 ? "PushWindow0" : "PushWindow1",
+                 .cluster = ClusterConfig::WithStragglers(4, 2, 2.0, 0.25),
+                 .options = FastOptions()};
+    c.options.push_window = window;
+    cases.push_back(c);
+  }
+  {
+    RepeatCase c{.name = "StopOnConvergence",
+                 .cluster = ClusterConfig::WithStragglers(6, 2, 2.0),
+                 .options = FastOptions()};
+    c.options.max_clocks = 40;
+    c.options.stop_on_convergence = true;
+    c.options.objective_tolerance = 0.45;
+    c.options.consecutive_evals_to_converge = 1;
+    cases.push_back(c);
+  }
+  return cases;
+}
+
+SimResult RunRepeatCase(const Dataset& d, const RepeatCase& c) {
+  ConRule con;
+  DynSgdRule::Options dyn_opts;
+  if (c.deferred) dyn_opts.mode = DynSgdRule::ApplyMode::kDeferred;
+  DynSgdRule dyn(dyn_opts);
+  const ConsolidationRule& rule =
+      c.dyn_sgd ? static_cast<const ConsolidationRule&>(dyn) : con;
+  FixedRate sched(0.5);
+  LogisticLoss loss;
+  FlexRrMitigation flexrr;
+  return RunSimulation(d, c.cluster, rule, sched, loss, c.options,
+                       c.flexrr ? &flexrr : nullptr);
+}
+
+// Bit patterns, not ==: 0.0 == -0.0 and NaN != NaN would hide or invent
+// a difference.
+template <typename T>
+bool SameBits(const T& a, const T& b) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+template <typename T>
+bool SameBits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+#define EXPECT_SAME_BITS(a, b, field) \
+  EXPECT_TRUE(SameBits((a).field, (b).field)) << #field
+
+void ExpectBitwiseEqual(const SimResult& a, const SimResult& b) {
+  EXPECT_SAME_BITS(a, b, converged);
+  EXPECT_SAME_BITS(a, b, run_time_seconds);
+  EXPECT_SAME_BITS(a, b, updates_to_converge);
+  EXPECT_SAME_BITS(a, b, per_update_seconds);
+  EXPECT_SAME_BITS(a, b, total_pushes);
+  EXPECT_SAME_BITS(a, b, total_sim_seconds);
+  EXPECT_SAME_BITS(a, b, objective_per_clock);
+  EXPECT_SAME_BITS(a, b, min_objective);
+  EXPECT_SAME_BITS(a, b, var_objective);
+  EXPECT_SAME_BITS(a, b, clocks_to_converge);
+  EXPECT_SAME_BITS(a, b, final_objective);
+  EXPECT_SAME_BITS(a, b, param_memory_bytes);
+  EXPECT_SAME_BITS(a, b, peak_aux_memory_bytes);
+  EXPECT_SAME_BITS(a, b, peak_live_versions);
+  EXPECT_SAME_BITS(a, b, mean_staleness);
+  EXPECT_SAME_BITS(a, b, pull_bytes_shipped);
+  EXPECT_SAME_BITS(a, b, pull_bytes_full);
+  EXPECT_SAME_BITS(a, b, workers_evicted);
+  EXPECT_SAME_BITS(a, b, examples_failed_over);
+  EXPECT_SAME_BITS(a, b, workers_blocked_at_end);
+  EXPECT_SAME_BITS(a, b, examples_rebalanced);
+  EXPECT_SAME_BITS(a, b, examples_returned);
+  EXPECT_SAME_BITS(a, b, rebalance_migrations);
+  // Field by field: the struct's tail padding is not part of its value.
+  ASSERT_EQ(a.worker_breakdown.size(), b.worker_breakdown.size());
+  for (size_t m = 0; m < a.worker_breakdown.size(); ++m) {
+    SCOPED_TRACE("worker " + std::to_string(m));
+    const WorkerTimeBreakdown& x = a.worker_breakdown[m];
+    const WorkerTimeBreakdown& y = b.worker_breakdown[m];
+    EXPECT_SAME_BITS(x, y, compute_seconds);
+    EXPECT_SAME_BITS(x, y, comm_seconds);
+    EXPECT_SAME_BITS(x, y, wait_seconds);
+    EXPECT_SAME_BITS(x, y, push_hidden_seconds);
+    EXPECT_SAME_BITS(x, y, clocks_completed);
+  }
+}
+
+#undef EXPECT_SAME_BITS
+
+// Suite name shared with the TEST()s above; the instantiation prefix
+// keeps the parameterized suite distinct.
+class EventSimTest : public ::testing::TestWithParam<RepeatCase> {};
+
+TEST_P(EventSimTest, RepeatRunsAreBitwiseEqual) {
+  const RepeatCase& c = GetParam();
+  const Dataset d = TestData(c.num_examples);
+  const SimResult first = RunRepeatCase(d, c);
+  // The scenario must really reach the point it is named for.
+  if (c.options.kill_worker >= 0) {
+    EXPECT_EQ(first.workers_evicted, 1);
+    EXPECT_GT(first.examples_failed_over, 0);
+  }
+  if (c.options.rebalance) {
+    EXPECT_GT(first.examples_rebalanced, 0);
+  }
+  if (c.options.stop_on_convergence) {
+    EXPECT_TRUE(first.converged);
+    EXPECT_LT(first.total_pushes,
+              static_cast<int64_t>(c.cluster.num_workers) *
+                  c.options.max_clocks);
+  }
+  for (int run = 1; run < 3; ++run) {
+    SCOPED_TRACE("run " + std::to_string(run));
+    ExpectBitwiseEqual(first, RunRepeatCase(d, c));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DrainPoints, EventSimTest, ::testing::ValuesIn(RepeatCases()),
+    [](const ::testing::TestParamInfo<RepeatCase>& info) {
+      return std::string(info.param.name);
+    });
+
+// sim.compute_drains counts the example moves that met clocks in flight:
+// every case that moves examples drains, the others never do. Every push
+// send records one sim.compute_wait_us sample.
+TEST(EventSimComputePoolTest, ExampleMovesDrainInFlightClocks) {
+  Counter* drains = GlobalMetrics().counter("sim.compute_drains");
+  HistogramMetric* waits = GlobalMetrics().histogram("sim.compute_wait_us");
+  for (const RepeatCase& c : RepeatCases()) {
+    SCOPED_TRACE(c.name);
+    const int64_t drains_before = drains->value();
+    const int64_t waits_before = waits->count();
+    const SimResult r = RunRepeatCase(TestData(c.num_examples), c);
+    if (c.flexrr || c.options.rebalance || c.options.kill_worker >= 0) {
+      EXPECT_GT(drains->value(), drains_before);
+    } else {
+      EXPECT_EQ(drains->value(), drains_before);
+    }
+    if (!c.options.stop_on_convergence) {
+      // Every send's last piece lands before the queue runs dry.
+      EXPECT_EQ(waits->count() - waits_before, r.total_pushes);
+    }
+  }
 }
 
 }  // namespace
