@@ -241,6 +241,15 @@ Result<std::vector<double>> ParseDelayList(const std::string& text) {
   return delays;
 }
 
+/// Writes `model` to --model, when that flag is set.
+Status SaveModelFlag(const FlagParser& flags, const LinearModel& model) {
+  const std::string out = flags.GetString("model", "");
+  if (out.empty()) return Status::OK();
+  HETPS_RETURN_NOT_OK(model.Save(out));
+  std::printf("model written to %s\n", out.c_str());
+  return Status::OK();
+}
+
 /// `train --runtime=rpc`: the fully-distributed execution path — worker
 /// threads talk to the PS service over the serialized message bus, with
 /// the liveness / rebalancing planes and (via --serve_status) the live
@@ -324,6 +333,10 @@ int RunTrainRpc(const FlagParser& flags) {
                 static_cast<long long>(r.examples_returned),
                 static_cast<long long>(r.lb_migrations));
   }
+  const Status saved = SaveModelFlag(
+      flags, LinearModel(r.weights, flags.GetString("loss", "logistic"),
+                         opts.l2));
+  if (!saved.ok()) return Fail(saved);
   return FinishReport(reporter.get());
 }
 
@@ -389,12 +402,8 @@ int RunTrain(const FlagParser& flags) {
               model.value().train_stats().wall_seconds,
               model.value().Objective(data.value()),
               model.value().Accuracy(data.value()));
-  const std::string out = flags.GetString("model", "");
-  if (!out.empty()) {
-    Status st = model.value().Save(out);
-    if (!st.ok()) return Fail(st);
-    std::printf("model written to %s\n", out.c_str());
-  }
+  const Status saved = SaveModelFlag(flags, model.value());
+  if (!saved.ok()) return Fail(saved);
   return FinishReport(reporter.get());
 }
 

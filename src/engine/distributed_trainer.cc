@@ -65,6 +65,10 @@ Result<DistributedTrainResult> TrainDistributed(
   // AND shrinks land atomically at clock boundaries — a batch never
   // changes mid-compute and SSP admission is untouched.
   const size_t n_workers = static_cast<size_t>(options.num_workers);
+  std::vector<std::unique_ptr<SgdWorkload>> workloads;
+  for (int m = 0; m < options.num_workers; ++m) {
+    workloads.push_back(std::make_unique<SgdWorkload>(loop, m));
+  }
   std::mutex failover_mu;
   std::vector<std::vector<size_t>> owned(n_workers);
   std::vector<uint64_t> shard_gen(n_workers, 0);  // guarded by failover_mu
@@ -112,9 +116,6 @@ Result<DistributedTrainResult> TrainDistributed(
   svc_opts.liveness.heartbeat_timeout_seconds =
       options.heartbeat_timeout_seconds;
   svc_opts.liveness.evict_dead_workers = options.evict_dead_workers;
-  svc_opts.liveness.virtual_seconds_per_request =
-      options.virtual_seconds_per_request;
-  svc_opts.liveness.now_fn = options.heartbeat_now_fn;
   svc_opts.liveness.on_evict = [&](int victim) {
     std::lock_guard<std::mutex> lock(failover_mu);
     evicted[static_cast<size_t>(victim)].store(true,
@@ -192,11 +193,11 @@ Result<DistributedTrainResult> TrainDistributed(
   planes.evicted = [&evicted](int m) {
     return evicted[static_cast<size_t>(m)].load(std::memory_order_acquire);
   };
-  planes.refresh_shard = [&](int m, DataShard* shard) {
+  planes.refresh_shard = [&](int m) {
     const size_t mi = static_cast<size_t>(m);
     std::lock_guard<std::mutex> lock(failover_mu);
     if (seen_gen[mi] == shard_gen[mi]) return;
-    shard->example_indices = owned[mi];
+    workloads[mi]->mutable_shard()->example_indices = owned[mi];
     seen_gen[mi] = shard_gen[mi];
   };
   planes.report_clock = options.rebalance;
@@ -224,8 +225,8 @@ Result<DistributedTrainResult> TrainDistributed(
       const size_t mi = static_cast<size_t>(m);
       RpcWorkerClient client(m, &bus, "ps", options.rpc_retry,
                              options.push_window, options.delta_pull);
-      worker_status[mi] =
-          RunWorker(loop, m, &client, &result.worker_breakdown[mi]);
+      worker_status[mi] = RunWorker(loop, m, workloads[mi].get(), &client,
+                                    &result.worker_breakdown[mi]);
       worker_retries[mi] = client.retry_count();
     });
   }

@@ -2,7 +2,6 @@
 #define HETPS_ENGINE_DISTRIBUTED_TRAINER_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -42,18 +41,14 @@ struct DistributedTrainerOptions : TrainSpec {
   RpcRetryPolicy rpc_retry = RpcRetryPolicy();
   /// Heartbeat-driven worker eviction (the SSP liveness repair): evict a
   /// worker whose last request is older than this many *virtual* seconds
-  /// — time advances with every request the service handles
-  /// (virtual_seconds_per_request each), so detection needs no
-  /// wall-clock sleeps. <= 0 disables the liveness plane, restoring the
-  /// pre-repair behavior where one dead worker pins cmin forever.
+  /// — time advances 1 ms with every request the service handles
+  /// (PsService's request-tick clock), so detection needs no wall-clock
+  /// sleeps. <= 0 disables the liveness plane, restoring the pre-repair
+  /// behavior where one dead worker pins cmin forever.
   double heartbeat_timeout_seconds = 0.0;
   /// When false, dead workers are only counted as suspected, never
   /// evicted (A/B knob for demonstrating the deadlock).
   bool evict_dead_workers = true;
-  /// Scale of the request-tick virtual clock.
-  double virtual_seconds_per_request = 1e-3;
-  /// Overrides the virtual clock with caller-supplied time (tests).
-  std::function<double()> heartbeat_now_fn;
   /// --- Load-balancing plane (straggler-aware live rebalancing) ---
   /// Workers report their measured compute time per clock (kReportClock)
   /// and the service-side balancer migrates examples from persistent

@@ -2,15 +2,19 @@
 #define HETPS_ENGINE_THREADED_TRAINER_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/consolidation.h"
 #include "core/learning_rate.h"
 #include "data/dataset.h"
 #include "engine/worker_loop.h"
+#include "engine/workload.h"
 #include "math/loss.h"
 #include "obs/breakdown.h"
+#include "ps/parameter_server.h"
 #include "ps/partition.h"
+#include "util/status.h"
 
 namespace hetps {
 
@@ -47,12 +51,21 @@ struct ThreadedTrainResult {
 /// Runs distributed SGD (Algorithm 1 with the chosen consolidation rule)
 /// on real threads, each running RunWorker over a WorkerClient.
 /// Deterministic in data order; wall time depends on the machine. Aborts
-/// on options PrepareWorkerLoop rejects.
+/// on options PrepareWorkerLoop rejects and on a worker error.
 ThreadedTrainResult TrainThreaded(const Dataset& dataset,
                                   const LossFunction& loss,
                                   const LearningRateSchedule& schedule,
                                   const ConsolidationRule& rule_proto,
                                   const ThreadedTrainerOptions& options);
+
+/// The models' run (src/models) on TrainThreaded's start-up: one thread
+/// per worker m runs RunWorker over a WorkerClient of `ps`, driving
+/// workloads[m] through clocks [1, max_clocks] under the PS's sync
+/// policy. Clock 0 is the caller's initialization push; no delay is
+/// injected and no objective curve recorded. Returns the first failed
+/// worker's status.
+Status RunModelWorkers(ParameterServer* ps, int max_clocks,
+                       const std::vector<std::unique_ptr<Workload>>& workloads);
 
 }  // namespace hetps
 

@@ -4,7 +4,6 @@
 #include <string>
 #include <thread>
 
-#include "core/sgd_compute.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -19,11 +18,20 @@ double SecondsSince(SteadyClock::time_point start) {
   return std::chrono::duration<double>(SteadyClock::now() - start).count();
 }
 
+LocalWorkerSgd MakeSgd(const WorkerLoop& loop, int worker) {
+  const DataShard& shard = loop.shards[static_cast<size_t>(worker)];
+  LocalWorkerSgd::Options options;
+  options.batch_size = LocalWorkerSgd::BatchSizeForFraction(
+      shard.size(), loop.spec->batch_fraction);
+  options.l2 = loop.spec->l2;
+  return LocalWorkerSgd(loop.dataset, shard, loop.loss, loop.schedule,
+                        options);
+}
+
 /// RunWorker without the exit bookkeeping.
-Status RunClocks(const WorkerLoop& loop, int m, PsClient* client,
-                 double* compute_seconds) {
+Status RunClocks(const WorkerLoop& loop, int m, Workload* workload,
+                 PsClient* client, double* compute_seconds) {
   const TrainSpec& spec = *loop.spec;
-  const Dataset& dataset = *loop.dataset;
   const BusPlanes* planes = loop.planes;
   const size_t mi = static_cast<size_t>(m);
   const MetricLabels labels = {{"worker", std::to_string(m)}};
@@ -34,17 +42,12 @@ Status RunClocks(const WorkerLoop& loop, int m, PsClient* client,
   HistogramMetric* compute_us = metrics.histogram("worker.compute_us", labels);
   HistogramMetric* wait_us = metrics.histogram("worker.wait_us", labels);
   TraceRecorder::Global().NameThisThread("worker-" + std::to_string(m));
-  LocalWorkerSgd::Options sgd_opts;
-  sgd_opts.batch_size = LocalWorkerSgd::BatchSizeForFraction(
-      loop.shards[mi].size(), spec.batch_fraction);
-  sgd_opts.l2 = spec.l2;
-  LocalWorkerSgd sgd(&dataset, loop.shards[mi], loop.loss, loop.schedule,
-                     sgd_opts);
   const double delay = loop.delays[mi];
 
-  // A (re)starting worker pulls the latest parameter from the PS. Each
-  // later pull refreshes the replica in place, rewriting only the keys it
-  // changed and the keys compute wrote since the previous pull.
+  // A (re)starting worker pulls the latest parameter from the PS. If the
+  // workload names the keys it writes, each later pull refreshes the
+  // replica in place, rewriting only the keys it changed and the keys
+  // compute wrote since the previous pull.
   std::vector<double> replica;
   std::vector<int64_t> written;
   HETPS_RETURN_NOT_OK(client->PullCached(&replica, nullptr, &written));
@@ -72,7 +75,7 @@ Status RunClocks(const WorkerLoop& loop, int m, PsClient* client,
         }
       }
       // Copied at clock boundaries, so a batch never changes mid-compute.
-      if (planes->refresh_shard) planes->refresh_shard(m, sgd.mutable_shard());
+      if (planes->refresh_shard) planes->refresh_shard(m);
     }
     HETPS_TRACE_SPAN2("worker.clock", "worker", m, "clock", c);
     const SteadyClock::time_point iter_start = SteadyClock::now();
@@ -92,18 +95,20 @@ Status RunClocks(const WorkerLoop& loop, int m, PsClient* client,
       if (delay > 0.0) {
         std::this_thread::sleep_for(std::chrono::duration<double>(delay));
       }
-      sgd.RunClock(c, &replica, &update);
+      workload->RunClock(c, &replica, &update);
       compute_secs = SecondsSince(compute_start);
       *compute_seconds += compute_secs;
       compute_us->RecordInt(static_cast<int64_t>(compute_secs * 1e6));
     }
-    written.insert(written.end(), sgd.written_keys().begin(),
-                   sgd.written_keys().end());
+    const std::vector<int64_t>* keys = workload->written_keys();
+    if (keys != nullptr) {
+      written.insert(written.end(), keys->begin(), keys->end());
+    }
     HETPS_RETURN_NOT_OK(client->Push(c, update));
     if (planes != nullptr && planes->report_clock) {
       HETPS_RETURN_NOT_OK(client->ReportClock(c, compute_secs));
     }
-    if (m == 0) {
+    if (m == 0 && loop.trace != nullptr) {
       loop.trace->push_back(loop.Objective(replica));
       if (planes != nullptr && planes->after_eval) {
         planes->after_eval(c + 1 - loop.start_clock);
@@ -119,7 +124,8 @@ Status RunClocks(const WorkerLoop& loop, int m, PsClient* client,
           HETPS_TRACE_SPAN1("worker.wait", "worker", m);
           HETPS_RETURN_NOT_OK(client->WaitUntilCanAdvance(c + 1));
         }
-        HETPS_RETURN_NOT_OK(client->PullCached(&replica, nullptr, &written));
+        HETPS_RETURN_NOT_OK(client->PullCached(
+            &replica, nullptr, keys != nullptr ? &written : nullptr));
       }
       written.clear();
       wait_us->RecordInt(static_cast<int64_t>(
@@ -173,10 +179,13 @@ Result<WorkerLoop> PrepareWorkerLoop(const Dataset& dataset,
   return loop;
 }
 
-Status RunWorker(const WorkerLoop& loop, int worker, PsClient* client,
-                 WorkerTimeBreakdown* breakdown) {
+SgdWorkload::SgdWorkload(const WorkerLoop& loop, int worker)
+    : sgd_(MakeSgd(loop, worker)) {}
+
+Status RunWorker(const WorkerLoop& loop, int worker, Workload* workload,
+                 PsClient* client, WorkerTimeBreakdown* breakdown) {
   double compute_seconds = 0.0;
-  Status st = RunClocks(loop, worker, client, &compute_seconds);
+  Status st = RunClocks(loop, worker, workload, client, &compute_seconds);
   // An RPC rejected because *this* worker was evicted is the liveness
   // plane working as designed (e.g. a hung worker waking up after its
   // eviction), not a run failure: the survivors decide the verdict.

@@ -6,9 +6,11 @@
 #include <vector>
 
 #include "core/learning_rate.h"
+#include "core/sgd_compute.h"
 #include "core/sync_policy.h"
 #include "data/dataset.h"
 #include "data/sharding.h"
+#include "engine/workload.h"
 #include "math/loss.h"
 #include "net/message_bus.h"
 #include "obs/breakdown.h"
@@ -64,15 +66,17 @@ struct BusPlanes {
   std::function<double()> liveness_now;
   /// Own eviction ends a hang, and its FailedPrecondition is a clean exit.
   std::function<bool(int worker)> evicted;
-  /// Copies the entitlement in when failover or rebalancing changed it.
-  std::function<void(int worker, DataShard* shard)> refresh_shard;
+  /// Copies the worker's entitlement into its shard when failover or
+  /// rebalancing changed it.
+  std::function<void(int worker)> refresh_shard;
   /// Reports every clock's compute time (the load-balancing plane).
   bool report_clock = false;
   /// Worker 0 calls it after each evaluation, with the clocks run so far.
   std::function<void(int clocks_run)> after_eval;
 };
 
-/// Everything one run's workers share.
+/// Everything one run's workers share. The linear trainers' fields
+/// (dataset, loss, schedule, shards) stay empty in the models' runs.
 struct WorkerLoop {
   const Dataset* dataset = nullptr;
   const LossFunction* loss = nullptr;
@@ -83,12 +87,35 @@ struct WorkerLoop {
   /// Clocks run: [start_clock, start_clock + max_clocks).
   int start_clock = 0;
   bool prefetch = false;
-  /// Worker 0's objective after each of its clocks.
+  /// Worker 0's objective after each of its clocks; null records none.
   std::vector<double>* trace = nullptr;
   const BusPlanes* planes = nullptr;  // null in the threaded runtime
 
   /// The objective of `weights` over eval_sample examples (0 = all).
   double Objective(const std::vector<double>& weights) const;
+};
+
+/// The linear trainers' Workload: LocalWorkerSgd over loop.shards[worker]
+/// with the spec's batch fraction and L2. It names the keys each clock
+/// wrote, so pulls refresh the replica in place.
+class SgdWorkload final : public Workload {
+ public:
+  SgdWorkload(const WorkerLoop& loop, int worker);
+
+  void RunClock(int clock, std::vector<double>* replica,
+                SparseVector* update) override {
+    sgd_.RunClock(clock, replica, update);
+  }
+  const std::vector<int64_t>* written_keys() const override {
+    return &sgd_.written_keys();
+  }
+
+  /// The examples it trains on, which the RPC runtime's failover and
+  /// rebalancing replace between clocks.
+  DataShard* mutable_shard() { return sgd_.mutable_shard(); }
+
+ private:
+  LocalWorkerSgd sgd_;
 };
 
 /// Checks `spec` against `dataset` and prepares the run's shards and
@@ -100,18 +127,19 @@ Result<WorkerLoop> PrepareWorkerLoop(const Dataset& dataset,
                                      const TrainSpec& spec);
 
 /// Runs worker `worker` through Algorithm 1 over `client`: one pull, then
-/// per clock compute (the injected delay included), push, worker 0's
-/// evaluation, and — when the cached cmin requires it — the admission
-/// wait and a pull (or the prefetch started at the clock's top). A pull
-/// passes the keys compute wrote since the last one, so the client
-/// refreshes the replica in place instead of copying the model. Records
-/// worker.iter_us, worker.compute_us and worker.wait_us, and the
-/// worker.clock, worker.compute and worker.wait spans. Drains the push
-/// window at the end. On every path `*breakdown` receives the client's
+/// per clock `workload`'s step (the injected delay included), push,
+/// worker 0's evaluation when the loop has a trace, and — when the cached
+/// cmin requires it — the admission wait and a pull (or the prefetch
+/// started at the clock's top). If the workload names the keys it wrote,
+/// a pull passes those since the last one, so the client refreshes the
+/// replica in place instead of copying the model. Records worker.iter_us,
+/// worker.compute_us and worker.wait_us, and the worker.clock,
+/// worker.compute and worker.wait spans. Drains the push window at the
+/// end. On every path `*breakdown` receives the client's
 /// comm/wait split plus the compute time, which also go to GlobalMetrics()
 /// as worker.*_seconds{worker=m} gauges.
-Status RunWorker(const WorkerLoop& loop, int worker, PsClient* client,
-                 WorkerTimeBreakdown* breakdown);
+Status RunWorker(const WorkerLoop& loop, int worker, Workload* workload,
+                 PsClient* client, WorkerTimeBreakdown* breakdown);
 
 }  // namespace hetps
 

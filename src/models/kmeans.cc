@@ -1,14 +1,13 @@
 #include "models/kmeans.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
-#include <thread>
+#include <memory>
 
 #include "core/consolidation.h"
-#include "data/sharding.h"
+#include "engine/threaded_trainer.h"
 #include "ps/parameter_server.h"
-#include "ps/worker_client.h"
-#include "util/logging.h"
 #include "util/rng.h"
 
 namespace hetps {
@@ -65,6 +64,78 @@ double KMeansModel::Inertia(const Dataset& dataset) const {
   return total / static_cast<double>(dataset.size());
 }
 
+KMeansWorkload::KMeansWorkload(const Dataset* dataset, DataShard shard,
+                               const KMeansConfig& config)
+    : dataset_(dataset),
+      shard_(std::move(shard)),
+      config_(config),
+      dim_(static_cast<size_t>(dataset->dimension())),
+      update_(static_cast<size_t>(config.k) * dim_, 0.0) {}
+
+void KMeansWorkload::RunClock(int /*clock*/, std::vector<double>* replica,
+                              SparseVector* update) {
+  std::vector<double>& params = *replica;
+  const double eta = config_.learning_rate;
+  std::fill(update_.begin(), update_.end(), 0.0);
+  for (size_t i : shard_.example_indices) {
+    const SparseVector& x = dataset_->example(i).features;
+    const size_t off =
+        static_cast<size_t>(NearestCentroid(x, params, config_.k, dim_)) *
+        dim_;
+    // c += eta (x - c), as the dense -eta c and then the sparse +eta x.
+    for (size_t j = 0; j < dim_; ++j) {
+      const double delta = eta * (0.0 - params[off + j]);
+      params[off + j] += delta;
+      update_[off + j] += delta;
+    }
+    for (size_t n = 0; n < x.nnz(); ++n) {
+      const size_t j = static_cast<size_t>(x.index(n));
+      const double delta = eta * x.value(n);
+      params[off + j] += delta;
+      update_[off + j] += delta;
+    }
+  }
+  *update = SparseVector::FromDense(update_, 0.0);
+}
+
+SparseVector InitialCentroids(const Dataset& dataset,
+                              const KMeansConfig& config) {
+  const size_t dim = static_cast<size_t>(dataset.dimension());
+  Rng rng(config.seed);
+  const size_t sample = std::min<size_t>(dataset.size(), 512);
+  std::vector<size_t> chosen;
+  chosen.push_back(static_cast<size_t>(rng.NextUint64(sample)));
+  auto dist2 = [&](size_t a, size_t b) {
+    const SparseVector& xa = dataset.example(a).features;
+    const SparseVector& xb = dataset.example(b).features;
+    const SparseVector diff = SparseVector::Add(xa, xb, 1.0, -1.0);
+    return diff.SquaredNorm();
+  };
+  while (chosen.size() < static_cast<size_t>(config.k)) {
+    size_t best = 0;
+    double best_d = -1.0;
+    for (size_t i = 0; i < sample; ++i) {
+      double nearest = 1e300;
+      for (size_t c : chosen) nearest = std::min(nearest, dist2(i, c));
+      if (nearest > best_d) {
+        best_d = nearest;
+        best = i;
+      }
+    }
+    chosen.push_back(best);
+  }
+  std::vector<double> init(static_cast<size_t>(config.k) * dim, 0.0);
+  for (int c = 0; c < config.k; ++c) {
+    const SparseVector& x =
+        dataset.example(chosen[static_cast<size_t>(c)]).features;
+    for (size_t i = 0; i < x.nnz(); ++i) {
+      init[static_cast<size_t>(c) * dim + static_cast<size_t>(x.index(i))] =
+          x.value(i);
+    }
+  }
+  return SparseVector::FromDense(init, 0.0);
+}
+
 Result<KMeansModel> TrainKMeans(const Dataset& dataset,
                                 const KMeansConfig& config) {
   if (dataset.empty()) return Status::InvalidArgument("empty dataset");
@@ -75,113 +146,29 @@ Result<KMeansModel> TrainKMeans(const Dataset& dataset,
   if (static_cast<size_t>(config.k) > dataset.size()) {
     return Status::InvalidArgument("k exceeds dataset size");
   }
-  const size_t dim = static_cast<size_t>(dataset.dimension());
-  const int64_t total_dim =
-      static_cast<int64_t>(config.k) * static_cast<int64_t>(dim);
-
   const std::unique_ptr<ConsolidationRule> rule =
       MakeConsolidationRule(config.rule);
   PsOptions ps_opts;
   ps_opts.num_servers = config.num_servers;
   ps_opts.sync = config.sync;
-  ParameterServer ps(total_dim, config.num_workers, *rule, ps_opts);
+  ParameterServer ps(static_cast<int64_t>(config.k) * dataset.dimension(),
+                     config.num_workers, *rule, ps_opts);
+  // A single priming push keeps every rule's bookkeeping consistent (it
+  // is just an ordinary update).
+  ps.Push(/*worker=*/0, /*clock=*/0, InitialCentroids(dataset, config));
 
-  // Seed centroids with farthest-point (k-means++-style) initialization
-  // over a sample, so well-separated clusters each get a seed; pushed as a
-  // clock-0 priming update by worker 0 before training starts.
-  {
-    Rng rng(config.seed);
-    const size_t sample = std::min<size_t>(dataset.size(), 512);
-    std::vector<size_t> chosen;
-    chosen.push_back(static_cast<size_t>(rng.NextUint64(sample)));
-    auto dist2 = [&](size_t a, size_t b) {
-      const SparseVector& xa = dataset.example(a).features;
-      const SparseVector& xb = dataset.example(b).features;
-      const SparseVector diff = SparseVector::Add(xa, xb, 1.0, -1.0);
-      return diff.SquaredNorm();
-    };
-    while (chosen.size() < static_cast<size_t>(config.k)) {
-      size_t best = 0;
-      double best_d = -1.0;
-      for (size_t i = 0; i < sample; ++i) {
-        double nearest = 1e300;
-        for (size_t c : chosen) nearest = std::min(nearest, dist2(i, c));
-        if (nearest > best_d) {
-          best_d = nearest;
-          best = i;
-        }
-      }
-      chosen.push_back(best);
-    }
-    std::vector<double> init(static_cast<size_t>(total_dim), 0.0);
-    for (int c = 0; c < config.k; ++c) {
-      const SparseVector& x =
-          dataset.example(chosen[static_cast<size_t>(c)]).features;
-      for (size_t i = 0; i < x.nnz(); ++i) {
-        init[static_cast<size_t>(c) * dim +
-             static_cast<size_t>(x.index(i))] = x.value(i);
-      }
-    }
-    // A single priming push keeps every rule's bookkeeping consistent
-    // (it is just an ordinary update).
-    ps.Push(0, 0, SparseVector::FromDense(init, 0.0));
+  std::vector<std::unique_ptr<Workload>> workloads;
+  for (const DataShard& shard :
+       SplitData(dataset.size(), static_cast<size_t>(config.num_workers),
+                 ShardingPolicy::kContiguous)) {
+    workloads.push_back(
+        std::make_unique<KMeansWorkload>(&dataset, shard, config));
   }
-
-  const std::vector<DataShard> shards =
-      SplitData(dataset.size(), static_cast<size_t>(config.num_workers),
-                ShardingPolicy::kContiguous);
-
-  auto worker_body = [&](int m) {
-    WorkerClient client(m, &ps);
-    std::vector<double> replica(static_cast<size_t>(total_dim), 0.0);
-    client.PullBlocking(0, &replica);
-    const auto& indices = shards[static_cast<size_t>(m)].example_indices;
-    const size_t batch = std::max<size_t>(
-        1, static_cast<size_t>(config.batch_fraction *
-                               static_cast<double>(indices.size())));
-    // Clock 0 was consumed by the priming push for worker 0's clock
-    // accounting; everyone starts at clock 1.
-    for (int c = 1; c <= config.max_clocks; ++c) {
-      std::vector<double> update(static_cast<size_t>(total_dim), 0.0);
-      size_t pos = 0;
-      while (pos < indices.size()) {
-        const size_t end = std::min(pos + batch, indices.size());
-        for (size_t i = pos; i < end; ++i) {
-          const SparseVector& x =
-              dataset.example(indices[i]).features;
-          const int cc = NearestCentroid(x, replica, config.k, dim);
-          const size_t off = static_cast<size_t>(cc) * dim;
-          // Mini-batch k-means SGD step: c += eta (x - c), applied
-          // locally and accumulated for the push.
-          for (size_t j = 0; j < dim; ++j) {
-            const double delta =
-                config.learning_rate * (0.0 - replica[off + j]);
-            replica[off + j] += delta;
-            update[off + j] += delta;
-          }
-          for (size_t i2 = 0; i2 < x.nnz(); ++i2) {
-            const size_t j = static_cast<size_t>(x.index(i2));
-            const double delta = config.learning_rate * x.value(i2);
-            replica[off + j] += delta;
-            update[off + j] += delta;
-          }
-        }
-        pos = end;
-      }
-      client.Push(c, SparseVector::FromDense(update, 0.0));
-      client.MaybePull(c, &replica);
-    }
-  };
-
-  std::vector<std::thread> threads;
-  for (int m = 0; m < config.num_workers; ++m) {
-    threads.emplace_back(worker_body, m);
-  }
-  for (auto& t : threads) t.join();
+  HETPS_RETURN_NOT_OK(RunModelWorkers(&ps, config.max_clocks, workloads));
 
   KMeansModel model;
   model.k = config.k;
-  model.dim = static_cast<int64_t>(dim);
+  model.dim = dataset.dimension();
   model.centroids = ps.Snapshot();
   return model;
 }

@@ -6,22 +6,23 @@
 
 #include "core/sync_policy.h"
 #include "data/dataset.h"
+#include "data/sharding.h"
+#include "engine/workload.h"
 #include "util/status.h"
 
 namespace hetps {
 
-/// Distributed mini-batch k-means on the parameter server — one of the
-/// prototype's "ready-to-run algorithms" (Appendix D) and a demonstration
-/// that the PS API generalizes beyond linear models: the parameter is the
-/// flattened k×dim centroid matrix; each worker pushes SGD-style centroid
-/// moves c += η (x − c) for its assigned points.
+/// Distributed k-means on the parameter server — one of the prototype's
+/// "ready-to-run algorithms" (Appendix D) and a demonstration that the PS
+/// API generalizes beyond linear models: the parameter is the flattened
+/// k×dim centroid matrix; each worker pushes SGD-style centroid moves
+/// c += η (x − c) for its assigned points.
 struct KMeansConfig {
   int k = 4;
   double learning_rate = 0.3;
   int num_workers = 2;
   int num_servers = 1;
   int max_clocks = 10;
-  double batch_fraction = 0.2;
   SyncPolicy sync = SyncPolicy::Ssp(2);
   /// Consolidation rule name ("ssp" | "con" | "dyn").
   std::string rule = "dyn";
@@ -41,7 +42,32 @@ struct KMeansModel {
   double Inertia(const Dataset& dataset) const;
 };
 
-/// Trains with real worker threads against a shared PS.
+/// One worker's clock: each point of its shard moves its nearest
+/// centroid, c += η (x − c), applied to the replica at once and summed
+/// into the clock's update. Names no written keys.
+class KMeansWorkload final : public Workload {
+ public:
+  KMeansWorkload(const Dataset* dataset, DataShard shard,
+                 const KMeansConfig& config);
+
+  void RunClock(int clock, std::vector<double>* replica,
+                SparseVector* update) override;
+
+ private:
+  const Dataset* dataset_;
+  DataShard shard_;
+  KMeansConfig config_;
+  size_t dim_;
+  std::vector<double> update_;  // dense, zeroed at each clock's start
+};
+
+/// Farthest-point (k-means++-style) seeding over a sample, so
+/// well-separated clusters each get a seed: worker 0's clock-0 update.
+SparseVector InitialCentroids(const Dataset& dataset,
+                              const KMeansConfig& config);
+
+/// Trains one KMeansWorkload per worker on TrainThreaded's start-up
+/// (RunModelWorkers) against a shared PS, after the priming push.
 Result<KMeansModel> TrainKMeans(const Dataset& dataset,
                                 const KMeansConfig& config);
 

@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <numeric>
-#include <thread>
 
 #include "core/consolidation.h"
-#include "data/sharding.h"
+#include "engine/threaded_trainer.h"
 #include "ps/parameter_server.h"
-#include "ps/worker_client.h"
 #include "util/logging.h"
 
 namespace hetps {
@@ -83,6 +82,108 @@ std::vector<int> LdaModel::TopWords(int topic, int k) const {
   return order;
 }
 
+namespace {
+
+/// Parameters on the PS: K×V word-topic counts, then K topic totals.
+size_t CountDim(const Corpus& corpus, int topics) {
+  return static_cast<size_t>(topics) *
+         (static_cast<size_t>(corpus.vocab_size()) + 1);
+}
+
+}  // namespace
+
+LdaWorkload::LdaWorkload(const Corpus* corpus, DataShard shard,
+                         const LdaConfig& config, int worker)
+    : corpus_(corpus),
+      shard_(std::move(shard)),
+      config_(config),
+      rng_(Rng(config.seed).Fork(static_cast<uint64_t>(worker))),
+      z_(shard_.example_indices.size()),
+      ndt_(shard_.example_indices.size(),
+           std::vector<double>(static_cast<size_t>(config.num_topics), 0.0)),
+      delta_(CountDim(*corpus, config.num_topics), 0.0),
+      weights_(static_cast<size_t>(config.num_topics), 0.0) {
+  const int K = config_.num_topics;
+  for (size_t di = 0; di < z_.size(); ++di) {
+    const auto& words = corpus_->document(shard_.example_indices[di]);
+    z_[di].resize(words.size());
+    for (size_t i = 0; i < words.size(); ++i) {
+      const int t = static_cast<int>(
+          rng_.NextUint64(static_cast<uint64_t>(K)));
+      z_[di][i] = t;
+      ndt_[di][static_cast<size_t>(t)] += 1.0;
+    }
+  }
+}
+
+SparseVector LdaWorkload::AssignmentCounts() const {
+  const int K = config_.num_topics;
+  const int V = corpus_->vocab_size();
+  std::vector<double> counts(CountDim(*corpus_, K), 0.0);
+  for (size_t di = 0; di < z_.size(); ++di) {
+    const auto& words = corpus_->document(shard_.example_indices[di]);
+    for (size_t i = 0; i < words.size(); ++i) {
+      const int t = z_[di][i];
+      counts[static_cast<size_t>(t) * V + words[i]] += 1.0;
+      counts[static_cast<size_t>(K) * V + t] += 1.0;
+    }
+  }
+  return SparseVector::FromDense(counts, 0.0);
+}
+
+void LdaWorkload::RunClock(int /*clock*/, std::vector<double>* replica,
+                           SparseVector* update) {
+  std::vector<double>& counts = *replica;
+  const int K = config_.num_topics;
+  const int V = corpus_->vocab_size();
+  const double alpha = config_.alpha;
+  const double beta = config_.beta;
+  std::fill(delta_.begin(), delta_.end(), 0.0);
+  for (size_t di = 0; di < z_.size(); ++di) {
+    const auto& words = corpus_->document(shard_.example_indices[di]);
+    std::vector<double>& ndt = ndt_[di];
+    for (size_t i = 0; i < words.size(); ++i) {
+      const int w = words[i];
+      const int old_t = z_[di][i];
+      // Remove the token from local views.
+      ndt[static_cast<size_t>(old_t)] -= 1.0;
+      counts[static_cast<size_t>(old_t) * V + w] -= 1.0;
+      counts[static_cast<size_t>(K) * V + old_t] -= 1.0;
+      delta_[static_cast<size_t>(old_t) * V + w] -= 1.0;
+      delta_[static_cast<size_t>(K) * V + old_t] -= 1.0;
+      // Collapsed Gibbs: p(t) ∝ (ndt + α)(nwt + β)/(nt + Vβ). Stale
+      // replica counts can be transiently negative; clamp at 0.
+      double total = 0.0;
+      for (int t = 0; t < K; ++t) {
+        const double nwt =
+            std::max(0.0, counts[static_cast<size_t>(t) * V + w]);
+        const double nt =
+            std::max(0.0, counts[static_cast<size_t>(K) * V + t]);
+        weights_[static_cast<size_t>(t)] =
+            (ndt[static_cast<size_t>(t)] + alpha) * (nwt + beta) /
+            (nt + beta * V);
+        total += weights_[static_cast<size_t>(t)];
+      }
+      double u = rng_.NextDouble() * total;
+      int new_t = K - 1;
+      for (int t = 0; t < K; ++t) {
+        u -= weights_[static_cast<size_t>(t)];
+        if (u <= 0.0) {
+          new_t = t;
+          break;
+        }
+      }
+      z_[di][i] = new_t;
+      ndt[static_cast<size_t>(new_t)] += 1.0;
+      counts[static_cast<size_t>(new_t) * V + w] += 1.0;
+      counts[static_cast<size_t>(K) * V + new_t] += 1.0;
+      delta_[static_cast<size_t>(new_t) * V + w] += 1.0;
+      delta_[static_cast<size_t>(K) * V + new_t] += 1.0;
+    }
+  }
+  *update = SparseVector::FromDense(delta_, 0.0);
+}
+
 Result<LdaModel> TrainLda(const Corpus& corpus, const LdaConfig& config) {
   if (corpus.num_documents() == 0) {
     return Status::InvalidArgument("empty corpus");
@@ -96,109 +197,29 @@ Result<LdaModel> TrainLda(const Corpus& corpus, const LdaConfig& config) {
   if (config.num_workers <= 0 || config.num_servers <= 0) {
     return Status::InvalidArgument("need positive worker/server counts");
   }
-  const int K = config.num_topics;
-  const int V = corpus.vocab_size();
-  // Layout: K x V word-topic counts, then K topic totals.
-  const int64_t total_dim = static_cast<int64_t>(K) * V + K;
-
   SspRule rule;  // counts are additive: accumulate is the semantics
   PsOptions ps_opts;
   ps_opts.num_servers = config.num_servers;
   ps_opts.sync = config.sync;
-  ParameterServer ps(total_dim, config.num_workers, rule, ps_opts);
+  ParameterServer ps(
+      static_cast<int64_t>(CountDim(corpus, config.num_topics)),
+      config.num_workers, rule, ps_opts);
 
+  // Clock 0: each worker's random topic assignment, pushed as its counts.
   const std::vector<DataShard> shards = SplitData(
       corpus.num_documents(), static_cast<size_t>(config.num_workers),
       ShardingPolicy::kContiguous);
-  Rng master_rng(config.seed);
-  std::vector<Rng> worker_rngs;
+  std::vector<std::unique_ptr<Workload>> workloads;
   for (int m = 0; m < config.num_workers; ++m) {
-    worker_rngs.push_back(master_rng.Fork(static_cast<uint64_t>(m)));
+    auto workload = std::make_unique<LdaWorkload>(
+        &corpus, shards[static_cast<size_t>(m)], config, m);
+    ps.Push(m, /*clock=*/0, workload->AssignmentCounts());
+    workloads.push_back(std::move(workload));
   }
+  HETPS_RETURN_NOT_OK(RunModelWorkers(&ps, config.max_clocks, workloads));
 
-  auto worker_body = [&](int m) {
-    Rng& rng = worker_rngs[static_cast<size_t>(m)];
-    WorkerClient client(m, &ps);
-    const auto& docs = shards[static_cast<size_t>(m)].example_indices;
-
-    // Local Gibbs state: token assignments and doc-topic counts.
-    std::vector<std::vector<int>> z(docs.size());
-    std::vector<std::vector<double>> ndt(
-        docs.size(), std::vector<double>(static_cast<size_t>(K), 0.0));
-    std::vector<double> delta(static_cast<size_t>(total_dim), 0.0);
-
-    // Clock 0: random initialization, pushed as the first update.
-    for (size_t di = 0; di < docs.size(); ++di) {
-      const auto& words = corpus.document(docs[di]);
-      z[di].resize(words.size());
-      for (size_t i = 0; i < words.size(); ++i) {
-        const int t = static_cast<int>(
-            rng.NextUint64(static_cast<uint64_t>(K)));
-        z[di][i] = t;
-        ndt[di][static_cast<size_t>(t)] += 1.0;
-        delta[static_cast<size_t>(t) * V + words[i]] += 1.0;
-        delta[static_cast<size_t>(K) * V + t] += 1.0;
-      }
-    }
-    client.Push(0, SparseVector::FromDense(delta, 0.0));
-    std::vector<double> replica(static_cast<size_t>(total_dim), 0.0);
-    client.PullBlocking(1, &replica);
-
-    std::vector<double> weights(static_cast<size_t>(K), 0.0);
-    for (int c = 1; c <= config.max_clocks; ++c) {
-      std::fill(delta.begin(), delta.end(), 0.0);
-      for (size_t di = 0; di < docs.size(); ++di) {
-        const auto& words = corpus.document(docs[di]);
-        for (size_t i = 0; i < words.size(); ++i) {
-          const int w = words[i];
-          const int old_t = z[di][i];
-          // Remove the token from local views.
-          ndt[di][static_cast<size_t>(old_t)] -= 1.0;
-          replica[static_cast<size_t>(old_t) * V + w] -= 1.0;
-          replica[static_cast<size_t>(K) * V + old_t] -= 1.0;
-          delta[static_cast<size_t>(old_t) * V + w] -= 1.0;
-          delta[static_cast<size_t>(K) * V + old_t] -= 1.0;
-          // Collapsed Gibbs: p(t) ∝ (ndt + α)(nwt + β)/(nt + Vβ). Stale
-          // replica counts can be transiently negative; clamp at 0.
-          double total = 0.0;
-          for (int t = 0; t < K; ++t) {
-            const double nwt = std::max(
-                0.0, replica[static_cast<size_t>(t) * V + w]);
-            const double nt = std::max(
-                0.0, replica[static_cast<size_t>(K) * V + t]);
-            weights[static_cast<size_t>(t)] =
-                (ndt[di][static_cast<size_t>(t)] + config.alpha) *
-                (nwt + config.beta) / (nt + config.beta * V);
-            total += weights[static_cast<size_t>(t)];
-          }
-          double u = rng.NextDouble() * total;
-          int new_t = K - 1;
-          for (int t = 0; t < K; ++t) {
-            u -= weights[static_cast<size_t>(t)];
-            if (u <= 0.0) {
-              new_t = t;
-              break;
-            }
-          }
-          z[di][i] = new_t;
-          ndt[di][static_cast<size_t>(new_t)] += 1.0;
-          replica[static_cast<size_t>(new_t) * V + w] += 1.0;
-          replica[static_cast<size_t>(K) * V + new_t] += 1.0;
-          delta[static_cast<size_t>(new_t) * V + w] += 1.0;
-          delta[static_cast<size_t>(K) * V + new_t] += 1.0;
-        }
-      }
-      client.Push(c, SparseVector::FromDense(delta, 0.0));
-      client.MaybePull(c, &replica);
-    }
-  };
-
-  std::vector<std::thread> threads;
-  for (int m = 0; m < config.num_workers; ++m) {
-    threads.emplace_back(worker_body, m);
-  }
-  for (auto& t : threads) t.join();
-
+  const int K = config.num_topics;
+  const int V = corpus.vocab_size();
   LdaModel model;
   model.num_topics = K;
   model.vocab_size = V;

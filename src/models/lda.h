@@ -6,6 +6,8 @@
 #include <vector>
 
 #include "core/sync_policy.h"
+#include "data/sharding.h"
+#include "engine/workload.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -51,8 +53,9 @@ Corpus GenerateSyntheticCorpus(const SyntheticCorpusConfig& config);
 /// the per-topic totals; workers run collapsed Gibbs sampling on their
 /// document shards and push count *deltas*, which the PS accumulates.
 /// Counts are additive, so the SSPSGD accumulate rule is the right
-/// consolidation here (the heterogeneity-aware rules target SGD updates;
-/// the trainer rejects them).
+/// consolidation here, and the trainer always uses it (the
+/// heterogeneity-aware rules target SGD updates, so LdaConfig has no rule
+/// to choose).
 struct LdaConfig {
   int num_topics = 4;
   double alpha = 0.5;   // document-topic prior
@@ -78,6 +81,39 @@ struct LdaModel {
   std::vector<int> TopWords(int topic, int k) const;
 };
 
+/// One worker's Gibbs sweep over its documents: resamples every token's
+/// topic against the replica's counts, moving the token's counts in the
+/// replica at once and summing the moves into the clock's update. Names
+/// no written keys. Parameter layout: K×V word-topic counts, then the K
+/// topic totals.
+class LdaWorkload final : public Workload {
+ public:
+  /// Draws each token's initial topic from worker `worker`'s stream,
+  /// Rng(config.seed).Fork(worker).
+  LdaWorkload(const Corpus* corpus, DataShard shard, const LdaConfig& config,
+              int worker);
+
+  /// The counts of the current topic assignments: the worker's clock-0
+  /// push.
+  SparseVector AssignmentCounts() const;
+
+  void RunClock(int clock, std::vector<double>* replica,
+                SparseVector* update) override;
+
+ private:
+  const Corpus* corpus_;
+  DataShard shard_;
+  LdaConfig config_;
+  Rng rng_;
+  /// Per document of the shard: each token's topic, and the topic counts.
+  std::vector<std::vector<int>> z_;
+  std::vector<std::vector<double>> ndt_;
+  std::vector<double> delta_;    // dense, zeroed at each clock's start
+  std::vector<double> weights_;  // per-topic sampling weights
+};
+
+/// Pushes every worker's AssignmentCounts as its clock 0, then trains one
+/// LdaWorkload per worker on TrainThreaded's start-up (RunModelWorkers).
 Result<LdaModel> TrainLda(const Corpus& corpus, const LdaConfig& config);
 
 }  // namespace hetps

@@ -58,6 +58,11 @@ class LinearModel {
   static Result<LinearModel> Train(const Dataset& dataset,
                                    const LinearModelConfig& config);
 
+  /// A model over weights trained elsewhere (e.g. the RPC runtime's
+  /// DistributedTrainResult::weights). Aborts on an unknown loss.
+  LinearModel(std::vector<double> weights, std::string loss_name,
+              double l2);
+
   /// Raw margin <w, x>.
   double PredictMargin(const SparseVector& x) const;
 
@@ -81,9 +86,6 @@ class LinearModel {
   static Result<LinearModel> Load(const std::string& path);
 
  private:
-  LinearModel(std::vector<double> weights, std::string loss_name,
-              double l2);
-
   std::vector<double> weights_;
   std::string loss_name_;
   double l2_ = 0.0;

@@ -1,12 +1,11 @@
 #include "models/matrix_factorization.h"
 
 #include <cmath>
-#include <thread>
+#include <memory>
 
 #include "core/consolidation.h"
-#include "data/sharding.h"
+#include "engine/threaded_trainer.h"
 #include "ps/parameter_server.h"
-#include "ps/worker_client.h"
 #include "util/logging.h"
 
 namespace hetps {
@@ -95,6 +94,66 @@ double MatrixFactorizationModel::Rmse(const RatingsDataset& dataset) const {
   return std::sqrt(sq / static_cast<double>(dataset.size()));
 }
 
+namespace {
+
+/// Parameters on the PS: the user factors, then the item factors.
+size_t FactorDim(const RatingsDataset& dataset, int rank) {
+  return (static_cast<size_t>(dataset.num_users()) +
+          static_cast<size_t>(dataset.num_items())) *
+         static_cast<size_t>(rank);
+}
+
+}  // namespace
+
+MatrixFactorizationWorkload::MatrixFactorizationWorkload(
+    const RatingsDataset* dataset, DataShard shard,
+    const MatrixFactorizationConfig& config)
+    : dataset_(dataset),
+      shard_(std::move(shard)),
+      config_(config),
+      user_dim_(static_cast<size_t>(dataset->num_users()) *
+                static_cast<size_t>(config.rank)),
+      update_(FactorDim(*dataset, config.rank), 0.0) {}
+
+void MatrixFactorizationWorkload::RunClock(int /*clock*/,
+                                           std::vector<double>* replica,
+                                           SparseVector* update) {
+  std::vector<double>& w = *replica;
+  const int rank = config_.rank;
+  std::fill(update_.begin(), update_.end(), 0.0);
+  for (size_t i : shard_.example_indices) {
+    const Rating& r = dataset_->rating(i);
+    const size_t po = static_cast<size_t>(r.user) * rank;
+    const size_t qo = user_dim_ + static_cast<size_t>(r.item) * rank;
+    double dot = 0.0;
+    for (int f = 0; f < rank; ++f) {
+      dot += w[po + f] * w[qo + f];
+    }
+    const double e = r.value - dot;
+    for (int f = 0; f < rank; ++f) {
+      const double p = w[po + f];
+      const double q = w[qo + f];
+      const double dp = config_.learning_rate * (e * q - config_.l2 * p);
+      const double dq = config_.learning_rate * (e * p - config_.l2 * q);
+      w[po + f] += dp;
+      w[qo + f] += dq;
+      update_[po + f] += dp;
+      update_[qo + f] += dq;
+    }
+  }
+  *update = SparseVector::FromDense(update_, 0.0);
+}
+
+SparseVector InitialFactors(const RatingsDataset& dataset,
+                            const MatrixFactorizationConfig& config) {
+  Rng rng(config.seed);
+  std::vector<double> init(FactorDim(dataset, config.rank));
+  for (auto& x : init) {
+    x = rng.NextGaussian(0.0, config.init_stddev);
+  }
+  return SparseVector::FromDense(init, 0.0);
+}
+
 Result<MatrixFactorizationModel> TrainMatrixFactorization(
     const RatingsDataset& dataset,
     const MatrixFactorizationConfig& config) {
@@ -106,94 +165,32 @@ Result<MatrixFactorizationModel> TrainMatrixFactorization(
   if (config.num_workers <= 0 || config.num_servers <= 0) {
     return Status::InvalidArgument("need positive worker/server counts");
   }
-  const int rank = config.rank;
-  const size_t user_dim = static_cast<size_t>(dataset.num_users()) *
-                          static_cast<size_t>(rank);
-  const size_t item_dim = static_cast<size_t>(dataset.num_items()) *
-                          static_cast<size_t>(rank);
-  const int64_t total_dim = static_cast<int64_t>(user_dim + item_dim);
-
   const std::unique_ptr<ConsolidationRule> rule =
       MakeConsolidationRule(config.rule);
   PsOptions ps_opts;
   ps_opts.num_servers = config.num_servers;
   ps_opts.sync = config.sync;
-  ParameterServer ps(total_dim, config.num_workers, *rule, ps_opts);
+  ParameterServer ps(static_cast<int64_t>(FactorDim(dataset, config.rank)),
+                     config.num_workers, *rule, ps_opts);
+  ps.Push(/*worker=*/0, /*clock=*/0, InitialFactors(dataset, config));
 
-  // Random factor initialization, primed as worker 0's clock-0 update so
-  // every consolidation rule stays bookkeeping-consistent.
-  {
-    Rng rng(config.seed);
-    std::vector<double> init(static_cast<size_t>(total_dim));
-    for (auto& x : init) {
-      x = rng.NextGaussian(0.0, config.init_stddev);
-    }
-    ps.Push(0, 0, SparseVector::FromDense(init, 0.0));
+  std::vector<std::unique_ptr<Workload>> workloads;
+  for (const DataShard& shard :
+       SplitData(dataset.size(), static_cast<size_t>(config.num_workers),
+                 ShardingPolicy::kContiguous)) {
+    workloads.push_back(std::make_unique<MatrixFactorizationWorkload>(
+        &dataset, shard, config));
   }
-
-  const std::vector<DataShard> shards =
-      SplitData(dataset.size(), static_cast<size_t>(config.num_workers),
-                ShardingPolicy::kContiguous);
-
-  auto worker_body = [&](int m) {
-    WorkerClient client(m, &ps);
-    std::vector<double> replica(static_cast<size_t>(total_dim), 0.0);
-    client.PullBlocking(0, &replica);
-    const auto& indices = shards[static_cast<size_t>(m)].example_indices;
-    const size_t batch = std::max<size_t>(
-        1, static_cast<size_t>(config.batch_fraction *
-                               static_cast<double>(indices.size())));
-    std::vector<double> update(static_cast<size_t>(total_dim), 0.0);
-    for (int c = 1; c <= config.max_clocks; ++c) {
-      std::fill(update.begin(), update.end(), 0.0);
-      size_t pos = 0;
-      while (pos < indices.size()) {
-        const size_t end = std::min(pos + batch, indices.size());
-        for (size_t i = pos; i < end; ++i) {
-          const Rating& r = dataset.rating(indices[i]);
-          const size_t po = static_cast<size_t>(r.user) * rank;
-          const size_t qo =
-              user_dim + static_cast<size_t>(r.item) * rank;
-          double dot = 0.0;
-          for (int f = 0; f < rank; ++f) {
-            dot += replica[po + f] * replica[qo + f];
-          }
-          const double e = r.value - dot;
-          for (int f = 0; f < rank; ++f) {
-            const double p = replica[po + f];
-            const double q = replica[qo + f];
-            const double dp =
-                config.learning_rate * (e * q - config.l2 * p);
-            const double dq =
-                config.learning_rate * (e * p - config.l2 * q);
-            replica[po + f] += dp;
-            replica[qo + f] += dq;
-            update[po + f] += dp;
-            update[qo + f] += dq;
-          }
-        }
-        pos = end;
-      }
-      client.Push(c, SparseVector::FromDense(update, 0.0));
-      client.MaybePull(c, &replica);
-    }
-  };
-
-  std::vector<std::thread> threads;
-  for (int m = 0; m < config.num_workers; ++m) {
-    threads.emplace_back(worker_body, m);
-  }
-  for (auto& t : threads) t.join();
+  HETPS_RETURN_NOT_OK(RunModelWorkers(&ps, config.max_clocks, workloads));
 
   MatrixFactorizationModel model;
-  model.rank = rank;
+  model.rank = config.rank;
   model.num_users = dataset.num_users();
   model.num_items = dataset.num_items();
   const std::vector<double> w = ps.Snapshot();
-  model.user_factors.assign(w.begin(),
-                            w.begin() + static_cast<long>(user_dim));
-  model.item_factors.assign(w.begin() + static_cast<long>(user_dim),
-                            w.end());
+  const long user_dim = static_cast<long>(model.num_users) * model.rank;
+  model.user_factors.assign(w.begin(), w.begin() + user_dim);
+  model.item_factors.assign(w.begin() + user_dim, w.end());
   return model;
 }
 

@@ -6,6 +6,8 @@
 #include <vector>
 
 #include "core/sync_policy.h"
+#include "data/sharding.h"
+#include "engine/workload.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -65,7 +67,6 @@ struct MatrixFactorizationConfig {
   int num_workers = 2;
   int num_servers = 2;
   int max_clocks = 15;
-  double batch_fraction = 0.1;
   SyncPolicy sync = SyncPolicy::Ssp(2);
   /// Consolidation rule name ("ssp" | "con" | "dyn").
   std::string rule = "dyn";
@@ -87,8 +88,32 @@ struct MatrixFactorizationModel {
   double Rmse(const RatingsDataset& dataset) const;
 };
 
-/// Trains with real worker threads against the shared PS (biased SGD on
-/// observed entries: p += η(e·q − λp), q += η(e·p − λq)).
+/// One worker's clock: biased SGD over the observed entries of its shard,
+/// p += η(e·q − λp), q += η(e·p − λq), each step applied to the replica at
+/// once and summed into the clock's update. Names no written keys.
+class MatrixFactorizationWorkload final : public Workload {
+ public:
+  MatrixFactorizationWorkload(const RatingsDataset* dataset, DataShard shard,
+                              const MatrixFactorizationConfig& config);
+
+  void RunClock(int clock, std::vector<double>* replica,
+                SparseVector* update) override;
+
+ private:
+  const RatingsDataset* dataset_;
+  DataShard shard_;
+  MatrixFactorizationConfig config_;
+  size_t user_dim_;
+  std::vector<double> update_;  // dense, zeroed at each clock's start
+};
+
+/// The random factor initialization, which worker 0 pushes as its clock-0
+/// update so every consolidation rule stays bookkeeping-consistent.
+SparseVector InitialFactors(const RatingsDataset& dataset,
+                            const MatrixFactorizationConfig& config);
+
+/// Trains one MatrixFactorizationWorkload per worker on TrainThreaded's
+/// start-up (RunModelWorkers) against a shared PS, after the priming push.
 Result<MatrixFactorizationModel> TrainMatrixFactorization(
     const RatingsDataset& dataset, const MatrixFactorizationConfig& config);
 

@@ -12,6 +12,9 @@
 namespace hetps {
 namespace {
 
+/// The liveness plane's virtual time per handled request.
+constexpr double kVirtualSecondsPerRequest = 1e-3;
+
 std::vector<uint8_t> ErrorResponse(const Status& st) {
   ByteWriter w;
   w.WriteU8(static_cast<uint8_t>(st.code()));
@@ -138,7 +141,7 @@ double PsService::LivenessNow() const {
   if (monitor_ == nullptr) return 0.0;
   if (options_.liveness.now_fn) return options_.liveness.now_fn();
   return static_cast<double>(ticks_.load(std::memory_order_relaxed)) *
-         options_.liveness.virtual_seconds_per_request;
+         kVirtualSecondsPerRequest;
 }
 
 void PsService::SweepDeadWorkers(double now) {

@@ -98,11 +98,11 @@ std::optional<PsOpCode> PsOpCodeFromName(const std::string& name);
 /// never rejoin behind the eviction's back.
 ///
 /// Time is *virtual* by default: each handled request advances a tick
-/// counter, and now = ticks * virtual_seconds_per_request. That makes the
-/// timeout deterministic under test schedulers and needs no wall-clock
-/// sleeps — a dead worker is detected because the survivors' traffic keeps
-/// ticking while its own beats stop. Inject `now_fn` to supply real time
-/// (or any other clock) instead.
+/// counter, and now = ticks × 1 ms. That makes the timeout deterministic
+/// under test schedulers and needs no wall-clock sleeps — a dead worker is
+/// detected because the survivors' traffic keeps ticking while its own
+/// beats stop. Inject `now_fn` to supply real time (or any other clock)
+/// instead.
 struct PsLivenessOptions {
   /// Evict a worker whose last heartbeat is older than this many
   /// (virtual) seconds. <= 0 disables the whole liveness plane.
@@ -111,8 +111,6 @@ struct PsLivenessOptions {
   /// (ps.workers_suspected), never evicted — the pre-repair behavior,
   /// kept for the deadlock-demonstration tests and A/B runs.
   bool evict_dead_workers = true;
-  /// Scale of the request-tick virtual clock (ignored when now_fn set).
-  double virtual_seconds_per_request = 1e-3;
   /// Overrides the request-tick clock with caller-supplied time.
   std::function<double()> now_fn;
   /// Called (from the service loop, no PS locks held) after a worker is

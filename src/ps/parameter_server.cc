@@ -93,7 +93,7 @@ ParameterServer::ParameterServer(int64_t dim, int num_workers,
   for (int p = 0; p < parts; ++p) {
     shards_.push_back(std::make_unique<ServerShard>(
         p, static_cast<size_t>(partitioner_.PartitionDim(p)), rule_proto,
-        num_workers, options_.delta_log_depth));
+        num_workers));
     shard_mu_.push_back(std::make_unique<std::mutex>());
   }
   // Create every metric up front: hot paths record through cached
@@ -881,8 +881,7 @@ Status ParameterServer::LoadCheckpoint(std::istream& is) {
     std::lock_guard<std::mutex> lock(*shard_mu_[static_cast<size_t>(p)]);
     staged.push_back(std::make_unique<ServerShard>(
         p, static_cast<size_t>(partitioner_.PartitionDim(p)),
-        shards_[static_cast<size_t>(p)]->rule(), num_workers_,
-        options_.delta_log_depth));
+        shards_[static_cast<size_t>(p)]->rule(), num_workers_));
   }
   for (int p = 0; p < parts; ++p) {
     int shard_id = 0;

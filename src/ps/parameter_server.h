@@ -36,10 +36,6 @@ struct PsOptions {
   /// Version-based partition synchronization through the master (§6);
   /// effective with a deferred-mode DynSGD rule.
   bool partition_sync = false;
-  /// Per-shard delta-log depth for version-aware delta pulls (0 disables
-  /// delta capture; unchanged-partition detection still works — it only
-  /// needs the version stamp). See ServerShard.
-  int delta_log_depth = 64;
   /// Threads used to apply a push's partition pieces shard-parallel
   /// (each piece under its own shard mutex; AdvanceClock fires once
   /// after the last piece). 0 = auto (hardware concurrency, capped at

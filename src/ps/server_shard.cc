@@ -10,6 +10,9 @@ namespace {
 
 constexpr int64_t kSparseEntryBytes = sizeof(int64_t) + sizeof(double);
 
+/// Deltas the log keeps at most (a pull further behind ships whole).
+constexpr size_t kDeltaLogDepth = 64;
+
 /// Bytes of `n` keys shipped dense, or of `nnz` entries shipped sparse.
 int64_t DenseBytes(size_t n) {
   return static_cast<int64_t>(n) * static_cast<int64_t>(sizeof(double));
@@ -22,15 +25,13 @@ int64_t SparseBytes(size_t nnz) {
 
 ServerShard::ServerShard(int shard_id, size_t dim,
                          const ConsolidationRule& rule_proto,
-                         int num_workers, int delta_log_depth)
+                         int num_workers)
     : shard_id_(shard_id),
       param_(dim),
       rule_(rule_proto.Clone()),
-      in_support_(dim, false),
-      delta_log_depth_(delta_log_depth) {
+      in_support_(dim, false) {
   rule_->Reset(dim, num_workers);
-  track_deltas_ =
-      delta_log_depth_ > 0 && rule_->PushTouchesOnlyUpdateSupport();
+  track_deltas_ = rule_->PushTouchesOnlyUpdateSupport();
 }
 
 void ServerShard::Push(int worker, int clock,
@@ -110,7 +111,7 @@ void ServerShard::AppendDelta(SparseVector delta) {
   // ships of the block, merging it can no longer beat a whole-block
   // transfer, so keeping more history is pure overhead.
   const size_t byte_cap = 2 * param_.dim() * sizeof(double) + 64;
-  while (delta_log_.size() > static_cast<size_t>(delta_log_depth_) ||
+  while (delta_log_.size() > kDeltaLogDepth ||
          delta_log_bytes_ > byte_cap) {
     delta_log_bytes_ -= delta_log_.front().delta.MemoryBytes();
     delta_log_.pop_front();

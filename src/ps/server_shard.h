@@ -45,10 +45,8 @@ namespace hetps {
 class ServerShard {
  public:
   /// `rule_proto` is cloned; `dim` is the partition-local dimension.
-  /// `delta_log_depth` bounds the per-shard delta log (0 disables delta
-  /// capture entirely — pulls then always ship whole blocks).
   ServerShard(int shard_id, size_t dim, const ConsolidationRule& rule_proto,
-              int num_workers, int delta_log_depth = 64);
+              int num_workers);
 
   int shard_id() const { return shard_id_; }
   size_t dim() const { return param_.dim(); }
@@ -167,10 +165,9 @@ class ServerShard {
   std::vector<bool> in_support_;
 
   // Delta log (newest at the back). Kept only when the rule's pushes are
-  // support-local; bounded by depth and by bytes (once the log outweighs
-  // a dense ship of the block it can no longer win).
+  // support-local; bounded by depth (64 deltas) and by bytes (once the
+  // log outweighs a dense ship of the block it can no longer win).
   bool track_deltas_ = false;
-  int delta_log_depth_ = 0;
   size_t delta_log_bytes_ = 0;
   std::deque<LoggedDelta> delta_log_;
 

@@ -40,6 +40,12 @@ std::string SimResult::Summary() const {
 
 namespace {
 
+/// Workers start up to this many nominal clock-lengths apart (uniform),
+/// modelling staggered container start and data loading. Starting all at
+/// t=0 phase-locks homogeneous workers into a synchronized overshoot
+/// pattern no real deployment exhibits.
+constexpr double kStartStaggerClocks = 0.9;
+
 enum class EventType : int {
   kStartClock = 0,
   kPushSend = 1,
@@ -247,11 +253,8 @@ class Simulation {
       // workers in any real deployment).
       const double nominal_clock =
           static_cast<double>(w.sgd->ShardNnz()) * cluster.seconds_per_nnz;
-      const double stagger = options.start_stagger_clocks > 0.0
-                                 ? w.rng.NextDouble() *
-                                       options.start_stagger_clocks *
-                                       nominal_clock
-                                 : 0.0;
+      const double stagger =
+          w.rng.NextDouble() * kStartStaggerClocks * nominal_clock;
       Schedule(stagger, EventType::kStartClock, m, 0);
     }
     if (options.rebalance) {

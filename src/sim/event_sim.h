@@ -72,11 +72,6 @@ struct SimOptions {
   int push_window = -1;
   /// Safety limit on simulated time.
   double max_sim_seconds = 1e7;
-  /// Workers start up to this many nominal clock-lengths apart (uniform),
-  /// modelling staggered container start and data loading. 0 = all start
-  /// at t=0, which phase-locks homogeneous workers into a synchronized
-  /// overshoot pattern no real deployment exhibits.
-  double start_stagger_clocks = 0.9;
   uint64_t seed = 7;
   /// Record the per-clock objective of worker 0 (a fast worker under the
   /// straggler configs) — the paper's convergence curves.

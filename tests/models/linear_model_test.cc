@@ -3,8 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
+#include <vector>
 
+#include "core/consolidation.h"
+#include "core/learning_rate.h"
 #include "data/synthetic.h"
+#include "engine/distributed_trainer.h"
+#include "math/loss.h"
 #include "util/rng.h"
 
 namespace hetps {
@@ -87,6 +93,33 @@ TEST(LinearModelTest, SaveLoadRoundTrip) {
   EXPECT_EQ(loaded.value().weights(), model.value().weights());
   EXPECT_EQ(loaded.value().loss_name(), "logistic");
   EXPECT_DOUBLE_EQ(loaded.value().Accuracy(d), model.value().Accuracy(d));
+  std::remove(path.c_str());
+}
+
+TEST(LinearModelTest, DistributedWeightsSaveAndLoad) {
+  // `train --runtime=rpc --model=` writes the RPC runtime's weights in the
+  // one model format, so `evaluate --model=` reads them back exactly.
+  const Dataset d = ModelData();
+  LogisticLoss loss;
+  FixedRate schedule(0.3);
+  const std::unique_ptr<ConsolidationRule> rule =
+      MakeConsolidationRule("dyn");
+  DistributedTrainerOptions opts;
+  opts.num_workers = 2;
+  opts.max_clocks = 5;
+  opts.l2 = 1e-3;
+  auto trained = TrainDistributed(d, loss, schedule, *rule, opts);
+  ASSERT_TRUE(trained.ok()) << trained.status().ToString();
+  const std::vector<double>& weights = trained.value().weights;
+
+  const std::string path = testing::TempDir() + "/hetps_model_rpc.txt";
+  ASSERT_TRUE(LinearModel(weights, "logistic", opts.l2).Save(path).ok());
+  auto loaded = LinearModel::Load(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().weights(), weights);
+  EXPECT_EQ(loaded.value().loss_name(), "logistic");
+  EXPECT_EQ(loaded.value().l2(), opts.l2);
+  EXPECT_EQ(loaded.value().Objective(d), d.Objective(loss, weights, opts.l2));
   std::remove(path.c_str());
 }
 
