@@ -15,15 +15,13 @@
 //      high-dimensional shard — the algorithmic win, independent of ISA.
 //      Acceptance: >= 3x clocks/sec.
 //
-// Writes BENCH_kernels.json (argv[1] overrides the path) with schema
-// hetps.bench.kernels.v1; CI's kernels-smoke job uploads it and the
-// floors are enforced via the exit code.
+// Writes BENCH_kernels.json (argv[1] overrides the path) through
+// BenchReport (schema hetps.bench.v2); CI's kernels-smoke job uploads it
+// and the floors are enforced via the exit code.
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -35,20 +33,14 @@
 #include "math/kernels.h"
 #include "math/loss.h"
 #include "math/sparse_vector.h"
-#include "obs/json.h"
 #include "util/logging.h"
 #include "util/rng.h"
+#include "util/stopwatch.h"
 
 using namespace hetps;
 using namespace hetps::bench;
 
 namespace {
-
-using WallClock = std::chrono::steady_clock;
-
-double SecondsSince(WallClock::time_point start) {
-  return std::chrono::duration<double>(WallClock::now() - start).count();
-}
 
 // --------------------------------------------------------------------
 // Layer 1: kernel microbenchmarks.
@@ -119,9 +111,9 @@ template <typename Body>
 double TimeGbps(int reps, double bytes_per_rep, Body body) {
   // Warm-up (page in, settle dispatch).
   body();
-  const auto t0 = WallClock::now();
+  const Stopwatch watch;
   for (int r = 0; r < reps; ++r) body();
-  const double secs = SecondsSince(t0);
+  const double secs = watch.ElapsedSeconds();
   return bytes_per_rep * static_cast<double>(reps) / secs / 1e9;
 }
 
@@ -317,12 +309,12 @@ E2eResult RunE2e() {
     std::vector<double> replica(dim, 0.0);
     SparseVector update;
     legacy.RunClock(0, &replica, &update);  // warm-up
-    const auto t0 = WallClock::now();
+    const Stopwatch watch;
     for (int c = 0; c < kLegacyClocks; ++c) {
       legacy.RunClock(c, &replica, &update);
     }
     result.legacy_clocks_per_sec =
-        static_cast<double>(kLegacyClocks) / SecondsSince(t0);
+        static_cast<double>(kLegacyClocks) / watch.ElapsedSeconds();
   }
   {
     LocalWorkerSgd rewritten(&dataset, shard, loss.get(), &schedule,
@@ -330,29 +322,20 @@ E2eResult RunE2e() {
     std::vector<double> replica(dim, 0.0);
     SparseVector update;
     rewritten.RunClock(0, &replica, &update);  // warm-up
-    const auto t0 = WallClock::now();
+    const Stopwatch watch;
     for (int c = 0; c < kRewrittenClocks; ++c) {
       rewritten.RunClock(c, &replica, &update);
     }
     result.rewritten_clocks_per_sec =
-        static_cast<double>(kRewrittenClocks) / SecondsSince(t0);
+        static_cast<double>(kRewrittenClocks) / watch.ElapsedSeconds();
   }
   return result;
-}
-
-void AppendKv(std::string* out, const char* key, double v,
-              bool last = false) {
-  *out += "    \"";
-  *out += key;
-  *out += "\": ";
-  AppendJsonDouble(out, v);
-  *out += last ? "\n" : ",\n";
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string out_path = argc > 1 ? argv[1] : "BENCH_kernels.json";
+  BenchReport report("kernels", argc > 1 ? argv[1] : "BENCH_kernels.json");
 
   const kernels::KernelIsa startup_isa = kernels::ActiveKernelIsa();
   const bool have_avx2 = kernels::CpuSupportsAvx2Fma();
@@ -401,55 +384,22 @@ int main(int argc, char** argv) {
       e2e.max_update_abs_diff);
 
   // --- BENCH_kernels.json ---------------------------------------------
-  std::string json;
-  json += "{\n";
-  json += "  \"bench\": \"kernels\",\n";
-  json += "  \"schema\": \"hetps.bench.kernels.v1\",\n";
-  json += "  \"active_isa\": \"";
-  json += kernels::KernelIsaName(startup_isa);
-  json += "\",\n";
-  json += "  \"avx2_supported\": ";
-  json += have_avx2 ? "true" : "false";
-  json += ",\n";
-  json += "  \"kernels\": {\n";
-  for (size_t i = 0; i < results.size(); ++i) {
-    const KernelResult& r = results[i];
-    json += "    \"" + r.name + "\": {\n";
-    json += "      \"scalar_gbps\": ";
-    AppendJsonDouble(&json, r.scalar_gbps);
-    json += ",\n      \"dispatch_gbps\": ";
-    AppendJsonDouble(&json, r.dispatch_gbps);
-    json += ",\n      \"speedup\": ";
-    AppendJsonDouble(&json, r.speedup());
-    json += "\n    }";
-    json += i + 1 < results.size() ? ",\n" : "\n";
+  report.Set("active_isa", kernels::KernelIsaName(startup_isa));
+  report.Set("avx2_supported", have_avx2);
+  for (const KernelResult& r : results) {
+    const std::string k = "kernels." + r.name + ".";
+    report.Set(k + "scalar_gbps", r.scalar_gbps);
+    report.Set(k + "dispatch_gbps", r.dispatch_gbps);
+    report.Set(k + "speedup", r.speedup());
   }
-  json += "  },\n";
-  json += "  \"summary\": {\n";
-  AppendKv(&json, "dense_geomean_speedup", dense_geomean);
-  AppendKv(&json, "e2e_legacy_clocks_per_sec", e2e.legacy_clocks_per_sec);
-  AppendKv(&json, "e2e_rewritten_clocks_per_sec",
-           e2e.rewritten_clocks_per_sec);
-  AppendKv(&json, "e2e_speedup", e2e.speedup());
-  AppendKv(&json, "e2e_max_update_abs_diff", e2e.max_update_abs_diff,
-           /*last=*/true);
-  json += "  }\n";
-  json += "}\n";
-  std::ofstream out(out_path);
-  out << json;
-  out.close();
-  std::printf("wrote %s\n", out_path.c_str());
-
-  int rc = 0;
-  if (have_avx2 && dense_geomean < 2.0) {
-    std::printf("FAIL: dense-kernel geomean speedup %.2fx below the 2x "
-                "acceptance floor\n", dense_geomean);
-    rc = 1;
-  }
-  if (e2e.speedup() < 3.0) {
-    std::printf("FAIL: e2e clocks/sec speedup %.2fx below the 3x "
-                "acceptance floor\n", e2e.speedup());
-    rc = 1;
-  }
-  return rc;
+  report.Set("summary.dense_geomean_speedup", dense_geomean);
+  report.Set("summary.e2e_legacy_clocks_per_sec", e2e.legacy_clocks_per_sec);
+  report.Set("summary.e2e_rewritten_clocks_per_sec",
+             e2e.rewritten_clocks_per_sec);
+  report.Set("summary.e2e_speedup", e2e.speedup());
+  report.Set("summary.e2e_max_update_abs_diff", e2e.max_update_abs_diff);
+  report.Gate("dense_geomean_speedup", dense_geomean, GateOp::kAtLeast, 2.0,
+              have_avx2 ? "" : "no AVX2+FMA on this host");
+  report.Gate("e2e_speedup", e2e.speedup(), GateOp::kAtLeast, 3.0);
+  return report.Finish();
 }

@@ -13,15 +13,13 @@
 //      TimeSeriesRecorder snapshot over a realistically sized registry
 //      (epoch cadence, never per-push).
 //
-// Writes BENCH_obs.json (argv[1] overrides the path) with schema
-// hetps.bench.obs.v1. Exit-code gate: the modeled disabled-hook cost
-// per push (trace span + flight record hooks, all off) must stay below
-// 2% of the push itself — the floor CI's bench-smoke job enforces.
+// Writes BENCH_obs.json (argv[1] overrides the path) through BenchReport
+// (schema hetps.bench.v2). Exit-code gate: the modeled disabled-hook
+// cost per push (trace span + flight record hooks, all off) must stay
+// below 2% of the push itself — the floor CI's bench-smoke job enforces.
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -30,27 +28,21 @@
 #include "math/sparse_vector.h"
 #include "obs/flight_recorder.h"
 #include "obs/histogram.h"
-#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "ps/parameter_server.h"
 #include "util/rng.h"
+#include "util/stopwatch.h"
 
 using namespace hetps;
 using namespace hetps::bench;
 
 namespace {
 
-using WallClock = std::chrono::steady_clock;
-
 template <typename T>
 inline void DoNotOptimize(T const& value) {
   asm volatile("" : : "r,m"(value) : "memory");
-}
-
-double SecondsSince(WallClock::time_point start) {
-  return std::chrono::duration<double>(WallClock::now() - start).count();
 }
 
 SparseVector RandomSparse(int64_t dim, size_t nnz, uint64_t seed) {
@@ -95,9 +87,9 @@ double PsPushNs(bool recorders_on, int iters) {
   const SparseVector update = RandomSparse(dim, 256, 17);
   // Warmup: fault the shards in and settle the allocator.
   for (int c = 0; c < 200; ++c) ps.Push(0, c, update);
-  const auto t0 = WallClock::now();
+  const Stopwatch watch;
   for (int c = 0; c < iters; ++c) ps.Push(0, 200 + c, update);
-  const double secs = SecondsSince(t0);
+  const double secs = watch.ElapsedSeconds();
   trace.Stop();
   trace.Clear();
   flight.Stop();
@@ -116,12 +108,12 @@ double TraceSpanNs(bool enabled, int iters) {
     rec.Stop();
     rec.Clear();
   }
-  const auto t0 = WallClock::now();
+  const Stopwatch watch;
   for (int i = 0; i < iters; ++i) {
     HETPS_TRACE_SPAN2("bench.span", "a", 1, "b", 2);
     DoNotOptimize(i);
   }
-  const double secs = SecondsSince(t0);
+  const double secs = watch.ElapsedSeconds();
   rec.Stop();
   rec.Clear();
   return secs * 1e9 / static_cast<double>(iters);
@@ -136,12 +128,12 @@ double FlightRecordNs(bool enabled, int iters) {
     rec.Stop();
     rec.Clear();
   }
-  const auto t0 = WallClock::now();
+  const Stopwatch watch;
   for (int i = 0; i < iters; ++i) {
     rec.Record("bench.event", /*worker=*/0, /*clock=*/i);
     DoNotOptimize(i);
   }
-  const double secs = SecondsSince(t0);
+  const double secs = watch.ElapsedSeconds();
   rec.Stop();
   rec.Clear();
   return secs * 1e9 / static_cast<double>(iters);
@@ -150,12 +142,12 @@ double FlightRecordNs(bool enabled, int iters) {
 double HistogramRecordNs(int iters) {
   BucketedHistogram hist;
   int64_t v = 1;
-  const auto t0 = WallClock::now();
+  const Stopwatch watch;
   for (int i = 0; i < iters; ++i) {
     hist.RecordInt(v);
     v = (v * 2862933555777941757LL + 3037000493LL) & 0xffffff;
   }
-  const double secs = SecondsSince(t0);
+  const double secs = watch.ElapsedSeconds();
   DoNotOptimize(hist.count());
   return secs * 1e9 / static_cast<double>(iters);
 }
@@ -169,12 +161,12 @@ double HistogramRecordExemplarNs(bool enabled, int iters) {
   BucketedHistogram::SetExemplarsEnabled(enabled);
   BucketedHistogram hist;
   int64_t v = 1;
-  const auto t0 = WallClock::now();
+  const Stopwatch watch;
   for (int i = 0; i < iters; ++i) {
     hist.RecordInt(v, static_cast<uint64_t>(i) + 1);
     v = (v * 2862933555777941757LL + 3037000493LL) & 0xffffff;
   }
-  const double secs = SecondsSince(t0);
+  const double secs = watch.ElapsedSeconds();
   BucketedHistogram::SetExemplarsEnabled(false);
   DoNotOptimize(hist.count());
   return secs * 1e9 / static_cast<double>(iters);
@@ -201,26 +193,17 @@ double TimeSeriesSnapshotNs(int iters) {
   TimeSeriesOptions opts;
   opts.max_windows = 64;
   TimeSeriesRecorder rec(&reg, opts);
-  const auto t0 = WallClock::now();
+  const Stopwatch watch;
   for (int i = 0; i < iters; ++i) rec.SnapshotAt(i, i);
-  const double secs = SecondsSince(t0);
+  const double secs = watch.ElapsedSeconds();
   DoNotOptimize(rec.window_count());
   return secs * 1e9 / static_cast<double>(iters);
-}
-
-void AppendKv(std::string* out, const char* key, double v,
-              bool last = false) {
-  *out += "    \"";
-  *out += key;
-  *out += "\": ";
-  AppendJsonDouble(out, v);
-  *out += last ? "\n" : ",\n";
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string out_path = argc > 1 ? argv[1] : "BENCH_obs.json";
+  BenchReport report("obs_overhead", argc > 1 ? argv[1] : "BENCH_obs.json");
 
   // --- 1. End-to-end push path ---------------------------------------
   constexpr int kPushIters = 20000;
@@ -284,42 +267,18 @@ int main(int argc, char** argv) {
       table.ToString().c_str(), enabled_pct, disabled_hook_ns,
       disabled_pct);
 
-  std::string json;
-  json += "{\n";
-  json += "  \"bench\": \"obs_overhead\",\n";
-  json += "  \"schema\": \"hetps.bench.obs.v1\",\n";
-  json += "  \"push\": {\n";
-  AppendKv(&json, "off_ns", push_off_ns);
-  AppendKv(&json, "on_ns", push_on_ns);
-  AppendKv(&json, "enabled_overhead_pct", enabled_pct, /*last=*/true);
-  json += "  },\n";
-  json += "  \"primitives\": {\n";
-  AppendKv(&json, "trace_span_disabled_ns", span_off_ns);
-  AppendKv(&json, "trace_span_enabled_ns", span_on_ns);
-  AppendKv(&json, "flight_record_disabled_ns", flight_off_ns);
-  AppendKv(&json, "flight_record_enabled_ns", flight_on_ns);
-  AppendKv(&json, "histogram_record_ns", hist_ns);
-  AppendKv(&json, "histogram_record_exemplar_off_ns", hist_ex_off_ns);
-  AppendKv(&json, "histogram_record_exemplar_on_ns", hist_ex_on_ns);
-  AppendKv(&json, "timeseries_window_ns", window_ns, /*last=*/true);
-  json += "  },\n";
-  json += "  \"gate\": {\n";
-  AppendKv(&json, "disabled_hook_ns_per_push", disabled_hook_ns);
-  AppendKv(&json, "disabled_overhead_pct", disabled_pct);
-  AppendKv(&json, "floor_pct", 2.0, /*last=*/true);
-  json += "  }\n";
-  json += "}\n";
-  std::ofstream out(out_path);
-  out << json;
-  out.close();
-  std::printf("wrote %s\n", out_path.c_str());
-
-  if (disabled_pct >= 2.0) {
-    std::printf(
-        "FAIL: disabled observability hooks cost %.3f%% of a push, "
-        "above the 2%% floor\n",
-        disabled_pct);
-    return 1;
-  }
-  return 0;
+  report.Set("push.off_ns", push_off_ns);
+  report.Set("push.on_ns", push_on_ns);
+  report.Set("push.enabled_overhead_pct", enabled_pct);
+  report.Set("push.disabled_hook_ns_per_push", disabled_hook_ns);
+  report.Set("primitives.trace_span_disabled_ns", span_off_ns);
+  report.Set("primitives.trace_span_enabled_ns", span_on_ns);
+  report.Set("primitives.flight_record_disabled_ns", flight_off_ns);
+  report.Set("primitives.flight_record_enabled_ns", flight_on_ns);
+  report.Set("primitives.histogram_record_ns", hist_ns);
+  report.Set("primitives.histogram_record_exemplar_off_ns", hist_ex_off_ns);
+  report.Set("primitives.histogram_record_exemplar_on_ns", hist_ex_on_ns);
+  report.Set("primitives.timeseries_window_ns", window_ns);
+  report.Gate("disabled_overhead_pct", disabled_pct, GateOp::kBelow, 2.0);
+  return report.Finish();
 }

@@ -14,13 +14,11 @@
 //   3. "serializer": bulk (columnar/memcpy) wire throughput for dense
 //      and sparse vectors, seeding the serialization trajectory.
 //
-// Writes BENCH_pull.json (argv[1] overrides the path) with schema
-// hetps.bench.pull.v1; CI's bench-smoke job uploads it and asserts the
-// reduction floor.
+// Writes BENCH_pull.json (argv[1] overrides the path) through BenchReport
+// (schema hetps.bench.v2); CI's bench-smoke job uploads it and asserts
+// the reduction floor.
 
-#include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,20 +28,14 @@
 #include "net/message_bus.h"
 #include "net/ps_service.h"
 #include "net/serializer.h"
-#include "obs/json.h"
 #include "ps/parameter_server.h"
 #include "util/logging.h"
+#include "util/stopwatch.h"
 
 using namespace hetps;
 using namespace hetps::bench;
 
 namespace {
-
-using WallClock = std::chrono::steady_clock;
-
-double SecondsSince(WallClock::time_point start) {
-  return std::chrono::duration<double>(WallClock::now() - start).count();
-}
 
 struct RpcRunStats {
   double wall_seconds = 0.0;
@@ -74,7 +66,7 @@ RpcRunStats RunRpcWorkload(bool delta_pull, int64_t dim, int num_workers,
   std::vector<int64_t> shipped(static_cast<size_t>(num_workers), 0);
   std::vector<int64_t> full(static_cast<size_t>(num_workers), 0);
 
-  const auto start = WallClock::now();
+  const Stopwatch watch;
   std::vector<std::thread> threads;
   for (int m = 0; m < num_workers; ++m) {
     threads.emplace_back([&, m] {
@@ -113,7 +105,7 @@ RpcRunStats RunRpcWorkload(bool delta_pull, int64_t dim, int num_workers,
   for (auto& t : threads) t.join();
 
   RpcRunStats stats;
-  stats.wall_seconds = SecondsSince(start);
+  stats.wall_seconds = watch.ElapsedSeconds();
   for (int m = 0; m < num_workers; ++m) {
     stats.pulled_bytes += shipped[static_cast<size_t>(m)];
     stats.pulled_bytes_full += full[static_cast<size_t>(m)];
@@ -136,7 +128,7 @@ SerializerStats RunSerializerBench() {
   }
   SerializerStats s;
   {
-    const auto t0 = WallClock::now();
+    const Stopwatch watch;
     size_t sink = 0;
     for (int r = 0; r < kReps; ++r) {
       ByteWriter w;
@@ -144,14 +136,14 @@ SerializerStats RunSerializerBench() {
       w.WriteDenseVector(dense);
       sink += w.size();
     }
-    const double secs = SecondsSince(t0);
+    const double secs = watch.ElapsedSeconds();
     s.dense_write_gbps =
         static_cast<double>(sink) / secs / 1e9;
   }
   {
     ByteWriter w;
     w.WriteDenseVector(dense);
-    const auto t0 = WallClock::now();
+    const Stopwatch watch;
     size_t sink = 0;
     for (int r = 0; r < kReps; ++r) {
       ByteReader reader(w.buffer());
@@ -159,7 +151,7 @@ SerializerStats RunSerializerBench() {
       HETPS_CHECK(reader.ReadDenseVector(&out).ok());
       sink += out.size() * 8;
     }
-    const double secs = SecondsSince(t0);
+    const double secs = watch.ElapsedSeconds();
     s.dense_read_gbps = static_cast<double>(sink) / secs / 1e9;
   }
   {
@@ -170,7 +162,7 @@ SerializerStats RunSerializerBench() {
       val.push_back(static_cast<double>(i));
     }
     const SparseVector sv(idx, val);
-    const auto t0 = WallClock::now();
+    const Stopwatch watch;
     size_t sink = 0;
     for (int r = 0; r < kReps; ++r) {
       ByteWriter w;
@@ -180,24 +172,16 @@ SerializerStats RunSerializerBench() {
       HETPS_CHECK(reader.ReadSparseVector(&out).ok());
       sink += w.size();
     }
-    const double secs = SecondsSince(t0);
+    const double secs = watch.ElapsedSeconds();
     s.sparse_roundtrip_gbps = static_cast<double>(sink) / secs / 1e9;
   }
   return s;
 }
 
-void AppendKv(std::string* out, const char* key, double v, bool last = false) {
-  *out += "    \"";
-  *out += key;
-  *out += "\": ";
-  AppendJsonDouble(out, v);
-  *out += last ? "\n" : ",\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string out_path = argc > 1 ? argv[1] : "BENCH_pull.json";
+  BenchReport report("pull_path", argc > 1 ? argv[1] : "BENCH_pull.json");
 
   // --- 1. RPC stack, sparse-update SSP workload -----------------------
   constexpr int64_t kDim = 1 << 16;
@@ -281,46 +265,24 @@ int main(int argc, char** argv) {
       ser.sparse_roundtrip_gbps);
 
   // --- BENCH_pull.json -------------------------------------------------
-  std::string json;
-  json += "{\n";
-  json += "  \"bench\": \"pull_path\",\n";
-  json += "  \"schema\": \"hetps.bench.pull.v1\",\n";
-  json += "  \"rpc\": {\n";
-  AppendKv(&json, "pulled_bytes", static_cast<double>(delta.pulled_bytes));
-  AppendKv(&json, "pulled_bytes_full",
-           static_cast<double>(delta.pulled_bytes_full));
-  AppendKv(&json, "reduction", reduction);
-  AppendKv(&json, "wall_seconds_delta", delta.wall_seconds);
-  AppendKv(&json, "wall_seconds_full", full.wall_seconds, /*last=*/true);
-  json += "  },\n";
-  json += "  \"sim\": {\n";
-  AppendKv(&json, "pull_bytes_delta",
-           static_cast<double>(sim[1].pull_bytes_shipped));
-  AppendKv(&json, "pull_bytes_full",
-           static_cast<double>(sim[0].pull_bytes_shipped));
-  AppendKv(&json, "reduction", sim_reduction);
-  AppendKv(&json, "sim_seconds_delta", sim[1].total_sim_seconds);
-  AppendKv(&json, "sim_seconds_full", sim[0].total_sim_seconds);
-  AppendKv(&json, "final_objective_delta", sim[1].final_objective);
-  AppendKv(&json, "final_objective_full", sim[0].final_objective,
-           /*last=*/true);
-  json += "  },\n";
-  json += "  \"serializer\": {\n";
-  AppendKv(&json, "dense_write_gbps", ser.dense_write_gbps);
-  AppendKv(&json, "dense_read_gbps", ser.dense_read_gbps);
-  AppendKv(&json, "sparse_roundtrip_gbps", ser.sparse_roundtrip_gbps,
-           /*last=*/true);
-  json += "  }\n";
-  json += "}\n";
-  std::ofstream out(out_path);
-  out << json;
-  out.close();
-  std::printf("wrote %s\n", out_path.c_str());
-
-  if (reduction < 5.0) {
-    std::printf("FAIL: pulled-bytes reduction %.2fx below the 5x "
-                "acceptance floor\n", reduction);
-    return 1;
-  }
-  return 0;
+  report.Set("rpc.pulled_bytes", static_cast<double>(delta.pulled_bytes));
+  report.Set("rpc.pulled_bytes_full",
+             static_cast<double>(delta.pulled_bytes_full));
+  report.Set("rpc.reduction", reduction);
+  report.Set("rpc.wall_seconds_delta", delta.wall_seconds);
+  report.Set("rpc.wall_seconds_full", full.wall_seconds);
+  report.Set("sim.pull_bytes_delta",
+             static_cast<double>(sim[1].pull_bytes_shipped));
+  report.Set("sim.pull_bytes_full",
+             static_cast<double>(sim[0].pull_bytes_shipped));
+  report.Set("sim.reduction", sim_reduction);
+  report.Set("sim.sim_seconds_delta", sim[1].total_sim_seconds);
+  report.Set("sim.sim_seconds_full", sim[0].total_sim_seconds);
+  report.Set("sim.final_objective_delta", sim[1].final_objective);
+  report.Set("sim.final_objective_full", sim[0].final_objective);
+  report.Set("serializer.dense_write_gbps", ser.dense_write_gbps);
+  report.Set("serializer.dense_read_gbps", ser.dense_read_gbps);
+  report.Set("serializer.sparse_roundtrip_gbps", ser.sparse_roundtrip_gbps);
+  report.Gate("reduction", reduction, GateOp::kAtLeast, 5.0);
+  return report.Finish();
 }

@@ -17,14 +17,12 @@
 //      on a straggler cluster — shows the simulated job-time effect and
 //      the push seconds the window hid behind compute.
 //
-// Writes BENCH_push.json (argv[1] overrides the path) with schema
-// hetps.bench.push.v1; CI's push-smoke job runs it and the floors below
-// make it exit non-zero on regression.
+// Writes BENCH_push.json (argv[1] overrides the path) through BenchReport
+// (schema hetps.bench.v2); CI's push-smoke job runs it and the gates
+// below make it exit non-zero on regression.
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -34,19 +32,13 @@
 #include "engine/distributed_trainer.h"
 #include "engine/threaded_trainer.h"
 #include "net/message_bus.h"
-#include "obs/json.h"
 #include "util/logging.h"
+#include "util/stopwatch.h"
 
 using namespace hetps;
 using namespace hetps::bench;
 
 namespace {
-
-using WallClock = std::chrono::steady_clock;
-
-double SecondsSince(WallClock::time_point start) {
-  return std::chrono::duration<double>(WallClock::now() - start).count();
-}
 
 struct RpcRunStats {
   double wall_seconds = 0.0;
@@ -94,12 +86,12 @@ RpcRunStats RunRpcWorkload(const Dataset& dataset, int push_window) {
   auto rule = MakeConsolidationRule("dyn");
   FixedRate sched(0.1);
 
-  const auto start = WallClock::now();
+  const Stopwatch watch;
   auto result = TrainDistributed(dataset, *loss, sched, *rule, options);
   HETPS_CHECK(result.ok()) << result.status().ToString();
 
   RpcRunStats stats;
-  stats.wall_seconds = SecondsSince(start);
+  stats.wall_seconds = watch.ElapsedSeconds();
   stats.clocks_per_sec =
       static_cast<double>(kWorkers * kClocks) / stats.wall_seconds;
   stats.final_objective = result.value().final_objective;
@@ -182,19 +174,10 @@ SimStats RunSimLeg(const Dataset& dataset, int push_window) {
   return stats;
 }
 
-void AppendKv(std::string* out, const char* key, double v,
-              bool last = false) {
-  *out += "    \"";
-  *out += key;
-  *out += "\": ";
-  AppendJsonDouble(out, v);
-  *out += last ? "\n" : ",\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string out_path = argc > 1 ? argv[1] : "BENCH_push.json";
+  BenchReport report("push_path", argc > 1 ? argv[1] : "BENCH_push.json");
   const Dataset dataset = MakeUrlLike(0.25);
 
   // --- 1. RPC stack: clocks/sec, window 0 vs. 1 -----------------------
@@ -253,56 +236,27 @@ int main(int argc, char** argv) {
       sim_table.ToString().c_str());
 
   // --- BENCH_push.json -------------------------------------------------
-  std::string json;
-  json += "{\n";
-  json += "  \"bench\": \"push_path\",\n";
-  json += "  \"schema\": \"hetps.bench.push.v1\",\n";
-  json += "  \"rpc\": {\n";
-  AppendKv(&json, "clocks_per_sec_pipelined", pipe.clocks_per_sec);
-  AppendKv(&json, "clocks_per_sec_sync", sync.clocks_per_sec);
-  AppendKv(&json, "improvement", improvement);
-  AppendKv(&json, "wall_seconds_pipelined", pipe.wall_seconds);
-  AppendKv(&json, "wall_seconds_sync", sync.wall_seconds);
-  AppendKv(&json, "final_objective_pipelined", pipe.final_objective);
-  AppendKv(&json, "final_objective_sync", sync.final_objective);
-  AppendKv(&json, "objective_gap", objective_gap);
-  AppendKv(&json, "push_hidden_seconds_pipelined",
-           pipe.push_hidden_seconds, /*last=*/true);
-  json += "  },\n";
-  json += "  \"bitwise\": {\n";
-  AppendKv(&json, "objective_window0", bitwise.objective_sync);
-  AppendKv(&json, "objective_window1", bitwise.objective_pipelined);
-  AppendKv(&json, "weights_identical",
-           bitwise.weights_identical ? 1.0 : 0.0, /*last=*/true);
-  json += "  },\n";
-  json += "  \"sim\": {\n";
-  AppendKv(&json, "sim_seconds_pipelined", sim_pipe.run_time_seconds);
-  AppendKv(&json, "sim_seconds_sync", sim_sync.run_time_seconds);
-  AppendKv(&json, "push_hidden_seconds_pipelined",
-           sim_pipe.push_hidden_seconds, /*last=*/true);
-  json += "  }\n";
-  json += "}\n";
-  std::ofstream out(out_path);
-  out << json;
-  out.close();
-  std::printf("wrote %s\n", out_path.c_str());
-
-  int rc = 0;
-  if (improvement < 0.25) {
-    std::printf("FAIL: clocks/sec improvement %.0f%% below the 25%% "
-                "acceptance floor\n", improvement * 100.0);
-    rc = 1;
-  }
-  if (objective_gap > 0.02) {
-    std::printf("FAIL: final-objective gap %.4f above the 0.02 cap\n",
-                objective_gap);
-    rc = 1;
-  }
-  if (bitwise.objective_sync != bitwise.objective_pipelined ||
-      !bitwise.weights_identical) {
-    std::printf("FAIL: single-worker window-1 run is not bitwise "
-                "identical to window 0\n");
-    rc = 1;
-  }
-  return rc;
+  report.Set("rpc.clocks_per_sec_pipelined", pipe.clocks_per_sec);
+  report.Set("rpc.clocks_per_sec_sync", sync.clocks_per_sec);
+  report.Set("rpc.improvement", improvement);
+  report.Set("rpc.wall_seconds_pipelined", pipe.wall_seconds);
+  report.Set("rpc.wall_seconds_sync", sync.wall_seconds);
+  report.Set("rpc.final_objective_pipelined", pipe.final_objective);
+  report.Set("rpc.final_objective_sync", sync.final_objective);
+  report.Set("rpc.objective_gap", objective_gap);
+  report.Set("rpc.push_hidden_seconds_pipelined", pipe.push_hidden_seconds);
+  report.Set("bitwise.objective_window0", bitwise.objective_sync);
+  report.Set("bitwise.objective_window1", bitwise.objective_pipelined);
+  report.Set("bitwise.weights_identical",
+             bitwise.weights_identical ? 1.0 : 0.0);
+  report.Set("sim.sim_seconds_pipelined", sim_pipe.run_time_seconds);
+  report.Set("sim.sim_seconds_sync", sim_sync.run_time_seconds);
+  report.Set("sim.push_hidden_seconds_pipelined",
+             sim_pipe.push_hidden_seconds);
+  report.Gate("improvement", improvement, GateOp::kAtLeast, 0.25);
+  report.Gate("objective_gap", objective_gap, GateOp::kAtMost, 0.02);
+  report.Require("window1_bitwise_equal",
+                 bitwise.objective_sync == bitwise.objective_pipelined &&
+                     bitwise.weights_identical);
+  return report.Finish();
 }

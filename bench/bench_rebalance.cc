@@ -11,20 +11,20 @@
 //   - mean time-to-target-loss with rebalancing must improve >= 15%
 //     over the no-mitigation baseline, and
 //   - the mean final objective must agree within 0.05 (rebalancing must
-//     not buy speed with statistical efficiency).
+//     not buy speed with statistical efficiency), and
+//   - the rebalance runs must migrate examples at least once.
 //
-// Writes BENCH_rebalance.json (argv[1] overrides the path) with schema
-// hetps.bench.rebalance.v1; CI's rebalance-smoke job uploads it.
+// Writes BENCH_rebalance.json (argv[1] overrides the path) through
+// BenchReport (schema hetps.bench.v2); CI's rebalance-smoke job uploads
+// it.
 
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
 #include "core/consolidation.h"
-#include "obs/json.h"
 
 using namespace hetps;
 using namespace hetps::bench;
@@ -83,18 +83,11 @@ ModeStats RunMode(bool rebalance, const Dataset& dataset,
   return stats;
 }
 
-void AppendKv(std::string* out, const char* key, double v, bool last = false) {
-  *out += "    \"";
-  *out += key;
-  *out += "\": ";
-  AppendJsonDouble(out, v);
-  *out += last ? "\n" : ",\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string out_path = argc > 1 ? argv[1] : "BENCH_rebalance.json";
+  BenchReport report("rebalance",
+                     argc > 1 ? argv[1] : "BENCH_rebalance.json");
 
   Dataset dataset = MakeUrlLike(0.5);
   auto loss = MakeLoss("logistic");
@@ -130,51 +123,18 @@ int main(int argc, char** argv) {
       "final-objective gap: %.4f (acceptance ceiling: 0.05)\n\n",
       kReps, table.ToString().c_str(), improvement * 100.0, objective_gap);
 
-  std::string json;
-  json += "{\n";
-  json += "  \"bench\": \"rebalance\",\n";
-  json += "  \"schema\": \"hetps.bench.rebalance.v1\",\n";
-  json += "  \"no_mitigation\": {\n";
-  AppendKv(&json, "run_time_seconds", off.run_time_seconds);
-  AppendKv(&json, "final_objective", off.final_objective);
-  AppendKv(&json, "converged_runs", static_cast<double>(off.converged),
-           /*last=*/true);
-  json += "  },\n";
-  json += "  \"rebalance\": {\n";
-  AppendKv(&json, "run_time_seconds", on.run_time_seconds);
-  AppendKv(&json, "final_objective", on.final_objective);
-  AppendKv(&json, "examples_rebalanced", on.examples_rebalanced);
-  AppendKv(&json, "examples_returned", on.examples_returned);
-  AppendKv(&json, "migrations", on.migrations);
-  AppendKv(&json, "converged_runs", static_cast<double>(on.converged),
-           /*last=*/true);
-  json += "  },\n";
-  json += "  \"gates\": {\n";
-  AppendKv(&json, "improvement", improvement);
-  AppendKv(&json, "improvement_floor", 0.15);
-  AppendKv(&json, "objective_gap", objective_gap);
-  AppendKv(&json, "objective_gap_ceiling", 0.05, /*last=*/true);
-  json += "  }\n";
-  json += "}\n";
-  std::ofstream out(out_path);
-  out << json;
-  out.close();
-  std::printf("wrote %s\n", out_path.c_str());
-
-  bool ok = true;
-  if (improvement < 0.15) {
-    std::printf("FAIL: time-to-target improvement %.1f%% below the 15%% "
-                "acceptance floor\n", improvement * 100.0);
-    ok = false;
-  }
-  if (objective_gap > 0.05) {
-    std::printf("FAIL: final-objective gap %.4f above the 0.05 acceptance "
-                "ceiling\n", objective_gap);
-    ok = false;
-  }
-  if (on.migrations <= 0.0) {
-    std::printf("FAIL: the rebalance runs performed no migrations\n");
-    ok = false;
-  }
-  return ok ? 0 : 1;
+  report.Set("no_mitigation.run_time_seconds", off.run_time_seconds);
+  report.Set("no_mitigation.final_objective", off.final_objective);
+  report.Set("no_mitigation.converged_runs",
+             static_cast<double>(off.converged));
+  report.Set("rebalance.run_time_seconds", on.run_time_seconds);
+  report.Set("rebalance.final_objective", on.final_objective);
+  report.Set("rebalance.examples_rebalanced", on.examples_rebalanced);
+  report.Set("rebalance.examples_returned", on.examples_returned);
+  report.Set("rebalance.migrations", on.migrations);
+  report.Set("rebalance.converged_runs", static_cast<double>(on.converged));
+  report.Gate("improvement", improvement, GateOp::kAtLeast, 0.15);
+  report.Gate("objective_gap", objective_gap, GateOp::kAtMost, 0.05);
+  report.Gate("migrations", on.migrations, GateOp::kAbove, 0.0);
+  return report.Finish();
 }

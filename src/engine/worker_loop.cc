@@ -161,6 +161,15 @@ Result<WorkerLoop> PrepareWorkerLoop(const Dataset& dataset,
     return Status::InvalidArgument("max_clocks must be positive");
   }
   const size_t workers = static_cast<size_t>(spec.num_workers);
+  if (workers > dataset.size()) {
+    return Status::InvalidArgument("more workers than examples");
+  }
+  if (spec.push_window < 0) {
+    return Status::InvalidArgument("push_window must be >= 0");
+  }
+  if (spec.push_parallelism < 0) {
+    return Status::InvalidArgument("push_parallelism must be >= 0");
+  }
   if (spec.injected_compute_delay.size() > workers) {
     return Status::InvalidArgument(
         "injected_compute_delay has " +

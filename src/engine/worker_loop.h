@@ -119,8 +119,9 @@ class SgdWorkload final : public Workload {
 };
 
 /// Checks `spec` against `dataset` and prepares the run's shards and
-/// delays. InvalidArgument on an empty dataset, no workers or servers, no
-/// clocks, or more injected delays than workers.
+/// delays. InvalidArgument on an empty dataset, no workers or servers,
+/// more workers than examples, no clocks, a negative push_window or
+/// push_parallelism, or more injected delays than workers.
 Result<WorkerLoop> PrepareWorkerLoop(const Dataset& dataset,
                                      const LossFunction& loss,
                                      const LearningRateSchedule& schedule,

@@ -19,9 +19,6 @@ LinearModel::LinearModel(std::vector<double> weights,
 
 Result<LinearModel> LinearModel::Train(const Dataset& dataset,
                                        const LinearModelConfig& config) {
-  if (dataset.empty()) {
-    return Status::InvalidArgument("empty dataset");
-  }
   if (config.loss != "logistic" && config.loss != "hinge" &&
       config.loss != "squared") {
     return Status::InvalidArgument("unknown loss: " + config.loss);
@@ -32,18 +29,6 @@ Result<LinearModel> LinearModel::Train(const Dataset& dataset,
   }
   if (config.learning_rate <= 0.0) {
     return Status::InvalidArgument("learning_rate must be positive");
-  }
-  if (config.num_workers <= 0 || config.num_servers <= 0) {
-    return Status::InvalidArgument("need positive worker/server counts");
-  }
-  if (static_cast<size_t>(config.num_workers) > dataset.size()) {
-    return Status::InvalidArgument("more workers than examples");
-  }
-  if (config.push_window < 0) {
-    return Status::InvalidArgument("push_window must be >= 0");
-  }
-  if (config.push_parallelism < 0) {
-    return Status::InvalidArgument("push_parallelism must be >= 0");
   }
 
   const std::unique_ptr<LossFunction> loss = MakeLoss(config.loss);
@@ -72,6 +57,10 @@ Result<LinearModel> LinearModel::Train(const Dataset& dataset,
   options.push_parallelism = config.push_parallelism;
   options.seed = config.seed;
   options.on_epoch = config.on_epoch;
+  // The trainer's own checks (dataset, counts, push options) answer with
+  // a status here instead of aborting inside TrainThreaded.
+  HETPS_RETURN_NOT_OK(
+      PrepareWorkerLoop(dataset, *loss, *schedule, options).status());
 
   ThreadedTrainResult stats =
       TrainThreaded(dataset, *loss, *schedule, *rule, options);

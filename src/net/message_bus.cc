@@ -309,25 +309,24 @@ void MessageBus::ServiceLoop(Endpoint* endpoint) {
       m_delivered_->Increment();
       endpoint->busy = false;
       if (envelope.correlation_id != 0) {
-        auto it = pending_.find(envelope.correlation_id);
-        if (it != pending_.end()) {
-          // Response-leg fault: the handler ran (side effects applied)
-          // but the reply is lost; the caller's Await reaps the entry at
-          // its deadline and retries — at-least-once delivery.
-          const bool drop_response =
-              fault_plan_.drop_response_prob > 0.0 &&
-              fault_rng_.NextBernoulli(fault_plan_.drop_response_prob);
-          if (drop_response) {
-            ++fault_stats_.dropped_responses;
-            m_fault_dropped_responses_->Increment();
-            HETPS_TRACE_INSTANT("bus.fault.drop_response");
-            FlightRecorder::Global().Record("fault.drop_response");
-          } else {
-            it->second.set_value(
-                BusReply{Status::OK(), std::move(response)});
-            pending_.erase(it);
-            m_inflight_calls_->Set(static_cast<double>(pending_.size()));
-          }
+        // Response-leg fault: the handler ran (side effects applied) but
+        // the reply is lost; the caller's Await reaps the entry at its
+        // deadline and retries — at-least-once delivery. Every reply
+        // draws, whether or not its caller still waits, so a seeded
+        // plan's fault sequence does not depend on thread timing.
+        const bool drop_response =
+            fault_plan_.drop_response_prob > 0.0 &&
+            fault_rng_.NextBernoulli(fault_plan_.drop_response_prob);
+        if (drop_response) {
+          ++fault_stats_.dropped_responses;
+          m_fault_dropped_responses_->Increment();
+          HETPS_TRACE_INSTANT("bus.fault.drop_response");
+          FlightRecorder::Global().Record("fault.drop_response");
+        } else if (auto it = pending_.find(envelope.correlation_id);
+                   it != pending_.end()) {
+          it->second.set_value(BusReply{Status::OK(), std::move(response)});
+          pending_.erase(it);
+          m_inflight_calls_->Set(static_cast<double>(pending_.size()));
         }
         // else: duplicate request's second reply, a reply racing an
         // Await deadline, or shutdown already failed it — discard.

@@ -132,6 +132,8 @@ PsService::PsService(ParameterServer* ps, MessageBus* bus,
         metrics_.counter(std::string("rpc.") + entry.name),
         global.histogram("rpc.handle_us", {{"op", entry.name}})};
   }
+  request_bytes_ = metrics_.distribution("rpc.request_bytes");
+  response_bytes_ = metrics_.distribution("rpc.response_bytes");
   registration_ = bus->RegisterEndpoint(
       endpoint_name_,
       [this](const Envelope& request) { return Handle(request); });
@@ -207,8 +209,7 @@ std::vector<uint8_t> PsService::Handle(const Envelope& request) {
       }
     }
   }
-  metrics_.distribution("rpc.request_bytes")
-      ->Record(static_cast<double>(request.payload.size()));
+  request_bytes_->Record(static_cast<double>(request.payload.size()));
   ByteReader reader(request.payload);
   uint8_t op = 0;
   Status st = reader.ReadU8(&op);
@@ -271,14 +272,12 @@ std::vector<uint8_t> PsService::Handle(const Envelope& request) {
     metrics_.counter("rpc.slow_requests")->Increment();
   }
   if (!response.empty() && response[0] != 0) {
-    metrics_.counter("rpc.errors")->Increment();
+    // Registered at the first error, so an error-free service reports
+    // no rpc.errors line.
+    if (errors_ == nullptr) errors_ = metrics_.counter("rpc.errors");
+    errors_->Increment();
   }
-  metrics_.distribution("rpc.response_bytes")
-      ->Record(static_cast<double>(response.size()));
-  metrics_.gauge("ps.param_bytes")
-      ->Set(static_cast<double>(ps_->ParamMemoryBytes()));
-  metrics_.gauge("ps.aux_bytes")
-      ->Set(static_cast<double>(ps_->AuxMemoryBytes()));
+  response_bytes_->Record(static_cast<double>(response.size()));
   return response;
 }
 

@@ -210,6 +210,11 @@ class PsService {
     HistogramMetric* handle_us = nullptr;
   };
   std::array<OpMetrics, 256> op_metrics_;
+  /// Request and response sizes (in metrics_), resolved once; the
+  /// rpc.errors counter is resolved at the first error.
+  DistributionMetric* request_bytes_ = nullptr;
+  DistributionMetric* response_bytes_ = nullptr;
+  Counter* errors_ = nullptr;
   /// Last clock applied per worker (-1 = none); only touched by the
   /// single service-loop thread.
   std::vector<int64_t> last_push_clock_;

@@ -5,6 +5,8 @@
 #include <numeric>
 #include <set>
 
+#include "test_printers.h"
+
 namespace hetps {
 namespace {
 

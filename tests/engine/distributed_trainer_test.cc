@@ -101,6 +101,40 @@ TEST(DistributedTrainerTest, ValidatesOptions) {
           .ok());
 }
 
+// PrepareWorkerLoop rejects these for both runtimes; the RPC trainer
+// returns the status instead of aborting or reading -1 as "auto".
+Status TrainWith(const DistributedTrainerOptions& opts) {
+  LogisticLoss loss;
+  FixedRate sched(0.5);
+  SspRule rule;
+  return TrainDistributed(DistData(), loss, sched, rule, opts).status();
+}
+
+TEST(DistributedTrainerTest, RejectsNegativePushWindow) {
+  DistributedTrainerOptions opts = FastOptions();
+  opts.push_window = -1;
+  const Status st = TrainWith(opts);
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  EXPECT_NE(st.message().find("push_window"), std::string::npos);
+}
+
+TEST(DistributedTrainerTest, RejectsNegativePushParallelism) {
+  DistributedTrainerOptions opts = FastOptions();
+  opts.push_parallelism = -1;
+  const Status st = TrainWith(opts);
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  EXPECT_NE(st.message().find("push_parallelism"), std::string::npos);
+}
+
+TEST(DistributedTrainerTest, RejectsMoreWorkersThanExamples) {
+  DistributedTrainerOptions opts = FastOptions();
+  opts.num_workers = 401;  // DistData() has 400 examples
+  const Status st = TrainWith(opts);
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  EXPECT_NE(st.message().find("more workers than examples"),
+            std::string::npos);
+}
+
 TEST(DistributedTrainerTest, ConvergesOnALossyBus) {
   // End-to-end robustness check: a seeded fault plan drops >= 10% of
   // messages (both request and response legs) and injects delays and

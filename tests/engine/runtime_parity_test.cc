@@ -17,6 +17,7 @@
 #include "data/synthetic.h"
 #include "engine/distributed_trainer.h"
 #include "engine/threaded_trainer.h"
+#include "test_printers.h"
 #include "util/rng.h"
 
 namespace hetps {
@@ -70,7 +71,7 @@ void Configure(const std::string& rule, Protocol protocol, int window,
   opts->partition_sync = rule == "dyn_deferred";
 }
 
-using ParityCase = std::tuple<const char*, Protocol, int>;
+using ParityCase = std::tuple<std::string, Protocol, int>;
 
 class RuntimeParityTest : public testing::TestWithParam<ParityCase> {};
 

@@ -15,6 +15,7 @@
 #include "data/sharding.h"
 #include "data/synthetic.h"
 #include "ps/parameter_server.h"
+#include "test_printers.h"
 #include "util/rng.h"
 
 namespace hetps {

@@ -13,6 +13,7 @@
 #include "core/learning_rate.h"
 #include "data/synthetic.h"
 #include "engine/threaded_trainer.h"
+#include "test_printers.h"
 #include "util/rng.h"
 
 namespace hetps {
@@ -34,7 +35,7 @@ const Dataset& MatrixData() {
   return *d;
 }
 
-using MatrixCase = std::tuple<Protocol, const char*, PartitionScheme>;
+using MatrixCase = std::tuple<Protocol, std::string, PartitionScheme>;
 
 class RuntimeMatrixTest : public ::testing::TestWithParam<MatrixCase> {};
 

@@ -265,6 +265,32 @@ TEST(MessageBusTest, DroppedResponseStillRunsHandler) {
   EXPECT_EQ(bus.pending_call_count(), 0u);
 }
 
+// The response-leg fault is drawn and counted for every reply, including
+// one whose caller's deadline reaped the pending entry first.
+TEST(MessageBusTest, DroppedResponseCountedAfterDeadline) {
+  MessageBus bus;
+  std::atomic<bool> release{false};
+  ASSERT_TRUE(bus.RegisterEndpoint("svc",
+                                   [&](const Envelope&) {
+                                     while (!release.load()) {
+                                       std::this_thread::sleep_for(
+                                           microseconds(100));
+                                     }
+                                     return Bytes({1});
+                                   })
+                  .ok());
+  FaultPlan plan;
+  plan.drop_response_prob = 1.0;
+  bus.SetFaultPlan(plan);
+  BusReply reply =
+      bus.BlockingCall("c", "svc", Bytes({1}), milliseconds(1));
+  EXPECT_TRUE(reply.status.IsDeadlineExceeded());
+  EXPECT_EQ(bus.pending_call_count(), 0u);  // reaped while handling
+  release = true;
+  bus.Flush();
+  EXPECT_EQ(bus.fault_stats().dropped_responses, 1);
+}
+
 TEST(MessageBusTest, DuplicatedRequestDeliveredTwice) {
   MessageBus bus;
   std::atomic<int> handled{0};

@@ -179,7 +179,6 @@ TEST(PsServiceTest, ServiceMetricsCountRequests) {
   EXPECT_NE(report.find("rpc.push 2"), std::string::npos);
   EXPECT_NE(report.find("rpc.pull_delta 1"), std::string::npos);
   EXPECT_NE(report.find("rpc.errors 1"), std::string::npos);
-  EXPECT_NE(report.find("ps.param_bytes"), std::string::npos);
 }
 
 TEST(PsServiceTest, RetriesRecoverFromLostRequests) {

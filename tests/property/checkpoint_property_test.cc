@@ -21,6 +21,11 @@ struct TrafficCase {
   bool deferred;
 };
 
+void PrintTo(const TrafficCase& c, std::ostream* os) {
+  *os << "seed" << c.seed << "_M" << c.workers << "_dim" << c.dim << "_C"
+      << c.clocks << (c.deferred ? "_deferred" : "_immediate");
+}
+
 class CheckpointPropertyTest
     : public ::testing::TestWithParam<TrafficCase> {};
 

@@ -22,6 +22,11 @@ struct RandomWorkload {
   uint64_t seed;
 };
 
+void PrintTo(const RandomWorkload& w, std::ostream* os) {
+  *os << "M" << w.num_workers << "_C" << w.num_clocks << "_dim" << w.dim
+      << "_seed" << w.seed;
+}
+
 class DynSgdPropertyTest
     : public ::testing::TestWithParam<RandomWorkload> {};
 

@@ -37,6 +37,11 @@ struct SweepCase {
   int workers;
 };
 
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << ProtocolName(c.protocol) << "_s" << c.staleness << "_hl" << c.hl
+      << "_M" << c.workers;
+}
+
 class ProtocolSweepTest : public ::testing::TestWithParam<SweepCase> {};
 
 SimResult RunCase(const SweepCase& c, const ConsolidationRule& rule,

@@ -578,6 +578,8 @@ struct RepeatCase {
   bool flexrr = false;
 };
 
+void PrintTo(const RepeatCase& c, std::ostream* os) { *os << c.name; }
+
 // Every case runs SSP(3), the SimOptions default, unless it says
 // otherwise.
 std::vector<RepeatCase> RepeatCases() {
