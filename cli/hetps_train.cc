@@ -79,6 +79,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/consolidation.h"
@@ -449,23 +450,33 @@ int RunPredict(const FlagParser& flags) {
 }
 
 int RunSimulate(const FlagParser& flags) {
-  auto data = LoadData(flags);
-  if (!data.ok()) return Fail(data.status());
-  const double hl = flags.GetDouble("hl", 2.0).value();
   const int workers =
       static_cast<int>(flags.GetInt("workers", 30).value());
   const int servers =
       static_cast<int>(flags.GetInt("servers", 10).value());
+  SimOptions options;
+  options.max_clocks =
+      static_cast<int>(flags.GetInt("clocks", 60).value());
+  const std::pair<const char*, int> counts[] = {
+      {"workers", workers}, {"servers", servers},
+      {"clocks", options.max_clocks}};
+  for (const auto& [flag, value] : counts) {
+    if (value <= 0) {
+      return Fail(Status::InvalidArgument(std::string("--") + flag + "=" +
+                                          std::to_string(value) +
+                                          " must be positive"));
+    }
+  }
+  auto data = LoadData(flags);
+  if (!data.ok()) return Fail(data.status());
+  const double hl = flags.GetDouble("hl", 2.0).value();
   auto rule =
       MakeConsolidationRule(flags.GetString("rule", "dyn"));
   auto loss = MakeLoss(flags.GetString("loss", "logistic"));
   FixedRate sched(flags.GetDouble("lr", 2.0).value());
-  SimOptions options;
   Status sync_st;
   options.sync = ParseSync(flags, &sync_st);
   if (!sync_st.ok()) return Fail(sync_st);
-  options.max_clocks =
-      static_cast<int>(flags.GetInt("clocks", 60).value());
   options.partitions_per_server =
       static_cast<int>(flags.GetInt("partitions", 1).value());
   Status scheme_st;
@@ -828,7 +839,7 @@ int RunCheckObs(const FlagParser& flags) {
     if (!text.ok()) return Fail(text.status());
     Status st = ValidateMetricsJson(text.value());
     if (!st.ok()) return Fail(st);
-    std::printf("%s: valid hetps.metrics.v1\n", metrics_path.c_str());
+    std::printf("%s: valid hetps.metrics.v2\n", metrics_path.c_str());
   }
   if (!trace_path.empty()) {
     auto text = read_file(trace_path);

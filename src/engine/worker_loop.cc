@@ -204,7 +204,7 @@ Status RunWorker(const WorkerLoop& loop, int worker, Workload* workload,
   }
   *breakdown = client->breakdown();
   breakdown->compute_seconds = compute_seconds;
-  RecordBreakdown(&GlobalMetrics(), worker, *breakdown);
+  RecordBreakdown(worker, *breakdown);
   return st;
 }
 

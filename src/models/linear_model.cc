@@ -42,28 +42,13 @@ Result<LinearModel> LinearModel::Train(const Dataset& dataset,
     schedule = std::make_unique<FixedRate>(config.learning_rate);
   }
 
-  ThreadedTrainerOptions options;
-  options.sync = config.sync;
-  options.max_clocks = config.max_clocks;
-  options.l2 = config.l2;
-  options.batch_fraction = config.batch_fraction;
-  options.num_servers = config.num_servers;
-  options.num_workers = config.num_workers;
-  options.partitions_per_server = config.partitions_per_server;
-  options.scheme = config.scheme;
-  options.partition_sync = config.partition_sync;
-  options.update_filter_epsilon = config.update_filter_epsilon;
-  options.push_window = config.push_window;
-  options.push_parallelism = config.push_parallelism;
-  options.seed = config.seed;
-  options.on_epoch = config.on_epoch;
   // The trainer's own checks (dataset, counts, push options) answer with
   // a status here instead of aborting inside TrainThreaded.
   HETPS_RETURN_NOT_OK(
-      PrepareWorkerLoop(dataset, *loss, *schedule, options).status());
+      PrepareWorkerLoop(dataset, *loss, *schedule, config).status());
 
   ThreadedTrainResult stats =
-      TrainThreaded(dataset, *loss, *schedule, *rule, options);
+      TrainThreaded(dataset, *loss, *schedule, *rule, config);
   LinearModel model(std::move(stats.weights), config.loss, config.l2);
   stats.weights.clear();
   model.stats_ = std::move(stats);

@@ -1,7 +1,6 @@
 #ifndef HETPS_MODELS_LINEAR_MODEL_H_
 #define HETPS_MODELS_LINEAR_MODEL_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,38 +16,18 @@ namespace hetps {
 
 /// Everything needed to train a linear model on the heterogeneity-aware
 /// parameter server. This is the library's primary user-facing entry
-/// point (the prototype's "ready-to-run algorithms", Appendix D).
-struct LinearModelConfig {
+/// point (the prototype's "ready-to-run algorithms", Appendix D). The
+/// runtime options (workers, servers, clocks, partition layout, push
+/// pipeline, on_epoch, ...) are the threaded trainer's own, inherited
+/// with its defaults.
+struct LinearModelConfig : ThreadedTrainerOptions {
   /// "logistic" (LR), "hinge" (SVM) or "squared" (linear regression).
   std::string loss = "logistic";
-  double l2 = 1e-4;
+  /// Consolidation rule: "ssp" | "con" | "dyn" (default DynSGD).
+  std::string rule = "dyn";
   double learning_rate = 0.1;
   bool decayed_rate = false;
   double decay_alpha = 0.2;
-  /// Consolidation rule: "ssp" | "con" | "dyn" (default DynSGD).
-  std::string rule = "dyn";
-  SyncPolicy sync = SyncPolicy::Ssp(3);
-  int num_workers = 4;
-  int num_servers = 2;
-  /// Partition layout, forwarded to the PS (see ps/partition.h). Range
-  /// partitioning keeps cold feature tails in few partitions, which is
-  /// what makes the version-aware pull cache (DESIGN.md §7) pay off.
-  int partitions_per_server = 2;
-  PartitionScheme scheme = PartitionScheme::kRangeHash;
-  int max_clocks = 20;
-  double batch_fraction = 0.1;
-  bool partition_sync = false;
-  double update_filter_epsilon = 0.0;
-  /// Asynchronous push pipeline: 0 = synchronous pushes, >= 1 = bounded
-  /// in-flight window (see ThreadedTrainerOptions::push_window).
-  int push_window = 0;
-  /// Server-side shard-parallel push apply: 1 = serial, 0 = auto (see
-  /// PsOptions::push_parallelism).
-  int push_parallelism = 1;
-  uint64_t seed = 1;
-  /// Forwarded to ThreadedTrainerOptions::on_epoch — worker 0's per-clock
-  /// hook (RunReporter::OnEpoch plugs in here for periodic metric dumps).
-  std::function<void(int)> on_epoch;
 };
 
 /// A trained linear classifier/regressor.

@@ -109,6 +109,12 @@ PsService::PsService(ParameterServer* ps, MessageBus* bus,
     : ps_(ps),
       endpoint_name_(std::move(endpoint_name)),
       options_(options),
+      request_bytes_(GlobalMetrics().histogram("rpc.request_bytes")),
+      response_bytes_(GlobalMetrics().histogram("rpc.response_bytes")),
+      slow_requests_(GlobalMetrics().counter("rpc.slow_requests")),
+      push_duplicates_(GlobalMetrics().counter("rpc.push_duplicates")),
+      evicted_sender_rejects_(
+          GlobalMetrics().counter("rpc.evicted_sender_rejects")),
       last_push_clock_(static_cast<size_t>(ps ? ps->num_workers() : 0),
                        -1) {
   HETPS_CHECK(ps != nullptr) << "null ParameterServer";
@@ -124,16 +130,12 @@ PsService::PsService(ParameterServer* ps, MessageBus* bus,
       monitor_->Register("worker-" + std::to_string(m), t0);
     }
   }
-  MetricsRegistry& global = GlobalMetrics();
-  op_metrics_.fill(
-      {nullptr, global.histogram("rpc.handle_us", {{"op", "other"}})});
+  handle_us_.fill(
+      GlobalMetrics().histogram("rpc.handle_us", {{"op", "other"}}));
   for (const auto& entry : kOpNames) {
-    op_metrics_[static_cast<uint8_t>(entry.op)] = {
-        metrics_.counter(std::string("rpc.") + entry.name),
-        global.histogram("rpc.handle_us", {{"op", entry.name}})};
+    handle_us_[static_cast<uint8_t>(entry.op)] =
+        GlobalMetrics().histogram("rpc.handle_us", {{"op", entry.name}});
   }
-  request_bytes_ = metrics_.distribution("rpc.request_bytes");
-  response_bytes_ = metrics_.distribution("rpc.response_bytes");
   registration_ = bus->RegisterEndpoint(
       endpoint_name_,
       [this](const Envelope& request) { return Handle(request); });
@@ -202,21 +204,19 @@ std::vector<uint8_t> PsService::Handle(const Envelope& request) {
           !request.payload.empty() &&
           request.payload[0] == static_cast<uint8_t>(PsOpCode::kReadmit);
       if (!is_readmit) {
-        metrics_.counter("rpc.evicted_sender_rejects")->Increment();
+        evicted_sender_rejects_->Increment();
         return ErrorResponse(Status::FailedPrecondition(
             "worker " + std::to_string(sender) +
             " has been evicted (missed heartbeats)"));
       }
     }
   }
-  request_bytes_->Record(static_cast<double>(request.payload.size()));
+  request_bytes_->RecordInt(static_cast<int64_t>(request.payload.size()));
   ByteReader reader(request.payload);
   uint8_t op = 0;
   Status st = reader.ReadU8(&op);
   std::vector<uint8_t> response;
   const auto start = std::chrono::steady_clock::now();
-  const OpMetrics& op_metrics = op_metrics_[op];
-  if (op_metrics.requests != nullptr) op_metrics.requests->Increment();
   if (!st.ok()) {
     response = ErrorResponse(st);
   } else {
@@ -261,7 +261,7 @@ std::vector<uint8_t> PsService::Handle(const Envelope& request) {
   // The envelope's trace_id rides along so a tail rpc.handle_us bucket
   // can retain it as an OpenMetrics exemplar (no-op unless exemplars
   // are enabled via kObsControl / --exemplars).
-  op_metrics.handle_us->RecordInt(duration_us, request.trace_id);
+  handle_us_[op]->RecordInt(duration_us, request.trace_id);
   if (st.ok() && op < 32 && slow_threshold_us_[op] > 0 &&
       duration_us >= slow_threshold_us_[op]) {
     // Structured slow-request entry: the black box keeps the opcode,
@@ -269,15 +269,13 @@ std::vector<uint8_t> PsService::Handle(const Envelope& request) {
     FlightRecorder::Global().Record(
         "slow_request", ParseWorkerId(request.from), /*clock=*/-1,
         static_cast<double>(duration_us), PsOpCodeName(op), request.trace_id);
-    metrics_.counter("rpc.slow_requests")->Increment();
+    slow_requests_->Increment();
   }
   if (!response.empty() && response[0] != 0) {
-    // Registered at the first error, so an error-free service reports
-    // no rpc.errors line.
-    if (errors_ == nullptr) errors_ = metrics_.counter("rpc.errors");
+    if (errors_ == nullptr) errors_ = GlobalMetrics().counter("rpc.errors");
     errors_->Increment();
   }
-  response_bytes_->Record(static_cast<double>(response.size()));
+  response_bytes_->RecordInt(static_cast<int64_t>(response.size()));
   return response;
 }
 
@@ -300,7 +298,7 @@ std::vector<uint8_t> PsService::HandlePush(ByteReader* reader) {
   // Retry dedup: a duplicate (worker, clock) is acknowledged without
   // decoding or re-applying its pieces.
   if (clock <= last_push_clock_[static_cast<size_t>(worker)]) {
-    metrics_.counter("rpc.push_duplicates")->Increment();
+    push_duplicates_->Increment();
     ByteWriter w;
     w.WriteU8(0);
     return w.TakeBuffer();
@@ -745,8 +743,6 @@ class BusChannel final : public PsChannel {
     w.WriteI64(clock);
     return Call(w.TakeBuffer());
   }
-
-  MetricsRegistry* metrics() const override { return &GlobalMetrics(); }
 
  private:
   /// A request frame: the opcode and this worker's id.

@@ -160,10 +160,6 @@ class PsService {
   Status status() const { return registration_; }
   const std::string& endpoint() const { return endpoint_name_; }
 
-  /// Service-side monitoring: per-op request counters, error counter,
-  /// and request/response byte-size distributions.
-  const MetricsRegistry& metrics() const { return metrics_; }
-
   /// Current liveness time: now_fn() when injected, else the request-tick
   /// virtual clock. 0 when the liveness plane is disabled.
   double LivenessNow() const;
@@ -198,22 +194,17 @@ class PsService {
   std::string endpoint_name_;
   PsServiceOptions options_;
   Status registration_;
-  MetricsRegistry metrics_;
-  /// Per-opcode telemetry, resolved once from the opcode name table and
-  /// indexed by the opcode byte: the request counter rpc.<name> (in
-  /// metrics_, for tests and per-server "sources" sections) and the
-  /// handler latency histogram rpc.handle_us{op=<name>} (in
-  /// GlobalMetrics(), so RunReporter's single snapshot sees it). A byte
-  /// with no name counts no request and times into op=other.
-  struct OpMetrics {
-    Counter* requests = nullptr;
-    HistogramMetric* handle_us = nullptr;
-  };
-  std::array<OpMetrics, 256> op_metrics_;
-  /// Request and response sizes (in metrics_), resolved once; the
-  /// rpc.errors counter is resolved at the first error.
-  DistributionMetric* request_bytes_ = nullptr;
-  DistributionMetric* response_bytes_ = nullptr;
+  /// Telemetry in GlobalMetrics(), resolved once so Handle looks up no
+  /// metric by name. handle_us_ is indexed by the opcode byte: the
+  /// handler latency histogram rpc.handle_us{op=<name>}, op=other for a
+  /// byte with no name. rpc.errors is registered at the first error, so
+  /// an error-free service reports no rpc.errors line.
+  std::array<HistogramMetric*, 256> handle_us_;
+  HistogramMetric* request_bytes_;
+  HistogramMetric* response_bytes_;
+  Counter* slow_requests_;
+  Counter* push_duplicates_;
+  Counter* evicted_sender_rejects_;
   Counter* errors_ = nullptr;
   /// Last clock applied per worker (-1 = none); only touched by the
   /// single service-loop thread.

@@ -31,18 +31,18 @@ struct WorkerTimeBreakdown {
   }
 };
 
-/// Publishes one worker's breakdown into `registry` as labeled gauges
-/// (worker.compute_seconds{worker=m} etc.) so metrics.json carries the
-/// compute-vs-wait split without a bespoke schema per runtime.
-inline void RecordBreakdown(MetricsRegistry* registry, int worker,
-                            const WorkerTimeBreakdown& b) {
+/// Publishes one worker's breakdown into GlobalMetrics() as labeled
+/// gauges (worker.compute_seconds{worker=m} etc.) so metrics.json carries
+/// the compute-vs-wait split without a bespoke schema per runtime.
+inline void RecordBreakdown(int worker, const WorkerTimeBreakdown& b) {
+  MetricsRegistry& metrics = GlobalMetrics();
   const MetricLabels labels = {{"worker", std::to_string(worker)}};
-  registry->gauge("worker.compute_seconds", labels)->Set(b.compute_seconds);
-  registry->gauge("worker.comm_seconds", labels)->Set(b.comm_seconds);
-  registry->gauge("worker.wait_seconds", labels)->Set(b.wait_seconds);
-  registry->gauge("worker.push_hidden_seconds", labels)
+  metrics.gauge("worker.compute_seconds", labels)->Set(b.compute_seconds);
+  metrics.gauge("worker.comm_seconds", labels)->Set(b.comm_seconds);
+  metrics.gauge("worker.wait_seconds", labels)->Set(b.wait_seconds);
+  metrics.gauge("worker.push_hidden_seconds", labels)
       ->Set(b.push_hidden_seconds);
-  registry->gauge("worker.clocks_completed", labels)
+  metrics.gauge("worker.clocks_completed", labels)
       ->Set(static_cast<double>(b.clocks_completed));
 }
 

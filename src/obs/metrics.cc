@@ -8,7 +8,7 @@
 namespace hetps {
 namespace {
 
-/// %.6g rendering for the legacy text report — stable across platforms
+/// %.6g rendering for Prometheus values — stable across platforms
 /// (ostream default formatting is locale- and width-dependent).
 std::string Format6g(double v) {
   char buf[32];
@@ -145,19 +145,6 @@ Gauge* MetricsRegistry::gauge(const std::string& name,
   return slot.get();
 }
 
-DistributionMetric* MetricsRegistry::distribution(
-    const std::string& name) {
-  return distribution(name, {});
-}
-
-DistributionMetric* MetricsRegistry::distribution(
-    const std::string& name, const MetricLabels& labels) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = distributions_[Key(name, labels)];
-  if (!slot) slot = std::make_unique<DistributionMetric>();
-  return slot.get();
-}
-
 HistogramMetric* MetricsRegistry::histogram(const std::string& name) {
   return histogram(name, {});
 }
@@ -168,36 +155,6 @@ HistogramMetric* MetricsRegistry::histogram(const std::string& name,
   auto& slot = histograms_[Key(name, labels)];
   if (!slot) slot = std::make_unique<HistogramMetric>();
   return slot.get();
-}
-
-std::string MetricsRegistry::Report() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string os;
-  for (const auto& [name, c] : counters_) {
-    os += name + ' ' + std::to_string(c->value()) + '\n';
-  }
-  for (const auto& [name, g] : gauges_) {
-    if (!g->has_value()) continue;  // unset gauges carry no information
-    os += name + ' ' + Format6g(g->value()) + '\n';
-  }
-  for (const auto& [name, d] : distributions_) {
-    const RunningStat s = d->Snapshot();
-    os += name + " count=" + std::to_string(s.count()) +
-          " mean=" + Format6g(s.mean()) + " min=" + Format6g(s.min()) +
-          " max=" + Format6g(s.max()) +
-          " stddev=" + Format6g(s.stddev()) + '\n';
-  }
-  for (const auto& [name, h] : histograms_) {
-    os += name + " count=" + std::to_string(h->count()) +
-          " mean=" + Format6g(h->mean()) +
-          " min=" + std::to_string(h->min()) +
-          " max=" + std::to_string(h->max()) +
-          " p50=" + std::to_string(h->ValueAtQuantile(0.5)) +
-          " p90=" + std::to_string(h->ValueAtQuantile(0.9)) +
-          " p99=" + std::to_string(h->ValueAtQuantile(0.99)) +
-          " p999=" + std::to_string(h->ValueAtQuantile(0.999)) + '\n';
-  }
-  return os;
 }
 
 std::string MetricsRegistry::PrometheusText() const {
@@ -221,17 +178,6 @@ std::string MetricsRegistry::PrometheusText() const {
     if (!g->has_value()) continue;
     type_line(key, "gauge");
     os += PromSeries(key) + ' ' + Format6g(g->value()) + '\n';
-  }
-  last_family.clear();
-  for (const auto& [key, d] : distributions_) {
-    type_line(key, "summary");
-    const RunningStat s = d->Snapshot();
-    std::string name, labels;
-    SplitKey(key, &name, &labels);
-    os += PromSeries(key).insert(PromName(name).size(), "_sum") + ' ' +
-          Format6g(s.sum()) + '\n';
-    os += PromSeries(key).insert(PromName(name).size(), "_count") + ' ' +
-          std::to_string(s.count()) + '\n';
   }
   last_family.clear();
   for (const auto& [key, h] : histograms_) {
@@ -283,11 +229,6 @@ MetricsSnapshot MetricsRegistry::SnapshotValues() const {
   for (const auto& [key, g] : gauges_) {
     if (g->has_value()) snap.gauges[key] = g->value();
   }
-  for (const auto& [key, d] : distributions_) {
-    const RunningStat s = d->Snapshot();
-    snap.histograms[key] = MetricsSnapshot::CountSum{
-        static_cast<int64_t>(s.count()), s.sum()};
-  }
   for (const auto& [key, h] : histograms_) {
     snap.histograms[key] =
         MetricsSnapshot::CountSum{h->count(), h->sum()};
@@ -313,23 +254,6 @@ std::string MetricsRegistry::JsonSnapshot() const {
     first = false;
     os += '"' + JsonEscape(key) + "\":";
     AppendJsonDouble(&os, g->value());
-  }
-  os += "},\"distributions\":{";
-  first = true;
-  for (const auto& [key, d] : distributions_) {
-    if (!first) os += ',';
-    first = false;
-    const RunningStat s = d->Snapshot();
-    os += '"' + JsonEscape(key) +
-          "\":{\"count\":" + std::to_string(s.count()) + ",\"mean\":";
-    AppendJsonDouble(&os, s.mean());
-    os += ",\"min\":";
-    AppendJsonDouble(&os, s.min());
-    os += ",\"max\":";
-    AppendJsonDouble(&os, s.max());
-    os += ",\"stddev\":";
-    AppendJsonDouble(&os, s.stddev());
-    os += '}';
   }
   os += "},\"histograms\":{";
   first = true;
@@ -369,7 +293,6 @@ void MetricsRegistry::ResetValues() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [key, c] : counters_) c->Reset();
   for (auto& [key, g] : gauges_) g->Reset();
-  for (auto& [key, d] : distributions_) d->Reset();
   for (auto& [key, h] : histograms_) h->Reset();
 }
 

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "obs/histogram.h"
-#include "util/stats.h"
 
 namespace hetps {
 
@@ -76,32 +75,9 @@ class Gauge {
   std::atomic<bool> set_{false};
 };
 
-/// Exact-moments distribution (mutex-guarded Welford accumulator):
-/// count/mean/min/max/stddev, no quantiles. For latency-style data that
-/// needs p50/p99, use HistogramMetric instead.
-class DistributionMetric {
- public:
-  void Record(double v) {
-    std::lock_guard<std::mutex> lock(mu_);
-    stat_.Add(v);
-  }
-  RunningStat Snapshot() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return stat_;
-  }
-  void Reset() {
-    std::lock_guard<std::mutex> lock(mu_);
-    stat_ = RunningStat();
-  }
-
- private:
-  mutable std::mutex mu_;
-  RunningStat stat_;
-};
-
 /// Quantile-capable distribution: an HdrHistogram-style bucketed
-/// histogram with wait-free Record and p50/p90/p99/p999 on read — the
-/// upgrade of DistributionMetric for hot-path latency data.
+/// histogram with wait-free Record and p50/p90/p99/p999 on read. The
+/// registry's one distribution kind, for latencies and sizes alike.
 using HistogramMetric = BucketedHistogram;
 
 /// Label set for one member of a metric family, e.g.
@@ -110,8 +86,8 @@ using MetricLabels = std::vector<std::pair<std::string, std::string>>;
 
 /// Point-in-time numeric view of every metric in a registry, keyed by
 /// the registry's `name{label=value,...}` rendering — the
-/// TimeSeriesRecorder's delta base. Histograms and distributions
-/// collapse to (count, sum); quantiles stay on the JsonSnapshot path.
+/// TimeSeriesRecorder's delta base. Histograms collapse to (count, sum);
+/// quantiles stay on the JsonSnapshot path.
 struct MetricsSnapshot {
   struct CountSum {
     int64_t count = 0;
@@ -120,39 +96,28 @@ struct MetricsSnapshot {
   std::map<std::string, int64_t> counters;
   /// Set gauges only (unset gauges carry no information).
   std::map<std::string, double> gauges;
-  /// Histograms and distributions share this map; their registry key
-  /// spaces do not overlap in practice.
   std::map<std::string, CountSum> histograms;
 };
 
-/// A named collection of metrics — the §7.5 monitoring plane's per-node
-/// registry. Metric objects are created on first use and live as long
-/// as the registry; returned pointers stay valid (ResetValues() clears
-/// values but never destroys metrics). Labeled overloads address one
-/// member of a metric family ("ps.push_us" x partition).
+/// A named collection of counters, gauges and histograms — the §7.5
+/// monitoring plane. Metric objects are created on first use and live as
+/// long as the registry; returned pointers stay valid (ResetValues()
+/// clears values but never destroys metrics). Labeled overloads address
+/// one member of a metric family ("ps.push_us" x partition).
 class MetricsRegistry {
  public:
   Counter* counter(const std::string& name);
   Counter* counter(const std::string& name, const MetricLabels& labels);
   Gauge* gauge(const std::string& name);
   Gauge* gauge(const std::string& name, const MetricLabels& labels);
-  DistributionMetric* distribution(const std::string& name);
-  DistributionMetric* distribution(const std::string& name,
-                                   const MetricLabels& labels);
   HistogramMetric* histogram(const std::string& name);
   HistogramMetric* histogram(const std::string& name,
                              const MetricLabels& labels);
 
-  /// Legacy text path: "name value" / "name count=... mean=..." lines,
-  /// sorted, doubles rendered with %.6g. Distributions report
-  /// count/mean/min/max/stddev; histograms add quantiles; unset gauges
-  /// are skipped.
-  std::string Report() const;
-
   /// Prometheus text exposition (# TYPE lines; '.' sanitized to '_').
-  /// Bucketed histograms render as `histogram` families with cumulative
-  /// `_bucket{le="..."}` lines plus `_sum`/`_count`; distributions stay
-  /// `summary` families (`_sum`/`_count` only — no quantile sketch).
+  /// Histograms render as `histogram` families with cumulative
+  /// `_bucket{le="..."}` lines plus `_sum`/`_count`; unset gauges are
+  /// skipped. Doubles render with %.6g.
   std::string PrometheusText() const;
 
   /// Structured numeric snapshot of every metric (see MetricsSnapshot).
@@ -161,13 +126,13 @@ class MetricsRegistry {
   MetricsSnapshot SnapshotValues() const;
 
   /// JSON snapshot: {"counters": {...}, "gauges": {...},
-  /// "distributions": {...}, "histograms": {...}}; keys are
-  /// `name{label=value,...}`. Deterministically ordered.
+  /// "histograms": {...}}; keys are `name{label=value,...}`, unset gauges
+  /// are skipped. Deterministically ordered.
   std::string JsonSnapshot() const;
 
   /// Zeroes every metric's value while keeping all returned pointers
-  /// valid (counters -> 0, gauges -> unset, distributions/histograms
-  /// -> empty). Use between runs sharing one process/registry.
+  /// valid (counters -> 0, gauges -> unset, histograms -> empty). Use
+  /// between runs sharing one process/registry.
   void ResetValues();
 
  private:
@@ -178,8 +143,6 @@ class MetricsRegistry {
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<DistributionMetric>>
-      distributions_;
   std::map<std::string, std::unique_ptr<HistogramMetric>> histograms_;
 };
 
@@ -191,11 +154,11 @@ class MetricsRegistry {
 std::string MetricsDeltaJson(const MetricsSnapshot& prev,
                              const MetricsSnapshot& cur);
 
-/// Process-wide default registry. All runtime layers (PS, bus, service,
-/// trainers, simulator) record here unless handed an explicit registry,
-/// so one RunReporter snapshot sees the whole system. Call
-/// GlobalMetrics().ResetValues() at run boundaries when numbers must
-/// not accumulate across runs in one process.
+/// The process-wide registry. Every runtime layer (PS, client, bus,
+/// service, trainers, simulator) records here, so one RunReporter
+/// snapshot sees the whole system. Call GlobalMetrics().ResetValues() at
+/// run boundaries when numbers must not accumulate across runs in one
+/// process.
 MetricsRegistry& GlobalMetrics();
 
 }  // namespace hetps

@@ -20,11 +20,6 @@ RunReporter::RunReporter(RunReporterOptions options,
   }
 }
 
-void RunReporter::AddSource(const std::string& prefix,
-                            const MetricsRegistry* registry) {
-  sources_.emplace_back(prefix, registry);
-}
-
 void RunReporter::OnEpoch(int epoch) {
   if (timeseries_ != nullptr && !external_ts_clock_) {
     timeseries_->Snapshot(epoch);
@@ -63,7 +58,7 @@ Status RunReporter::WriteFinal() {
 
 std::string RunReporter::MetricsJsonString(int epoch,
                                            bool final_snapshot) const {
-  std::string os = "{\"schema\":\"hetps.metrics.v1\",\"epoch\":";
+  std::string os = "{\"schema\":\"hetps.metrics.v2\",\"epoch\":";
   os += std::to_string(epoch);
   os += ",\"final\":";
   os += final_snapshot ? "true" : "false";
@@ -76,14 +71,7 @@ std::string RunReporter::MetricsJsonString(int epoch,
   }
   os += "},\"metrics\":";
   os += registry_->JsonSnapshot();
-  os += ",\"sources\":{";
-  first = true;
-  for (const auto& [prefix, reg] : sources_) {
-    if (!first) os += ',';
-    first = false;
-    os += '"' + JsonEscape(prefix) + "\":" + reg->JsonSnapshot();
-  }
-  os += "}}";
+  os += '}';
   return os;
 }
 
@@ -118,19 +106,15 @@ Status RequireNumber(const JsonValue& obj, const char* key,
   return Status::OK();
 }
 
-Status ValidateMetricsSection(const JsonValue& metrics,
-                              const char* context) {
+Status ValidateMetricsSection(const JsonValue& metrics) {
   if (!metrics.is_object()) {
-    return Status::InvalidArgument(std::string(context) +
-                                   " is not an object");
+    return Status::InvalidArgument("\"metrics\" is not an object");
   }
-  for (const char* section :
-       {"counters", "gauges", "distributions", "histograms"}) {
+  for (const char* section : {"counters", "gauges", "histograms"}) {
     const JsonValue* s = metrics.Find(section);
     if (s == nullptr || !s->is_object()) {
-      return Status::InvalidArgument(std::string(context) +
-                                     ": missing object \"" + section +
-                                     "\"");
+      return Status::InvalidArgument(
+          std::string("\"metrics\": missing object \"") + section + "\"");
     }
   }
   for (const auto& [name, c] : metrics.Find("counters")->object) {
@@ -143,12 +127,6 @@ Status ValidateMetricsSection(const JsonValue& metrics,
     if (!g.is_number()) {
       return Status::InvalidArgument("gauge " + name +
                                      " is not a number");
-    }
-  }
-  for (const auto& [name, d] : metrics.Find("distributions")->object) {
-    for (const char* field : {"count", "mean", "min", "max", "stddev"}) {
-      HETPS_RETURN_NOT_OK(
-          RequireNumber(d, field, ("distribution " + name).c_str()));
     }
   }
   for (const auto& [name, h] : metrics.Find("histograms")->object) {
@@ -172,9 +150,9 @@ Status ValidateMetricsJson(const std::string& text) {
   }
   const JsonValue* schema = doc.Find("schema");
   if (schema == nullptr || !schema->is_string() ||
-      schema->string_value != "hetps.metrics.v1") {
+      schema->string_value != "hetps.metrics.v2") {
     // Distinguish "written by a newer build" from "not a metrics.json
-    // at all": a hetps.metrics.vN with N > 1 gets a clear upgrade
+    // at all": a hetps.metrics.vN with N > 2 gets a clear upgrade
     // message instead of a generic mismatch (which downstream tools
     // would follow with a partial, garbled parse).
     if (schema != nullptr && schema->is_string()) {
@@ -183,15 +161,15 @@ Status ValidateMetricsJson(const std::string& text) {
       if (s.size() > prefix.size() && s.compare(0, prefix.size(), prefix) == 0 &&
           s.find_first_not_of("0123456789", prefix.size()) ==
               std::string::npos &&
-          std::strtol(s.c_str() + prefix.size(), nullptr, 10) > 1) {
+          std::strtol(s.c_str() + prefix.size(), nullptr, 10) > 2) {
         return Status::InvalidArgument(
             "metrics.json: schema \"" + s +
             "\" is too new for this build (understands "
-            "hetps.metrics.v1); upgrade hetps_train");
+            "hetps.metrics.v2); upgrade hetps_train");
       }
     }
     return Status::InvalidArgument(
-        "metrics.json: schema is not \"hetps.metrics.v1\"");
+        "metrics.json: schema is not \"hetps.metrics.v2\"");
   }
   HETPS_RETURN_NOT_OK(RequireNumber(doc, "epoch", "metrics.json"));
   const JsonValue* final_flag = doc.Find("final");
@@ -202,15 +180,7 @@ Status ValidateMetricsJson(const std::string& text) {
   if (metrics == nullptr) {
     return Status::InvalidArgument("metrics.json: missing \"metrics\"");
   }
-  HETPS_RETURN_NOT_OK(ValidateMetricsSection(*metrics, "\"metrics\""));
-  const JsonValue* sources = doc.Find("sources");
-  if (sources != nullptr && sources->is_object()) {
-    for (const auto& [prefix, section] : sources->object) {
-      HETPS_RETURN_NOT_OK(
-          ValidateMetricsSection(section, ("source " + prefix).c_str()));
-    }
-  }
-  return Status::OK();
+  return ValidateMetricsSection(*metrics);
 }
 
 Status ValidateChromeTraceJson(const std::string& text) {

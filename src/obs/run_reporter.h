@@ -40,31 +40,24 @@ struct RunReporterOptions {
   std::vector<std::pair<std::string, std::string>> run_info;
 };
 
-/// Snapshots the metrics registry (plus optional secondary registries)
-/// and the trace recorder into on-disk JSON at epoch boundaries and at
-/// end of run — the §7.5 monitoring plane's reporting surface.
+/// Snapshots the metrics registry and the trace recorder into on-disk
+/// JSON at epoch boundaries and at end of run — the §7.5 monitoring
+/// plane's reporting surface.
 ///
 /// metrics.json schema (validated by ValidateMetricsJson and the golden
 /// test):
 ///   {
-///     "schema": "hetps.metrics.v1",
+///     "schema": "hetps.metrics.v2",
 ///     "epoch": <last epoch reported, -1 = final only>,
 ///     "final": true|false,
 ///     "run": {"key": "value", ...},
-///     "metrics": {"counters": {...}, "gauges": {...},
-///                 "distributions": {...}, "histograms": {...}},
-///     "sources": {"<prefix>": {<same shape as "metrics">}, ...}
+///     "metrics": {"counters": {...}, "gauges": {...}, "histograms": {...}}
 ///   }
 class RunReporter {
  public:
   explicit RunReporter(RunReporterOptions options,
                        MetricsRegistry* registry = &GlobalMetrics(),
                        TraceRecorder* trace = &TraceRecorder::Global());
-
-  /// Attaches a secondary registry (e.g. a PsService's per-instance
-  /// metrics) whose snapshot lands under "sources"/<prefix>.
-  void AddSource(const std::string& prefix,
-                 const MetricsRegistry* registry);
 
   /// Epoch hook for trainers: writes a metrics snapshot when
   /// report_every divides `epoch` (and report_every > 0), and closes
@@ -104,7 +97,6 @@ class RunReporter {
   TraceRecorder* trace_;
   std::unique_ptr<TimeSeriesRecorder> timeseries_;
   bool external_ts_clock_ = false;
-  std::vector<std::pair<std::string, const MetricsRegistry*>> sources_;
 };
 
 /// Schema checkers used by tests, the CLI `check-obs` command, and CI.

@@ -98,24 +98,24 @@ ParameterServer::ParameterServer(int64_t dim, int num_workers,
   }
   // Create every metric up front: hot paths record through cached
   // pointers and never touch the registry again.
-  metrics_ = options.metrics != nullptr ? options.metrics : &GlobalMetrics();
-  push_counter_ = metrics_->counter("ps.push.count");
-  push_bytes_ = metrics_->counter("ps.push.bytes");
-  push_pieces_counter_ = metrics_->counter("push.pieces");
-  push_bytes_shipped_ = metrics_->counter("push.bytes_shipped");
-  pull_counter_ = metrics_->counter("ps.pull.count");
-  pull_cache_hit_ = metrics_->counter("pull.cache_hit");
-  pull_partitions_shipped_ = metrics_->counter("pull.partitions_shipped");
-  pull_bytes_shipped_ = metrics_->counter("pull.bytes_shipped");
-  pull_bytes_saved_ = metrics_->counter("pull.bytes_saved");
-  pull_delta_hits_ = metrics_->counter("pull.delta_hits");
-  worker_evicted_ = metrics_->counter("ps.worker_evicted");
-  worker_readmitted_ = metrics_->counter("ps.worker_readmitted");
-  cmin_repairs_ = metrics_->counter("ps.cmin_repairs");
-  evicted_pushes_dropped_ = metrics_->counter("ps.evicted_pushes_dropped");
-  blocked_workers_ = metrics_->gauge("ps.blocked_workers");
+  MetricsRegistry& metrics = GlobalMetrics();
+  push_counter_ = metrics.counter("ps.push.count");
+  push_bytes_ = metrics.counter("ps.push.bytes");
+  push_pieces_counter_ = metrics.counter("push.pieces");
+  push_bytes_shipped_ = metrics.counter("push.bytes_shipped");
+  pull_counter_ = metrics.counter("ps.pull.count");
+  pull_cache_hit_ = metrics.counter("pull.cache_hit");
+  pull_partitions_shipped_ = metrics.counter("pull.partitions_shipped");
+  pull_bytes_shipped_ = metrics.counter("pull.bytes_shipped");
+  pull_bytes_saved_ = metrics.counter("pull.bytes_saved");
+  pull_delta_hits_ = metrics.counter("pull.delta_hits");
+  worker_evicted_ = metrics.counter("ps.worker_evicted");
+  worker_readmitted_ = metrics.counter("ps.worker_readmitted");
+  cmin_repairs_ = metrics.counter("ps.cmin_repairs");
+  evicted_pushes_dropped_ = metrics.counter("ps.evicted_pushes_dropped");
+  blocked_workers_ = metrics.gauge("ps.blocked_workers");
   blocked_workers_->Set(0.0);
-  admission_wait_us_ = metrics_->histogram("ps.admission_wait_us");
+  admission_wait_us_ = metrics.histogram("ps.admission_wait_us");
   push_piece_us_.reserve(static_cast<size_t>(parts));
   push_lock_wait_us_.reserve(static_cast<size_t>(parts));
   push_apply_us_.reserve(static_cast<size_t>(parts));
@@ -123,17 +123,17 @@ ParameterServer::ParameterServer(int64_t dim, int num_workers,
   for (int p = 0; p < parts; ++p) {
     const MetricLabels labels = {{"partition", std::to_string(p)}};
     push_piece_us_.push_back(
-        metrics_->histogram("ps.push_piece_us", labels));
+        metrics.histogram("ps.push_piece_us", labels));
     push_lock_wait_us_.push_back(
-        metrics_->histogram("ps.push_lock_wait_us", labels));
+        metrics.histogram("ps.push_lock_wait_us", labels));
     push_apply_us_.push_back(
-        metrics_->histogram("ps.push_apply_us", labels));
+        metrics.histogram("ps.push_apply_us", labels));
     pull_piece_us_.push_back(
-        metrics_->histogram("ps.pull_piece_us", labels));
+        metrics.histogram("ps.pull_piece_us", labels));
   }
   staleness_.reserve(static_cast<size_t>(num_workers));
   for (int m = 0; m < num_workers; ++m) {
-    staleness_.push_back(metrics_->histogram(
+    staleness_.push_back(metrics.histogram(
         "worker.staleness", {{"worker", std::to_string(m)}}));
   }
 }

@@ -43,11 +43,6 @@ struct PsOptions {
   /// the default, which is byte-for-byte today's push path. Pulls are
   /// always assembled on the calling thread.
   int push_parallelism = 1;
-  /// Registry receiving the PS telemetry (per-shard push/pull latency
-  /// histograms, per-worker staleness, admission-wait times). nullptr =
-  /// the process-wide GlobalMetrics(). The metric objects are created
-  /// once at construction, so recording never takes a registry lock.
-  MetricsRegistry* metrics = nullptr;
 };
 
 /// Sentinel for "client has no cached replica of this partition".
@@ -162,11 +157,6 @@ class ParameterServer {
   const Partitioner& partitioner() const { return partitioner_; }
   const PsOptions& options() const { return options_; }
   Master* master() { return &master_; }
-
-  /// Registry this PS records into (PsOptions::metrics, or the global
-  /// one). Clients co-locate their pipeline metrics (push.inflight*)
-  /// here so per-instance registries stay self-contained in tests.
-  MetricsRegistry* metrics() const { return metrics_; }
 
   /// --- Whole-push/pull API (threaded runtime, tests) ---
 
@@ -441,9 +431,8 @@ class ParameterServer {
   std::vector<std::unique_ptr<ServerShard>> shards_;
   mutable std::vector<std::unique_ptr<std::mutex>> shard_mu_;
 
-  // Telemetry (owned by metrics_; pointers cached at construction so
+  // Telemetry in GlobalMetrics() (pointers cached at construction so
   // the hot paths never look up by name). All recording is wait-free.
-  MetricsRegistry* metrics_;
   Counter* push_counter_;
   Counter* push_bytes_;
   // Push wire accounting (names fixed by the obs schema): pieces is the

@@ -32,9 +32,9 @@ PsClient::PsClient(int worker_id, std::unique_ptr<PsChannel> channel,
     : worker_id_(worker_id),
       channel_(std::move(channel)),
       delta_pull_(delta_pull),
-      refresh_us_(channel_->metrics()->histogram("client.replica_refresh_us")),
-      full_copies_(channel_->metrics()->counter("client.replica_full_copies")),
-      window_(push_window, channel_->metrics(),
+      refresh_us_(GlobalMetrics().histogram("client.replica_refresh_us")),
+      full_copies_(GlobalMetrics().counter("client.replica_full_copies")),
+      window_(push_window,
               [this](int clock, const PushPieceList& pieces) {
                 return channel_->Push(clock, pieces);
               }) {}
@@ -53,7 +53,7 @@ Status PsClient::EnsureLayout() {
   filter_epsilon_ = layout.value().filter_epsilon;
   no_tags_.assign(static_cast<size_t>(partitioner.num_partitions()),
                   kNoCachedTag);
-  cache_.emplace(partitioner, channel_->metrics());
+  cache_.emplace(partitioner);
   return Status::OK();
 }
 

@@ -59,8 +59,6 @@ class PsChannel {
   /// Bus operations: the in-process channel answers NotSupported.
   virtual Status ReportClock(int clock, double seconds);
   virtual Status Readmit(int clock);
-  /// Receives push.inflight* and the client.* pull metrics.
-  virtual MetricsRegistry* metrics() const = 0;
 };
 
 /// The worker half of Algorithm 1 over any channel: push the per-clock

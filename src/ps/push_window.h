@@ -33,8 +33,8 @@ namespace hetps {
 ///   until Reset() (a readmitted worker starts a clean window).
 /// - Destruction drains: every queued push is sent.
 ///
-/// `push.inflight` and `push.inflight_peak` gauges land in the registry
-/// given at construction (window >= 1 only). hidden_seconds() is the
+/// `push.inflight` and `push.inflight_peak` gauges land in
+/// GlobalMetrics() (window >= 1 only). hidden_seconds() is the
 /// sender's busy time minus the time the owner blocked on the window —
 /// the push latency the window hid behind compute.
 ///
@@ -46,12 +46,12 @@ class PushWindow {
   /// the owner's (window 0).
   using SendFn = std::function<Status(int clock, const Payload& payload)>;
 
-  PushWindow(int window, MetricsRegistry* metrics, SendFn send)
+  PushWindow(int window, SendFn send)
       : window_(window), send_(std::move(send)) {
     HETPS_CHECK(window >= 0) << "negative push window";
     if (window_ >= 1) {
-      inflight_gauge_ = metrics->gauge("push.inflight");
-      inflight_peak_gauge_ = metrics->gauge("push.inflight_peak");
+      inflight_gauge_ = GlobalMetrics().gauge("push.inflight");
+      inflight_peak_gauge_ = GlobalMetrics().gauge("push.inflight_peak");
       sender_ = std::thread([this] { SenderLoop(); });
     }
   }

@@ -8,14 +8,13 @@
 
 namespace hetps {
 
-ReplicaCache::ReplicaCache(const Partitioner& layout,
-                           MetricsRegistry* metrics)
+ReplicaCache::ReplicaCache(const Partitioner& layout)
     : layout_(layout),
       values_(static_cast<size_t>(layout.dim()), 0.0),
       tags_(static_cast<size_t>(layout.num_partitions()), kNoCachedTag),
       keys_(static_cast<size_t>(layout.num_partitions())),
       fully_held_(static_cast<size_t>(layout.num_partitions()), 0),
-      apply_us_(metrics->histogram("client.cache_apply_us")) {}
+      apply_us_(GlobalMetrics().histogram("client.cache_apply_us")) {}
 
 template <bool kRefresh, typename Global>
 void ReplicaCache::ApplyPiece(const PartitionPull& piece, Global global,

@@ -33,9 +33,9 @@ namespace hetps {
 /// prefetch task).
 class ReplicaCache {
  public:
-  /// Copies `layout`. `metrics` receives client.cache_apply_us, one sample
-  /// per applied pull.
-  ReplicaCache(const Partitioner& layout, MetricsRegistry* metrics);
+  /// Copies `layout`. Records client.cache_apply_us in GlobalMetrics(),
+  /// one sample per applied pull.
+  explicit ReplicaCache(const Partitioner& layout);
 
   const Partitioner& layout() const { return layout_; }
   const std::vector<double>& values() const { return values_; }

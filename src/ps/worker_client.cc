@@ -43,8 +43,6 @@ class InProcessChannel final : public PsChannel {
 
   void WakeWaiters() override { ps_->WakeClockWaiters(); }
 
-  MetricsRegistry* metrics() const override { return ps_->metrics(); }
-
  private:
   ParameterServer* const ps_;
   const int worker_;

@@ -14,8 +14,7 @@ namespace hetps {
 /// PushPieces, pulls to PullDelta, and the admission wait blocks on the
 /// PS condition variable. pulled_bytes_full() is the server's whole-block
 /// bytes. Clock reports and readmission are bus operations and answer
-/// NotSupported here. push.inflight* and client.cache_apply_us land in
-/// ps->metrics().
+/// NotSupported here.
 class WorkerClient : public PsClient {
  public:
   /// `delta_pull` sends the cached tags with each pull (off = every

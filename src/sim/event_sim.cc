@@ -243,7 +243,7 @@ class Simulation {
           &dataset, shards[static_cast<size_t>(m)], &loss, &schedule,
           sgd_opts);
       w.replica.assign(static_cast<size_t>(dataset.dimension()), 0.0);
-      w.cache.emplace(ps_->partitioner(), ps_->metrics());
+      w.cache.emplace(ps_->partitioner());
       w.wait_us = GlobalMetrics().histogram(
           "worker.wait_us", {{"worker", std::to_string(m)}});
       w.compute_us = GlobalMetrics().histogram(
@@ -1000,8 +1000,7 @@ class Simulation {
     }
     r.worker_breakdown.reserve(workers_.size());
     for (size_t m = 0; m < workers_.size(); ++m) {
-      RecordBreakdown(&GlobalMetrics(), static_cast<int>(m),
-                      workers_[m].breakdown);
+      RecordBreakdown(static_cast<int>(m), workers_[m].breakdown);
       r.worker_breakdown.push_back(workers_[m].breakdown);
     }
     GlobalMetrics()

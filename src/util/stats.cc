@@ -64,26 +64,6 @@ double Variance(const std::vector<double>& v) {
   return s / static_cast<double>(v.size() - 1);
 }
 
-double PopulationVariance(const std::vector<double>& v) {
-  if (v.empty()) return 0.0;
-  const double m = Mean(v);
-  double s = 0.0;
-  for (double x : v) s += (x - m) * (x - m);
-  return s / static_cast<double>(v.size());
-}
-
-double Percentile(std::vector<double> v, double p) {
-  if (v.empty()) return 0.0;
-  HETPS_CHECK(p >= 0.0 && p <= 100.0) << "percentile out of range";
-  std::sort(v.begin(), v.end());
-  if (v.size() == 1) return v[0];
-  const double rank = p / 100.0 * static_cast<double>(v.size() - 1);
-  const size_t lo = static_cast<size_t>(rank);
-  const size_t hi = std::min(lo + 1, v.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return v[lo] + frac * (v[hi] - v[lo]);
-}
-
 Histogram::Histogram(double lo, double hi, size_t buckets)
     : lo_(lo), hi_(hi), counts_(buckets, 0) {
   HETPS_CHECK(hi > lo) << "Histogram requires hi > lo";

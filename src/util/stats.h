@@ -39,12 +39,6 @@ double Mean(const std::vector<double>& v);
 /// Sample variance (n-1 denominator); 0 for fewer than two elements.
 double Variance(const std::vector<double>& v);
 
-/// Population variance (n denominator); 0 for empty input.
-double PopulationVariance(const std::vector<double>& v);
-
-/// p-th percentile (0..100) by linear interpolation on sorted copy.
-double Percentile(std::vector<double> v, double p);
-
 /// Fixed-bucket linear histogram over [lo, hi); out-of-range values clamp to
 /// the first/last bucket. Used by benches for per-update time distributions.
 class Histogram {

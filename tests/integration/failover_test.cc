@@ -183,6 +183,9 @@ TEST(FailoverTest, HangLongerThanTimeoutIsEvictedAndUnblocksItself) {
   opts.fault_plan.kill_at_clock = 3;
   opts.fault_plan.hang_seconds = 10.0;  // virtual; timeout is 2.0
   opts.heartbeat_timeout_seconds = 2.0;
+  const Counter* rejects =
+      GlobalMetrics().counter("rpc.evicted_sender_rejects");
+  const int64_t rejects_before = rejects->value();
 
   auto result = TrainDistributed(d, loss, sched, rule, opts);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -191,6 +194,8 @@ TEST(FailoverTest, HangLongerThanTimeoutIsEvictedAndUnblocksItself) {
   EXPECT_GT(result.value().examples_failed_over, 0);
   EXPECT_EQ(result.value().next_clock, opts.max_clocks);
   EXPECT_LT(result.value().final_objective, 0.5);
+  // The woken worker's first request is refused.
+  EXPECT_GE(rejects->value() - rejects_before, 1);
 }
 
 }  // namespace

@@ -166,6 +166,15 @@ TEST(PsServiceTest, OpcodeNamesMapBothWays) {
 }
 
 TEST(PsServiceTest, ServiceMetricsCountRequests) {
+  // Every dispatched request is one rpc.handle_us{op=<name>} sample.
+  HistogramMetric* pushes =
+      GlobalMetrics().histogram("rpc.handle_us", {{"op", "push"}});
+  HistogramMetric* pulls =
+      GlobalMetrics().histogram("rpc.handle_us", {{"op", "pull_delta"}});
+  Counter* errors = GlobalMetrics().counter("rpc.errors");
+  const int64_t pushes_before = pushes->count();
+  const int64_t pulls_before = pulls->count();
+  const int64_t errors_before = errors->value();
   RpcHarness h(1, 8);
   RpcWorkerClient client(0, &h.bus, "ps");
   ASSERT_TRUE(client.Push(0, SparseVector({1}, {1.0})).ok());
@@ -175,10 +184,9 @@ TEST(PsServiceTest, ServiceMetricsCountRequests) {
   EXPECT_TRUE(bad.Push(0, SparseVector({1}, {1.0}))
                   .IsInvalidArgument());  // worker out of range -> error
   h.bus.Flush();
-  const std::string report = h.service.metrics().Report();
-  EXPECT_NE(report.find("rpc.push 2"), std::string::npos);
-  EXPECT_NE(report.find("rpc.pull_delta 1"), std::string::npos);
-  EXPECT_NE(report.find("rpc.errors 1"), std::string::npos);
+  EXPECT_EQ(pushes->count() - pushes_before, 2);
+  EXPECT_EQ(pulls->count() - pulls_before, 1);
+  EXPECT_EQ(errors->value() - errors_before, 1);
 }
 
 TEST(PsServiceTest, RetriesRecoverFromLostRequests) {

@@ -20,6 +20,7 @@
 #include "net/message_bus.h"
 #include "net/ps_service.h"
 #include "net/serializer.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "util/rng.h"
 
@@ -51,6 +52,11 @@ struct PipelineHarness {
   PsService service;
 };
 
+/// Requests of `op` the services of this process have dispatched.
+int64_t Handled(const char* op) {
+  return GlobalMetrics().histogram("rpc.handle_us", {{"op", op}})->count();
+}
+
 uint8_t StatusByteOf(const BusReply& reply) {
   EXPECT_TRUE(reply.ok());
   ByteReader r(reply.payload);
@@ -63,6 +69,7 @@ uint8_t StatusByteOf(const BusReply& reply) {
 // partition-split frame; the pieces land on the right shards and the
 // clock table advances exactly once per push.
 TEST(PushPipelineTest, ColumnarPushRoundtripAppliesOnce) {
+  const int64_t pushes_before = Handled("push");
   PipelineHarness h(1, 16);
   RpcWorkerClient client(0, &h.bus, "ps", RpcRetryPolicy(),
                          /*push_window=*/1);
@@ -77,8 +84,7 @@ TEST(PushPipelineTest, ColumnarPushRoundtripAppliesOnce) {
   EXPECT_DOUBLE_EQ(replica[15], 3.0);
   EXPECT_EQ(h.ps.cmin(), 1);  // the clock advanced exactly once
   h.bus.Flush();
-  EXPECT_NE(h.service.metrics().Report().find("rpc.push 1"),
-            std::string::npos);
+  EXPECT_EQ(Handled("push") - pushes_before, 1);
 }
 
 // A push before any pull runs the layout handshake itself, at either
@@ -86,6 +92,10 @@ TEST(PushPipelineTest, ColumnarPushRoundtripAppliesOnce) {
 TEST(PushPipelineTest, PushBeforeAnyPullHandshakesOnce) {
   for (int window = 0; window <= 1; ++window) {
     SCOPED_TRACE(window);
+    const int64_t layouts_before = Handled("layout");
+    const int64_t pushes_before = Handled("push");
+    Counter* errors = GlobalMetrics().counter("rpc.errors");
+    const int64_t errors_before = errors->value();
     PipelineHarness h(1, 8);
     RpcWorkerClient client(0, &h.bus, "ps", RpcRetryPolicy(), window);
     ASSERT_TRUE(client.Push(0, SparseVector({2, 6}, {1.0, -1.0})).ok());
@@ -97,10 +107,9 @@ TEST(PushPipelineTest, PushBeforeAnyPullHandshakesOnce) {
     EXPECT_DOUBLE_EQ(replica[6], -1.0);
     EXPECT_EQ(h.ps.cmin(), 2);
     h.bus.Flush();
-    const std::string report = h.service.metrics().Report();
-    EXPECT_NE(report.find("rpc.layout 1\n"), std::string::npos) << report;
-    EXPECT_NE(report.find("rpc.push 2\n"), std::string::npos) << report;
-    EXPECT_EQ(report.find("rpc.errors"), std::string::npos) << report;
+    EXPECT_EQ(Handled("layout") - layouts_before, 1);
+    EXPECT_EQ(Handled("push") - pushes_before, 2);
+    EXPECT_EQ(errors->value() - errors_before, 0);
   }
 }
 
@@ -128,6 +137,16 @@ std::vector<uint8_t> ColumnarFrame(const ParameterServer& ps, int worker,
 // At-least-once delivery: a retransmitted columnar frame (same worker,
 // same clock) must ack OK without applying the update twice.
 TEST(PushPipelineTest, DuplicateColumnarFrameIsDeduped) {
+  // Read from the JSON snapshot metrics.json embeds, so the count is
+  // known to reach a run's outputs.
+  auto duplicates = [] {
+    const Result<JsonValue> doc = ParseJson(GlobalMetrics().JsonSnapshot());
+    EXPECT_TRUE(doc.ok());
+    const JsonValue* c =
+        doc.value().Find("counters")->Find("rpc.push_duplicates");
+    return c == nullptr ? 0.0 : c->number_value;
+  };
+  const double duplicates_before = duplicates();
   PipelineHarness h(1, 16);
   const SparseVector update({3, 12}, {1.0, 2.0});
   const std::vector<uint8_t> frame = ColumnarFrame(h.ps, 0, 0, update);
@@ -140,8 +159,7 @@ TEST(PushPipelineTest, DuplicateColumnarFrameIsDeduped) {
   EXPECT_DOUBLE_EQ(state[12], 2.0);
   EXPECT_EQ(h.ps.cmin(), 1);
   h.bus.Flush();
-  EXPECT_NE(h.service.metrics().Report().find("rpc.push_duplicates 1"),
-            std::string::npos);
+  EXPECT_DOUBLE_EQ(duplicates() - duplicates_before, 1.0);
 }
 
 // Malformed columnar frames are refused before anything applies: pieces

@@ -208,6 +208,24 @@ TEST_F(ObsEndToEndTest, DistributedRunCarriesRpcCountersAndBreakdown) {
   EXPECT_NE(json.find("bus.fault.dropped_requests"), std::string::npos);
   EXPECT_NE(json.find("rpc.client_retries"), std::string::npos);
   EXPECT_NE(json.find("rpc.handle_us{op=push}"), std::string::npos);
+  // The service sizes every request it dispatches and its response, so
+  // each size histogram counts what all rpc.handle_us{op=*} count.
+  const Result<JsonValue> doc = ParseJson(json);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  const JsonValue* histograms = doc.value().Find("histograms");
+  ASSERT_NE(histograms, nullptr);
+  double handled = 0.0;
+  for (const auto& [key, h] : histograms->object) {
+    if (key.rfind("rpc.handle_us{op=", 0) == 0) {
+      handled += h.Find("count")->number_value;
+    }
+  }
+  EXPECT_GT(handled, 0.0);
+  for (const char* name : {"rpc.request_bytes", "rpc.response_bytes"}) {
+    const JsonValue* h = histograms->Find(name);
+    ASSERT_NE(h, nullptr) << name;
+    EXPECT_DOUBLE_EQ(h->Find("count")->number_value, handled) << name;
+  }
 }
 
 TEST_F(ObsEndToEndTest, LossyKillRunStitchesAllFourArtifacts) {

@@ -30,7 +30,6 @@ void PopulateLikeARun(MetricsRegistry* reg) {
   reg->counter("ps.push.count")->Increment(12);
   reg->counter("ps.push.bytes")->Increment(4096);
   reg->gauge("ps.blocked_workers")->Set(1);
-  reg->distribution("worker.iter_seconds")->Record(0.25);
   for (int i = 0; i < 100; ++i) {
     reg->histogram("ps.push_piece_us", {{"partition", "0"}})
         ->RecordInt(100 + i);
@@ -55,7 +54,7 @@ TEST(RunReporter, GoldenMetricsSchema) {
   auto doc = ParseJson(text);
   ASSERT_TRUE(doc.ok());
   const JsonValue& d = doc.value();
-  EXPECT_EQ(d.Find("schema")->string_value, "hetps.metrics.v1");
+  EXPECT_EQ(d.Find("schema")->string_value, "hetps.metrics.v2");
   EXPECT_DOUBLE_EQ(d.Find("epoch")->number_value, 3.0);
   EXPECT_FALSE(d.Find("final")->bool_value);
   EXPECT_EQ(d.Find("run")->Find("rule")->string_value, "dynsgd");
@@ -73,28 +72,9 @@ TEST(RunReporter, GoldenMetricsSchema) {
   // Staleness 0..3 uniformly: p50 in the linear (exact) region.
   EXPECT_LE(hist->Find("p50")->number_value, 2.0);
   EXPECT_GE(hist->Find("p99")->number_value, 3.0);
-  const JsonValue* dist =
-      metrics->Find("distributions")->Find("worker.iter_seconds");
-  ASSERT_NE(dist, nullptr);
-  for (const char* f : {"count", "mean", "min", "max", "stddev"}) {
-    EXPECT_NE(dist->Find(f), nullptr) << f;
-  }
-}
-
-TEST(RunReporter, SourcesSection) {
-  MetricsRegistry reg, per_instance;
-  per_instance.counter("rpc.push")->Increment(2);
-  TraceRecorder trace;
-  RunReporter reporter(RunReporterOptions{}, &reg, &trace);
-  reporter.AddSource("ps0", &per_instance);
-  const std::string text = reporter.MetricsJsonString(-1, true);
-  ASSERT_TRUE(ValidateMetricsJson(text).ok()) << text;
-  auto doc = ParseJson(text);
-  ASSERT_TRUE(doc.ok());
-  const JsonValue* src = doc.value().Find("sources")->Find("ps0");
-  ASSERT_NE(src, nullptr);
-  EXPECT_DOUBLE_EQ(src->Find("counters")->Find("rpc.push")->number_value,
-                   2.0);
+  // v2 is v1 minus the always-empty sections.
+  EXPECT_EQ(metrics->Find("distributions"), nullptr);
+  EXPECT_EQ(d.Find("sources"), nullptr);
 }
 
 TEST(RunReporter, WritesFilesAndEpochCadence) {
@@ -150,16 +130,31 @@ TEST(ValidateMetricsJsonTest, RejectsMalformed) {
       ValidateMetricsJson("{\"schema\":\"wrong\",\"epoch\":0}").ok());
   // Right schema tag but missing metric sections.
   EXPECT_FALSE(ValidateMetricsJson(
-                   "{\"schema\":\"hetps.metrics.v1\",\"epoch\":0,"
+                   "{\"schema\":\"hetps.metrics.v2\",\"epoch\":0,"
                    "\"final\":true,\"metrics\":{}}")
                    .ok());
   // Histogram missing quantile fields.
   EXPECT_FALSE(
       ValidateMetricsJson(
-          "{\"schema\":\"hetps.metrics.v1\",\"epoch\":0,\"final\":true,"
+          "{\"schema\":\"hetps.metrics.v2\",\"epoch\":0,\"final\":true,"
           "\"metrics\":{\"counters\":{},\"gauges\":{},"
-          "\"distributions\":{},\"histograms\":{\"h\":{\"count\":1}}}}")
+          "\"histograms\":{\"h\":{\"count\":1}}}}")
           .ok());
+  // A v1 document (the layout with "distributions" and "sources") is
+  // refused, and the message names the schema this build reads.
+  const Status v1 = ValidateMetricsJson(
+      "{\"schema\":\"hetps.metrics.v1\",\"epoch\":0,\"final\":true,"
+      "\"metrics\":{\"counters\":{},\"gauges\":{},"
+      "\"distributions\":{},\"histograms\":{}},\"sources\":{}}");
+  EXPECT_FALSE(v1.ok());
+  EXPECT_NE(v1.message().find("hetps.metrics.v2"), std::string::npos)
+      << v1.ToString();
+  // v2 has no "distributions" section.
+  const Status v2 = ValidateMetricsJson(
+      "{\"schema\":\"hetps.metrics.v2\",\"epoch\":-1,\"final\":true,"
+      "\"metrics\":{\"counters\":{\"c\":1},\"gauges\":{},"
+      "\"histograms\":{}}}");
+  EXPECT_TRUE(v2.ok()) << v2.ToString();
 }
 
 TEST(ValidateChromeTraceJsonTest, RejectsMalformed) {

@@ -84,10 +84,12 @@ class FakeSend {
 };
 
 TEST(PushWindowTest, WindowZeroSendsInlineWithoutCopyOrThread) {
-  MetricsRegistry registry;
+  // A sentinel no window writes: window 0 must leave it alone.
+  Gauge* peak = GlobalMetrics().gauge("push.inflight_peak");
+  peak->Set(-1.0);
   FakeSend fake;
   fake.Fail(1);
-  PushWindow<int> window(0, &registry, fake.Fn());
+  PushWindow<int> window(0, fake.Fn());
   const int payload = 7;
   EXPECT_TRUE(window.Push(0, payload).ok());
   // The send's status comes straight back; nothing latches at window 0.
@@ -101,13 +103,14 @@ TEST(PushWindowTest, WindowZeroSendsInlineWithoutCopyOrThread) {
   }
   EXPECT_EQ(window.hidden_seconds(), 0.0);
   // No window, no gauges.
-  EXPECT_FALSE(registry.gauge("push.inflight_peak")->has_value());
+  EXPECT_DOUBLE_EQ(peak->value(), -1.0);
 }
 
 TEST(PushWindowTest, SendsInFifoOrderOnTheSenderThread) {
-  MetricsRegistry registry;
+  const Gauge* inflight = GlobalMetrics().gauge("push.inflight");
+  const double inflight_before = inflight->value();
   FakeSend fake;
-  PushWindow<int> window(2, &registry, fake.Fn());
+  PushWindow<int> window(2, fake.Fn());
   std::vector<int> expected;
   for (int c = 0; c < 50; ++c) {
     ASSERT_TRUE(window.Push(c, c * 10).ok());
@@ -118,14 +121,15 @@ TEST(PushWindowTest, SendsInFifoOrderOnTheSenderThread) {
   for (std::thread::id id : fake.threads()) {
     EXPECT_NE(id, std::this_thread::get_id());
   }
-  EXPECT_DOUBLE_EQ(registry.gauge("push.inflight")->value(), 0.0);
+  EXPECT_DOUBLE_EQ(inflight->value(), inflight_before);
 }
 
 TEST(PushWindowTest, FullWindowBlocksTheOwner) {
-  MetricsRegistry registry;
+  const Gauge* inflight = GlobalMetrics().gauge("push.inflight");
+  const double inflight_before = inflight->value();
   FakeSend fake;
   fake.SetGate(false);
-  PushWindow<int> window(2, &registry, fake.Fn());
+  PushWindow<int> window(2, fake.Fn());
   // Two pushes fit: one held in the send, one queued.
   ASSERT_TRUE(window.Push(0, 0).ok());
   ASSERT_TRUE(window.Push(1, 1).ok());
@@ -136,22 +140,22 @@ TEST(PushWindowTest, FullWindowBlocksTheOwner) {
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_FALSE(third_returned.load());
-  EXPECT_DOUBLE_EQ(registry.gauge("push.inflight")->value(), 2.0);
+  EXPECT_DOUBLE_EQ(inflight->value() - inflight_before, 2.0);
   fake.SetGate(true);
   owner.join();
   EXPECT_TRUE(third_returned.load());
   ASSERT_TRUE(window.Drain().ok());
   EXPECT_EQ(fake.clocks(), (std::vector<int>{0, 1, 2}));
-  EXPECT_DOUBLE_EQ(registry.gauge("push.inflight_peak")->value(), 2.0);
-  EXPECT_DOUBLE_EQ(registry.gauge("push.inflight")->value(), 0.0);
+  EXPECT_DOUBLE_EQ(GlobalMetrics().gauge("push.inflight_peak")->value(),
+                   2.0);
+  EXPECT_DOUBLE_EQ(inflight->value(), inflight_before);
 }
 
 TEST(PushWindowTest, FirstErrorLatchesNamesItsClockAndResetClears) {
-  MetricsRegistry registry;
   FakeSend fake;
   fake.Fail(1);
   fake.Fail(2);
-  PushWindow<int> window(1, &registry, fake.Fn());
+  PushWindow<int> window(1, fake.Fn());
   ASSERT_TRUE(window.Push(0, 0).ok());
   Status st = window.Push(1, 1);
   if (st.ok()) st = window.Drain();
@@ -172,12 +176,11 @@ TEST(PushWindowTest, FirstErrorLatchesNamesItsClockAndResetClears) {
 }
 
 TEST(PushWindowTest, DestructionDrainsEveryQueuedPush) {
-  MetricsRegistry registry;
   FakeSend fake;
   fake.SetGate(false);
   std::thread opener;
   {
-    PushWindow<int> window(3, &registry, fake.Fn());
+    PushWindow<int> window(3, fake.Fn());
     for (int c = 0; c < 3; ++c) ASSERT_TRUE(window.Push(c, c).ok());
     // Open the gate only once the destructor is (about to be) waiting.
     opener = std::thread([&fake] {
@@ -190,12 +193,10 @@ TEST(PushWindowTest, DestructionDrainsEveryQueuedPush) {
 }
 
 TEST(PushWindowTest, HiddenSecondsIsSenderTimeTheOwnerNeverWaitedFor) {
-  MetricsRegistry registry;
-  PushWindow<int> window(
-      2, &registry, [](int, const int&) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        return Status::OK();
-      });
+  PushWindow<int> window(2, [](int, const int&) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    return Status::OK();
+  });
   ASSERT_TRUE(window.Push(0, 0).ok());
   ASSERT_TRUE(window.Push(1, 1).ok());
   // The owner "computes" past both sends before it drains, so it never

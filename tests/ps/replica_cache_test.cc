@@ -43,8 +43,10 @@ Partitioner RangeLayout() {
 }
 
 TEST(ReplicaCacheTest, KeyThatLeavesASparseShipIsCleared) {
-  MetricsRegistry registry;
-  ReplicaCache cache(RangeLayout(), &registry);
+  const HistogramMetric* apply_us =
+      GlobalMetrics().histogram("client.cache_apply_us");
+  const int64_t applies_before = apply_us->count();
+  ReplicaCache cache(RangeLayout());
   ASSERT_TRUE(cache.Apply({Sparse(0, 1, SparseVector({1, 5}, {2.0, 3.0}))}));
   // Key 5 became exactly 0 on the server, so the next whole-block sparse
   // ship omits it; the cache must not keep the old value.
@@ -54,12 +56,11 @@ TEST(ReplicaCacheTest, KeyThatLeavesASparseShipIsCleared) {
   EXPECT_EQ(cache.values(), expected);
   EXPECT_EQ(cache.tags(), (std::vector<int64_t>{2, kNoCachedTag}));
   // One client.cache_apply_us sample per applied pull.
-  EXPECT_EQ(registry.histogram("client.cache_apply_us")->count(), 2);
+  EXPECT_EQ(apply_us->count() - applies_before, 2);
 }
 
 TEST(ReplicaCacheTest, SparseThenDenseThenSparse) {
-  MetricsRegistry registry;
-  ReplicaCache cache(RangeLayout(), &registry);
+  ReplicaCache cache(RangeLayout());
   ASSERT_TRUE(cache.Apply({Sparse(0, 1, SparseVector({1, 6}, {1.0, 2.0}))}));
   ASSERT_TRUE(cache.Apply({Dense(0, 2, std::vector<double>(8, 0.5))}));
   std::vector<double> expected(16, 0.0);
@@ -81,8 +82,7 @@ TEST(ReplicaCacheTest, SparseThenDenseThenSparse) {
 }
 
 TEST(ReplicaCacheTest, DeltaKeysJoinTheClearableSet) {
-  MetricsRegistry registry;
-  ReplicaCache cache(RangeLayout(), &registry);
+  ReplicaCache cache(RangeLayout());
   ASSERT_TRUE(cache.Apply({Sparse(1, 1, SparseVector({1}, {1.0}))}));
   ASSERT_TRUE(
       cache.Apply({Delta(1, 1, 2, SparseVector({1, 4}, {0.5, 2.0}))}));
@@ -100,12 +100,10 @@ TEST(ReplicaCacheTest, DeltaKeysJoinTheClearableSet) {
 
 TEST(ReplicaCacheTest, HashSchemeAddressesStridedKeys) {
   // Three hash partitions over 10 keys: partition p holds p, p+3, p+6, …
-  MetricsRegistry registry;
-  ReplicaCache cache(Partitioner(PartitionScheme::kHash, 10, 1, 3),
-                     &registry);
+  ReplicaCache cache(Partitioner(PartitionScheme::kHash, 10, 1, 3));
   // The same pieces applied in place: the replica receives every value
   // the apply writes, so it stays equal to its cache.
-  ReplicaCache mirrored(cache.layout(), &registry);
+  ReplicaCache mirrored(cache.layout());
   std::vector<double> replica(10, 0.0);
   auto apply = [&](const std::vector<PartitionPull>& pieces) {
     EXPECT_TRUE(mirrored.Apply(pieces, &replica));
@@ -137,8 +135,7 @@ TEST(ReplicaCacheTest, HashSchemeAddressesStridedKeys) {
 }
 
 TEST(ReplicaCacheTest, DeltaBaseMismatchIsReported) {
-  MetricsRegistry registry;
-  ReplicaCache cache(RangeLayout(), &registry);
+  ReplicaCache cache(RangeLayout());
   ASSERT_TRUE(cache.Apply({Sparse(0, 1, SparseVector({1}, {1.0})),
                            Sparse(1, 1, SparseVector({0}, {2.0}))}));
   // The delta names a base the cache never held: it is skipped and its
@@ -161,8 +158,7 @@ TEST(ReplicaCacheTest, DeltaBaseMismatchIsReported) {
 }
 
 TEST(ReplicaCacheDeathTest, PieceCannotWriteOutsideItsPartition) {
-  MetricsRegistry registry;
-  ReplicaCache cache(RangeLayout(), &registry);
+  ReplicaCache cache(RangeLayout());
   EXPECT_DEATH(cache.Apply({Sparse(0, 1, SparseVector({8}, {1.0}))}),
                "out of range");
   EXPECT_DEATH(cache.Apply({Delta(0, kNoCachedTag, 1,

@@ -33,13 +33,12 @@ TEST(MetricsTest, GaugeLastWriteWins) {
 
 TEST(MetricsTest, DistributionAccumulates) {
   MetricsRegistry registry;
-  DistributionMetric* d = registry.distribution("latency");
-  d->Record(1.0);
-  d->Record(3.0);
-  const RunningStat s = d->Snapshot();
-  EXPECT_EQ(s.count(), 2u);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 3.0);
+  HistogramMetric* h = registry.histogram("latency");
+  h->Record(1.0);
+  h->Record(3.0);
+  EXPECT_EQ(h->count(), 2);
+  EXPECT_DOUBLE_EQ(h->mean(), 2.0);
+  EXPECT_EQ(h->max(), 3);
 }
 
 TEST(MetricsTest, CountersAreThreadSafe) {
@@ -59,25 +58,12 @@ TEST(MetricsTest, ReportRendersAllKinds) {
   MetricsRegistry registry;
   registry.counter("a.count")->Increment(3);
   registry.gauge("b.gauge")->Set(1.5);
-  registry.distribution("c.dist")->Record(2.0);
-  const std::string report = registry.Report();
-  EXPECT_NE(report.find("a.count 3"), std::string::npos);
-  EXPECT_NE(report.find("b.gauge 1.5"), std::string::npos);
-  EXPECT_NE(report.find("c.dist count=1"), std::string::npos);
-}
-
-TEST(MetricsTest, ReportIncludesMinAndStddev) {
-  MetricsRegistry registry;
-  DistributionMetric* d = registry.distribution("lat");
-  d->Record(1.0);
-  d->Record(2.0);
-  d->Record(3.0);
-  const std::string report = registry.Report();
-  EXPECT_NE(report.find("min=1"), std::string::npos) << report;
-  EXPECT_NE(report.find("stddev=1"), std::string::npos) << report;
-  // %.6g formatting: no trailing zero spray.
-  registry.gauge("g")->Set(0.3333333333333);
-  EXPECT_NE(registry.Report().find("g 0.333333"), std::string::npos);
+  registry.histogram("c.hist")->RecordInt(2);
+  const std::string json = registry.JsonSnapshot();
+  EXPECT_NE(json.find("\"a.count\":3"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"b.gauge\":1.5"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"c.hist\":{\"count\":1,"), std::string::npos)
+      << json;
 }
 
 TEST(MetricsTest, UnsetGaugeIsDistinguishableAndSkipped) {
@@ -86,10 +72,12 @@ TEST(MetricsTest, UnsetGaugeIsDistinguishableAndSkipped) {
   EXPECT_FALSE(g->has_value());
   EXPECT_DOUBLE_EQ(g->value(), 0.0);
   // Not rendered until set: "never measured" != "measured 0".
-  EXPECT_EQ(registry.Report().find("maybe"), std::string::npos);
+  EXPECT_EQ(registry.JsonSnapshot().find("maybe"), std::string::npos);
+  EXPECT_EQ(registry.PrometheusText().find("maybe"), std::string::npos);
   g->Set(0.0);
   EXPECT_TRUE(g->has_value());
-  EXPECT_NE(registry.Report().find("maybe 0"), std::string::npos);
+  EXPECT_NE(registry.JsonSnapshot().find("\"maybe\":0"), std::string::npos);
+  EXPECT_NE(registry.PrometheusText().find("maybe 0\n"), std::string::npos);
   g->Reset();
   EXPECT_FALSE(g->has_value());
 }
@@ -105,10 +93,10 @@ TEST(MetricsTest, LabeledFamiliesAreDistinctMembers) {
   Counter* relabeled =
       registry.counter("m", {{"b", "2"}, {"a", "1"}});
   EXPECT_EQ(registry.counter("m", {{"a", "1"}, {"b", "2"}}), relabeled);
-  const std::string report = registry.Report();
-  EXPECT_NE(report.find("pushes{worker=0} 2"), std::string::npos)
-      << report;
-  EXPECT_NE(report.find("pushes{worker=1} 5"), std::string::npos);
+  const std::string json = registry.JsonSnapshot();
+  EXPECT_NE(json.find("\"pushes{worker=0}\":2"), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"pushes{worker=1}\":5"), std::string::npos);
 }
 
 TEST(MetricsTest, HistogramReportsQuantiles) {
@@ -116,11 +104,11 @@ TEST(MetricsTest, HistogramReportsQuantiles) {
   HistogramMetric* h = registry.histogram("iter_us");
   for (int i = 1; i <= 100; ++i) h->RecordInt(i);
   EXPECT_EQ(registry.histogram("iter_us"), h);
-  const std::string report = registry.Report();
-  EXPECT_NE(report.find("iter_us count=100"), std::string::npos)
-      << report;
-  EXPECT_NE(report.find("p50="), std::string::npos);
-  EXPECT_NE(report.find("p99="), std::string::npos);
+  const std::string json = registry.JsonSnapshot();
+  EXPECT_NE(json.find("\"iter_us\":{\"count\":100,"), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"p50\":"), std::string::npos);
+  EXPECT_NE(json.find("\"p99\":"), std::string::npos);
   EXPECT_GE(h->ValueAtQuantile(0.5), 45);
   EXPECT_LE(h->ValueAtQuantile(0.5), 55);
   EXPECT_GE(h->ValueAtQuantile(0.99), 94);
@@ -130,6 +118,7 @@ TEST(MetricsTest, PrometheusTextExposition) {
   MetricsRegistry registry;
   registry.counter("ps.push.count")->Increment(7);
   registry.gauge("mem.bytes")->Set(42.0);
+  registry.gauge("ratio")->Set(0.3333333333333);
   registry.histogram("lat_us", {{"worker", "3"}})->RecordInt(10);
   const std::string text = registry.PrometheusText();
   // '.' sanitized to '_', TYPE lines present, labels preserved.
@@ -138,6 +127,8 @@ TEST(MetricsTest, PrometheusTextExposition) {
       << text;
   EXPECT_NE(text.find("ps_push_count 7"), std::string::npos);
   EXPECT_NE(text.find("# TYPE mem_bytes gauge"), std::string::npos);
+  // %.6g formatting: no trailing zero spray.
+  EXPECT_NE(text.find("ratio 0.333333\n"), std::string::npos) << text;
   // Histograms expose the native exposition format: cumulative
   // `_bucket{le=...}` series plus `_sum`/`_count` (not summary
   // quantiles).
@@ -192,13 +183,13 @@ TEST(MetricsTest, JsonSnapshotShape) {
   MetricsRegistry registry;
   registry.counter("c")->Increment(2);
   registry.gauge("g")->Set(1.5);
-  registry.distribution("d")->Record(4.0);
   registry.histogram("h")->RecordInt(8);
   const std::string json = registry.JsonSnapshot();
   EXPECT_NE(json.find("\"counters\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"gauges\""), std::string::npos);
-  EXPECT_NE(json.find("\"distributions\""), std::string::npos);
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
+  // Three kinds, three sections.
+  EXPECT_EQ(json.find("\"distributions\""), std::string::npos);
   EXPECT_NE(json.find("\"c\":2"), std::string::npos);
   EXPECT_NE(json.find("\"p99\""), std::string::npos);
 }
@@ -207,17 +198,14 @@ TEST(MetricsTest, ResetValuesKeepsPointersValid) {
   MetricsRegistry registry;
   Counter* c = registry.counter("c");
   Gauge* g = registry.gauge("g");
-  DistributionMetric* d = registry.distribution("d");
   HistogramMetric* h = registry.histogram("h");
   c->Increment(3);
   g->Set(2.0);
-  d->Record(1.0);
   h->RecordInt(5);
   registry.ResetValues();
   EXPECT_EQ(registry.counter("c"), c);
   EXPECT_EQ(c->value(), 0);
   EXPECT_FALSE(g->has_value());
-  EXPECT_EQ(d->Snapshot().count(), 0u);
   EXPECT_EQ(h->count(), 0);
   // Recording after reset works on the same objects.
   c->Increment();

@@ -67,25 +67,12 @@ TEST(VectorStatsTest, MeanAndVariance) {
   std::vector<double> v = {1.0, 2.0, 3.0, 4.0};
   EXPECT_DOUBLE_EQ(Mean(v), 2.5);
   EXPECT_NEAR(Variance(v), 5.0 / 3.0, 1e-12);
-  EXPECT_NEAR(PopulationVariance(v), 1.25, 1e-12);
 }
 
 TEST(VectorStatsTest, DegenerateInputs) {
   EXPECT_EQ(Mean({}), 0.0);
   EXPECT_EQ(Variance({}), 0.0);
   EXPECT_EQ(Variance({5.0}), 0.0);
-  EXPECT_EQ(PopulationVariance({}), 0.0);
-}
-
-TEST(PercentileTest, InterpolatesLinearly) {
-  std::vector<double> v = {10.0, 20.0, 30.0, 40.0};
-  EXPECT_DOUBLE_EQ(Percentile(v, 0.0), 10.0);
-  EXPECT_DOUBLE_EQ(Percentile(v, 100.0), 40.0);
-  EXPECT_DOUBLE_EQ(Percentile(v, 50.0), 25.0);
-}
-
-TEST(PercentileTest, SingleElement) {
-  EXPECT_DOUBLE_EQ(Percentile({7.0}, 99.0), 7.0);
 }
 
 TEST(HistogramTest, CountsAndClamps) {
