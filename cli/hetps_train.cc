@@ -457,15 +457,33 @@ int RunSimulate(const FlagParser& flags) {
   SimOptions options;
   options.max_clocks =
       static_cast<int>(flags.GetInt("clocks", 60).value());
+  options.partitions_per_server =
+      static_cast<int>(flags.GetInt("partitions", 1).value());
   const std::pair<const char*, int> counts[] = {
-      {"workers", workers}, {"servers", servers},
-      {"clocks", options.max_clocks}};
+      {"workers", workers},
+      {"servers", servers},
+      {"clocks", options.max_clocks},
+      {"partitions", options.partitions_per_server}};
   for (const auto& [flag, value] : counts) {
     if (value <= 0) {
       return Fail(Status::InvalidArgument(std::string("--") + flag + "=" +
                                           std::to_string(value) +
                                           " must be positive"));
     }
+  }
+  // Load-balancing plane: --rebalance migrates examples off persistent
+  // stragglers; --slow_worker/--slow_multiplier inject a transient
+  // congestion episode to chase (see EXPERIMENTS.md).
+  options.rebalance = flags.GetBool("rebalance", false);
+  options.balancer.straggler_threshold =
+      flags.GetDouble("straggler_threshold", 1.2).value();
+  options.balancer.hysteresis = static_cast<int>(
+      flags.GetInt("rebalance_hysteresis", 3).value());
+  options.balancer.reassign_fraction =
+      flags.GetDouble("reassign_fraction", 0.05).value();
+  if (options.rebalance) {
+    const Status balancer = options.balancer.Validate();
+    if (!balancer.ok()) return Fail(balancer);
   }
   auto data = LoadData(flags);
   if (!data.ok()) return Fail(data.status());
@@ -477,8 +495,6 @@ int RunSimulate(const FlagParser& flags) {
   Status sync_st;
   options.sync = ParseSync(flags, &sync_st);
   if (!sync_st.ok()) return Fail(sync_st);
-  options.partitions_per_server =
-      static_cast<int>(flags.GetInt("partitions", 1).value());
   Status scheme_st;
   options.scheme = ParseScheme(flags, &scheme_st);
   if (!scheme_st.ok()) return Fail(scheme_st);
@@ -507,16 +523,6 @@ int RunSimulate(const FlagParser& flags) {
   options.heartbeat_timeout_seconds =
       flags.GetDouble("heartbeat_timeout", 0.0).value();
   options.evict_dead_workers = flags.GetBool("evict_dead_workers", true);
-  // Load-balancing plane: --rebalance migrates examples off persistent
-  // stragglers; --slow_worker/--slow_multiplier inject a transient
-  // congestion episode to chase (see EXPERIMENTS.md).
-  options.rebalance = flags.GetBool("rebalance", false);
-  options.balancer.straggler_threshold =
-      flags.GetDouble("straggler_threshold", 1.2).value();
-  options.balancer.hysteresis = static_cast<int>(
-      flags.GetInt("rebalance_hysteresis", 3).value());
-  options.balancer.reassign_fraction =
-      flags.GetDouble("reassign_fraction", 0.05).value();
   options.slow_worker =
       static_cast<int>(flags.GetInt("slow_worker", -1).value());
   if (options.slow_worker >= workers) {

@@ -1,9 +1,5 @@
 #include "baselines/flexrr.h"
 
-#include <algorithm>
-
-#include "data/sharding.h"
-#include "ps/load_balancer.h"
 #include "util/logging.h"
 
 namespace hetps {
@@ -16,67 +12,57 @@ FlexRrMitigation::FlexRrMitigation(Options options) : options_(options) {
       << "reassign fraction out of (0,1)";
 }
 
-double FlexRrMitigation::EstimatedTime(
-    int worker, const Master& master,
-    const std::vector<LocalWorkerSgd*>& workers) const {
-  const double last = master.LastClockTime(worker);
-  if (last <= 0.0) return 0.0;  // unknown speed
-  const size_t shard =
-      workers[static_cast<size_t>(worker)]->shard().size();
-  const size_t pending =
-      worker < static_cast<int>(pending_in_.size())
-          ? pending_in_[static_cast<size_t>(worker)]
-          : 0;
-  // Shared with the engine's load-balancing plane: one estimator, one
-  // notion of "how long will this worker's next clock take".
-  return EstimateClockSeconds(last, shard, pending);
-}
-
-void FlexRrMitigation::OnClockEnd(int worker, int clock,
-                                  double clock_seconds, Master* master,
-                                  std::vector<LocalWorkerSgd*>* workers) {
+std::vector<ShardMove> FlexRrMitigation::OnClockReport(
+    int worker, int clock, double clock_seconds, Master* master,
+    const std::vector<size_t>& shard_sizes) {
   (void)clock;
-  if (pending_in_.size() < workers->size()) {
-    pending_in_.resize(workers->size(), 0);
+  std::vector<ShardMove> moves;
+  if (pending_in_.size() < shard_sizes.size()) {
+    pending_in_.resize(shard_sizes.size(), 0);
   }
   // The reporter's own inflow is now reflected in its reported time.
   pending_in_[static_cast<size_t>(worker)] = 0;
 
-  // Pick the least-loaded candidate target.
+  // Pick the least-loaded candidate target. Its estimate counts the
+  // examples already handed to it this round: several stragglers report
+  // within one clock, and without that they all dump on the same worker
+  // until it becomes the new straggler.
   int target = -1;
   double target_time = 0.0;
-  for (size_t m = 0; m < workers->size(); ++m) {
+  for (size_t m = 0; m < shard_sizes.size(); ++m) {
     if (static_cast<int>(m) == worker) continue;
-    const double t = EstimatedTime(static_cast<int>(m), *master, *workers);
-    if (t <= 0.0) continue;
+    const double t = EstimateClockSeconds(
+        master->LastClockTime(static_cast<int>(m)), shard_sizes[m],
+        pending_in_[m]);
+    if (t <= 0.0) continue;  // unknown speed
     if (target < 0 || t < target_time) {
       target = static_cast<int>(m);
       target_time = t;
     }
   }
-  if (target < 0) return;
+  if (target < 0) return moves;
   // Move only if this worker is a straggler relative to the target's
   // estimated load (FlexRR's ">20% slower" rule).
-  if (clock_seconds <= options_.straggler_threshold * target_time) return;
+  if (clock_seconds <= options_.straggler_threshold * target_time) {
+    return moves;
+  }
 
-  LocalWorkerSgd* straggler = (*workers)[static_cast<size_t>(worker)];
-  LocalWorkerSgd* receiver = (*workers)[static_cast<size_t>(target)];
-  DataShard* from = straggler->mutable_shard();
-  if (from->size() <= options_.min_shard_size) return;
-  const size_t before = from->size();
-  // Cap the move so the shard never drops below the minimum size.
+  const size_t before = shard_sizes[static_cast<size_t>(worker)];
+  if (before <= options_.min_shard_size) return moves;
+  // Cap the fraction so the shard never drops below the minimum size.
   double fraction = options_.reassign_fraction;
   const size_t max_move = before - options_.min_shard_size;
-  const size_t want =
-      static_cast<size_t>(fraction * static_cast<double>(before));
-  if (want > max_move) {
-    fraction = static_cast<double>(max_move) /
-               static_cast<double>(before);
+  if (static_cast<size_t>(fraction * static_cast<double>(before)) >
+      max_move) {
+    fraction = static_cast<double>(max_move) / static_cast<double>(before);
   }
-  ReassignFraction(from, receiver->mutable_shard(), fraction);
-  const size_t moved = before - from->size();
-  examples_reassigned_ += moved;
-  pending_in_[static_cast<size_t>(target)] += moved;
+  const size_t count =
+      static_cast<size_t>(fraction * static_cast<double>(before));
+  if (count == 0) return moves;
+  moves.push_back(ShardMove{worker, target, count, /*returned=*/false});
+  examples_reassigned_ += count;
+  pending_in_[static_cast<size_t>(target)] += count;
+  return moves;
 }
 
 }  // namespace hetps

@@ -1,10 +1,9 @@
 #ifndef HETPS_BASELINES_FLEXRR_H_
 #define HETPS_BASELINES_FLEXRR_H_
 
-#include <string>
 #include <vector>
 
-#include "sim/mitigation.h"
+#include "ps/load_balancer.h"
 
 namespace hetps {
 
@@ -28,23 +27,18 @@ class FlexRrMitigation final : public StragglerMitigation {
   FlexRrMitigation() = default;
   explicit FlexRrMitigation(Options options);
 
-  void OnClockEnd(int worker, int clock, double clock_seconds,
-                  Master* master,
-                  std::vector<LocalWorkerSgd*>* workers) override;
-
-  std::string name() const override { return "FlexRR"; }
+  /// At most one move off `worker`'s tail: the fraction of its shard,
+  /// capped so `min_shard_size` examples stay, to the candidate with the
+  /// least estimated load (EstimateClockSeconds over its last clock time
+  /// and the examples handed to it since).
+  std::vector<ShardMove> OnClockReport(
+      int worker, int clock, double clock_seconds, Master* master,
+      const std::vector<size_t>& shard_sizes) override;
 
   /// Total examples moved so far (observability for tests/benches).
   size_t examples_reassigned() const { return examples_reassigned_; }
 
  private:
-  /// Load estimate for a candidate target: its last clock time scaled by
-  /// the data it has already been handed this round (several stragglers
-  /// report within one clock; without this, they all dump on the same
-  /// worker until it becomes the new straggler).
-  double EstimatedTime(int worker, const Master& master,
-                       const std::vector<LocalWorkerSgd*>& workers) const;
-
   Options options_;
   size_t examples_reassigned_ = 0;
   std::vector<size_t> pending_in_;  // examples received since last report

@@ -48,15 +48,6 @@ size_t ReassignTail(DataShard* from, DataShard* to, size_t count) {
   return count;
 }
 
-void ReassignFraction(DataShard* from, DataShard* to, double fraction) {
-  HETPS_CHECK(fraction >= 0.0 && fraction <= 1.0)
-      << "fraction out of [0,1]";
-  ReassignTail(from, to,
-               static_cast<size_t>(fraction * static_cast<double>(
-                                                  from->example_indices
-                                                      .size())));
-}
-
 size_t ReassignAcross(DataShard* from, const std::vector<DataShard*>& to) {
   if (to.empty()) {
     from->example_indices.clear();

@@ -32,21 +32,16 @@ std::vector<DataShard> SplitData(size_t dataset_size, size_t num_workers,
                                  ShardingPolicy policy);
 
 /// Moves up to `count` examples from `from`'s tail to the back of `to` —
-/// the reassignment primitive shared by the FlexRR baseline and the
-/// engine's load-balancing plane (which decides counts, not fractions).
-/// Returns the number actually moved (clamped to `from`'s size).
+/// how the ShardPlane applies a move policy's decisions. Returns the
+/// number actually moved (clamped to `from`'s size).
 size_t ReassignTail(DataShard* from, DataShard* to, size_t count);
 
-/// Moves `fraction` of `from`'s examples (taken from its tail) to the back
-/// of `to` — the FlexRR-style reassignment primitive used by the
-/// straggler-mitigation baseline.
-void ReassignFraction(DataShard* from, DataShard* to, double fraction);
-
 /// Empties `from` into the `to` shards, splitting as evenly as possible
-/// (earlier shards get the remainder). The failover primitive: an evicted
-/// worker's entire shard is spread across the survivors so every example
-/// keeps contributing to the objective. Returns the number of examples
-/// moved (0 when `to` is empty — the shard is then simply lost).
+/// (earlier shards get the remainder). The failover primitive: the
+/// ShardPlane spreads an evicted worker's entire shard across the
+/// receivers so every example keeps contributing to the objective.
+/// Returns the number of examples moved (0 when `to` is empty — the
+/// shard is then simply lost).
 size_t ReassignAcross(DataShard* from, const std::vector<DataShard*>& to);
 
 }  // namespace hetps

@@ -52,8 +52,9 @@ struct DistributedTrainerOptions : TrainSpec {
   /// --- Load-balancing plane (straggler-aware live rebalancing) ---
   /// Workers report their measured compute time per clock (kReportClock)
   /// and the service-side balancer migrates examples from persistent
-  /// stragglers to fast workers at clock boundaries, via the same
-  /// owned-shard machinery that backs eviction failover.
+  /// stragglers to fast workers at clock boundaries, through the same
+  /// ShardPlane that backs eviction failover. TrainDistributed answers
+  /// InvalidArgument when `balancer` fails LoadBalancerOptions::Validate.
   bool rebalance = false;
   LoadBalancerOptions balancer;
   /// Unix-socket path for the live-introspection gateway. When non-empty,
@@ -82,7 +83,7 @@ struct DistributedTrainResult {
   std::vector<WorkerTimeBreakdown> worker_breakdown;
   /// Workers evicted by the heartbeat plane, in eviction order.
   std::vector<int> evicted_workers;
-  /// Survivor shards that received examples from evicted workers.
+  /// Receiver shards that adopted examples from evicted workers.
   int64_t shard_reassignments = 0;
   /// Examples moved off evicted workers' shards onto survivors.
   int64_t examples_failed_over = 0;

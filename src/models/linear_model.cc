@@ -30,6 +30,9 @@ Result<LinearModel> LinearModel::Train(const Dataset& dataset,
   if (config.learning_rate <= 0.0) {
     return Status::InvalidArgument("learning_rate must be positive");
   }
+  if (config.partitions_per_server <= 0) {
+    return Status::InvalidArgument("--partitions must be positive");
+  }
 
   const std::unique_ptr<LossFunction> loss = MakeLoss(config.loss);
   const std::unique_ptr<ConsolidationRule> rule =

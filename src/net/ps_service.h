@@ -131,8 +131,7 @@ struct PsServiceOptions {
   /// Called (on the service loop) after ParameterServer::
   /// BuildStatusSnapshot has filled the PS-owned fields of a kStatus
   /// snapshot — the trainer decorates loan-ledger balances and the push
-  /// window here (it owns the LoadBalancer, which is not thread-safe,
-  /// under the same serialization domain as on_clock_report).
+  /// window here (its ShardPlane serializes them with on_clock_report).
   std::function<void(StatusSnapshot*)> status_decorator;
 };
 

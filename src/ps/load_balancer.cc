@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <sstream>
 
 #include "obs/flight_recorder.h"
 #include "util/logging.h"
@@ -15,6 +16,21 @@ double EstimateClockSeconds(double last_clock_seconds, size_t shard_size,
       static_cast<double>(std::max<size_t>(1, shard_size));
   return last_clock_seconds *
          (1.0 + static_cast<double>(pending_in) / shard);
+}
+
+Status LoadBalancerOptions::Validate() const {
+  std::ostringstream bad;
+  if (!(straggler_threshold > 1.0)) {
+    bad << "--straggler_threshold must exceed 1, got " << straggler_threshold;
+  } else if (!(reassign_fraction > 0.0 && reassign_fraction < 1.0)) {
+    bad << "--reassign_fraction must be in (0, 1), got " << reassign_fraction;
+  } else if (hysteresis < 1) {
+    bad << "--rebalance_hysteresis must be >= 1, got " << hysteresis;
+  } else if (recovery_windows < 1) {
+    bad << "recovery_windows must be >= 1, got " << recovery_windows;
+  }
+  return bad.str().empty() ? Status::OK()
+                           : Status::InvalidArgument(bad.str());
 }
 
 LoadBalancer::LoadBalancer(int num_workers,
@@ -32,14 +48,8 @@ LoadBalancer::LoadBalancer(int num_workers,
       migrations_counter_(GlobalMetrics().counter("lb.migrations")),
       flags_counter_(GlobalMetrics().counter("lb.straggler_flags")) {
   HETPS_CHECK(num_workers > 0) << "need at least one worker";
-  HETPS_CHECK(options.straggler_threshold > 1.0)
-      << "straggler threshold must exceed 1";
-  HETPS_CHECK(options.reassign_fraction > 0.0 &&
-              options.reassign_fraction < 1.0)
-      << "reassign fraction out of (0,1)";
-  HETPS_CHECK(options.hysteresis >= 1) << "hysteresis must be >= 1";
-  HETPS_CHECK(options.recovery_windows >= 1)
-      << "recovery windows must be >= 1";
+  const Status valid = options.Validate();
+  HETPS_CHECK(valid.ok()) << valid.message();
 }
 
 size_t LoadBalancer::OutstandingLoans(int worker) const {

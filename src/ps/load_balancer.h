@@ -7,6 +7,7 @@
 
 #include "obs/metrics.h"
 #include "ps/master.h"
+#include "util/status.h"
 
 namespace hetps {
 
@@ -39,6 +40,10 @@ struct LoadBalancerOptions {
   /// starts reclaiming the examples it lent out — the return path of a
   /// congestion episode.
   int recovery_windows = 3;
+
+  /// InvalidArgument naming the first out-of-range knob (by its CLI
+  /// flag where it has one), OK otherwise.
+  Status Validate() const;
 };
 
 /// One decided migration: move `count` examples from the tail of `from`'s
@@ -51,6 +56,25 @@ struct ShardMove {
   bool returned = false;
 };
 
+/// A move policy: told each worker's compute time per clock, it decides
+/// which examples move where, and the ShardPlane applies the moves
+/// (DESIGN.md "Load-balancing plane"). LoadBalancer and the FlexRR
+/// baseline implement it.
+class StragglerMitigation {
+ public:
+  virtual ~StragglerMitigation() = default;
+
+  /// Worker `worker` spent `clock_seconds` computing clock `clock`;
+  /// `shard_sizes[m]` is worker m's current entitlement. Returns the
+  /// moves to apply, in order (possibly none).
+  virtual std::vector<ShardMove> OnClockReport(
+      int worker, int clock, double clock_seconds, Master* master,
+      const std::vector<size_t>& shard_sizes) = 0;
+
+  /// `worker` was evicted and its entitlement spread over the others.
+  virtual void OnWorkerEvicted(int worker) { (void)worker; }
+};
+
 /// The decision core of the load-balancing plane (DESIGN.md
 /// "Load-balancing plane"): per-clock timing reports feed
 /// Master::DetectStragglers; a worker flagged for `hysteresis`
@@ -58,16 +82,14 @@ struct ShardMove {
 /// to the least-loaded fast worker, and reclaims the loans once it has
 /// been clean for `recovery_windows` reports.
 ///
-/// The balancer only *decides* moves — the caller owns the shards and
-/// applies them (ReassignTail in the simulator, the owned[]-mailbox in
-/// the threaded trainer), which is what keeps migrations at clock
-/// boundaries without violating SSP. Deliberately count-based: it tracks
-/// a per-(straggler, borrower) loan ledger, never example identities.
+/// The balancer only *decides* moves — the ShardPlane that runs it owns
+/// the entitlements and applies them, and workers pick them up at their
+/// next clock start, which is what keeps migrations at clock boundaries
+/// without violating SSP. Deliberately count-based: it tracks a
+/// per-(straggler, borrower) loan ledger, never example identities.
 ///
-/// NOT thread-safe: callers serialize externally (the simulator is
-/// single-threaded; the threaded trainer calls under its failover mutex
-/// from the single service loop).
-class LoadBalancer {
+/// NOT thread-safe: the ShardPlane serializes every call.
+class LoadBalancer final : public StragglerMitigation {
  public:
   LoadBalancer(int num_workers, const LoadBalancerOptions& options);
 
@@ -79,12 +101,12 @@ class LoadBalancer {
   /// apply (possibly empty). Reports from dead workers are ignored.
   std::vector<ShardMove> OnClockReport(
       int worker, int clock, double clock_seconds, Master* master,
-      const std::vector<size_t>& shard_sizes);
+      const std::vector<size_t>& shard_sizes) override;
 
   /// Forget loans involving an evicted worker: its shard (including any
   /// borrowed examples) is spread by the eviction failover machinery, so
   /// the ledger entries can never be repaid.
-  void OnWorkerEvicted(int worker);
+  void OnWorkerEvicted(int worker) override;
 
   /// --- Accounting (mirrored into lb.* counters) ---
   int64_t examples_moved() const { return examples_moved_; }

@@ -12,15 +12,16 @@
 #include <unordered_map>
 #include <utility>
 
+#include "core/sgd_compute.h"
 #include "data/sharding.h"
 #include "net/heartbeat.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
-#include "ps/load_balancer.h"
 #include "ps/parameter_server.h"
 #include "ps/replica_cache.h"
+#include "ps/shard_plane.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -150,8 +151,6 @@ struct WorkerSim {
   bool done = false;
   /// Crash-stopped by fault injection: emits no further events.
   bool killed = false;
-  /// Evicted by the liveness plane: out of the membership for good.
-  bool evicted = false;
   double pull_request_time = 0.0;
   int pending_next_clock = 0;
   int pending_cmin = 0;
@@ -160,7 +159,8 @@ struct WorkerSim {
   // The clock computing on the pool from this worker's kStartClock to
   // its kPushSend (invalid when none is). Its RunClock writes `replica`
   // and `pending_update` and reads the shard, so the event loop touches
-  // none of them until the future is joined.
+  // none of them until the future is joined; the shard changes only at
+  // the next kStartClock (ShardPlane::Refresh).
   std::future<void> computing;
   SparseVector pending_update;
   int pending_push_clock = 0;
@@ -208,7 +208,12 @@ class Simulation {
         schedule_(schedule),
         loss_(loss),
         options_(options),
-        mitigation_(mitigation),
+        // The balancer and a mitigation baseline would fight over the
+        // same shards: the plane refuses to run both.
+        plane_(SplitData(dataset.size(),
+                         static_cast<size_t>(cluster.num_workers),
+                         ShardingPolicy::kContiguous),
+               options.rebalance ? &options.balancer : nullptr, mitigation),
         compute_pool_(ComputePoolSize(cluster.num_workers)) {
     PsOptions ps_opts;
     ps_opts.num_servers = cluster.num_servers;
@@ -228,20 +233,17 @@ class Simulation {
             static_cast<size_t>(cluster.num_servers),
         0.0);
 
-    const std::vector<DataShard> shards = SplitData(
-        dataset.size(), static_cast<size_t>(cluster.num_workers),
-        ShardingPolicy::kContiguous);
     Rng master_rng(options.seed);
     workers_.resize(static_cast<size_t>(cluster.num_workers));
     for (int m = 0; m < cluster.num_workers; ++m) {
       WorkerSim& w = workers_[static_cast<size_t>(m)];
+      DataShard shard = plane_.entitlement(m);
       LocalWorkerSgd::Options sgd_opts;
       sgd_opts.batch_size = LocalWorkerSgd::BatchSizeForFraction(
-          shards[static_cast<size_t>(m)].size(), options.batch_fraction);
+          shard.size(), options.batch_fraction);
       sgd_opts.l2 = options.l2;
       w.sgd = std::make_unique<LocalWorkerSgd>(
-          &dataset, shards[static_cast<size_t>(m)], &loss, &schedule,
-          sgd_opts);
+          &dataset, std::move(shard), &loss, &schedule, sgd_opts);
       w.replica.assign(static_cast<size_t>(dataset.dimension()), 0.0);
       w.cache.emplace(ps_->partitioner());
       w.wait_us = GlobalMetrics().histogram(
@@ -256,15 +258,6 @@ class Simulation {
       const double stagger =
           w.rng.NextDouble() * kStartStaggerClocks * nominal_clock;
       Schedule(stagger, EventType::kStartClock, m, 0);
-    }
-    if (options.rebalance) {
-      // The balancer and a mitigation baseline would fight over the same
-      // shards — running both is a configuration error, not a fallback.
-      HETPS_CHECK(mitigation == nullptr)
-          << "rebalance and a StragglerMitigation baseline are mutually "
-             "exclusive";
-      lb_ = std::make_unique<LoadBalancer>(cluster.num_workers,
-                                           options.balancer);
     }
     if (options.heartbeat_timeout_seconds > 0.0) {
       monitor_ = std::make_unique<HeartbeatMonitor>(
@@ -417,15 +410,8 @@ class Simulation {
         w.last_beat_age_s =
             monitor_->SecondsSinceLastBeat(NodeName(w.worker), now_);
       }
-      if (lb_ != nullptr) {
-        w.loans_out = static_cast<int64_t>(lb_->OutstandingLoans(w.worker));
-      }
     }
-    if (lb_ != nullptr) {
-      snap->examples_moved = lb_->examples_moved();
-      snap->examples_returned = lb_->examples_returned();
-      snap->migrations = lb_->migrations();
-    }
+    plane_.DecorateStatus(snap);
   }
 
   void HandleStartClock(int worker) {
@@ -440,7 +426,7 @@ class Simulation {
                          << " before clock " << w.clock;
       return;
     }
-    if (w.evicted) return;
+    if (plane_.evicted(worker)) return;
     Beat(worker);
     if (w.clock >= options_.max_clocks) {
       w.done = true;
@@ -451,6 +437,10 @@ class Simulation {
     }
     const WorkerProfile& prof = cluster_.profile(worker);
 
+    // Examples moved since this worker's last clock start land now; its
+    // previous clock was joined at its push send.
+    HETPS_DCHECK(!w.computing.valid()) << "shard refresh mid-clock";
+    plane_.Refresh(worker, w.sgd->mutable_shard());
     // A clock's simulated cost depends only on its shard, so it is
     // charged here while the gradients compute on the pool.
     const LocalWorkerSgd::ClockCost cost = w.sgd->NextClockCost();
@@ -478,19 +468,12 @@ class Simulation {
                 static_cast<double>(w.clock));
     const double t_send = now_ + tc;
 
-    // Report the worker's *compute* time for this clock and let the
-    // straggler-mitigation hook rebalance shards (FlexRR flags workers by
-    // speed; SSP waiting time must not pollute the signal).
+    // Report the worker's *compute* time for this clock and let the move
+    // policy (the balancer or FlexRR) move examples between entitlements
+    // (it flags workers by speed; SSP waiting time must not pollute the
+    // signal). The reporter's own moves land at its next clock start.
     ps_->master()->ReportClockTime(worker, tc);
-    if (mitigation_ != nullptr) {
-      // FlexRR may move examples between any two shards.
-      DrainCompute();
-      std::vector<LocalWorkerSgd*> all;
-      all.reserve(workers_.size());
-      for (auto& ws : workers_) all.push_back(ws.sgd.get());
-      mitigation_->OnClockEnd(worker, w.clock, tc, ps_->master(), &all);
-    }
-    if (lb_ != nullptr) ApplyRebalance(worker, w.clock, tc);
+    plane_.OnClockReport(worker, w.clock, tc, ps_->master());
 
     // Link reservations must happen in chronological send order (other
     // workers may send before our compute finishes), so transmission is
@@ -577,18 +560,6 @@ class Simulation {
     return std::chrono::duration_cast<std::chrono::microseconds>(
                std::chrono::steady_clock::now() - start)
         .count();
-  }
-
-  /// Joins every in-flight clock before an example move edits shards
-  /// their RunClocks may be reading. Counts the drains that found a
-  /// clock in flight — event state, so the count is deterministic.
-  void DrainCompute() {
-    bool any_in_flight = false;
-    for (WorkerSim& w : workers_) {
-      any_in_flight = any_in_flight || w.computing.valid();
-      JoinCompute(&w);
-    }
-    if (any_in_flight) compute_drains_->Increment();
   }
 
   void HandlePushSend(int worker) {
@@ -710,7 +681,7 @@ class Simulation {
 
   void HandlePullRequest(int worker) {
     WorkerSim& w = workers_[static_cast<size_t>(worker)];
-    if (w.evicted) return;
+    if (plane_.evicted(worker)) return;
     Beat(worker);
     if (options_.sync.CanAdvance(w.pending_next_clock, ps_->cmin())) {
       GrantPull(worker);
@@ -723,7 +694,7 @@ class Simulation {
     for (size_t i = 0; i < blocked_.size();) {
       const int worker = blocked_[i];
       WorkerSim& w = workers_[static_cast<size_t>(worker)];
-      if (w.evicted) {
+      if (plane_.evicted(worker)) {
         // Evicted while parked: its pull is never granted.
         blocked_.erase(blocked_.begin() + static_cast<long>(i));
         continue;
@@ -756,78 +727,28 @@ class Simulation {
         continue;
       }
       if (!ps_->EvictWorker(victim)) continue;
-      WorkerSim& w = workers_[static_cast<size_t>(victim)];
-      w.evicted = true;
-      ++workers_evicted_;
-      // The victim's shard (borrowed examples included) is spread by the
-      // failover below; its ledger entries can never be repaid.
-      if (lb_ != nullptr) lb_->OnWorkerEvicted(victim);
-      FailOverShard(victim);
+      // The victim's entitlement goes to the workers still running; a
+      // killed one that is not evicted yet gets none.
+      std::vector<int> receivers;
+      for (size_t m = 0; m < workers_.size(); ++m) {
+        if (!workers_[m].killed) receivers.push_back(static_cast<int>(m));
+      }
+      plane_.Evict(victim, receivers);
       // The eviction repaired cmin; parked survivors may now pass.
       GrantBlockedPulls();
     }
     // Keep sweeping while anyone still has events to emit; once every
     // worker is done/killed/evicted the queue must be allowed to drain.
     bool anyone_active = false;
-    for (const WorkerSim& w : workers_) {
-      if (!w.done && !w.killed && !w.evicted) anyone_active = true;
+    for (size_t m = 0; m < workers_.size(); ++m) {
+      const WorkerSim& w = workers_[m];
+      if (!w.done && !w.killed && !plane_.evicted(static_cast<int>(m))) {
+        anyone_active = true;
+      }
     }
     if (anyone_active) {
       Schedule(now_ + monitor_->timeout_seconds() / 2.0,
                EventType::kHeartbeatSweep, 0, 0);
-    }
-  }
-
-  /// Spreads the evicted worker's remaining shard across the survivors
-  /// (ReassignAcross splits as evenly as possible) so every example keeps
-  /// contributing to the objective.
-  void FailOverShard(int victim) {
-    DrainCompute();
-    std::vector<DataShard*> survivors;
-    for (size_t m = 0; m < workers_.size(); ++m) {
-      const WorkerSim& s = workers_[m];
-      if (static_cast<int>(m) == victim || s.killed || s.evicted) continue;
-      survivors.push_back(workers_[m].sgd->mutable_shard());
-    }
-    const size_t moved = ReassignAcross(
-        workers_[static_cast<size_t>(victim)].sgd->mutable_shard(),
-        survivors);
-    examples_failed_over_ += static_cast<int64_t>(moved);
-    FlightRecorder::Global().Record("shard_failover", victim,
-                                    /*clock=*/-1,
-                                    static_cast<double>(moved));
-    if (moved > 0) {
-      GlobalMetrics()
-          .counter("ps.shard_reassignments")
-          ->Increment(static_cast<int64_t>(
-              std::min(survivors.size(),
-                       static_cast<size_t>(moved))));
-      HETPS_TRACE_INSTANT1("ps.shard_failover", "worker", victim);
-    }
-    HETPS_LOG(Info) << "sim failover: worker " << victim << "'s " << moved
-                    << " examples spread across " << survivors.size()
-                    << " survivors";
-  }
-
-  /// Load-balancing plane: feed the balancer this clock's timing report
-  /// and apply whatever migrations it decides. The reporter is exactly at
-  /// a clock boundary — its next RunClock sees the new shard, and SSP
-  /// admission is untouched (examples move, clocks do not). Only a
-  /// decided move drains the pool.
-  void ApplyRebalance(int worker, int clock, double clock_seconds) {
-    std::vector<size_t> sizes;
-    sizes.reserve(workers_.size());
-    for (const WorkerSim& ws : workers_) {
-      sizes.push_back(ws.sgd->shard().size());
-    }
-    const std::vector<ShardMove> moves = lb_->OnClockReport(
-        worker, clock, clock_seconds, ps_->master(), sizes);
-    if (!moves.empty()) DrainCompute();
-    for (const ShardMove& mv : moves) {
-      ReassignTail(
-          workers_[static_cast<size_t>(mv.from)].sgd->mutable_shard(),
-          workers_[static_cast<size_t>(mv.to)].sgd->mutable_shard(),
-          mv.count);
     }
   }
 
@@ -896,7 +817,7 @@ class Simulation {
 
   void HandlePullResponse(int worker) {
     WorkerSim& w = workers_[static_cast<size_t>(worker)];
-    if (w.evicted) return;
+    if (plane_.evicted(worker)) return;
     Beat(worker);
     // Unchanged partitions keep their cached values; the cache stays
     // pristine while the replica drifts under local SGD.
@@ -990,14 +911,13 @@ class Simulation {
           r.peak_live_versions, ps_->shard(p).rule().LiveVersionCount());
     }
     r.mean_staleness = ps_->shard(0).rule().ObservedMeanStaleness();
-    r.workers_evicted = workers_evicted_;
-    r.examples_failed_over = examples_failed_over_;
+    const ShardPlaneTotals moved = plane_.Totals();
+    r.workers_evicted = static_cast<int>(moved.evicted_workers.size());
+    r.examples_failed_over = moved.examples_failed_over;
     r.workers_blocked_at_end = static_cast<int>(blocked_.size());
-    if (lb_ != nullptr) {
-      r.examples_rebalanced = lb_->examples_moved();
-      r.examples_returned = lb_->examples_returned();
-      r.rebalance_migrations = lb_->migrations();
-    }
+    r.examples_rebalanced = moved.examples_rebalanced;
+    r.examples_returned = moved.examples_returned;
+    r.rebalance_migrations = moved.migrations;
     r.worker_breakdown.reserve(workers_.size());
     for (size_t m = 0; m < workers_.size(); ++m) {
       RecordBreakdown(static_cast<int>(m), workers_[m].breakdown);
@@ -1014,7 +934,8 @@ class Simulation {
   const LearningRateSchedule& schedule_;
   const LossFunction& loss_;
   const SimOptions& options_;
-  StragglerMitigation* mitigation_;
+  /// Every worker's entitlement, the move policy and the evicted flags.
+  ShardPlane plane_;
 
   std::unique_ptr<ParameterServer> ps_;
   std::vector<WorkerSim> workers_;
@@ -1023,7 +944,6 @@ class Simulation {
   ThreadPool compute_pool_;
   HistogramMetric* compute_wait_us_ =
       GlobalMetrics().histogram("sim.compute_wait_us");
-  Counter* compute_drains_ = GlobalMetrics().counter("sim.compute_drains");
   std::vector<double> server_busy_;
   std::vector<double> pair_last_arrival_;  // per (worker, server) FIFO
   Rng net_rng_{0};
@@ -1032,10 +952,6 @@ class Simulation {
   std::vector<int> blocked_;
   /// Liveness plane (nullptr when heartbeat_timeout_seconds <= 0).
   std::unique_ptr<HeartbeatMonitor> monitor_;
-  /// Load-balancing plane (nullptr when options.rebalance is false).
-  std::unique_ptr<LoadBalancer> lb_;
-  int workers_evicted_ = 0;
-  int64_t examples_failed_over_ = 0;
 
   double now_ = 0.0;
   int64_t next_seq_ = 0;

@@ -17,7 +17,6 @@
 #include "ps/partition.h"
 #include "ps/status.h"
 #include "sim/cluster_config.h"
-#include "sim/mitigation.h"
 
 namespace hetps {
 
@@ -195,9 +194,10 @@ struct SimResult {
 /// clock's start and its push. The result is bitwise the same as a
 /// serial run (DESIGN.md §6, "The simulator's compute pool").
 ///
-/// `mitigation` may be null; when set it is invoked on the event loop at
-/// every worker clock end (the FlexRR-style baseline hooks in here),
-/// after every in-flight clock has finished, so it may edit any shard.
+/// `mitigation` may be null; when set it is the run's move policy (the
+/// FlexRR-style baseline hooks in here): told every worker's clock time
+/// on the event loop, it decides moves that the run's ShardPlane applies
+/// to the entitlements each worker copies in at its next clock start.
 SimResult RunSimulation(const Dataset& dataset,
                         const ClusterConfig& cluster,
                         const ConsolidationRule& rule_proto,

@@ -65,37 +65,6 @@ TEST(SplitDataTest, RoundRobinStrides) {
   EXPECT_EQ(shards[1].example_indices, (std::vector<size_t>{1, 4, 7}));
 }
 
-TEST(ReassignFractionTest, MovesTailExamples) {
-  DataShard from;
-  from.example_indices = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
-  DataShard to;
-  to.example_indices = {100};
-  ReassignFraction(&from, &to, 0.3);
-  EXPECT_EQ(from.size(), 7u);
-  EXPECT_EQ(to.size(), 4u);
-  EXPECT_EQ(to.example_indices.back(), 9u);
-  EXPECT_EQ(from.example_indices.back(), 6u);
-}
-
-TEST(ReassignFractionTest, ZeroAndTinyFractionsAreNoOps) {
-  DataShard from;
-  from.example_indices = {0, 1, 2};
-  DataShard to;
-  ReassignFraction(&from, &to, 0.0);
-  EXPECT_EQ(from.size(), 3u);
-  ReassignFraction(&from, &to, 0.1);  // 0.1 * 3 < 1 example
-  EXPECT_EQ(from.size(), 3u);
-}
-
-TEST(ReassignFractionTest, FullFractionEmptiesShard) {
-  DataShard from;
-  from.example_indices = {0, 1};
-  DataShard to;
-  ReassignFraction(&from, &to, 1.0);
-  EXPECT_EQ(from.size(), 0u);
-  EXPECT_EQ(to.size(), 2u);
-}
-
 TEST(ReassignAcrossTest, SplitsEvenlyWithRemainderToEarlierShards) {
   DataShard from;
   from.example_indices = {0, 1, 2, 3, 4, 5, 6};

@@ -126,6 +126,30 @@ TEST(DistributedTrainerTest, RejectsNegativePushParallelism) {
   EXPECT_NE(st.message().find("push_parallelism"), std::string::npos);
 }
 
+// Out-of-range balancer knobs answer InvalidArgument naming the flag
+// instead of aborting in the LoadBalancer's checks; with rebalancing off
+// the knobs are never read.
+TEST(DistributedTrainerTest, RejectsBadBalancerOptions) {
+  DistributedTrainerOptions opts = FastOptions();
+  opts.rebalance = true;
+  opts.balancer.reassign_fraction = 2.0;
+  Status st = TrainWith(opts);
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  EXPECT_NE(st.message().find("--reassign_fraction"), std::string::npos);
+  opts.balancer = LoadBalancerOptions();
+  opts.balancer.straggler_threshold = 0.5;
+  st = TrainWith(opts);
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  EXPECT_NE(st.message().find("--straggler_threshold"), std::string::npos);
+  opts.balancer = LoadBalancerOptions();
+  opts.balancer.hysteresis = 0;
+  st = TrainWith(opts);
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  EXPECT_NE(st.message().find("--rebalance_hysteresis"), std::string::npos);
+  opts.rebalance = false;
+  EXPECT_TRUE(TrainWith(opts).ok());
+}
+
 TEST(DistributedTrainerTest, RejectsMoreWorkersThanExamples) {
   DistributedTrainerOptions opts = FastOptions();
   opts.num_workers = 401;  // DistData() has 400 examples

@@ -281,20 +281,29 @@ TEST(EventSimTest, DynSgdReportsStalenessAndMemory) {
 }
 
 TEST(EventSimTest, MitigationHookReceivesCallbacks) {
+  // The policy's returned moves land on the entitlements: after its one
+  // move every later report sees worker 0 one example lighter.
   class CountingMitigation : public StragglerMitigation {
    public:
-    void OnClockEnd(int worker, int clock, double clock_seconds,
-                    Master* master,
-                    std::vector<LocalWorkerSgd*>* workers) override {
+    std::vector<ShardMove> OnClockReport(
+        int worker, int clock, double clock_seconds, Master* master,
+        const std::vector<size_t>& shard_sizes) override {
       (void)clock;
       (void)master;
       EXPECT_GE(worker, 0);
       EXPECT_GT(clock_seconds, 0.0);
-      EXPECT_EQ(workers->size(), 3u);
+      EXPECT_EQ(shard_sizes.size(), 3u);
       ++calls;
+      if (calls == 1) {
+        first_sizes = shard_sizes;
+        return {ShardMove{0, 2, 1, false}};
+      }
+      last_sizes = shard_sizes;
+      return {};
     }
-    std::string name() const override { return "counting"; }
     int calls = 0;
+    std::vector<size_t> first_sizes;
+    std::vector<size_t> last_sizes;
   };
   const Dataset d = TestData();
   ConRule rule;
@@ -304,7 +313,9 @@ TEST(EventSimTest, MitigationHookReceivesCallbacks) {
   SimOptions opts = FastOptions();
   RunSimulation(d, ClusterConfig::Homogeneous(3, 1), rule, sched, loss,
                 opts, &mitigation);
-  EXPECT_GT(mitigation.calls, 0);
+  EXPECT_GT(mitigation.calls, 1);
+  EXPECT_EQ(mitigation.first_sizes, (std::vector<size_t>{100, 100, 100}));
+  EXPECT_EQ(mitigation.last_sizes, (std::vector<size_t>{99, 100, 101}));
 }
 
 TEST(EventSimTest, CongestionEpisodesSlowTheRunDeterministically) {
@@ -566,8 +577,9 @@ TEST(EventSimStatusTest, SnapshotSeesEvictionAndLoanState) {
 
 // One scenario for RepeatRunsAreBitwiseEqual. Each reaches a point where
 // the simulator's event loop meets clocks that are still computing: an
-// example move (failover, rebalance, FlexRR), a push that must wait for
-// its gradients, or a run that stops with clocks in flight.
+// example move (failover, rebalance, FlexRR) while other workers'
+// clocks run, a push that must wait for its gradients, or a run that
+// stops with clocks in flight.
 struct RepeatCase {
   const char* name;
   ClusterConfig cluster;
@@ -763,22 +775,16 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.name);
     });
 
-// sim.compute_drains counts the example moves that met clocks in flight:
-// every case that moves examples drains, the others never do. Every push
-// send records one sim.compute_wait_us sample.
-TEST(EventSimComputePoolTest, ExampleMovesDrainInFlightClocks) {
-  Counter* drains = GlobalMetrics().counter("sim.compute_drains");
+// Every push send joins its clock on the compute pool and records one
+// sim.compute_wait_us sample. Example moves never wait for the pool:
+// they edit entitlements, and each worker copies its own in at its next
+// clock start.
+TEST(EventSimComputePoolTest, EveryPushSendJoinsItsClock) {
   HistogramMetric* waits = GlobalMetrics().histogram("sim.compute_wait_us");
   for (const RepeatCase& c : RepeatCases()) {
     SCOPED_TRACE(c.name);
-    const int64_t drains_before = drains->value();
     const int64_t waits_before = waits->count();
     const SimResult r = RunRepeatCase(TestData(c.num_examples), c);
-    if (c.flexrr || c.options.rebalance || c.options.kill_worker >= 0) {
-      EXPECT_GT(drains->value(), drains_before);
-    } else {
-      EXPECT_EQ(drains->value(), drains_before);
-    }
     if (!c.options.stop_on_convergence) {
       // Every send's last piece lands before the queue runs dry.
       EXPECT_EQ(waits->count() - waits_before, r.total_pushes);
