@@ -1,5 +1,5 @@
-// Compute-kernel trajectory bench — the PR-4 acceptance numbers for the
-// runtime-dispatched kernel library (DESIGN.md §9), measured at two
+// Compute-kernel bench for the runtime-dispatched kernel library and
+// the trainer clock built on it (DESIGN.md §9), measured at three
 // layers:
 //
 //   1. "kernels": per-kernel GB/s for the scalar reference table vs. the
@@ -14,6 +14,9 @@
 //      (dense O(dim) gradient fills + FromDense emission) on a sparse
 //      high-dimensional shard — the algorithmic win, independent of ISA.
 //      Acceptance: >= 3x clocks/sec.
+//   3. "run_clock": LocalWorkerSgd::RunClock ns per nonzero (median of
+//      5 repetitions) on one worker's shard of the three perfbench
+//      workloads' data shapes. Recorded, not gated.
 //
 // Writes BENCH_kernels.json (argv[1] overrides the path) through
 // BenchReport (schema hetps.bench.v2); CI's kernels-smoke job uploads it
@@ -332,6 +335,61 @@ E2eResult RunE2e() {
   return result;
 }
 
+// --------------------------------------------------------------------
+// Layer 3: the clock's cost per nonzero on the perfbench data shapes.
+// --------------------------------------------------------------------
+
+struct ClockShape {
+  const char* name;
+  SyntheticConfig config;
+  size_t workers;  // the shard is 1/workers of the examples
+  double rate;
+};
+
+/// The data of perfbench's sim-hetero, rpc-narrow and inproc-wide
+/// workloads: the preset pool, shuffled by its own seed and split
+/// contiguously, of which worker 0's shard is timed.
+std::vector<ClockShape> ClockShapes() {
+  SyntheticConfig wide = CtrLikeConfig(1.0);
+  wide.num_features = 500000;
+  return {{"url_16", UrlLikeConfig(8.0), 16, 2.0},
+          {"ctr_3", CtrLikeConfig(0.25), 3, 0.3},
+          {"ctr_wide_4", wide, 4, 0.3}};
+}
+
+/// RunClock's wall time per processed nonzero, in ns: the median of 5
+/// repetitions of enough clocks for ~4M nonzeros each, after 3 warm-up
+/// clocks. The replica keeps training across repetitions.
+double RunClockNsPerNnz(const ClockShape& shape) {
+  Dataset pool = GenerateSynthetic(shape.config);
+  Rng pool_rng(shape.config.seed);
+  pool.Shuffle(&pool_rng);
+  const DataShard shard = SplitData(pool.size(), shape.workers,
+                                    ShardingPolicy::kContiguous)[0];
+  LogisticLoss loss;
+  FixedRate schedule(shape.rate);
+  LocalWorkerSgd::Options options;
+  options.batch_size = LocalWorkerSgd::BatchSizeForFraction(shard.size(), 0.1);
+  LocalWorkerSgd sgd(&pool, shard, &loss, &schedule, options);
+  std::vector<double> replica(static_cast<size_t>(pool.dimension()), 0.0);
+  SparseVector update;
+  int clock = 0;
+  for (; clock < 3; ++clock) sgd.RunClock(clock, &replica, &update);
+  const size_t nnz = std::max<size_t>(1, sgd.ShardNnz());
+  const int clocks = static_cast<int>((4000000 + nnz - 1) / nnz);
+  std::vector<double> reps;
+  for (int r = 0; r < 5; ++r) {
+    const Stopwatch watch;
+    for (int c = 0; c < clocks; ++c, ++clock) {
+      sgd.RunClock(clock, &replica, &update);
+    }
+    reps.push_back(watch.ElapsedSeconds() * 1e9 /
+                   (static_cast<double>(clocks) * static_cast<double>(nnz)));
+  }
+  std::sort(reps.begin(), reps.end());
+  return reps[reps.size() / 2];
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -383,6 +441,18 @@ int main(int argc, char** argv) {
       1 << 21, e2e_table.ToString().c_str(), e2e.speedup(),
       e2e.max_update_abs_diff);
 
+  // --- 3. RunClock per nonzero on the perfbench data shapes ----------
+  TextTable clock_table({"shape", "ns/nnz"});
+  std::vector<std::pair<std::string, double>> clock_costs;
+  for (const ClockShape& shape : ClockShapes()) {
+    clock_costs.emplace_back(shape.name, RunClockNsPerNnz(shape));
+    clock_table.AddRow({shape.name, Fmt(clock_costs.back().second)});
+  }
+  std::printf(
+      "=== RunClock per nonzero (one worker's shard, median of 5) "
+      "===\n%s\n",
+      clock_table.ToString().c_str());
+
   // --- BENCH_kernels.json ---------------------------------------------
   report.Set("active_isa", kernels::KernelIsaName(startup_isa));
   report.Set("avx2_supported", have_avx2);
@@ -398,6 +468,9 @@ int main(int argc, char** argv) {
              e2e.rewritten_clocks_per_sec);
   report.Set("summary.e2e_speedup", e2e.speedup());
   report.Set("summary.e2e_max_update_abs_diff", e2e.max_update_abs_diff);
+  for (const auto& [shape, ns] : clock_costs) {
+    report.Set("run_clock." + shape + ".ns_per_nnz", ns);
+  }
   report.Gate("dense_geomean_speedup", dense_geomean, GateOp::kAtLeast, 2.0,
               have_avx2 ? "" : "no AVX2+FMA on this host");
   report.Gate("e2e_speedup", e2e.speedup(), GateOp::kAtLeast, 3.0);

@@ -23,14 +23,18 @@ std::vector<ShardMove> FlexRrMitigation::OnClockReport(
   // The reporter's own inflow is now reflected in its reported time.
   pending_in_[static_cast<size_t>(worker)] = 0;
 
-  // Pick the least-loaded candidate target. Its estimate counts the
-  // examples already handed to it this round: several stragglers report
-  // within one clock, and without that they all dump on the same worker
-  // until it becomes the new straggler.
+  // Pick the least-loaded live candidate target. Its estimate counts
+  // the examples already handed to it this round: several stragglers
+  // report within one clock, and without that they all dump on the same
+  // worker until it becomes the new straggler. A dead worker's frozen
+  // clock time and emptied shard would make it look the least loaded.
   int target = -1;
   double target_time = 0.0;
   for (size_t m = 0; m < shard_sizes.size(); ++m) {
-    if (static_cast<int>(m) == worker) continue;
+    if (static_cast<int>(m) == worker ||
+        !master->IsWorkerLive(static_cast<int>(m))) {
+      continue;
+    }
     const double t = EstimateClockSeconds(
         master->LastClockTime(static_cast<int>(m)), shard_sizes[m],
         pending_in_[m]);

@@ -1,6 +1,7 @@
 #include "core/sgd_compute.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -20,6 +21,54 @@ int64_t MicrosSince(SteadyClock::time_point start) {
       .count();
 }
 
+// Radix-sort digits are at most this wide: 2^11 counters fit in L1, and
+// two passes cover every key of a model up to 4M coordinates.
+constexpr int kMaxRadixBits = 11;
+
+// One stable counting-sort pass of `in` into `out` on the digit
+// (key >> shift) & mask.
+template <typename Src, typename Dst>
+void RadixPass(const Src* in, size_t n, int shift, uint64_t mask,
+               Dst* out) {
+  size_t count[(size_t{1} << kMaxRadixBits) + 1];
+  std::fill(count, count + mask + 2, size_t{0});
+  for (size_t i = 0; i < n; ++i) {
+    ++count[((static_cast<uint64_t>(in[i]) >> shift) & mask) + 1];
+  }
+  for (size_t d = 1; d <= mask; ++d) count[d] += count[d - 1];
+  for (size_t i = 0; i < n; ++i) {
+    out[count[(static_cast<uint64_t>(in[i]) >> shift) & mask]++] =
+        static_cast<Dst>(in[i]);
+  }
+}
+
+// LSD radix sort of distinct keys in [0, dim), dim <= 2^32: as many
+// passes as dim's bit width needs at kMaxRadixBits per digit, the bits
+// split evenly between them. Linear in the keys, never O(dim). The
+// passes alternate through the 32-bit `scratch` and end in `keys`.
+void RadixSortKeys(size_t dim, std::vector<int64_t>* keys,
+                   std::vector<uint32_t>* scratch) {
+  const size_t n = keys->size();
+  if (n < 2) return;
+  const int bits = static_cast<int>(std::bit_width(uint64_t{dim - 1}));
+  const int passes = (bits + kMaxRadixBits - 1) / kMaxRadixBits;
+  const int width = (bits + passes - 1) / passes;
+  const uint64_t mask = (uint64_t{1} << width) - 1;
+  if (scratch->size() < n) scratch->resize(n);
+  int64_t* const k = keys->data();
+  uint32_t* const s = scratch->data();
+  int p = 0;
+  if (passes % 2 == 1) {
+    std::copy(k, k + n, s);
+    RadixPass(s, n, 0, mask, k);
+    p = 1;
+  }
+  for (; p < passes; p += 2) {
+    RadixPass(k, n, p * width, mask, s);
+    RadixPass(s, n, (p + 1) * width, mask, k);
+  }
+}
+
 }  // namespace
 
 LocalWorkerSgd::LocalWorkerSgd(const Dataset* dataset, DataShard shard,
@@ -36,6 +85,8 @@ LocalWorkerSgd::LocalWorkerSgd(const Dataset* dataset, DataShard shard,
   HETPS_CHECK(schedule != nullptr) << "null learning-rate schedule";
   HETPS_CHECK(options_.batch_size > 0) << "batch_size must be positive";
   dim_ = static_cast<size_t>(dataset->dimension());
+  HETPS_CHECK(dim_ <= (size_t{1} << 32))
+      << "model dimension exceeds 32-bit touched-list keys";
   // Buffers are allocated lazily in EnsureBuffers(): constructing a
   // worker (FlexRR builds many) no longer zero-fills 2x dim doubles.
   MetricsRegistry& metrics = GlobalMetrics();
@@ -52,20 +103,9 @@ void LocalWorkerSgd::EnsureBuffers() {
   if (update_buffer_.size() == dim_) return;
   update_buffer_.assign(dim_, 0.0);
   batch_grad_.assign(dim_, 0.0);
-  batch_stamp_.assign(dim_, 0);
   clock_stamp_.assign(dim_, 0);
   occ_.assign(dim_, 0);
-  batch_epoch_ = 0;
   clock_epoch_ = 0;
-}
-
-void LocalWorkerSgd::BumpEpoch(uint32_t* epoch,
-                               std::vector<uint32_t>* stamps) {
-  if (*epoch == std::numeric_limits<uint32_t>::max()) {
-    std::fill(stamps->begin(), stamps->end(), 0);
-    *epoch = 0;
-  }
-  ++*epoch;
 }
 
 LocalWorkerSgd::ClockStats LocalWorkerSgd::RunClock(
@@ -75,16 +115,20 @@ LocalWorkerSgd::ClockStats LocalWorkerSgd::RunClock(
   const double eta = schedule_->Rate(clock);
   const double l2 = options_.l2;
   ClockStats stats;
-  double loss_sum = 0.0;
 
   double* const rep = replica->data();
   double* const grad = batch_grad_.data();
   double* const upd = update_buffer_.data();
-  uint32_t* const bstamp = batch_stamp_.data();
   uint32_t* const cstamp = clock_stamp_.data();
   uint32_t* const occ = occ_.data();
 
-  BumpEpoch(&clock_epoch_, &clock_stamp_);
+  // Clock membership is epoch-stamped; the (effectively unreachable)
+  // uint32 wraparound re-clears the stamps.
+  if (clock_epoch_ == std::numeric_limits<uint32_t>::max()) {
+    std::fill(clock_stamp_.begin(), clock_stamp_.end(), 0);
+    clock_epoch_ = 0;
+  }
+  const uint32_t ce = ++clock_epoch_;
   clock_touched_.clear();
 
   const auto& indices = shard_.example_indices;
@@ -94,15 +138,26 @@ LocalWorkerSgd::ClockStats LocalWorkerSgd::RunClock(
         std::min(pos + options_.batch_size, indices.size());
     const size_t b = batch_end - pos;
     const double inv_b = 1.0 / static_cast<double>(b);
-    BumpEpoch(&batch_epoch_, &batch_stamp_);
-    const uint32_t be = batch_epoch_;
-    batch_touched_.clear();
+
+    // The batch's touched list never holds more than min(batch nnz, dim)
+    // coordinates; one more slot takes the branch-free append's write
+    // past the last kept entry.
+    size_t batch_nnz = 0;
+    for (size_t k = pos; k < batch_end; ++k) {
+      batch_nnz += dataset_->example(indices[k]).features.nnz();
+    }
+    const size_t slots = std::min(batch_nnz, dim_) + 1;
+    if (batch_touched_.size() < slots) batch_touched_.resize(slots);
+    uint32_t* const bt = batch_touched_.data();
+    size_t n = 0;
 
     // Gather leg: one gather-dot per example for the margin, then a
-    // fused scatter that accumulates the scaled gradient and records
-    // batch first-touches + occurrence counts in one pass over the
-    // example's support. (Occurrences are counted even when the margin
-    // gradient is zero: lazy L2 decays every active coordinate.)
+    // fused scatter that accumulates the scaled gradient and counts
+    // occurrences in one pass over the example's support. occ[j] == 0
+    // marks a batch first-touch (the scatter leg re-zeroes every count
+    // it reads), and the append writes unconditionally and only keeps
+    // the slot on a first touch. Occurrences are counted even when the
+    // margin gradient is zero: lazy L2 decays every active coordinate.
     const SteadyClock::time_point gather_start = SteadyClock::now();
     for (size_t k = pos; k < batch_end; ++k) {
       const Example& ex = dataset_->example(indices[k]);
@@ -119,30 +174,21 @@ LocalWorkerSgd::ClockStats LocalWorkerSgd::RunClock(
       if (g != 0.0) {
         for (size_t i = 0; i < nnz; ++i) {
           const size_t j = static_cast<size_t>(idx[i]);
-          if (bstamp[j] != be) {
-            bstamp[j] = be;
-            occ[j] = 1;
-            batch_touched_.push_back(idx[i]);
-          } else {
-            ++occ[j];
-          }
+          bt[n] = static_cast<uint32_t>(j);
+          n += occ[j] == 0;
+          ++occ[j];
           grad[j] += s * val[i];
         }
       } else {
         for (size_t i = 0; i < nnz; ++i) {
           const size_t j = static_cast<size_t>(idx[i]);
-          if (bstamp[j] != be) {
-            bstamp[j] = be;
-            occ[j] = 1;
-            batch_touched_.push_back(idx[i]);
-          } else {
-            ++occ[j];
-          }
+          bt[n] = static_cast<uint32_t>(j);
+          n += occ[j] == 0;
+          ++occ[j];
         }
       }
-      loss_sum += loss_->Loss(margin, ex.label);
-      stats.nnz_processed += nnz;
     }
+    stats.nnz_processed += batch_nnz;
     if (gather_us_ != nullptr) {
       gather_us_->RecordInt(MicrosSince(gather_start));
     }
@@ -154,11 +200,11 @@ LocalWorkerSgd::ClockStats LocalWorkerSgd::RunClock(
     // then a single consume-once application), so scalar-forced runs
     // reproduce the pre-kernel trainer bitwise.
     const SteadyClock::time_point scatter_start = SteadyClock::now();
-    const uint32_t ce = clock_epoch_;
-    for (const int64_t tj : batch_touched_) {
-      const size_t j = static_cast<size_t>(tj);
+    for (size_t t = 0; t < n; ++t) {
+      const size_t j = static_cast<size_t>(bt[t]);
       const double c = l2 * rep[j] * inv_b;
-      for (uint32_t t = occ[j]; t > 0; --t) grad[j] += c;
+      for (uint32_t r = occ[j]; r > 0; --r) grad[j] += c;
+      occ[j] = 0;
       const double g = grad[j];
       if (g != 0.0) {
         rep[j] -= eta * g;
@@ -167,7 +213,7 @@ LocalWorkerSgd::ClockStats LocalWorkerSgd::RunClock(
         ++stats.buffer_reset_writes;
         if (cstamp[j] != ce) {
           cstamp[j] = ce;
-          clock_touched_.push_back(tj);
+          clock_touched_.push_back(static_cast<int64_t>(j));
         }
       }
     }
@@ -182,9 +228,10 @@ LocalWorkerSgd::ClockStats LocalWorkerSgd::RunClock(
 
   // Emit the clock's update straight from the touched list (sorted so
   // the SparseVector invariant holds) and reset update_buffer_ on the
-  // way out — O(t log t) for t touched coordinates, replacing the old
-  // O(dim) FromDense scan + O(dim) fill.
-  std::sort(clock_touched_.begin(), clock_touched_.end());
+  // way out — linear in the t touched coordinates, replacing the old
+  // O(dim) FromDense scan + O(dim) fill. The batch list is free once
+  // the last batch is applied, so it lends the sort its scratch.
+  RadixSortKeys(dim_, &clock_touched_, &batch_touched_);
   std::vector<int64_t> out_idx;
   std::vector<double> out_val;
   out_idx.reserve(clock_touched_.size());
@@ -201,11 +248,6 @@ LocalWorkerSgd::ClockStats LocalWorkerSgd::RunClock(
   }
   stats.coords_touched = clock_touched_.size();
   *update = SparseVector(std::move(out_idx), std::move(out_val));
-
-  stats.mean_loss = stats.examples_processed
-                        ? loss_sum /
-                              static_cast<double>(stats.examples_processed)
-                        : 0.0;
   return stats;
 }
 

@@ -29,10 +29,11 @@ class BucketedHistogram;
 /// margin and one fused scatter that accumulates the gradient while
 /// recording first-touches in a *touched-coordinate list*. Batch-local
 /// L2, the replica/update application, scratch-buffer resets and the
-/// end-of-clock sparse emission all walk that list, so per-clock work is
-/// O(shard nnz log nnz), never O(model dimension). The dense scratch
-/// buffers are allocated once (lazily, 64-byte aligned) and kept
-/// all-zero between clocks via touched-list resets.
+/// end-of-clock sparse emission (a radix sort of the clock's touched
+/// keys) all walk that list, so per-clock work is O(shard nnz), never
+/// O(model dimension). The dense scratch buffers are allocated once
+/// (lazily, 64-byte aligned) and kept all-zero between clocks via
+/// touched-list resets.
 class LocalWorkerSgd {
  public:
   struct Options {
@@ -56,9 +57,6 @@ class LocalWorkerSgd {
     /// implementation paid O(dimension) per batch. Tested in
     /// tests/core/sgd_compute_test.cc (work must not scale with dim).
     size_t buffer_reset_writes = 0;
-    /// Mean per-example loss observed during the clock (on the evolving
-    /// replica; a cheap convergence signal).
-    double mean_loss = 0.0;
   };
 
   LocalWorkerSgd(const Dataset* dataset, DataShard shard,
@@ -96,13 +94,9 @@ class LocalWorkerSgd {
   static size_t BatchSizeForFraction(size_t shard_size, double fraction);
 
  private:
-  /// Lazily sizes the dense scratch + stamp arrays (one-time O(dim)
-  /// allocation; per-clock work stays O(nnz)).
+  /// Lazily sizes the dense scratch, stamp and count arrays (one-time
+  /// O(dim) allocation; per-clock work stays O(nnz)).
   void EnsureBuffers();
-
-  /// Advances an epoch counter, re-clearing its stamp array on the
-  /// (effectively unreachable) uint32 wraparound.
-  static void BumpEpoch(uint32_t* epoch, std::vector<uint32_t>* stamps);
 
   const Dataset* dataset_;
   DataShard shard_;
@@ -118,15 +112,21 @@ class LocalWorkerSgd {
   kernels::AlignedVector update_buffer_;
   kernels::AlignedVector batch_grad_;
 
-  // Epoch-stamped touched-coordinate tracking: stamp[j] == current epoch
-  // iff coordinate j was already seen this batch/clock. O(1) membership
-  // without per-batch clearing.
-  std::vector<uint32_t> batch_stamp_;
+  // Touched-coordinate tracking. Batch membership is the occurrence
+  // count itself: occ_[j] != 0 iff coordinate j was already seen this
+  // batch, and the scatter leg re-zeroes every count it reads, so occ_
+  // is all-zero between batches. Clock membership is epoch-stamped:
+  // clock_stamp_[j] == clock_epoch_ iff j was written this clock, O(1)
+  // without per-clock clearing.
+  std::vector<uint32_t> occ_;
   std::vector<uint32_t> clock_stamp_;
-  std::vector<uint32_t> occ_;  // per-batch occurrence counts
-  uint32_t batch_epoch_ = 0;
   uint32_t clock_epoch_ = 0;
-  std::vector<int64_t> batch_touched_;  // first-occurrence order
+  // First-occurrence order; sized by the largest batch's nonzeros plus
+  // one slot for the branch-free append, never by the model dimension.
+  // It also serves as the radix sort's scratch (one slot per touched
+  // key of the clock). Keys are 32-bit (the constructor checks
+  // dim <= 2^32), so it never outgrows one 32-bit stamp array.
+  std::vector<uint32_t> batch_touched_;
   std::vector<int64_t> clock_touched_;
 
   // Obs plane (may be null when metrics are disabled in tests).

@@ -44,6 +44,9 @@ void ShardPlane::OnClockReport(int worker, int clock, double seconds,
        policy_->OnClockReport(worker, clock, seconds, master, sizes)) {
     const size_t from = Index(mv.from);
     const size_t to = Index(mv.to);
+    // An evicted worker computes nothing it receives, and what it held
+    // has failed over already.
+    if (evicted_[from] || evicted_[to]) continue;
     if (ReassignTail(&entitlements_[from], &entitlements_[to], mv.count)) {
       ++generation_[from];
       ++generation_[to];

@@ -41,7 +41,8 @@ class ShardPlane {
 
   /// Feeds worker `worker`'s compute time for `clock` to the policy
   /// (after Master::ReportClockTime) and applies the returned moves with
-  /// ReassignTail, each to what the previous one left.
+  /// ReassignTail, each to what the previous one left. A move whose
+  /// source or target the plane has evicted is dropped.
   void OnClockReport(int worker, int clock, double seconds,
                      Master* master);
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "baselines/flexrr.h"
 #include "core/consolidation.h"
 #include "core/learning_rate.h"
 #include "data/synthetic.h"
@@ -133,6 +134,66 @@ TEST(ShardPlaneTest, PolicyMovesLandAsTails) {
   plane.OnClockReport(1, 1, 1.0, &master);
   EXPECT_EQ(plane.entitlement(0).example_indices, (Indices{0, 1, 10}));
   EXPECT_TRUE(plane.entitlement(1).example_indices.empty());
+}
+
+Indices Range(size_t begin, size_t end) {
+  Indices out;
+  for (size_t i = begin; i < end; ++i) out.push_back(i);
+  return out;
+}
+
+TEST(ShardPlaneTest, FlexRrNeverMovesExamplesOntoAnEvictedWorker) {
+  Master master(1, 3);
+  FlexRrMitigation::Options opts;
+  opts.reassign_fraction = 0.1;
+  FlexRrMitigation flexrr(opts);
+  ShardPlane plane({Shard(Range(0, 100)), Shard(Range(100, 200)),
+                    Shard(Range(200, 300))},
+                   nullptr, &flexrr);
+  // Worker 1 is the fastest, but not by enough to move anything.
+  const double times[] = {1.0, 0.9, 1.0};
+  for (int m = 0; m < 3; ++m) {
+    master.ReportClockTime(m, times[m]);
+    plane.OnClockReport(m, 0, times[m], &master);
+  }
+  EXPECT_EQ(plane.entitlement(1).size(), 100u);
+
+  // Worker 1 dies. Its last clock time stays frozen and its entitlement
+  // is now empty, which EstimateClockSeconds reads as lightly loaded:
+  // it would rank first as the target of the next straggler's move.
+  master.MarkWorkerDead(1);
+  EXPECT_EQ(plane.Evict(1, {0, 1, 2}), 100u);
+  master.ReportClockTime(0, 3.0);
+  plane.OnClockReport(0, 1, 3.0, &master);
+
+  EXPECT_TRUE(plane.entitlement(1).example_indices.empty());
+  // The straggler's move goes to the live worker instead.
+  EXPECT_EQ(plane.entitlement(0).size(), 135u);
+  EXPECT_EQ(plane.entitlement(2).size(), 165u);
+  Indices all;
+  for (int m = 0; m < 3; ++m) {
+    const Indices e = plane.entitlement(m).example_indices;
+    all.insert(all.end(), e.begin(), e.end());
+  }
+  std::sort(all.begin(), all.end());
+  EXPECT_EQ(all, Range(0, 300));  // every example exactly once
+}
+
+TEST(ShardPlaneTest, DropsMovesThatTouchAnEvictedWorker) {
+  Master master(1, 3);
+  ScriptedPolicy policy;
+  ShardPlane plane({Shard({0, 1, 2, 3}), Shard({10, 11}), Shard({20})},
+                   nullptr, &policy);
+  EXPECT_EQ(plane.Evict(2, {1}), 1u);
+  // Onto the victim, off the victim, then one between live workers.
+  policy.next_moves = {ShardMove{0, 2, 2, false},
+                       ShardMove{2, 1, 1, true},
+                       ShardMove{0, 1, 1, false}};
+  plane.OnClockReport(0, 0, 1.0, &master);
+  EXPECT_EQ(plane.entitlement(0).example_indices, (Indices{0, 1, 2}));
+  EXPECT_EQ(plane.entitlement(1).example_indices,
+            (Indices{10, 11, 20, 3}));
+  EXPECT_TRUE(plane.entitlement(2).example_indices.empty());
 }
 
 TEST(ShardPlaneTest, RefreshCopiesOnlyAfterTheGenerationChanged) {
