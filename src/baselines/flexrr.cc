@@ -13,7 +13,7 @@ FlexRrMitigation::FlexRrMitigation(Options options) : options_(options) {
 }
 
 std::vector<ShardMove> FlexRrMitigation::OnClockReport(
-    int worker, int clock, double clock_seconds, Master* master,
+    int worker, int clock, const std::vector<double>& clock_seconds,
     const std::vector<size_t>& shard_sizes) {
   (void)clock;
   std::vector<ShardMove> moves;
@@ -23,21 +23,16 @@ std::vector<ShardMove> FlexRrMitigation::OnClockReport(
   // The reporter's own inflow is now reflected in its reported time.
   pending_in_[static_cast<size_t>(worker)] = 0;
 
-  // Pick the least-loaded live candidate target. Its estimate counts
-  // the examples already handed to it this round: several stragglers
-  // report within one clock, and without that they all dump on the same
-  // worker until it becomes the new straggler. A dead worker's frozen
-  // clock time and emptied shard would make it look the least loaded.
+  // Pick the least-loaded candidate target. Its estimate counts the
+  // examples already handed to it this round: several stragglers report
+  // within one clock, and without that they all dump on the same worker
+  // until it becomes the new straggler.
   int target = -1;
   double target_time = 0.0;
   for (size_t m = 0; m < shard_sizes.size(); ++m) {
-    if (static_cast<int>(m) == worker ||
-        !master->IsWorkerLive(static_cast<int>(m))) {
-      continue;
-    }
-    const double t = EstimateClockSeconds(
-        master->LastClockTime(static_cast<int>(m)), shard_sizes[m],
-        pending_in_[m]);
+    if (static_cast<int>(m) == worker) continue;
+    const double t =
+        EstimateClockSeconds(clock_seconds[m], shard_sizes[m], pending_in_[m]);
     if (t <= 0.0) continue;  // unknown speed
     if (target < 0 || t < target_time) {
       target = static_cast<int>(m);
@@ -47,7 +42,8 @@ std::vector<ShardMove> FlexRrMitigation::OnClockReport(
   if (target < 0) return moves;
   // Move only if this worker is a straggler relative to the target's
   // estimated load (FlexRR's ">20% slower" rule).
-  if (clock_seconds <= options_.straggler_threshold * target_time) {
+  if (clock_seconds[static_cast<size_t>(worker)] <=
+      options_.straggler_threshold * target_time) {
     return moves;
   }
 

@@ -28,12 +28,11 @@ class FlexRrMitigation final : public StragglerMitigation {
   explicit FlexRrMitigation(Options options);
 
   /// At most one move off `worker`'s tail: the fraction of its shard,
-  /// capped so `min_shard_size` examples stay, to the live candidate
-  /// (Master::IsWorkerLive) with the least estimated load
-  /// (EstimateClockSeconds over its last clock time and the examples
-  /// handed to it since).
+  /// capped so `min_shard_size` examples stay, to the candidate with the
+  /// least estimated load (EstimateClockSeconds over its last clock time
+  /// and the examples handed to it since; an unknown time rules it out).
   std::vector<ShardMove> OnClockReport(
-      int worker, int clock, double clock_seconds, Master* master,
+      int worker, int clock, const std::vector<double>& clock_seconds,
       const std::vector<size_t>& shard_sizes) override;
 
   /// Total examples moved so far (observability for tests/benches).

@@ -10,11 +10,6 @@ void ConsolidationRule::OnPull(int worker, int cmax) {
   (void)cmax;
 }
 
-void ConsolidationRule::OnWorkerReadmitted(int worker, int clock) {
-  (void)worker;
-  (void)clock;
-}
-
 std::vector<double> ConsolidationRule::Materialize(
     const ParamBlock& w) const {
   return w.ToDense();

@@ -37,15 +37,6 @@ class ConsolidationRule {
   /// (Algorithm 2 line 18 stamps V(m) <- cmax).
   virtual void OnPull(int worker, int cmax);
 
-  /// Called when `worker` rejoins the cluster at `clock` (liveness-plane
-  /// readmission). Version-tracking rules must rebase V(m) here: the
-  /// rejoiner's pre-eviction version belongs to a dead timing regime, and
-  /// a stale-high V(m) lets the all-worker version minimum run past the
-  /// clock the rejoiner was actually admitted at — evicting the very
-  /// version its next push is stamped with, which aborts the server.
-  /// Single-version rules need no bookkeeping (default no-op).
-  virtual void OnWorkerReadmitted(int worker, int clock);
-
   /// Dense snapshot of the current global parameter. Rules that defer
   /// applying updates (DynSGD's partition-sync mode) add their active
   /// versions here.

@@ -84,23 +84,6 @@ void DynSgdRule::OnPush(int worker, int clock, const SparseVector& update,
   MaybeEvict(w);
 }
 
-void DynSgdRule::OnWorkerReadmitted(int worker, int clock) {
-  HETPS_CHECK(worker >= 0 &&
-              static_cast<size_t>(worker) < worker_version_.size())
-      << "worker id out of range";
-  if (options_.version_mode == VersionMode::kClockAligned) {
-    // Readmission admits at clock >= cmin and MaybeEvict only ever folds
-    // versions that every worker's V(m) has passed — which, with live
-    // V(m) tracking the clock table, stays below cmin. So `clock`'s
-    // version is still live here and the rejoiner's next push is safe.
-    worker_version_[static_cast<size_t>(worker)] = clock;
-  } else {
-    // Algorithm 2: rebase on the newest version, exactly as the
-    // rejoiner's first pull would (line 18).
-    worker_version_[static_cast<size_t>(worker)] = next_version_;
-  }
-}
-
 void DynSgdRule::OnPull(int worker, int cmax) {
   (void)cmax;
   HETPS_CHECK(worker >= 0 &&

@@ -72,7 +72,6 @@ class DynSgdRule final : public ConsolidationRule {
   void OnPush(int worker, int clock, const SparseVector& update,
               ParamBlock* w) override;
   void OnPull(int worker, int cmax) override;
-  void OnWorkerReadmitted(int worker, int clock) override;
   std::vector<double> Materialize(const ParamBlock& w) const override;
   std::vector<double> MaterializeAtVersion(const ParamBlock& w,
                                            int64_t version) const override;

@@ -132,28 +132,4 @@ bool ClockTable::EvictWorker(int worker) {
   return AdvanceCmin();
 }
 
-ClockTable::ReadmitResult ClockTable::ReadmitWorker(int worker,
-                                                    int clock) {
-  HETPS_CHECK(worker >= 0 && worker < num_workers())
-      << "worker id out of range";
-  if (live_[static_cast<size_t>(worker)] != 0) {
-    return ReadmitResult::kAlreadyLive;
-  }
-  if (clock < cmin_) {
-    // A rejoin behind cmin would move cmin backwards and invalidate SSP
-    // admission decisions already taken against it. The clock is
-    // client-controlled input (it arrives over the kReadmit RPC), so
-    // reject — never abort the server process.
-    HETPS_LOG(Warning) << "ClockTable: rejected readmission of worker "
-                       << worker << " at clock " << clock
-                       << " behind cmin " << cmin_;
-    return ReadmitResult::kBehindCmin;
-  }
-  live_[static_cast<size_t>(worker)] = 1;
-  ++num_live_;
-  clocks_[static_cast<size_t>(worker)] = clock;
-  if (clock > cmax_) cmax_ = clock;
-  return ReadmitResult::kReadmitted;
-}
-
 }  // namespace hetps

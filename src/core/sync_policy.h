@@ -51,8 +51,9 @@ struct SyncPolicy {
 /// bookkeeping of Algorithms 1 and 2 — over a *live membership set*. A
 /// dead worker would otherwise pin cmin forever and deadlock every SSP
 /// admission wait; EvictWorker removes it from the cmin computation so
-/// the gate can repair itself, and ReadmitWorker lets a recovered worker
-/// rejoin without violating monotonicity.
+/// the gate can repair itself. Within a run the set only ever shrinks:
+/// nothing re-adds an evicted worker (only Restore, which starts a run
+/// over from a checkpoint, fills it again).
 class ClockTable {
  public:
   explicit ClockTable(int num_workers);
@@ -82,24 +83,6 @@ class ClockTable {
   /// false, as is evicting the last live worker (an empty membership set
   /// has no meaningful cmin — the table is left untouched).
   bool EvictWorker(int worker);
-
-  /// Outcome of ReadmitWorker. kBehindCmin and kAlreadyLive are
-  /// *rejections*, not crashes: a rejoin request is client-controlled
-  /// input, so the RPC layer maps them to FailedPrecondition (mirroring
-  /// how evicted senders are rejected) instead of killing the server.
-  enum class ReadmitResult {
-    kReadmitted,
-    kAlreadyLive,
-    kBehindCmin,
-  };
-
-  /// Re-adds an evicted worker as of `clock` finished clocks. `clock`
-  /// must be >= cmin() — a rejoining worker pulls current state before
-  /// resuming work, so it re-enters at the frontier, never behind it
-  /// (cmin is monotone). A rejoin behind cmin is rejected
-  /// (kBehindCmin) and leaves the table untouched, as does readmitting
-  /// an already-live worker (kAlreadyLive).
-  ReadmitResult ReadmitWorker(int worker, int clock);
 
   bool is_live(int worker) const {
     return live_[static_cast<size_t>(worker)] != 0;

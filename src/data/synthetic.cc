@@ -50,6 +50,13 @@ Dataset GenerateSynthetic(const SyntheticConfig& config) {
       size_t nnz = static_cast<size_t>(std::max(
           1.0, static_cast<double>(config.avg_nnz) * (1.0 + jitter)));
       nnz = std::min(nnz, static_cast<size_t>(config.num_features));
+      // Rng::NextZipf never draws the last index, so a skewed row can
+      // hold at most num_features - 1 distinct features; asking for all
+      // of them would never finish. Rows below the cap draw exactly as
+      // before.
+      if (config.feature_skew > 0.0 && config.num_features > 1) {
+        nnz = std::min(nnz, static_cast<size_t>(config.num_features - 1));
+      }
       while (picked.size() < nnz) {
         int64_t idx;
         if (config.feature_skew > 0.0) {

@@ -59,16 +59,13 @@ Result<DistributedTrainResult> TrainDistributed(
   for (int m = 0; m < options.num_workers; ++m) {
     workloads.push_back(std::make_unique<SgdWorkload>(loop, m));
   }
-  ShardPlane plane(loop.shards,
+  ShardPlane plane(&ps, loop.shards,
                    options.rebalance ? &options.balancer : nullptr);
   PsServiceOptions svc_opts;
-  if (options.rebalance) {
-    // Runs on the service loop after the master's straggler statistics
-    // absorbed the report.
-    svc_opts.on_clock_report = [&](int worker, int clock, double seconds) {
-      plane.OnClockReport(worker, clock, seconds, ps.master());
-    };
-  }
+  // Workers report their clock times only with rebalancing on.
+  svc_opts.on_clock_report = [&](int worker, int clock, double seconds) {
+    plane.OnClockReport(worker, clock, seconds);
+  };
   svc_opts.liveness.heartbeat_timeout_seconds =
       options.heartbeat_timeout_seconds;
   svc_opts.liveness.evict_dead_workers = options.evict_dead_workers;
@@ -102,7 +99,7 @@ Result<DistributedTrainResult> TrainDistributed(
   BusPlanes planes;
   planes.faults = options.fault_plan;
   planes.liveness_now = [&service] { return service.LivenessNow(); };
-  planes.evicted = [&plane](int m) { return plane.evicted(m); };
+  planes.evicted = [&ps](int m) { return !ps.IsWorkerLive(m); };
   planes.refresh_shard = [&](int m) {
     plane.Refresh(m, workloads[static_cast<size_t>(m)]->mutable_shard());
   };

@@ -20,9 +20,9 @@ class HeartbeatMonitor {
  public:
   explicit HeartbeatMonitor(double timeout_seconds);
 
-  /// Registers a node; it starts alive as of `now`. Membership changes
-  /// only ever happen through Register/Unregister — a rejoining node must
-  /// be explicitly re-registered.
+  /// Registers a node; it starts alive as of `now`. Every runtime
+  /// registers its workers once, at start, and nothing re-registers an
+  /// unregistered node, so the registrations only shrink.
   void Register(const std::string& node, double now);
 
   /// Removes a node from monitoring (evicted or deliberately departed).

@@ -62,7 +62,6 @@ constexpr struct {
     {PsOpCode::kPullDelta, "pull_delta"},
     {PsOpCode::kLayout, "layout"},
     {PsOpCode::kReportClock, "report_clock"},
-    {PsOpCode::kReadmit, "readmit"},
     {PsOpCode::kPush, "push"},
     {PsOpCode::kStatus, "status"},
     {PsOpCode::kMetricsScrape, "metrics_scrape"},
@@ -197,18 +196,12 @@ std::vector<uint8_t> PsService::Handle(const Envelope& request) {
     const int sender = ParseWorkerId(request.from);
     if (sender >= 0 && sender < ps_->num_workers() &&
         !ps_->IsWorkerLive(sender)) {
-      // kReadmit is the one opcode an evicted sender may issue — rejoin
-      // is its entire purpose. Everything else from a zombie is refused
-      // so it can never sneak state in behind the eviction's back.
-      const bool is_readmit =
-          !request.payload.empty() &&
-          request.payload[0] == static_cast<uint8_t>(PsOpCode::kReadmit);
-      if (!is_readmit) {
-        evicted_sender_rejects_->Increment();
-        return ErrorResponse(Status::FailedPrecondition(
-            "worker " + std::to_string(sender) +
-            " has been evicted (missed heartbeats)"));
-      }
+      // Everything from a zombie is refused, so it can never sneak state
+      // in behind the eviction's back.
+      evicted_sender_rejects_->Increment();
+      return ErrorResponse(Status::FailedPrecondition(
+          "worker " + std::to_string(sender) +
+          " has been evicted (missed heartbeats)"));
     }
   }
   request_bytes_->RecordInt(static_cast<int64_t>(request.payload.size()));
@@ -235,9 +228,6 @@ std::vector<uint8_t> PsService::Handle(const Envelope& request) {
         break;
       case PsOpCode::kReportClock:
         response = HandleReportClock(&reader);
-        break;
-      case PsOpCode::kReadmit:
-        response = HandleReadmit(request, &reader);
         break;
       case PsOpCode::kStatus:
         response = HandleStatus(&reader);
@@ -435,37 +425,9 @@ std::vector<uint8_t> PsService::HandleReportClock(ByteReader* reader) {
     st = Status::InvalidArgument("clock time must be finite and >= 0");
   }
   if (!st.ok()) return ErrorResponse(st);
-  // Dead-worker reports are dropped inside ReportClockTime; the hook
-  // still fires (the balancer ignores non-live reporters itself).
-  ps_->master()->ReportClockTime(static_cast<int>(worker), seconds);
   if (options_.on_clock_report) {
     options_.on_clock_report(static_cast<int>(worker),
                              static_cast<int>(clock), seconds);
-  }
-  ByteWriter w;
-  w.WriteU8(0);
-  return w.TakeBuffer();
-}
-
-std::vector<uint8_t> PsService::HandleReadmit(const Envelope& request,
-                                              ByteReader* reader) {
-  int64_t worker = 0;
-  int64_t clock = 0;
-  Status st = reader->ReadI64(&worker);
-  if (st.ok()) st = reader->ReadI64(&clock);
-  if (st.ok() && (worker < 0 || worker >= ps_->num_workers())) {
-    st = Status::InvalidArgument("worker id out of range");
-  }
-  if (st.ok()) {
-    st = ps_->ReadmitWorker(static_cast<int>(worker),
-                            static_cast<int>(clock));
-  }
-  if (!st.ok()) return ErrorResponse(st);
-  if (monitor_ != nullptr) {
-    // Membership changes only via Register/Unregister: the eviction
-    // sweep unregistered this endpoint, so a successful rejoin must
-    // explicitly re-enroll it or the next sweep would never see it.
-    monitor_->Register(request.from, LivenessNow());
   }
   ByteWriter w;
   w.WriteU8(0);
@@ -735,12 +697,6 @@ class BusChannel final : public PsChannel {
     ByteWriter w = Request(PsOpCode::kReportClock);
     w.WriteI64(clock);
     w.WriteDouble(seconds);
-    return Call(w.TakeBuffer());
-  }
-
-  Status Readmit(int clock) override {
-    ByteWriter w = Request(PsOpCode::kReadmit);
-    w.WriteI64(clock);
     return Call(w.TakeBuffer());
   }
 

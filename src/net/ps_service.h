@@ -24,7 +24,7 @@ namespace hetps {
 /// Wire protocol between workers and the parameter-server service. All
 /// requests start with a one-byte opcode; responses start with a
 /// one-byte status code (0 = OK) followed by an error string when
-/// non-zero. Bytes 1, 2, 3 and 5 are unassigned and answer "unknown
+/// non-zero. Bytes 1, 2, 3, 5 and 9 are unassigned and answer "unknown
 /// opcode".
 enum class PsOpCode : uint8_t {
   kCanAdvance = 4,
@@ -39,16 +39,10 @@ enum class PsOpCode : uint8_t {
   /// partition-local pieces without out-of-band configuration.
   kLayout = 7,
   /// Worker reports the measured duration of its last compute clock
-  /// (worker id, clock, seconds). Feeds Master::ReportClockTime — the
-  /// straggler statistics behind DetectStragglers — and fires the
-  /// service's on_clock_report hook (the load-balancing plane).
+  /// (worker id, clock, seconds). A well-formed report goes to the
+  /// service's on_clock_report hook, where the trainer's ShardPlane
+  /// records it and runs its move policy.
   kReportClock = 8,
-  /// Evicted worker asks to rejoin as of `clock` finished clocks. The
-  /// only opcode exempt from the evicted-sender rejection (rejoining is
-  /// its entire purpose); rejections (already live, clock behind cmin)
-  /// come back as FailedPrecondition. On success the sender is
-  /// re-registered with the heartbeat monitor.
-  kReadmit = 9,
   /// Push: (worker, clock, piece count), then per piece a partition id
   /// + a partition-local columnar SparseVector, in increasing partition
   /// order. Empty pieces are left off; ParameterServer::PushPieces, where
@@ -94,8 +88,9 @@ std::optional<PsOpCode> PsOpCodeFromName(const std::string& name);
 /// survivor keeps beating) — doubles as a heartbeat for its `Envelope.from`
 /// endpoint. The service sweeps the monitor on every handled request and
 /// evicts workers whose last beat is older than the timeout; requests from
-/// evicted senders are rejected with FailedPrecondition so a zombie can
-/// never rejoin behind the eviction's back.
+/// evicted senders are rejected with FailedPrecondition, so a zombie can
+/// never sneak state in behind the eviction's back. Eviction is final: a
+/// hung worker that wakes up evicted exits (DESIGN.md §6).
 ///
 /// Time is *virtual* by default: each handled request advances a tick
 /// counter, and now = ticks × 1 ms. That makes the timeout deterministic
@@ -122,10 +117,10 @@ struct PsLivenessOptions {
 struct PsServiceOptions {
   /// Heartbeat-driven eviction; off by default (timeout <= 0).
   PsLivenessOptions liveness;
-  /// Called (on the service loop, no PS locks held) after a kReportClock
-  /// request has been folded into the master's straggler statistics —
-  /// the trainer hooks live example rebalancing here. Arguments are
-  /// (worker, clock, measured compute seconds).
+  /// Called (on the service loop, no PS locks held) for each well-formed
+  /// kReportClock request — the trainer's ShardPlane records the time
+  /// and rebalances here. Arguments are (worker, clock, measured compute
+  /// seconds).
   std::function<void(int worker, int clock, double seconds)>
       on_clock_report;
   /// Called (on the service loop) after ParameterServer::
@@ -183,8 +178,6 @@ class PsService {
   std::vector<uint8_t> HandleLayout(ByteReader* reader);
   std::vector<uint8_t> HandleCanAdvance(ByteReader* reader);
   std::vector<uint8_t> HandleReportClock(ByteReader* reader);
-  std::vector<uint8_t> HandleReadmit(const Envelope& request,
-                                     ByteReader* reader);
   std::vector<uint8_t> HandleStatus(ByteReader* reader);
   std::vector<uint8_t> HandleMetricsScrape(ByteReader* reader);
   std::vector<uint8_t> HandleObsControl(ByteReader* reader);
@@ -275,9 +268,9 @@ struct RpcRetryPolicy {
 /// Admission polls kCanAdvance — a blocking server call would stall the
 /// single service loop — sleeping `retry.admission_probe_sleep` between
 /// denied probes and giving up with DeadlineExceeded after
-/// `retry.max_admission_probes` of them (0 = never). A request from an
-/// evicted worker answers FailedPrecondition; Readmit is the one it may
-/// still send. pulled_bytes_full() counts dim × 8 bytes per pull, and
+/// `retry.max_admission_probes` of them (0 = never). Every request from
+/// an evicted worker answers FailedPrecondition. pulled_bytes_full()
+/// counts dim × 8 bytes per pull, and
 /// push.inflight* and client.cache_apply_us land in GlobalMetrics().
 class RpcWorkerClient : public PsClient {
  public:

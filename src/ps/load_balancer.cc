@@ -8,6 +8,23 @@
 #include "util/logging.h"
 
 namespace hetps {
+namespace {
+
+/// The smallest known (> 0) clock time among all workers but `skip`
+/// (-1 skips none); 0 when none is known.
+double FastestKnown(const std::vector<double>& clock_seconds, int skip) {
+  double fastest = 0.0;
+  for (size_t m = 0; m < clock_seconds.size(); ++m) {
+    const double t = clock_seconds[m];
+    if (static_cast<int>(m) != skip && t > 0.0 &&
+        (fastest == 0.0 || t < fastest)) {
+      fastest = t;
+    }
+  }
+  return fastest;
+}
+
+}  // namespace
 
 double EstimateClockSeconds(double last_clock_seconds, size_t shard_size,
                             size_t pending_in) {
@@ -79,22 +96,23 @@ void LoadBalancer::OnWorkerEvicted(int worker) {
 }
 
 std::vector<ShardMove> LoadBalancer::OnClockReport(
-    int worker, int clock, double clock_seconds, Master* master,
+    int worker, int clock, const std::vector<double>& clock_seconds,
     const std::vector<size_t>& shard_sizes) {
   HETPS_CHECK(worker >= 0 && worker < num_workers_)
       << "worker id out of range";
-  HETPS_CHECK(shard_sizes.size() == static_cast<size_t>(num_workers_))
-      << "shard size vector does not match worker count";
+  HETPS_CHECK(shard_sizes.size() == static_cast<size_t>(num_workers_) &&
+              clock_seconds.size() == shard_sizes.size())
+      << "per-worker vectors do not match worker count";
   std::vector<ShardMove> moves;
-  if (!master->IsWorkerLive(worker)) return moves;
   // The reporter's inflow is now reflected in its reported time.
   pending_in_[static_cast<size_t>(worker)] = 0;
 
-  const std::vector<int> stragglers =
-      master->DetectStragglers(options_.straggler_threshold);
+  // The straggler rule: slower than `threshold` times the fastest known
+  // clock, the reporter's own included.
+  const double mine_seconds = clock_seconds[static_cast<size_t>(worker)];
+  const double fastest = FastestKnown(clock_seconds, /*skip=*/-1);
   const bool flagged =
-      std::find(stragglers.begin(), stragglers.end(), worker) !=
-      stragglers.end();
+      fastest > 0.0 && mine_seconds > options_.straggler_threshold * fastest;
   // Track sizes locally while emitting this report's moves so each move
   // is capped against the state the previous one left behind.
   std::vector<size_t> sizes = shard_sizes;
@@ -117,16 +135,17 @@ std::vector<ShardMove> LoadBalancer::OnClockReport(
       shed = std::min(shed, options_.max_examples_per_round);
     }
     if (shed == 0) return moves;
-    // Target: the least-loaded live worker, by last clock time adjusted
-    // for examples already routed to it this round (several stragglers
-    // can report within one clock; without the adjustment they all dump
-    // on the same worker until it becomes the new straggler).
+    // Target: the least-loaded worker, by last clock time adjusted for
+    // examples already routed to it this round (several stragglers can
+    // report within one clock; without the adjustment they all dump on
+    // the same worker until it becomes the new straggler).
     int target = -1;
     double target_time = 0.0;
     for (int m = 0; m < num_workers_; ++m) {
-      if (m == worker || !master->IsWorkerLive(m)) continue;
+      if (m == worker) continue;
       const double t = EstimateClockSeconds(
-          master->LastClockTime(m), sizes[static_cast<size_t>(m)],
+          clock_seconds[static_cast<size_t>(m)],
+          sizes[static_cast<size_t>(m)],
           pending_in_[static_cast<size_t>(m)]);
       if (t <= 0.0) continue;  // unknown speed
       if (target < 0 || t < target_time) {
@@ -137,7 +156,7 @@ std::vector<ShardMove> LoadBalancer::OnClockReport(
     if (target < 0) return moves;
     // The straggler rule re-checked against the *chosen* target's
     // adjusted load: once the shed work has equalized them, stop moving.
-    if (clock_seconds <= options_.straggler_threshold * target_time) {
+    if (mine_seconds <= options_.straggler_threshold * target_time) {
       return moves;
     }
     moves.push_back(ShardMove{worker, target, shed, /*returned=*/false});
@@ -173,21 +192,13 @@ std::vector<ShardMove> LoadBalancer::OnClockReport(
   // threshold — true recoveries (a congestion episode ending) pass, a
   // merely-lightened straggler does not.
   const size_t mine_now = sizes[static_cast<size_t>(worker)];
-  if (mine_now > 0 && clock_seconds > 0.0) {
-    double fastest = 0.0;
-    bool any = false;
-    for (int m = 0; m < num_workers_; ++m) {
-      if (m == worker || !master->IsWorkerLive(m)) continue;
-      const double t = master->LastClockTime(m);
-      if (t > 0.0 && (!any || t < fastest)) {
-        fastest = t;
-        any = true;
-      }
-    }
+  if (mine_now > 0 && mine_seconds > 0.0) {
+    const double fastest_other = FastestKnown(clock_seconds, worker);
     const double projected =
-        clock_seconds * (static_cast<double>(mine_now + loans_out) /
-                         static_cast<double>(mine_now));
-    if (any && projected > options_.straggler_threshold * fastest) {
+        mine_seconds * (static_cast<double>(mine_now + loans_out) /
+                        static_cast<double>(mine_now));
+    if (fastest_other > 0.0 &&
+        projected > options_.straggler_threshold * fastest_other) {
       return moves;
     }
   }
@@ -197,11 +208,6 @@ std::vector<ShardMove> LoadBalancer::OnClockReport(
   for (int b = 0; b < num_workers_ && budget > 0; ++b) {
     size_t& loan = LoanSlot(worker, b);
     if (loan == 0) continue;
-    if (!master->IsWorkerLive(b)) {
-      // The borrower died; its shard (loan included) was failed over.
-      loan = 0;
-      continue;
-    }
     const size_t borrower = sizes[static_cast<size_t>(b)];
     const size_t avail = borrower > options_.min_shard_size
                              ? borrower - options_.min_shard_size

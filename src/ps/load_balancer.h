@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "ps/master.h"
 #include "util/status.h"
 
 namespace hetps {
@@ -21,8 +20,7 @@ double EstimateClockSeconds(double last_clock_seconds, size_t shard_size,
 
 struct LoadBalancerOptions {
   /// A worker is flagged when its last clock exceeds `threshold` times
-  /// the fastest live worker's (FlexRR's ">20% slower" rule), via
-  /// Master::DetectStragglers.
+  /// the fastest live worker's (FlexRR's ">20% slower" rule).
   double straggler_threshold = 1.2;
   /// Consecutive flagged reports before the first migration. One
   /// jittered clock must not trigger a shard move; only *persistent*
@@ -59,16 +57,19 @@ struct ShardMove {
 /// A move policy: told each worker's compute time per clock, it decides
 /// which examples move where, and the ShardPlane applies the moves
 /// (DESIGN.md "Load-balancing plane"). LoadBalancer and the FlexRR
-/// baseline implement it.
+/// baseline implement it. The plane shows a policy live workers only,
+/// so no policy checks liveness.
 class StragglerMitigation {
  public:
   virtual ~StragglerMitigation() = default;
 
-  /// Worker `worker` spent `clock_seconds` computing clock `clock`;
-  /// `shard_sizes[m]` is worker m's current entitlement. Returns the
-  /// moves to apply, in order (possibly none).
+  /// Live worker `worker` spent `clock_seconds[worker]` computing clock
+  /// `clock`. `clock_seconds[m]` is worker m's last reported compute
+  /// time, 0 when unknown: never reported, or evicted. `shard_sizes[m]`
+  /// is worker m's current entitlement. Returns the moves to apply, in
+  /// order (possibly none).
   virtual std::vector<ShardMove> OnClockReport(
-      int worker, int clock, double clock_seconds, Master* master,
+      int worker, int clock, const std::vector<double>& clock_seconds,
       const std::vector<size_t>& shard_sizes) = 0;
 
   /// `worker` was evicted and its entitlement spread over the others.
@@ -76,11 +77,11 @@ class StragglerMitigation {
 };
 
 /// The decision core of the load-balancing plane (DESIGN.md
-/// "Load-balancing plane"): per-clock timing reports feed
-/// Master::DetectStragglers; a worker flagged for `hysteresis`
-/// consecutive reports sheds `reassign_fraction` of its shard per round
-/// to the least-loaded fast worker, and reclaims the loans once it has
-/// been clean for `recovery_windows` reports.
+/// "Load-balancing plane"): a reporter slower than `straggler_threshold`
+/// times the fastest known clock time is flagged; a worker flagged for
+/// `hysteresis` consecutive reports sheds `reassign_fraction` of its
+/// shard per round to the least-loaded fast worker, and reclaims the
+/// loans once it has been clean for `recovery_windows` reports.
 ///
 /// The balancer only *decides* moves — the ShardPlane that runs it owns
 /// the entitlements and applies them, and workers pick them up at their
@@ -93,14 +94,12 @@ class LoadBalancer final : public StragglerMitigation {
  public:
   LoadBalancer(int num_workers, const LoadBalancerOptions& options);
 
-  /// Worker `worker` reports its measured compute time for `clock`.
-  /// Must be called *after* Master::ReportClockTime so the straggler
-  /// statistics already include this report. `shard_sizes[m]` is worker
-  /// m's current entitlement; decided moves respect min_shard_size /
-  /// max_examples_per_round against these sizes. Returns the moves to
-  /// apply (possibly empty). Reports from dead workers are ignored.
+  /// Worker `worker` reports its measured compute time for `clock`
+  /// (`clock_seconds` as in StragglerMitigation). Decided moves respect
+  /// min_shard_size / max_examples_per_round against `shard_sizes`.
+  /// Returns the moves to apply (possibly empty).
   std::vector<ShardMove> OnClockReport(
-      int worker, int clock, double clock_seconds, Master* master,
+      int worker, int clock, const std::vector<double>& clock_seconds,
       const std::vector<size_t>& shard_sizes) override;
 
   /// Forget loans involving an evicted worker: its shard (including any

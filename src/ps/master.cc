@@ -6,12 +6,9 @@
 
 namespace hetps {
 
-Master::Master(int num_partitions, int num_workers)
-    : versions_(static_cast<size_t>(num_partitions), 0),
-      clock_times_(static_cast<size_t>(num_workers), 0.0),
-      worker_live_(static_cast<size_t>(num_workers), 1) {
+Master::Master(int num_partitions)
+    : versions_(static_cast<size_t>(num_partitions), 0) {
   HETPS_CHECK(num_partitions > 0) << "need at least one partition";
-  HETPS_CHECK(num_workers > 0) << "need at least one worker";
 }
 
 void Master::ReportVersion(int p, int64_t version) {
@@ -30,65 +27,6 @@ int64_t Master::PartitionVersion(int p) const {
   return versions_.at(static_cast<size_t>(p));
 }
 
-void Master::ReportClockTime(int worker, double seconds) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (worker_live_.at(static_cast<size_t>(worker)) == 0) return;
-  clock_times_.at(static_cast<size_t>(worker)) = seconds;
-}
-
-void Master::MarkWorkerDead(int worker) {
-  std::lock_guard<std::mutex> lock(mu_);
-  worker_live_.at(static_cast<size_t>(worker)) = 0;
-}
-
-void Master::MarkWorkerLive(int worker) {
-  std::lock_guard<std::mutex> lock(mu_);
-  worker_live_.at(static_cast<size_t>(worker)) = 1;
-  // A readmitted worker starts with a clean timing slate: its
-  // pre-eviction clock time belongs to a dead timing regime, and leaving
-  // it in place would instantly (mis)classify the rejoiner in
-  // DetectStragglers / FastestWorker before it has run a single clock.
-  clock_times_.at(static_cast<size_t>(worker)) = 0.0;
-}
-
-bool Master::IsWorkerLive(int worker) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return worker_live_.at(static_cast<size_t>(worker)) != 0;
-}
-
-int Master::num_live_workers() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  int n = 0;
-  for (char alive : worker_live_) n += alive != 0 ? 1 : 0;
-  return n;
-}
-
-double Master::LastClockTime(int worker) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return clock_times_.at(static_cast<size_t>(worker));
-}
-
-std::vector<int> Master::DetectStragglers(double threshold) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  double fastest = 0.0;
-  bool any = false;
-  for (size_t m = 0; m < clock_times_.size(); ++m) {
-    const double t = clock_times_[m];
-    if (worker_live_[m] != 0 && t > 0.0 && (!any || t < fastest)) {
-      fastest = t;
-      any = true;
-    }
-  }
-  std::vector<int> out;
-  if (!any) return out;
-  for (size_t m = 0; m < clock_times_.size(); ++m) {
-    if (worker_live_[m] != 0 && clock_times_[m] > threshold * fastest) {
-      out.push_back(static_cast<int>(m));
-    }
-  }
-  return out;
-}
-
 std::vector<int64_t> Master::VersionSnapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   return versions_;
@@ -99,25 +37,6 @@ void Master::RestoreVersions(const std::vector<int64_t>& versions) {
   HETPS_CHECK(versions.size() == versions_.size())
       << "version snapshot size mismatch";
   versions_ = versions;
-  // The restored run starts its timing history fresh: pre-crash clock
-  // times belong to a dead timing regime and would misclassify
-  // stragglers on the restarted cluster. Membership restarts full, too.
-  std::fill(clock_times_.begin(), clock_times_.end(), 0.0);
-  std::fill(worker_live_.begin(), worker_live_.end(), 1);
-}
-
-int Master::FastestWorker() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  int best = -1;
-  double fastest = 0.0;
-  for (size_t m = 0; m < clock_times_.size(); ++m) {
-    const double t = clock_times_[m];
-    if (worker_live_[m] != 0 && t > 0.0 && (best < 0 || t < fastest)) {
-      fastest = t;
-      best = static_cast<int>(m);
-    }
-  }
-  return best;
 }
 
 }  // namespace hetps

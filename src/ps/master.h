@@ -7,19 +7,17 @@
 
 namespace hetps {
 
-/// The master node of the prototype (Appendix D): supervises partitions
-/// and workers. It backs two mechanisms:
-///   - version-based partition synchronization (§6): each partition
-///     reports its current version; a worker asks for the "stable
-///     version" (the minimum across partitions) before pulling;
-///   - straggler statistics (used by the FlexRR-style baseline, §7.3): a
-///     record of per-worker clock times to detect workers that are >20%
-///     slower than the fastest.
+/// The master node of the prototype (Appendix D) in its §6 role:
+/// version-based partition synchronization. Each partition reports its
+/// current version; a worker asks for the "stable version" (the minimum
+/// across partitions) before pulling. Who is live is the clock table's
+/// business (ParameterServer), and each worker's clock times are the
+/// ShardPlane's.
 ///
 /// Thread-safe.
 class Master {
  public:
-  Master(int num_partitions, int num_workers);
+  explicit Master(int num_partitions);
 
   /// Partition `p` reports it has created `version` global updates.
   void ReportVersion(int p, int64_t version);
@@ -29,44 +27,13 @@ class Master {
 
   int64_t PartitionVersion(int p) const;
 
-  /// Worker `m` reports the duration of its last clock. Reports from
-  /// dead workers are dropped — a late report must not re-pollute the
-  /// straggler statistics after eviction.
-  void ReportClockTime(int worker, double seconds);
-
-  /// Last reported clock time, or 0 if none.
-  double LastClockTime(int worker) const;
-
-  /// Worker liveness (driven by the heartbeat/eviction machinery). Dead
-  /// workers are excluded from the straggler statistics: their frozen
-  /// clock times would otherwise misclassify the cluster forever.
-  /// MarkWorkerLive (readmission) also resets the worker's clock-time
-  /// slot to 0 — a rejoiner must not be judged on pre-eviction timing.
-  void MarkWorkerDead(int worker);
-  void MarkWorkerLive(int worker);
-  bool IsWorkerLive(int worker) const;
-  int num_live_workers() const;
-
-  /// *Live* workers whose last clock was more than `threshold` times the
-  /// fastest live worker's (FlexRR flags >1.2x).
-  std::vector<int> DetectStragglers(double threshold = 1.2) const;
-
-  /// Index of the live worker with the smallest last clock time (-1 if
-  /// no reports yet).
-  int FastestWorker() const;
-
-  /// Checkpointing accessors. RestoreVersions also resets the per-worker
-  /// clock times and revives every worker: the restored run's timing
-  /// regime has nothing to do with the pre-crash one, and stale times
-  /// would misclassify stragglers on the restarted run.
+  /// Checkpointing accessors.
   std::vector<int64_t> VersionSnapshot() const;
   void RestoreVersions(const std::vector<int64_t>& versions);
 
  private:
   mutable std::mutex mu_;
   std::vector<int64_t> versions_;
-  std::vector<double> clock_times_;
-  std::vector<char> worker_live_;
 };
 
 }  // namespace hetps

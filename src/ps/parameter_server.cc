@@ -82,7 +82,7 @@ ParameterServer::ParameterServer(int64_t dim, int num_workers,
       partitioner_(Partitioner::Create(options.scheme, dim,
                                        options.num_servers,
                                        options.partitions_per_server)),
-      master_(partitioner_.num_partitions(), num_workers),
+      master_(partitioner_.num_partitions()),
       empty_push_is_noop_(rule_proto.EmptyPushIsNoOp()),
       versioned_snapshots_(rule_proto.SupportsVersionedSnapshots()),
       clock_table_(num_workers) {
@@ -110,7 +110,6 @@ ParameterServer::ParameterServer(int64_t dim, int num_workers,
   pull_bytes_saved_ = metrics.counter("pull.bytes_saved");
   pull_delta_hits_ = metrics.counter("pull.delta_hits");
   worker_evicted_ = metrics.counter("ps.worker_evicted");
-  worker_readmitted_ = metrics.counter("ps.worker_readmitted");
   cmin_repairs_ = metrics.counter("ps.cmin_repairs");
   evicted_pushes_dropped_ = metrics.counter("ps.evicted_pushes_dropped");
   blocked_workers_ = metrics.gauge("ps.blocked_workers");
@@ -324,7 +323,6 @@ bool ParameterServer::EvictWorker(int worker) {
   // victim's own WaitUntilCanAdvance observes its eviction and returns
   // false instead of blocking forever.
   clock_cv_.notify_all();
-  master_.MarkWorkerDead(worker);
   worker_evicted_->Increment();
   if (repaired) cmin_repairs_->Increment();
   HETPS_TRACE_INSTANT1("ps.worker_evicted", "worker", worker);
@@ -339,41 +337,6 @@ bool ParameterServer::EvictWorker(int worker) {
   HETPS_LOG(Info) << "ParameterServer: evicted worker " << worker
                   << (repaired ? " (cmin repaired)" : "");
   return true;
-}
-
-Status ParameterServer::ReadmitWorker(int worker, int clock) {
-  HETPS_CHECK(worker >= 0 && worker < num_workers_)
-      << "worker id out of range";
-  {
-    std::lock_guard<std::mutex> lock(clock_mu_);
-    switch (clock_table_.ReadmitWorker(worker, clock)) {
-      case ClockTable::ReadmitResult::kAlreadyLive:
-        return Status::FailedPrecondition(
-            "worker " + std::to_string(worker) + " is already live");
-      case ClockTable::ReadmitResult::kBehindCmin:
-        return Status::FailedPrecondition(
-            "readmission clock " + std::to_string(clock) +
-            " is behind cmin " + std::to_string(clock_table_.cmin()));
-      case ClockTable::ReadmitResult::kReadmitted:
-        break;
-    }
-  }
-  // Rebase the rejoiner's version stamp on every shard. Without this a
-  // worker readmitted below its pre-eviction clock leaves a stale-high
-  // V(m) behind; the all-worker version minimum then folds the very
-  // version the rejoiner's next push is stamped with, and that push
-  // aborts the server (DynSGD's evicted-version check).
-  for (int p = 0; p < partitioner_.num_partitions(); ++p) {
-    std::lock_guard<std::mutex> lock(*shard_mu_[static_cast<size_t>(p)]);
-    shards_[static_cast<size_t>(p)]->OnWorkerReadmitted(worker, clock);
-  }
-  // MarkWorkerLive also resets the worker's clock-time slot: a rejoiner
-  // must not be judged a straggler (or the fastest) on stale timing.
-  master_.MarkWorkerLive(worker);
-  worker_readmitted_->Increment();
-  HETPS_TRACE_INSTANT1("ps.worker_readmitted", "worker", worker);
-  FlightRecorder::Global().Record("worker_readmitted", worker, clock);
-  return Status::OK();
 }
 
 bool ParameterServer::IsWorkerLive(int worker) const {

@@ -132,19 +132,25 @@ struct PiecePullPlan {
 /// ## Lock-ordering discipline (enforced; see DESIGN.md §"Concurrency &
 /// fault model")
 ///
-/// The facade owns two lock levels plus leaf locks:
+/// The facade owns two lock levels plus leaf locks; one caller's lock
+/// sits above them:
 ///
-///   L1. `clock_mu_`      — clock table (cmin/cmax, SSP admission)
+///   L0. `ShardPlane::mu_` — held while the plane reads membership
+///                          (IsWorkerLive, L1); nothing in here calls
+///                          the plane
+///   L1. `clock_mu_`      — clock table (cmin/cmax, SSP admission, the
+///                          one record of who is live)
 ///   L2. `shard_mu_[p]`   — one per shard, ordered by partition index
 ///   leaf. `Master::mu_`  — internal to Master, never held across calls
 ///
-/// A thread may only acquire locks downward: `clock_mu_` strictly before
-/// any `shard_mu_[p]`, and shard mutexes only in increasing partition
-/// order. Acquiring `clock_mu_` while holding any shard mutex is
-/// forbidden — that inversion was a real ABBA deadlock between
-/// SaveCheckpoint (clock→shard) and PullPiece (shard→clock), fixed by
-/// reading cmax *before* taking the shard lock. Code that needs clock
-/// state inside a shard critical section must snapshot it first.
+/// A thread may only acquire locks downward: the plane's mutex before
+/// `clock_mu_`, `clock_mu_` strictly before any `shard_mu_[p]`, and
+/// shard mutexes only in increasing partition order. Acquiring
+/// `clock_mu_` while holding any shard mutex is forbidden — that
+/// inversion was a real ABBA deadlock between SaveCheckpoint
+/// (clock→shard) and PullPiece (shard→clock), fixed by reading cmax
+/// *before* taking the shard lock. Code that needs clock state inside a
+/// shard critical section must snapshot it first.
 class ParameterServer {
  public:
   ParameterServer(int64_t dim, int num_workers,
@@ -156,7 +162,6 @@ class ParameterServer {
   int num_partitions() const { return partitioner_.num_partitions(); }
   const Partitioner& partitioner() const { return partitioner_; }
   const PsOptions& options() const { return options_; }
-  Master* master() { return &master_; }
 
   /// --- Whole-push/pull API (threaded runtime, tests) ---
 
@@ -183,6 +188,11 @@ class ParameterServer {
   bool CanAdvance(int worker, int next_clock) const;
 
   /// --- Worker liveness & eviction (the SSP liveness repair) ---
+  ///
+  /// The clock table's live set is the one record of who is live: the
+  /// admission gate, the push guard, the RPC service's evicted-sender
+  /// check and the ShardPlane all read it. It only shrinks; an evicted
+  /// worker never comes back (DESIGN.md §6 "Failure model").
 
   /// Removes `worker` from the live membership: its clock-table entry
   /// stops pinning cmin (ClockTable::EvictWorker), subsequent pushes
@@ -193,13 +203,6 @@ class ParameterServer {
   /// ps.worker_evicted, and ps.cmin_repairs when the eviction advanced
   /// cmin.
   bool EvictWorker(int worker);
-
-  /// Re-adds an evicted worker as of `clock` finished clocks (must be
-  /// >= cmin(); a rejoining worker pulls before resuming). Rejections —
-  /// a rejoin behind cmin (which would move cmin backwards) or an
-  /// already-live worker — return FailedPrecondition so the RPC layer
-  /// can refuse client-controlled input without aborting the server.
-  Status ReadmitWorker(int worker, int clock);
 
   bool IsWorkerLive(int worker) const;
   int num_live_workers() const;
@@ -451,7 +454,6 @@ class ParameterServer {
   Counter* pull_bytes_saved_;
   Counter* pull_delta_hits_;
   Counter* worker_evicted_;
-  Counter* worker_readmitted_;
   Counter* cmin_repairs_;
   Counter* evicted_pushes_dropped_;
   Gauge* blocked_workers_;

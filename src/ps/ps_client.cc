@@ -23,10 +23,6 @@ Status PsChannel::ReportClock(int, double) {
   return Status::NotSupported("clock reports go over the bus");
 }
 
-Status PsChannel::Readmit(int) {
-  return Status::NotSupported("readmission goes over the bus");
-}
-
 PsClient::PsClient(int worker_id, std::unique_ptr<PsChannel> channel,
                    bool delta_pull, int push_window)
     : worker_id_(worker_id),
@@ -223,13 +219,6 @@ Status PsClient::ReportClock(int clock, double seconds) {
   const Status st = channel_->ReportClock(clock, seconds);
   breakdown_.comm_seconds += SecondsSince(start);
   return st;
-}
-
-Status PsClient::Readmit(int clock) {
-  // Pushes queued before the eviction fail fast with FailedPrecondition;
-  // a successful rejoin starts a clean window.
-  window_.Reset();
-  return channel_->Readmit(clock);
 }
 
 }  // namespace hetps

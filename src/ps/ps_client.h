@@ -56,9 +56,8 @@ class PsChannel {
                                      const std::atomic<bool>* cancel) = 0;
   virtual void WakeWaiters() {}
 
-  /// Bus operations: the in-process channel answers NotSupported.
+  /// A bus operation: the in-process channel answers NotSupported.
   virtual Status ReportClock(int clock, double seconds);
-  virtual Status Readmit(int clock);
 };
 
 /// The worker half of Algorithm 1 over any channel: push the per-clock
@@ -138,9 +137,6 @@ class PsClient {
   Status FinishPrefetch(std::vector<double>* replica);
 
   Status ReportClock(int clock, double seconds);
-
-  /// Drains the window, clears its latch, then asks to be readmitted.
-  Status Readmit(int clock);
 
   /// cp: the cmin returned by the last pull.
   int cached_cmin() const { return cached_cmin_; }

@@ -29,8 +29,7 @@ namespace hetps {
 ///   sees each worker's clocks in order; the clock table and the
 ///   service's retry dedup both rely on that.
 /// - The first failed send latches. Its status names the clock; every
-///   later Push() and Drain() returns it and nothing more is queued
-///   until Reset() (a readmitted worker starts a clean window).
+///   later Push() and Drain() returns it and nothing more is queued.
 /// - Destruction drains: every queued push is sent.
 ///
 /// `push.inflight` and `push.inflight_peak` gauges land in
@@ -38,7 +37,7 @@ namespace hetps {
 /// sender's busy time minus the time the owner blocked on the window —
 /// the push latency the window hid behind compute.
 ///
-/// Push, Drain and Reset belong to one owner thread.
+/// Push and Drain belong to one owner thread.
 template <typename Payload>
 class PushWindow {
  public:
@@ -99,14 +98,6 @@ class PushWindow {
     std::unique_lock<std::mutex> lock(mu_);
     BlockLocked(&lock, [this] { return inflight_ == 0; });
     return error_;
-  }
-
-  /// Drains (failures of what was queued are expected and dropped), then
-  /// clears the latch.
-  void Reset() {
-    (void)Drain();
-    std::lock_guard<std::mutex> lock(mu_);
-    error_ = Status::OK();
   }
 
   /// Settled after Drain(); 0 at window 0.
@@ -172,7 +163,7 @@ class PushWindow {
   bool stop_ = false;
   int inflight_ = 0;  // queued + currently sending
   int inflight_peak_ = 0;
-  Status error_;  // first failed send, latched until Reset()
+  Status error_;  // first failed send, latched for good
   double busy_seconds_ = 0.0;     // sender wall time inside send_
   double blocked_seconds_ = 0.0;  // owner wall time waiting on the window
   Gauge* inflight_gauge_ = nullptr;

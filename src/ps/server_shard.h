@@ -79,12 +79,6 @@ class ServerShard {
   /// still record that the worker read at cmax, Algorithm 2 line 18).
   void StampPull(int worker, int cmax) { rule_->OnPull(worker, cmax); }
 
-  /// Forwards a liveness-plane readmission so version-tracking rules can
-  /// rebase the rejoiner's V(m) onto its readmission clock.
-  void OnWorkerReadmitted(int worker, int clock) {
-    rule_->OnWorkerReadmitted(worker, clock);
-  }
-
   /// Read-only snapshot without stamping pull state (evaluation path).
   std::vector<double> Peek() const;
 

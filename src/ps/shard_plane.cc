@@ -6,18 +6,24 @@
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "ps/parameter_server.h"
 #include "util/logging.h"
 
 namespace hetps {
 
-ShardPlane::ShardPlane(std::vector<DataShard> entitlements,
+ShardPlane::ShardPlane(const ParameterServer* ps,
+                       std::vector<DataShard> entitlements,
                        const LoadBalancerOptions* balancer,
                        StragglerMitigation* policy)
-    : entitlements_(std::move(entitlements)),
+    : ps_(ps),
+      entitlements_(std::move(entitlements)),
       generation_(entitlements_.size(), 0),
       refreshed_(entitlements_.size(), 0),
-      evicted_(entitlements_.size(), false),
+      clock_seconds_(entitlements_.size(), 0.0),
       policy_(policy) {
+  HETPS_CHECK(ps != nullptr &&
+              entitlements_.size() == static_cast<size_t>(ps->num_workers()))
+      << "a shard plane holds one entitlement per worker of its server";
   HETPS_CHECK(balancer == nullptr || policy == nullptr)
       << "a shard plane runs one move policy";
   if (balancer != nullptr) {
@@ -34,19 +40,30 @@ size_t ShardPlane::Index(int worker) const {
   return static_cast<size_t>(worker);
 }
 
-void ShardPlane::OnClockReport(int worker, int clock, double seconds,
-                               Master* master) {
+void ShardPlane::OnClockReport(int worker, int clock, double seconds) {
   std::lock_guard<std::mutex> lock(mu_);
+  const size_t w = Index(worker);
+  if (!ps_->IsWorkerLive(worker)) return;
+  clock_seconds_[w] = seconds;
   if (policy_ == nullptr) return;
-  std::vector<size_t> sizes;
-  for (const DataShard& e : entitlements_) sizes.push_back(e.size());
+  // The policy sees live workers only: an evicted worker's frozen time
+  // would rank its emptied entitlement as the least loaded target.
+  const size_t n = entitlements_.size();
+  std::vector<char> live(n);
+  std::vector<double> known(n, 0.0);
+  std::vector<size_t> sizes(n);
+  for (size_t m = 0; m < n; ++m) {
+    live[m] = ps_->IsWorkerLive(static_cast<int>(m)) ? 1 : 0;
+    if (live[m] != 0) known[m] = clock_seconds_[m];
+    sizes[m] = entitlements_[m].size();
+  }
   for (const ShardMove& mv :
-       policy_->OnClockReport(worker, clock, seconds, master, sizes)) {
+       policy_->OnClockReport(worker, clock, known, sizes)) {
     const size_t from = Index(mv.from);
     const size_t to = Index(mv.to);
     // An evicted worker computes nothing it receives, and what it held
     // has failed over already.
-    if (evicted_[from] || evicted_[to]) continue;
+    if (live[from] == 0 || live[to] == 0) continue;
     if (ReassignTail(&entitlements_[from], &entitlements_[to], mv.count)) {
       ++generation_[from];
       ++generation_[to];
@@ -57,12 +74,14 @@ void ShardPlane::OnClockReport(int worker, int clock, double seconds,
 size_t ShardPlane::Evict(int victim, const std::vector<int>& receivers) {
   std::lock_guard<std::mutex> lock(mu_);
   const size_t v = Index(victim);
-  evicted_[v] = true;
+  HETPS_CHECK(!ps_->IsWorkerLive(victim))
+      << "the plane fails over only a worker its server has evicted";
   totals_.evicted_workers.push_back(victim);
   if (policy_ != nullptr) policy_->OnWorkerEvicted(victim);
   std::vector<DataShard*> to;
   for (int r : receivers) {
-    if (!evicted_[Index(r)]) to.push_back(&entitlements_[Index(r)]);
+    const size_t i = Index(r);
+    if (ps_->IsWorkerLive(r)) to.push_back(&entitlements_[i]);
   }
   const size_t moved = ReassignAcross(&entitlements_[v], to);
   ++generation_[v];
@@ -93,11 +112,6 @@ void ShardPlane::Refresh(int worker, DataShard* shard) {
   if (refreshed_[w] == generation_[w]) return;
   shard->example_indices = entitlements_[w].example_indices;
   refreshed_[w] = generation_[w];
-}
-
-bool ShardPlane::evicted(int worker) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return evicted_[Index(worker)];
 }
 
 DataShard ShardPlane::entitlement(int worker) const {

@@ -185,6 +185,22 @@ struct WorkerSim {
   HistogramMetric* compute_us = nullptr;
 };
 
+/// The simulated cluster's parameter server. The simulator applies the
+/// client-side filter itself (it needs the filtered size for
+/// transmission costs), so the facade filter is off.
+std::unique_ptr<ParameterServer> MakeServer(
+    const Dataset& dataset, const ClusterConfig& cluster,
+    const ConsolidationRule& rule_proto, const SimOptions& options) {
+  PsOptions ps_opts;
+  ps_opts.num_servers = cluster.num_servers;
+  ps_opts.partitions_per_server = options.partitions_per_server;
+  ps_opts.scheme = options.scheme;
+  ps_opts.sync = options.sync;
+  ps_opts.partition_sync = options.partition_sync;
+  return std::make_unique<ParameterServer>(
+      dataset.dimension(), cluster.num_workers, rule_proto, ps_opts);
+}
+
 /// Threads for one simulation's compute pool: one per core, no more
 /// than there are workers to keep busy (RunSimulation checks there is
 /// at least one).
@@ -208,23 +224,15 @@ class Simulation {
         schedule_(schedule),
         loss_(loss),
         options_(options),
+        ps_(MakeServer(dataset, cluster, rule_proto, options)),
         // The balancer and a mitigation baseline would fight over the
         // same shards: the plane refuses to run both.
-        plane_(SplitData(dataset.size(),
+        plane_(ps_.get(),
+               SplitData(dataset.size(),
                          static_cast<size_t>(cluster.num_workers),
                          ShardingPolicy::kContiguous),
                options.rebalance ? &options.balancer : nullptr, mitigation),
         compute_pool_(ComputePoolSize(cluster.num_workers)) {
-    PsOptions ps_opts;
-    ps_opts.num_servers = cluster.num_servers;
-    ps_opts.partitions_per_server = options.partitions_per_server;
-    ps_opts.scheme = options.scheme;
-    ps_opts.sync = options.sync;
-    ps_opts.partition_sync = options.partition_sync;
-    // The simulator applies the client-side filter itself (it needs the
-    // filtered size for transmission costs), so the facade filter is off.
-    ps_ = std::make_unique<ParameterServer>(
-        dataset.dimension(), cluster.num_workers, rule_proto, ps_opts);
     net_rng_ = Rng(Mix64(options.seed ^ 0xfeedULL));
 
     server_busy_.assign(static_cast<size_t>(cluster.num_servers), 0.0);
@@ -426,7 +434,7 @@ class Simulation {
                          << " before clock " << w.clock;
       return;
     }
-    if (plane_.evicted(worker)) return;
+    if (!ps_->IsWorkerLive(worker)) return;
     Beat(worker);
     if (w.clock >= options_.max_clocks) {
       w.done = true;
@@ -472,8 +480,7 @@ class Simulation {
     // policy (the balancer or FlexRR) move examples between entitlements
     // (it flags workers by speed; SSP waiting time must not pollute the
     // signal). The reporter's own moves land at its next clock start.
-    ps_->master()->ReportClockTime(worker, tc);
-    plane_.OnClockReport(worker, w.clock, tc, ps_->master());
+    plane_.OnClockReport(worker, w.clock, tc);
 
     // Link reservations must happen in chronological send order (other
     // workers may send before our compute finishes), so transmission is
@@ -681,7 +688,7 @@ class Simulation {
 
   void HandlePullRequest(int worker) {
     WorkerSim& w = workers_[static_cast<size_t>(worker)];
-    if (plane_.evicted(worker)) return;
+    if (!ps_->IsWorkerLive(worker)) return;
     Beat(worker);
     if (options_.sync.CanAdvance(w.pending_next_clock, ps_->cmin())) {
       GrantPull(worker);
@@ -694,7 +701,7 @@ class Simulation {
     for (size_t i = 0; i < blocked_.size();) {
       const int worker = blocked_[i];
       WorkerSim& w = workers_[static_cast<size_t>(worker)];
-      if (plane_.evicted(worker)) {
+      if (!ps_->IsWorkerLive(worker)) {
         // Evicted while parked: its pull is never granted.
         blocked_.erase(blocked_.begin() + static_cast<long>(i));
         continue;
@@ -742,7 +749,7 @@ class Simulation {
     bool anyone_active = false;
     for (size_t m = 0; m < workers_.size(); ++m) {
       const WorkerSim& w = workers_[m];
-      if (!w.done && !w.killed && !plane_.evicted(static_cast<int>(m))) {
+      if (!w.done && !w.killed && ps_->IsWorkerLive(static_cast<int>(m))) {
         anyone_active = true;
       }
     }
@@ -817,7 +824,7 @@ class Simulation {
 
   void HandlePullResponse(int worker) {
     WorkerSim& w = workers_[static_cast<size_t>(worker)];
-    if (plane_.evicted(worker)) return;
+    if (!ps_->IsWorkerLive(worker)) return;
     Beat(worker);
     // Unchanged partitions keep their cached values; the cache stays
     // pristine while the replica drifts under local SGD.
@@ -934,10 +941,11 @@ class Simulation {
   const LearningRateSchedule& schedule_;
   const LossFunction& loss_;
   const SimOptions& options_;
-  /// Every worker's entitlement, the move policy and the evicted flags.
+  /// Its clock table is the one record of who is live.
+  std::unique_ptr<ParameterServer> ps_;
+  /// Every worker's entitlement, clock time and the move policy.
   ShardPlane plane_;
 
-  std::unique_ptr<ParameterServer> ps_;
   std::vector<WorkerSim> workers_;
   // Declared after workers_ (and everything else its tasks read), so it
   // is joined before they are destroyed.

@@ -111,8 +111,9 @@ struct SimOptions {
   bool evict_dead_workers = true;
   /// --- Load-balancing plane (straggler-aware live rebalancing) ---
   /// Reassign examples from persistent stragglers to fast workers at
-  /// clock boundaries, driven by Master::DetectStragglers. Mutually
-  /// exclusive with passing a `mitigation` baseline to RunSimulation.
+  /// clock boundaries, driven by the live workers' clock times (the
+  /// run's ShardPlane runs a LoadBalancer). Mutually exclusive with
+  /// passing a `mitigation` baseline to RunSimulation.
   bool rebalance = false;
   LoadBalancerOptions balancer;
   /// --- Transient congestion episode (exercises the return path) ---
@@ -195,8 +196,8 @@ struct SimResult {
 /// serial run (DESIGN.md §6, "The simulator's compute pool").
 ///
 /// `mitigation` may be null; when set it is the run's move policy (the
-/// FlexRR-style baseline hooks in here): told every worker's clock time
-/// on the event loop, it decides moves that the run's ShardPlane applies
+/// FlexRR-style baseline hooks in here): told every live worker's clock
+/// time on the event loop, it decides moves that the run's ShardPlane applies
 /// to the entitlements each worker copies in at its next clock start.
 SimResult RunSimulation(const Dataset& dataset,
                         const ClusterConfig& cluster,

@@ -2,20 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace hetps {
 namespace {
 
 // Three workers with 30 examples each; FlexRR only decides moves, so the
 // harness applies them to the sizes the way the ShardPlane applies them
-// to the entitlements.
+// to the entitlements, and keeps every worker's last clock time as the
+// plane shows it.
 struct Harness {
-  Harness() : master(1, 3) {}
-
   size_t Report(FlexRrMitigation* flexrr, int worker, int clock,
                 double seconds) {
+    times[static_cast<size_t>(worker)] = seconds;
     size_t moved = 0;
     for (const ShardMove& mv :
-         flexrr->OnClockReport(worker, clock, seconds, &master, sizes)) {
+         flexrr->OnClockReport(worker, clock, times, sizes)) {
       EXPECT_EQ(mv.from, worker);
       EXPECT_NE(mv.to, worker);
       EXPECT_FALSE(mv.returned);
@@ -26,16 +28,16 @@ struct Harness {
     return moved;
   }
 
-  Master master;
+  std::vector<double> times = {0.0, 0.0, 0.0};
   std::vector<size_t> sizes = {30, 30, 30};
 };
 
 TEST(FlexRrTest, MovesDataFromStragglerToFastest) {
   Harness h;
   FlexRrMitigation flexrr;
-  h.master.ReportClockTime(0, 1.0);
-  h.master.ReportClockTime(1, 1.0);
-  h.master.ReportClockTime(2, 3.0);  // straggler
+  h.times[0] = 1.0;
+  h.times[1] = 1.0;
+  h.times[2] = 3.0;  // straggler
   const size_t straggler_before = h.sizes[2];
   const size_t fastest_before = h.sizes[0];
   h.Report(&flexrr, 2, /*clock=*/0, 3.0);
@@ -47,9 +49,9 @@ TEST(FlexRrTest, MovesDataFromStragglerToFastest) {
 TEST(FlexRrTest, NoMoveWithinThreshold) {
   Harness h;
   FlexRrMitigation flexrr;
-  h.master.ReportClockTime(0, 1.0);
-  h.master.ReportClockTime(1, 1.1);
-  h.master.ReportClockTime(2, 1.15);  // within 20%
+  h.times[0] = 1.0;
+  h.times[1] = 1.1;
+  h.times[2] = 1.15;  // within 20%
   const size_t before = h.sizes[2];
   h.Report(&flexrr, 2, 0, 1.15);
   EXPECT_EQ(h.sizes[2], before);
@@ -59,7 +61,7 @@ TEST(FlexRrTest, NoMoveWithinThreshold) {
 TEST(FlexRrTest, FastestWorkerNeverDonatesToItself) {
   Harness h;
   FlexRrMitigation flexrr;
-  h.master.ReportClockTime(0, 1.0);
+  h.times[0] = 1.0;
   const size_t before = h.sizes[0];
   h.Report(&flexrr, 0, 0, 1.0);
   EXPECT_EQ(h.sizes[0], before);
@@ -70,8 +72,8 @@ TEST(FlexRrTest, RespectsMinimumShardSize) {
   FlexRrMitigation::Options opts;
   opts.min_shard_size = 30;  // shards are exactly 30
   FlexRrMitigation flexrr(opts);
-  h.master.ReportClockTime(0, 1.0);
-  h.master.ReportClockTime(2, 5.0);
+  h.times[0] = 1.0;
+  h.times[2] = 5.0;
   h.Report(&flexrr, 2, 0, 5.0);
   EXPECT_EQ(h.sizes[2], 30u);
 }
@@ -82,9 +84,9 @@ TEST(FlexRrTest, RepeatedReassignmentConverges) {
   opts.reassign_fraction = 0.2;
   opts.min_shard_size = 5;
   FlexRrMitigation flexrr(opts);
-  h.master.ReportClockTime(0, 1.0);
-  h.master.ReportClockTime(1, 1.0);
-  h.master.ReportClockTime(2, 4.0);
+  h.times[0] = 1.0;
+  h.times[1] = 1.0;
+  h.times[2] = 4.0;
   for (int i = 0; i < 50; ++i) h.Report(&flexrr, 2, i, 4.0);
   EXPECT_GE(h.sizes[2], 5u);
   // Total data conserved.
@@ -99,9 +101,9 @@ TEST(FlexRrTest, SpreadsLoadAcrossTargetsWithinOneClock) {
   opts.reassign_fraction = 0.3;
   opts.min_shard_size = 2;
   FlexRrMitigation flexrr(opts);
-  h.master.ReportClockTime(0, 1.0);
-  h.master.ReportClockTime(1, 1.05);
-  h.master.ReportClockTime(2, 5.0);
+  h.times[0] = 1.0;
+  h.times[1] = 1.05;
+  h.times[2] = 5.0;
   const size_t w0_before = h.sizes[0];
   const size_t w1_before = h.sizes[1];
   // The straggler reports twice before anyone else reports again.
@@ -119,9 +121,9 @@ TEST(FlexRrTest, StopsWhenTargetsAreSaturated) {
   opts.reassign_fraction = 0.5;
   opts.min_shard_size = 2;
   FlexRrMitigation flexrr(opts);
-  h.master.ReportClockTime(0, 2.8);
-  h.master.ReportClockTime(1, 2.9);
-  h.master.ReportClockTime(2, 3.0);  // barely slower than the others
+  h.times[0] = 2.8;
+  h.times[1] = 2.9;
+  h.times[2] = 3.0;  // barely slower than the others
   const size_t before = h.sizes[2];
   h.Report(&flexrr, 2, 0, 3.0);
   // 3.0 <= 1.2 * 2.8: no move.
@@ -136,12 +138,12 @@ TEST(FlexRrTest, MovesFloorOfFractionOffTheShard) {
   opts.reassign_fraction = 0.3;
   opts.min_shard_size = 2;
   FlexRrMitigation flexrr(opts);
-  h.master.ReportClockTime(0, 1.0);
-  h.master.ReportClockTime(1, 1.0);
-  h.master.ReportClockTime(2, 5.0);
+  h.times[0] = 1.0;
+  h.times[1] = 1.0;
+  h.times[2] = 5.0;
   h.sizes[2] = 10;
   const std::vector<ShardMove> moves =
-      flexrr.OnClockReport(2, 0, 5.0, &h.master, h.sizes);
+      flexrr.OnClockReport(2, 0, h.times, h.sizes);
   ASSERT_EQ(moves.size(), 1u);
   EXPECT_EQ(moves[0].from, 2);
   EXPECT_EQ(moves[0].to, 0);
@@ -155,11 +157,11 @@ TEST(FlexRrTest, FractionTooSmallForOneExampleMovesNothing) {
   opts.reassign_fraction = 0.1;
   opts.min_shard_size = 0;
   FlexRrMitigation flexrr(opts);
-  h.master.ReportClockTime(0, 1.0);
-  h.master.ReportClockTime(1, 1.0);
-  h.master.ReportClockTime(2, 5.0);
+  h.times[0] = 1.0;
+  h.times[1] = 1.0;
+  h.times[2] = 5.0;
   h.sizes[2] = 3;  // 0.1 * 3 < 1 example
-  EXPECT_TRUE(flexrr.OnClockReport(2, 0, 5.0, &h.master, h.sizes).empty());
+  EXPECT_TRUE(flexrr.OnClockReport(2, 0, h.times, h.sizes).empty());
   EXPECT_EQ(flexrr.examples_reassigned(), 0u);
 }
 
@@ -169,11 +171,11 @@ TEST(FlexRrTest, MinShardCapBoundsTheCount) {
   opts.reassign_fraction = 0.9;
   opts.min_shard_size = 25;
   FlexRrMitigation flexrr(opts);
-  h.master.ReportClockTime(0, 1.0);
-  h.master.ReportClockTime(1, 1.0);
-  h.master.ReportClockTime(2, 5.0);
+  h.times[0] = 1.0;
+  h.times[1] = 1.0;
+  h.times[2] = 5.0;
   const std::vector<ShardMove> moves =
-      flexrr.OnClockReport(2, 0, 5.0, &h.master, h.sizes);
+      flexrr.OnClockReport(2, 0, h.times, h.sizes);
   ASSERT_EQ(moves.size(), 1u);
   // 0.9 * 30 = 27 would leave 3 < 25: the fraction drops to 5/30, and
   // floor(5/30 * 30) = 5 moves.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "math/loss.h"
@@ -109,6 +110,28 @@ TEST(SyntheticTest, FeatureSkewConcentratesPopularity) {
   EXPECT_GT(static_cast<double>(low_index_hits) /
                 static_cast<double>(total),
             0.25);
+}
+
+// A skewed row that asks for every feature is capped one short: the
+// Zipf sampler never draws the last index, so it could never fill.
+TEST(SyntheticTest, SaturatedSkewedRowsStopOneFeatureShort) {
+  SyntheticConfig cfg;
+  cfg.num_examples = 40;
+  cfg.num_features = 12;
+  cfg.avg_nnz = 12;
+  cfg.feature_skew = 1.1;
+  const Dataset d = GenerateSynthetic(cfg);
+  ASSERT_EQ(d.size(), 40u);
+  size_t widest = 0;
+  for (size_t i = 0; i < d.size(); ++i) {
+    const SparseVector& f = d.example(i).features;
+    EXPECT_LE(f.nnz(), 11u) << "row " << i;
+    for (size_t k = 0; k < f.nnz(); ++k) {
+      EXPECT_LT(f.index(k), 11) << "row " << i;
+    }
+    widest = std::max(widest, f.nnz());
+  }
+  EXPECT_EQ(widest, 11u);
 }
 
 TEST(SyntheticTest, PresetsHaveDocumentedShapes) {

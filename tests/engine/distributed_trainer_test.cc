@@ -278,6 +278,36 @@ TEST(DistributedTrainerTest, RebalanceShedsLoadOffInjectedStraggler) {
   EXPECT_EQ(result.value().next_clock, 12);
 }
 
+// Both planes in one run: the balancer sheds load off an injected
+// straggler while the heartbeat plane evicts a killed worker. The plane
+// reads membership under its own lock (plane mutex before the clock
+// lock), so this also runs that lock edge under TSan.
+TEST(DistributedTrainerTest, RebalanceSurvivesAnEviction) {
+  const Dataset d = DistData();
+  LogisticLoss loss;
+  FixedRate sched(0.5);
+  DynSgdRule rule;
+  DistributedTrainerOptions opts = FastOptions();
+  opts.num_workers = 4;
+  opts.sync = SyncPolicy::Ssp(3);
+  opts.max_clocks = 12;
+  opts.rebalance = true;
+  opts.balancer.straggler_threshold = 1.5;
+  opts.balancer.hysteresis = 2;
+  opts.balancer.reassign_fraction = 0.2;
+  opts.injected_compute_delay = {0.02};  // zero-padded for workers 1-3
+  opts.fault_plan.fault_worker = 3;
+  opts.fault_plan.kill_at_clock = 3;
+  opts.heartbeat_timeout_seconds = 2.0;
+  auto result = TrainDistributed(d, loss, sched, rule, opts);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result.value().evicted_workers.size(), 1u);
+  EXPECT_EQ(result.value().evicted_workers[0], 3);
+  EXPECT_GT(result.value().examples_failed_over, 0);
+  EXPECT_GT(result.value().examples_rebalanced, 0);
+  EXPECT_EQ(result.value().next_clock, 12);
+}
+
 TEST(DistributedTrainerTest, RebalanceOffLeavesShardsAlone) {
   const Dataset d = DistData();
   LogisticLoss loss;

@@ -19,6 +19,7 @@
 #include "core/sgd_compute.h"
 #include "data/synthetic.h"
 #include "ps/checkpoint.h"
+#include "ps/shard_plane.h"
 #include "util/rng.h"
 
 namespace hetps {
@@ -75,7 +76,7 @@ TEST(PsServiceTest, ServerRejectsMalformedRequests) {
   RpcHarness h(1, 4);
   // Unknown opcodes, among them every unassigned byte below kPush, each
   // followed by a worker id as a pull request would be.
-  for (const uint8_t op : {1, 2, 3, 5, 250}) {
+  for (const uint8_t op : {1, 2, 3, 5, 9, 250}) {
     ByteWriter w;
     w.WriteU8(op);
     w.WriteI64(0);
@@ -139,7 +140,6 @@ TEST(PsServiceTest, OpcodeNamesMapBothWays) {
       {PsOpCode::kPullDelta, "pull_delta"},
       {PsOpCode::kLayout, "layout"},
       {PsOpCode::kReportClock, "report_clock"},
-      {PsOpCode::kReadmit, "readmit"},
       {PsOpCode::kPush, "push"},
       {PsOpCode::kStatus, "status"},
       {PsOpCode::kMetricsScrape, "metrics_scrape"},
@@ -160,7 +160,8 @@ TEST(PsServiceTest, OpcodeNamesMapBothWays) {
   }
   EXPECT_EQ(named, static_cast<int>(expected.size()));
   EXPECT_STREQ(PsOpCodeName(1), "unknown");
-  for (const char* bad : {"push_columnar", "unknown", "all", "", "PUSH"}) {
+  for (const char* bad :
+       {"push_columnar", "readmit", "unknown", "all", "", "PUSH"}) {
     EXPECT_FALSE(PsOpCodeFromName(bad).has_value()) << bad;
   }
 }
@@ -545,44 +546,61 @@ TEST(PsServiceTest, DistributedSgdTrainsOverRpc) {
 }
 
 TEST(PsServiceTest, ReportClockFeedsStragglerStatisticsAndHook) {
+  /// Records what the plane shows its policy.
+  class Seen final : public StragglerMitigation {
+   public:
+    std::vector<ShardMove> OnClockReport(
+        int worker, int clock, const std::vector<double>& clock_seconds,
+        const std::vector<size_t>& shard_sizes) override {
+      (void)shard_sizes;
+      last_worker = worker;
+      last_clock = clock;
+      seconds = clock_seconds;
+      ++calls;
+      return {};
+    }
+    int last_worker = -1;
+    int last_clock = -1;
+    std::vector<double> seconds;
+    int calls = 0;
+  };
   DynSgdRule rule;
   MessageBus bus;
   PsOptions o;
   o.num_servers = 2;
   o.sync = SyncPolicy::Asp();
   ParameterServer ps(8, 2, rule, o);
-  int hook_worker = -1;
-  int hook_clock = -1;
-  double hook_seconds = 0.0;
-  int hook_calls = 0;
+  Seen policy;
+  ShardPlane plane(&ps, {DataShard{{0}}, DataShard{{1}}}, nullptr, &policy);
   PsServiceOptions svc;
   svc.on_clock_report = [&](int worker, int clock, double seconds) {
-    hook_worker = worker;
-    hook_clock = clock;
-    hook_seconds = seconds;
-    ++hook_calls;
+    plane.OnClockReport(worker, clock, seconds);
   };
   PsService service(&ps, &bus, "ps", svc);
   ASSERT_TRUE(service.status().ok());
 
   RpcWorkerClient client(0, &bus, "ps");
   ASSERT_TRUE(client.ReportClock(3, 2.5).ok());
-  // The report landed in the master's straggler statistics...
-  EXPECT_DOUBLE_EQ(ps.master()->LastClockTime(0), 2.5);
-  // ...and the rebalance hook saw it after the fold.
-  EXPECT_EQ(hook_calls, 1);
-  EXPECT_EQ(hook_worker, 0);
-  EXPECT_EQ(hook_clock, 3);
-  EXPECT_DOUBLE_EQ(hook_seconds, 2.5);
+  // The hook handed the report to the plane, which keeps the straggler
+  // statistics and showed them to its policy.
+  EXPECT_EQ(policy.calls, 1);
+  EXPECT_EQ(policy.last_worker, 0);
+  EXPECT_EQ(policy.last_clock, 3);
+  EXPECT_EQ(policy.seconds, (std::vector<double>{2.5, 0.0}));
 
   // Garbage timings are refused before they can poison the statistics,
   // and the hook must not fire for them.
   EXPECT_TRUE(client.ReportClock(4, -1.0).IsInvalidArgument());
-  EXPECT_EQ(hook_calls, 1);
-  EXPECT_DOUBLE_EQ(ps.master()->LastClockTime(0), 2.5);
+  EXPECT_EQ(policy.calls, 1);
+  RpcWorkerClient other(1, &bus, "ps");
+  ASSERT_TRUE(other.ReportClock(0, 1.5).ok());
+  EXPECT_EQ(policy.seconds, (std::vector<double>{2.5, 1.5}));
 }
 
-TEST(PsServiceTest, EvictedSenderMayOnlyReadmit) {
+// An evicted sender is refused every opcode, assigned or not, except
+// the observability ones: a dead worker can still be diagnosed, but it
+// can never sneak state in behind the eviction's back.
+TEST(PsServiceTest, EvictedSenderMayOnlyObserve) {
   DynSgdRule rule;
   MessageBus bus;
   PsOptions o;
@@ -606,55 +624,41 @@ TEST(PsServiceTest, EvictedSenderMayOnlyReadmit) {
   ASSERT_TRUE(c0.Push(1, SparseVector({1}, {1.0})).ok());
   ASSERT_FALSE(ps.IsWorkerLive(1));
 
-  // Every op except kReadmit from the zombie is refused — it must not
-  // sneak state in behind the eviction's back.
+  // Through the client...
   std::vector<double> replica;
   int cp = 0;
   EXPECT_TRUE(c1.PullCached(&replica, &cp).IsFailedPrecondition());
   EXPECT_TRUE(c1.Push(1, SparseVector({2}, {1.0})).IsFailedPrecondition());
   EXPECT_TRUE(c1.ReportClock(1, 1.0).IsFailedPrecondition());
-
-  // Rejoining at the current frontier goes through (the one permitted
-  // op), re-enrolls the worker with the heartbeat monitor, and restores
-  // normal service.
-  ASSERT_TRUE(c1.Readmit(ps.cmin()).ok());
-  EXPECT_TRUE(ps.IsWorkerLive(1));
-  EXPECT_TRUE(c1.PullCached(&replica, &cp).ok());
-  EXPECT_NE(service.heartbeat_monitor(), nullptr);
-}
-
-TEST(PsServiceTest, ReadmitBehindCminIsRefusedOverTheWire) {
-  DynSgdRule rule;
-  MessageBus bus;
-  PsOptions o;
-  o.num_servers = 2;
-  o.sync = SyncPolicy::Asp();
-  ParameterServer ps(8, 2, rule, o);
-  double now = 0.0;
-  PsServiceOptions svc;
-  svc.liveness.heartbeat_timeout_seconds = 5.0;
-  svc.liveness.now_fn = [&now] { return now; };
-  PsService service(&ps, &bus, "ps", svc);
-  ASSERT_TRUE(service.status().ok());
-  RpcWorkerClient c0(0, &bus, "ps", RpcRetryPolicy::NoRetry());
-  RpcWorkerClient c1(1, &bus, "ps", RpcRetryPolicy::NoRetry());
-  for (int c = 0; c < 3; ++c) {
-    ASSERT_TRUE(c0.Push(c, SparseVector({1}, {1.0})).ok());
-    ASSERT_TRUE(c1.Push(c, SparseVector({2}, {1.0})).ok());
+  // ...and byte by byte, byte 9 (once a rejoin request) included.
+  const auto answer = [&](uint8_t op) {
+    ByteWriter w;
+    w.WriteU8(op);
+    if (op == static_cast<uint8_t>(PsOpCode::kMetricsScrape)) {
+      w.WriteU8(0);  // a full scrape
+    } else if (op == static_cast<uint8_t>(PsOpCode::kObsControl)) {
+      w.WriteU8(2);  // histogram exemplars...
+      w.WriteU8(0);  // ...stay off
+    } else {
+      w.WriteI64(1);
+    }
+    BusReply reply =
+        bus.BlockingCall("worker-1", "ps", w.TakeBuffer(), kForever);
+    EXPECT_TRUE(reply.ok());
+    return reply.ok() && !reply.payload.empty() ? reply.payload[0] : 255;
+  };
+  const uint8_t refused =
+      static_cast<uint8_t>(StatusCode::kFailedPrecondition);
+  for (int op = 0; op < 256; ++op) {
+    const bool observes =
+        op == static_cast<int>(PsOpCode::kStatus) ||
+        op == static_cast<int>(PsOpCode::kMetricsScrape) ||
+        op == static_cast<int>(PsOpCode::kObsControl);
+    EXPECT_EQ(answer(static_cast<uint8_t>(op)), observes ? 0 : refused)
+        << "opcode " << op;
   }
-  now = 10.0;
-  ASSERT_TRUE(c0.Push(3, SparseVector({1}, {1.0})).ok());
-  ASSERT_FALSE(ps.IsWorkerLive(1));
-  ASSERT_GT(ps.cmin(), 0);
-
-  // Rejoining *behind* cmin would violate Theorem 3's staleness window
-  // (its stale pushes could land under already-consolidated clocks), so
-  // the request is refused and the worker stays out...
-  EXPECT_TRUE(c1.Readmit(0).IsFailedPrecondition());
   EXPECT_FALSE(ps.IsWorkerLive(1));
-  // ...but a corrected rejoin at the frontier succeeds.
-  ASSERT_TRUE(c1.Readmit(ps.cmin()).ok());
-  EXPECT_TRUE(ps.IsWorkerLive(1));
+  EXPECT_NE(service.heartbeat_monitor(), nullptr);
 }
 
 }  // namespace

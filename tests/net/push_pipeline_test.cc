@@ -268,9 +268,9 @@ TEST(PushPipelineTest, PullDrainsTheQueueFirst) {
 }
 
 // Eviction mid-pipeline: the in-flight push fails with
-// FailedPrecondition, the latch surfaces it on the owner thread (no
-// hang), and Readmit clears the latch so the worker can resume.
-TEST(PushPipelineTest, EvictionMidFlightSurfacesAndReadmitRecovers) {
+// FailedPrecondition and the latch surfaces it on the owner thread (no
+// hang). Eviction is final, so the latch stays.
+TEST(PushPipelineTest, EvictionMidFlightSurfaces) {
   DynSgdRule rule;
   MessageBus bus;
   PsOptions o;
@@ -304,13 +304,7 @@ TEST(PushPipelineTest, EvictionMidFlightSurfacesAndReadmitRecovers) {
   EXPECT_TRUE(st.IsFailedPrecondition()) << st.ToString();
   // Once latched, new pushes are refused outright.
   EXPECT_TRUE(c1.Push(2, SparseVector({2}, {1.0})).IsFailedPrecondition());
-
-  // Readmit drains the wreckage, resets the latch, and the pipeline
-  // works again.
-  ASSERT_TRUE(c1.Readmit(ps.cmin()).ok());
-  ASSERT_TRUE(c1.Push(static_cast<int>(ps.cmin()), SparseVector({2}, {1.0}))
-                  .ok());
-  EXPECT_TRUE(c1.Flush().ok());
+  EXPECT_TRUE(c1.Flush().IsFailedPrecondition());
 }
 
 Dataset PipelineData() {

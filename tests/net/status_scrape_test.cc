@@ -1,9 +1,9 @@
 // The observer-effect contract of the introspection plane: a scraper
-// thread hammering kStatus / kMetricsScrape while workers push, pull,
-// evict, and readmit must (a) never trip TSan (this file runs under the
-// tsan CI leg) and (b) see an internally consistent snapshot on every
-// single scrape — cmin <= every live worker clock <= cmax, which is
-// exactly what ValidateStatusJson enforces.
+// thread hammering kStatus / kMetricsScrape while workers push, pull and
+// get evicted must (a) never trip TSan (this file runs under the tsan
+// CI leg) and (b) see an internally consistent snapshot on every single
+// scrape — cmin <= every live worker clock <= cmax, which is exactly
+// what ValidateStatusJson enforces.
 
 #include <gtest/gtest.h>
 
@@ -32,7 +32,9 @@ TEST(StatusScrapeTest, ScraperSeesConsistentWindowUnderChurn) {
   opts.partitions_per_server = 2;
   opts.sync = SyncPolicy::Ssp(3);
   MessageBus bus;
-  ParameterServer ps(32, 4, rule, opts);
+  constexpr int kGrinders = 3;
+  constexpr int kWorkers = 12;
+  ParameterServer ps(32, kWorkers, rule, opts);
   PsService service(&ps, &bus, "ps");
   ASSERT_TRUE(service.status().ok());
 
@@ -63,26 +65,20 @@ TEST(StatusScrapeTest, ScraperSeesConsistentWindowUnderChurn) {
     }
   };
 
-  // Worker 3: same grind, but periodically evicts itself (standing in
-  // for the liveness plane's sweep) and rejoins at the clock frontier
-  // over the wire (kReadmit) — churning exactly the membership state the
-  // snapshot reads.
+  // Workers 3-11: the same grind, one after another, each evicted
+  // (standing in for the liveness plane's sweep) after a few pushes —
+  // churning exactly the membership state the snapshot reads. A worker
+  // that has not started yet pins cmin at its clock 0.
   auto churner = [&] {
-    RpcWorkerClient client(3, &bus, "ps");
-    int clock = 0;
-    int iter = 0;
-    while (!stop.load(std::memory_order_acquire)) {
-      (void)client.Push(clock++,
-                        SparseVector({int64_t{3}}, {0.01}));
-      if (++iter % 5 == 0 && ps.EvictWorker(3)) {
-        while (!stop.load(std::memory_order_acquire)) {
-          const int frontier = ps.cmax();
-          if (client.Readmit(frontier).ok()) {
-            clock = frontier;
-            break;
-          }
-        }
+    for (int m = kGrinders; m < kWorkers; ++m) {
+      RpcWorkerClient client(m, &bus, "ps");
+      for (int clock = 0; clock < 5; ++clock) {
+        if (stop.load(std::memory_order_acquire)) return;
+        (void)client.Push(clock,
+                          SparseVector({static_cast<int64_t>(m)}, {0.01}));
       }
+      ps.EvictWorker(m);
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
   };
 
@@ -128,7 +124,7 @@ TEST(StatusScrapeTest, ScraperSeesConsistentWindowUnderChurn) {
   };
 
   std::vector<std::thread> threads;
-  for (int m = 0; m < 3; ++m) threads.emplace_back(grinder, m);
+  for (int m = 0; m < kGrinders; ++m) threads.emplace_back(grinder, m);
   threads.emplace_back(churner);
   threads.emplace_back(scraper);
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
@@ -136,6 +132,7 @@ TEST(StatusScrapeTest, ScraperSeesConsistentWindowUnderChurn) {
   for (std::thread& t : threads) t.join();
 
   EXPECT_GT(scrapes.load(), 10) << "scraper barely ran";
+  EXPECT_LT(ps.num_live_workers(), kWorkers) << "membership never churned";
   EXPECT_EQ(scrape_failures.load(), 0) << first_error;
 }
 

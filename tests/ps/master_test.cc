@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace hetps {
 namespace {
 
 TEST(MasterTest, StableVersionIsMinimumAcrossPartitions) {
-  Master master(3, 2);
+  Master master(3);
   EXPECT_EQ(master.StableVersion(), 0);
   master.ReportVersion(0, 5);
   master.ReportVersion(1, 3);
@@ -17,124 +19,30 @@ TEST(MasterTest, StableVersionIsMinimumAcrossPartitions) {
 }
 
 TEST(MasterTest, VersionReportsAreMonotone) {
-  Master master(1, 1);
+  Master master(1);
   master.ReportVersion(0, 5);
   master.ReportVersion(0, 2);  // stale report must not regress
   EXPECT_EQ(master.PartitionVersion(0), 5);
 }
 
-TEST(MasterTest, DetectsStragglers) {
-  Master master(1, 4);
-  master.ReportClockTime(0, 1.0);
-  master.ReportClockTime(1, 1.1);
-  master.ReportClockTime(2, 1.5);
-  master.ReportClockTime(3, 2.5);
-  const auto stragglers = master.DetectStragglers(1.2);
-  ASSERT_EQ(stragglers.size(), 2u);
-  EXPECT_EQ(stragglers[0], 2);
-  EXPECT_EQ(stragglers[1], 3);
-  EXPECT_EQ(master.FastestWorker(), 0);
-  EXPECT_DOUBLE_EQ(master.LastClockTime(3), 2.5);
-}
-
-TEST(MasterTest, NoReportsMeansNoStragglers) {
-  Master master(1, 3);
-  EXPECT_TRUE(master.DetectStragglers().empty());
-  EXPECT_EQ(master.FastestWorker(), -1);
-}
-
-TEST(MasterTest, IgnoresUnreportedWorkersInDetection) {
-  Master master(1, 3);
-  master.ReportClockTime(0, 1.0);
-  // Workers 1 and 2 never reported (time 0): not flagged.
-  EXPECT_TRUE(master.DetectStragglers().empty());
-}
-
-TEST(MasterTest, DeadWorkersLeaveStragglerStatistics) {
-  Master master(1, 4);
-  master.ReportClockTime(0, 1.0);
-  master.ReportClockTime(1, 1.1);
-  master.ReportClockTime(2, 1.5);
-  master.ReportClockTime(3, 2.5);
-  ASSERT_EQ(master.DetectStragglers(1.2).size(), 2u);
-  // Worker 3 dies: its frozen 2.5s clock time must stop counting as a
-  // straggler signal (it would otherwise trigger shard moves forever).
-  master.MarkWorkerDead(3);
-  EXPECT_FALSE(master.IsWorkerLive(3));
-  EXPECT_EQ(master.num_live_workers(), 3);
-  const auto stragglers = master.DetectStragglers(1.2);
-  ASSERT_EQ(stragglers.size(), 1u);
-  EXPECT_EQ(stragglers[0], 2);
-  // The fastest worker dying must not pin the baseline either.
-  master.MarkWorkerDead(0);
-  EXPECT_EQ(master.FastestWorker(), 1);
-  // Late clock-time reports from a dead worker are dropped.
-  master.ReportClockTime(3, 0.1);
-  EXPECT_DOUBLE_EQ(master.LastClockTime(3), 2.5);
-  // Revival restores participation.
-  master.MarkWorkerLive(3);
-  master.ReportClockTime(3, 0.9);
-  EXPECT_EQ(master.FastestWorker(), 3);
-  EXPECT_EQ(master.num_live_workers(), 3);
-}
-
-TEST(MasterTest, ReadmitStartsWithACleanTimingSlate) {
-  // Regression: MarkWorkerLive used to leave the pre-eviction entry in
-  // clock_times_, so a freshly readmitted worker was instantly
-  // classified by its dead timing regime — DetectStragglers flagged it
-  // (or FastestWorker crowned it) before it had run a single clock.
-  Master master(1, 3);
-  master.ReportClockTime(0, 1.0);
-  master.ReportClockTime(1, 1.1);
-  master.ReportClockTime(2, 9.0);  // heavy straggler...
-  master.MarkWorkerDead(2);        // ...evicted...
-  master.MarkWorkerLive(2);        // ...and readmitted.
-  EXPECT_TRUE(master.IsWorkerLive(2));
-  EXPECT_DOUBLE_EQ(master.LastClockTime(2), 0.0);
-  // Unreported (t = 0) workers are never flagged: the rejoiner gets a
-  // fresh chance instead of inheriting its 9.0s slot.
-  EXPECT_TRUE(master.DetectStragglers(1.2).empty());
-  EXPECT_EQ(master.FastestWorker(), 0);
-  // The same holds if the rejoiner had been the *fastest*: a stale fast
-  // slot must not crown it either.
-  master.ReportClockTime(2, 0.1);
-  ASSERT_EQ(master.FastestWorker(), 2);
-  master.MarkWorkerDead(2);
-  master.MarkWorkerLive(2);
-  EXPECT_EQ(master.FastestWorker(), 0);
-  // Its first real report re-enters it into the statistics.
-  master.ReportClockTime(2, 5.0);
-  const auto stragglers = master.DetectStragglers(1.2);
-  ASSERT_EQ(stragglers.size(), 1u);
-  EXPECT_EQ(stragglers[0], 2);
-}
-
-TEST(MasterTest, RestoreVersionsResetsClockTimesAndRevives) {
-  // Regression: RestoreVersions used to leave stale clock_times_ behind,
-  // so a restored run inherited the pre-crash timing regime and
-  // misclassified stragglers from its very first clock.
-  Master master(2, 3);
-  master.ReportClockTime(0, 1.0);
-  master.ReportClockTime(1, 9.0);  // pre-crash straggler
-  master.MarkWorkerDead(2);
+TEST(MasterTest, RestoreVersionsReplacesEveryVersion) {
+  Master master(2);
   master.ReportVersion(0, 4);
   master.ReportVersion(1, 6);
+  const std::vector<int64_t> saved = master.VersionSnapshot();
+  master.ReportVersion(0, 9);
+  master.ReportVersion(1, 8);
 
-  master.RestoreVersions({4, 6});
+  master.RestoreVersions(saved);
   EXPECT_EQ(master.PartitionVersion(0), 4);
   EXPECT_EQ(master.PartitionVersion(1), 6);
-  // Timing state is gone: no reports yet on the restored run.
-  EXPECT_TRUE(master.DetectStragglers().empty());
-  EXPECT_EQ(master.FastestWorker(), -1);
-  EXPECT_DOUBLE_EQ(master.LastClockTime(1), 0.0);
-  // Full membership again — a checkpoint predates eviction decisions.
-  EXPECT_TRUE(master.IsWorkerLive(2));
-  EXPECT_EQ(master.num_live_workers(), 3);
+  EXPECT_EQ(master.StableVersion(), 4);
 }
 
 TEST(MasterDeathTest, ValidatesConstruction) {
-  EXPECT_DEATH(Master(0, 1), "partition");
-  EXPECT_DEATH(Master(1, 0), "worker");
+  EXPECT_DEATH(Master(0), "partition");
+  Master master(2);
+  EXPECT_DEATH(master.RestoreVersions({1}), "size mismatch");
 }
 
 }  // namespace

@@ -130,29 +130,6 @@ TEST(ParameterServerTest, EmptyPiecesStillCountForVersionTrackingRules) {
   EXPECT_EQ(ps.TotalPushes(), 4);
 }
 
-TEST(ParameterServerTest, ReadmittedWorkerMayPushAtItsReadmitClock) {
-  // Regression (liveness x DynSGD): worker 0 pushes clock 0, is evicted,
-  // and rejoins at cmin = 0 (the survivors have not pushed yet). Its
-  // V(0) = 1 from the dead regime must be rebased to the readmission
-  // clock — otherwise the survivors' clock-0 pushes raise the all-worker
-  // version minimum to 1, version 0 is folded, and worker 0's legitimate
-  // push at its admitted clock aborts the server.
-  DynSgdRule rule;
-  PsOptions opts = SmallOptions();
-  opts.sync = SyncPolicy::Asp();
-  ParameterServer ps(10, 3, rule, opts);
-  ps.Push(0, 0, SparseVector({0}, {1.0}));
-  ASSERT_TRUE(ps.EvictWorker(0));
-  ASSERT_EQ(ps.cmin(), 0);
-  ASSERT_TRUE(ps.ReadmitWorker(0, ps.cmin()).ok());
-  ps.Push(1, 0, SparseVector({1}, {1.0}));
-  ps.Push(2, 0, SparseVector({2}, {1.0}));
-  // Without the rebase this push dies on DynSGD's evicted-version check.
-  ps.Push(0, 0, SparseVector({3}, {1.0}));
-  EXPECT_TRUE(ps.IsWorkerLive(0));
-  EXPECT_EQ(ps.cmin(), 1);
-}
-
 TEST(ParameterServerTest, MasterSeesCompletedVersions) {
   DynSgdRule rule;
   PsOptions opts = SmallOptions();
@@ -345,50 +322,6 @@ TEST(ParameterServerTest, EvictedPushesAreDroppedAndCounted) {
   EXPECT_EQ(ps.cmin(), 1);
   EXPECT_EQ(GlobalMetrics().counter("ps.evicted_pushes_dropped")->value(),
             dropped_before + 1);
-}
-
-TEST(ParameterServerTest, ReadmitRestoresMembership) {
-  SspRule rule;
-  PsOptions opts = SmallOptions();
-  opts.sync = SyncPolicy::Ssp(1);
-  ParameterServer ps(4, 2, rule, opts);
-  ps.Push(0, 0, SparseVector());
-  ps.EvictWorker(1);
-  ASSERT_EQ(ps.cmin(), 1);
-  EXPECT_TRUE(ps.ReadmitWorker(1, ps.cmin()).ok());
-  EXPECT_TRUE(ps.IsWorkerLive(1));
-  EXPECT_EQ(ps.num_live_workers(), 2);
-  // The readmitted worker participates in the gate again: its pushes
-  // count and it pins cmin until it catches up.
-  ps.Push(0, 1, SparseVector());
-  EXPECT_EQ(ps.cmin(), 1);
-  ps.Push(1, 1, SparseVector());
-  EXPECT_EQ(ps.cmin(), 2);
-  // Readmitting a live worker is rejected, not applied twice.
-  EXPECT_TRUE(ps.ReadmitWorker(1, ps.cmin()).IsFailedPrecondition());
-}
-
-// Regression: a rejoin clock behind cmin used to abort the whole server
-// via a hard CHECK inside ClockTable. It is client-controlled input, so
-// it must come back as FailedPrecondition with the table untouched.
-TEST(ParameterServerTest, ReadmitBehindCminIsFailedPrecondition) {
-  SspRule rule;
-  PsOptions opts = SmallOptions();
-  opts.sync = SyncPolicy::Ssp(1);
-  ParameterServer ps(4, 2, rule, opts);
-  for (int c = 0; c < 3; ++c) {
-    ps.Push(0, c, SparseVector());
-    ps.Push(1, c, SparseVector());
-  }
-  ps.EvictWorker(1);
-  ASSERT_EQ(ps.cmin(), 3);
-  const Status st = ps.ReadmitWorker(1, 1);
-  EXPECT_TRUE(st.IsFailedPrecondition());
-  EXPECT_NE(st.message().find("cmin"), std::string::npos);
-  EXPECT_FALSE(ps.IsWorkerLive(1));
-  // Retrying at the frontier succeeds.
-  EXPECT_TRUE(ps.ReadmitWorker(1, ps.cmin()).ok());
-  EXPECT_TRUE(ps.IsWorkerLive(1));
 }
 
 TEST(ParameterServerTest, DebugStringDescribesSetup) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -140,7 +141,12 @@ TEST(PsClientTest, RefreshInPlaceOnlyForTheBufferTheLastPullFilled) {
   svc.liveness.now_fn = [] { return 0.0; };
   PsService service(&ps, &bus, "ps", svc);
   ASSERT_TRUE(service.status().ok());
-  RpcWorkerClient client(0, &bus, "ps", RpcRetryPolicy::NoRetry());
+  // One attempt, and a deadline a healthy local round trip never nears.
+  RpcRetryPolicy one_try = RpcRetryPolicy::NoRetry();
+  one_try.timeout = std::chrono::milliseconds(200);
+  RpcWorkerClient client(0, &bus, "ps", one_try);
+  FaultPlan lose_requests;
+  lose_requests.drop_request_prob = 1.0;
   // The bus channel records process-wide.
   const Counter* copies =
       GlobalMetrics().counter("client.replica_full_copies");
@@ -173,9 +179,11 @@ TEST(PsClientTest, RefreshInPlaceOnlyForTheBufferTheLastPullFilled) {
   EXPECT_EQ(b, server);
   EXPECT_EQ(copies->value() - copies_before, 3);
 
-  ASSERT_TRUE(ps.EvictWorker(0));
-  EXPECT_TRUE(client.PullCached(&b, nullptr, &written).IsFailedPrecondition());
-  ASSERT_TRUE(client.Readmit(ps.cmin()).ok());
+  // A pull whose request is lost fails, and the client forgets the
+  // buffer.
+  bus.SetFaultPlan(lose_requests);
+  EXPECT_TRUE(client.PullCached(&b, nullptr, &written).IsDeadlineExceeded());
+  bus.SetFaultPlan(FaultPlan::None());
   scribble(&b);
   ASSERT_TRUE(client.PullCached(&b, nullptr, &written).ok());  // after error
   EXPECT_EQ(b, server);
