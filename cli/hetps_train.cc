@@ -1,48 +1,21 @@
 // hetps_train — command-line front end for the library.
 //
-//   hetps_train train    --data=train.libsvm --model=out.model
-//                        [--loss=logistic|hinge|squared] [--rule=ssp|con|dyn]
-//                        [--protocol=bsp|asp|ssp] [--staleness=3]
-//                        [--workers=4] [--servers=2] [--clocks=20]
-//                        [--partitions=2] [--scheme=range|hash|rangehash]
-//                        [--update_filter=0] [--lr=0.3] [--decay] [--l2=1e-4]
-//                        [--batch-fraction=0.1] [--synthetic=url|ctr]
-//                        [--push_window=0] [--push_parallelism=1]
-//                        [--runtime=threaded|rpc]
-//     rpc runtime only:  [--serve_status=/tmp/hetps.sock]
-//                        [--heartbeat_timeout=0] [--evict_dead_workers=1]
-//                        [--rebalance] [--compute_delay=0,0.05,...]
-//                        (seconds per clock per worker: missing entries
-//                        are 0, entries beyond --workers an error)
-//   hetps_train evaluate --data=test.libsvm --model=in.model
-//   hetps_train predict  --data=test.libsvm --model=in.model [--out=preds.txt]
-//   hetps_train simulate [--hl=2] [--workers=30] [--servers=10]
-//                        [--rule=dyn] [--staleness=3] [--lr=2.0]
-//                        [--clocks=60] [--tolerance=0.4]
-//                        [--partitions=1] [--scheme=range|hash|rangehash]
-//                        [--update_filter=0] [--push_window=-1]
-//                        [--kill_worker=-1] [--kill_at_clock=-1]
-//                        [--heartbeat_timeout=0] [--evict_dead_workers=1]
-//                        [--rebalance] [--straggler_threshold=1.2]
-//                        [--rebalance_hysteresis=3]
-//                        [--reassign_fraction=0.05]
-//                        [--slow_worker=-1] [--slow_from_clock=0]
-//                        [--slow_until_clock=0] [--slow_multiplier=1]
-//   hetps_train check-obs --metrics=metrics.json [--trace=trace.json]
-//                         [--timeseries=timeseries.json]
-//                         [--flightrec=flightrec.json]
-//                         [--status=status.json]
-//   hetps_train inspect  [--timeseries=timeseries.json]
-//                        [--metrics=metrics.json]
-//                        [--flightrec=flightrec.json]   (at least one)
-//   hetps_train dump-status --bus=/tmp/hetps.sock [--out=status.json]
-//                           [--scrape_out=metrics.prom]
-//   hetps_train top      --bus=/tmp/hetps.sock [--interval_ms=500]
-//                        [--iters=0]
-//   hetps_train obs-ctl  --bus=/tmp/hetps.sock [--trace=on|off]
-//                        [--exemplars=on|off]
-//                        [--slow_us=N [--slow_op=push|pull_delta|...|all]]
-//                        [--flight_dump]
+//   hetps_train train        train a linear model (--runtime=threaded|rpc)
+//   hetps_train evaluate     objective and accuracy of a saved model
+//   hetps_train predict      a saved model's predictions
+//   hetps_train simulate     one run on the event simulator
+//   hetps_train check-obs    validate metrics/trace/timeseries/flightrec/
+//                            status files
+//   hetps_train inspect      a heterogeneity report from those files
+//   hetps_train dump-status  one status snapshot of a live run
+//   hetps_train top          a refreshing dashboard of a live run
+//   hetps_train obs-ctl      flip a live run's observability knobs
+//
+// `hetps_train COMMAND --help` lists every flag COMMAND reads, with its
+// type and default (`train --runtime=rpc --help` the RPC runtime's). A
+// command reads all its flags into its options first; a malformed value,
+// an unknown flag or options that Validate() rejects then print one
+// "error:" line and exit 1, before any work.
 //
 // The last three talk to a *running* `train --runtime=rpc
 // --serve_status=SOCK` process over its introspection gateway:
@@ -69,6 +42,7 @@
 // which makes the tool usable out of the box.
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -110,43 +84,79 @@ int Fail(const Status& st) {
   return 1;
 }
 
-Result<Dataset> LoadData(const FlagParser& flags) {
-  const std::string synthetic = flags.GetString("synthetic", "");
-  if (!synthetic.empty()) {
-    const uint64_t seed = static_cast<uint64_t>(
-        flags.GetInt("seed", 42).value());
-    Dataset d = synthetic == "ctr"
-                    ? GenerateSynthetic(CtrLikeConfig(1.0, seed))
-                    : GenerateSynthetic(UrlLikeConfig(1.0, seed));
-    Rng rng(seed + 1);
+/// The one check each command makes once it has read all its flags, and
+/// before any work. Returns the exit code when the command stops here: 0
+/// after printing --help, 1 on a malformed value, an unknown flag or a
+/// `spec` error.
+std::optional<int> Gate(FlagParser& flags, const std::string& command,
+                        const Status& spec = Status::OK()) {
+  bool help = false;
+  flags.Read("help", &help);
+  if (help) {
+    std::printf("usage: hetps_train %s [--flag=value ...]\n%s",
+                command.c_str(), flags.Usage().c_str());
+    return 0;
+  }
+  Status st = flags.Check();
+  if (st.ok()) st = spec;
+  if (st.ok()) return std::nullopt;
+  return Fail(st);
+}
+
+/// Where a command's examples come from: --synthetic generates them
+/// from --seed, --data reads a LIBSVM file.
+struct DataFlags {
+  std::string path;
+  std::string synthetic;
+  uint64_t seed = 42;
+};
+
+void ReadDataFlags(FlagParser& flags, DataFlags* data) {
+  flags.Read("data", &data->path);
+  flags.Read("synthetic", &data->synthetic, {"url", "ctr"});
+  flags.Read("seed", &data->seed);
+}
+
+Result<Dataset> LoadData(const DataFlags& data) {
+  if (!data.synthetic.empty()) {
+    Dataset d = data.synthetic == "ctr"
+                    ? GenerateSynthetic(CtrLikeConfig(1.0, data.seed))
+                    : GenerateSynthetic(UrlLikeConfig(1.0, data.seed));
+    Rng rng(data.seed + 1);
     d.Shuffle(&rng);
     return d;
   }
-  const std::string path = flags.GetString("data", "");
-  if (path.empty()) {
+  if (data.path.empty()) {
     return Status::InvalidArgument(
         "pass --data=<libsvm file> or --synthetic=url|ctr");
   }
-  return ReadLibSvmFile(path);
+  return ReadLibSvmFile(data.path);
 }
 
-/// Reads the observability flags, primes the global metric/trace state,
-/// and hands back a RunReporter (null when no output was requested).
-/// `run_info` annotates metrics.json's "run" object.
+/// The observability flags of train and simulate.
+struct ReportFlags {
+  RunReporterOptions options;
+  int trace_buffer_kb = 256;
+  int flightrec_events = 4096;
+};
+
+void ReadReportFlags(FlagParser& flags, ReportFlags* report) {
+  flags.Read("metrics_out", &report->options.metrics_out);
+  flags.Read("trace_out", &report->options.trace_out);
+  flags.Read("timeseries_out", &report->options.timeseries_out);
+  flags.Read("flightrec_out", &report->options.flightrec_out);
+  flags.Read("report_every", &report->options.report_every);
+  flags.Read("trace_buffer_kb", &report->trace_buffer_kb);
+  flags.Read("flightrec_events", &report->flightrec_events);
+}
+
+/// Primes the global metric/trace state and hands back a RunReporter
+/// (null when no output was requested). `run_info` annotates
+/// metrics.json's "run" object.
 std::unique_ptr<RunReporter> MakeReporter(
-    const FlagParser& flags,
+    const ReportFlags& report,
     std::vector<std::pair<std::string, std::string>> run_info) {
-  RunReporterOptions opts;
-  opts.metrics_out = flags.GetString("metrics_out", "");
-  opts.trace_out = flags.GetString("trace_out", "");
-  opts.timeseries_out = flags.GetString("timeseries_out", "");
-  opts.flightrec_out = flags.GetString("flightrec_out", "");
-  opts.report_every =
-      static_cast<int>(flags.GetInt("report_every", 0).value());
-  const int trace_kb =
-      static_cast<int>(flags.GetInt("trace_buffer_kb", 256).value());
-  const int flightrec_events =
-      static_cast<int>(flags.GetInt("flightrec_events", 4096).value());
+  RunReporterOptions opts = report.options;
   if (opts.metrics_out.empty() && opts.trace_out.empty() &&
       opts.timeseries_out.empty() && opts.flightrec_out.empty()) {
     return nullptr;
@@ -157,24 +167,27 @@ std::unique_ptr<RunReporter> MakeReporter(
   // Pre-register the RPC-layer fault/retry counters so metrics.json
   // always carries them (zero for runs that never touch the bus) —
   // dashboards can key on them unconditionally.
-  GlobalMetrics().counter("bus.delivered");
-  GlobalMetrics().counter("bus.fault.dropped_requests");
-  GlobalMetrics().counter("bus.fault.dropped_responses");
-  GlobalMetrics().counter("bus.fault.duplicated_requests");
-  GlobalMetrics().counter("bus.fault.delayed_requests");
-  GlobalMetrics().counter("rpc.client_retries");
+  for (const char* name :
+       {"bus.delivered", "bus.fault.dropped_requests",
+        "bus.fault.dropped_responses", "bus.fault.duplicated_requests",
+        "bus.fault.delayed_requests", "rpc.client_retries"}) {
+    GlobalMetrics().counter(name);
+  }
   if (!opts.trace_out.empty()) {
     TraceRecorder::Global().Clear();
     TraceOptions trace_opts;
     trace_opts.buffer_kb_per_thread =
-        trace_kb > 0 ? static_cast<size_t>(trace_kb) : 256;
+        report.trace_buffer_kb > 0
+            ? static_cast<size_t>(report.trace_buffer_kb)
+            : 256;
     TraceRecorder::Global().Start(trace_opts);
   }
   if (!opts.flightrec_out.empty()) {
     FlightRecorder::Global().Clear();
     FlightRecorder::Global().Start(
-        flightrec_events > 0 ? static_cast<size_t>(flightrec_events)
-                             : 4096);
+        report.flightrec_events > 0
+            ? static_cast<size_t>(report.flightrec_events)
+            : 4096);
   }
   opts.run_info = std::move(run_info);
   return std::make_unique<RunReporter>(std::move(opts));
@@ -186,140 +199,130 @@ int FinishReport(RunReporter* reporter) {
   TraceRecorder::Global().Stop();
   FlightRecorder::Global().Stop();
   if (!st.ok()) return Fail(st);
-  if (!reporter->options().metrics_out.empty()) {
-    std::printf("metrics written to %s\n",
-                reporter->options().metrics_out.c_str());
-  }
-  if (!reporter->options().trace_out.empty()) {
-    std::printf("trace written to %s\n",
-                reporter->options().trace_out.c_str());
-  }
-  if (!reporter->options().timeseries_out.empty()) {
-    std::printf("timeseries written to %s\n",
-                reporter->options().timeseries_out.c_str());
-  }
-  if (!reporter->options().flightrec_out.empty()) {
-    std::printf("flight record written to %s\n",
-                reporter->options().flightrec_out.c_str());
+  const RunReporterOptions& out = reporter->options();
+  for (const auto& [what, path] :
+       {std::pair{"metrics", &out.metrics_out}, {"trace", &out.trace_out},
+        {"timeseries", &out.timeseries_out},
+        {"flight record", &out.flightrec_out}}) {
+    if (!path->empty()) std::printf("%s written to %s\n", what, path->c_str());
   }
   return 0;
 }
 
-PartitionScheme ParseScheme(const FlagParser& flags, Status* st) {
-  const std::string scheme = flags.GetString("scheme", "rangehash");
-  if (scheme == "range") return PartitionScheme::kRange;
-  if (scheme == "hash") return PartitionScheme::kHash;
-  if (scheme == "rangehash") return PartitionScheme::kRangeHash;
-  *st = Status::InvalidArgument("unknown --scheme: " + scheme);
-  return PartitionScheme::kRangeHash;
+/// Reads the flags of the options every runtime shares.
+void ReadRunSpec(FlagParser& flags, RunSpec* spec) {
+  flags.Read("protocol", &spec->sync.protocol,
+             {{"bsp", Protocol::kBsp},
+              {"asp", Protocol::kAsp},
+              {"ssp", Protocol::kSsp}});
+  flags.Read("staleness", &spec->sync.staleness);
+  if (spec->sync.protocol == Protocol::kBsp) spec->sync = SyncPolicy::Bsp();
+  if (spec->sync.protocol == Protocol::kAsp) spec->sync = SyncPolicy::Asp();
+  flags.Read("clocks", &spec->max_clocks);
+  flags.Read("l2", &spec->l2);
+  flags.Read("batch_fraction", &spec->batch_fraction);
+  flags.Read("partitions", &spec->partitions_per_server);
+  flags.Read("scheme", &spec->scheme,
+             {{"range", PartitionScheme::kRange},
+              {"hash", PartitionScheme::kHash},
+              {"rangehash", PartitionScheme::kRangeHash}});
+  flags.Read("update_filter", &spec->update_filter_epsilon);
+  flags.Read("push_window", &spec->push_window);
+  flags.Read("heartbeat_timeout", &spec->heartbeat_timeout_seconds);
+  flags.Read("evict_dead_workers", &spec->evict_dead_workers);
+  flags.Read("rebalance", &spec->rebalance);
+  flags.Read("straggler_threshold", &spec->balancer.straggler_threshold);
+  flags.Read("rebalance_hysteresis", &spec->balancer.hysteresis);
+  flags.Read("reassign_fraction", &spec->balancer.reassign_fraction);
 }
 
-SyncPolicy ParseSync(const FlagParser& flags, Status* st) {
-  const std::string protocol = flags.GetString("protocol", "ssp");
-  const int s =
-      static_cast<int>(flags.GetInt("staleness", 3).value());
-  if (protocol == "bsp") return SyncPolicy::Bsp();
-  if (protocol == "asp") return SyncPolicy::Asp();
-  if (protocol == "ssp") return SyncPolicy::Ssp(s);
-  *st = Status::InvalidArgument("unknown --protocol: " + protocol);
-  return SyncPolicy::Ssp(s);
-}
-
-/// Parses "--compute_delay=0,0.05,0.1" into per-worker seconds.
-Result<std::vector<double>> ParseDelayList(const std::string& text) {
-  std::vector<double> delays;
-  if (text.empty()) return delays;
-  std::istringstream in(text);
-  std::string item;
-  while (std::getline(in, item, ',')) {
-    char* end = nullptr;
-    const double v = std::strtod(item.c_str(), &end);
-    if (end == item.c_str() || *end != '\0' || v < 0.0) {
-      return Status::InvalidArgument("bad --compute_delay entry: " + item);
-    }
-    delays.push_back(v);
-  }
-  return delays;
-}
-
-/// Writes `model` to --model, when that flag is set.
-Status SaveModelFlag(const FlagParser& flags, const LinearModel& model) {
-  const std::string out = flags.GetString("model", "");
-  if (out.empty()) return Status::OK();
-  HETPS_RETURN_NOT_OK(model.Save(out));
-  std::printf("model written to %s\n", out.c_str());
+/// Writes `model` to `path`, when one is set.
+Status SaveModel(const std::string& path, const LinearModel& model) {
+  if (path.empty()) return Status::OK();
+  HETPS_RETURN_NOT_OK(model.Save(path));
+  std::printf("model written to %s\n", path.c_str());
   return Status::OK();
 }
 
-/// `train --runtime=rpc`: the fully-distributed execution path — worker
-/// threads talk to the PS service over the serialized message bus, with
-/// the liveness / rebalancing planes and (via --serve_status) the live
-/// introspection gateway.
-int RunTrainRpc(const FlagParser& flags) {
-  auto data = LoadData(flags);
-  if (!data.ok()) return Fail(data.status());
+/// `train`: the threaded runtime (LinearModel::Train), or with
+/// --runtime=rpc the fully-distributed one — worker threads talk to the
+/// PS service over the serialized message bus, with the liveness /
+/// rebalancing planes and (via --serve_status) the live introspection
+/// gateway.
+int RunTrain(FlagParser& flags) {
+  std::string runtime = "threaded";
+  flags.Read("runtime", &runtime, {"threaded", "rpc"});
+  const bool rpc = runtime == "rpc";
+  // The threaded runtime's options, and the learner of both runtimes.
+  LinearModelConfig cfg;
+  cfg.learning_rate = 0.3;
+  DistributedTrainerOptions rpc_opts;
+  TrainSpec& spec = rpc ? static_cast<TrainSpec&>(rpc_opts) : cfg;
+  ReadRunSpec(flags, &spec);
+  flags.Read("workers", &spec.num_workers);
+  flags.Read("servers", &spec.num_servers);
+  flags.Read("push_parallelism", &spec.push_parallelism);
+  flags.Read("compute_delay", &spec.injected_compute_delay);
+  flags.Read("loss", &cfg.loss, LossNames());
+  flags.Read("rule", &cfg.rule, RuleNames());
+  flags.Read("lr", &cfg.learning_rate);
+  flags.Read("decay", &cfg.decayed_rate);
+  if (rpc) flags.Read("serve_status", &rpc_opts.serve_status_path);
+  DataFlags data;
+  ReadDataFlags(flags, &data);
+  ReportFlags report;
+  ReadReportFlags(flags, &report);
+  std::string model_out;
+  flags.Read("model", &model_out);
+  // cfg also holds the RPC runtime's loss, rule and learning rate.
+  Status valid = spec.Validate();
+  if (valid.ok() && rpc) valid = cfg.Validate();
+  if (auto rc = Gate(flags, "train", valid)) return *rc;
 
-  DistributedTrainerOptions opts;
-  Status sync_st;
-  opts.sync = ParseSync(flags, &sync_st);
-  if (!sync_st.ok()) return Fail(sync_st);
-  opts.max_clocks = static_cast<int>(flags.GetInt("clocks", 20).value());
-  opts.l2 = flags.GetDouble("l2", 1e-4).value();
-  opts.batch_fraction = flags.GetDouble("batch-fraction", 0.1).value();
-  opts.num_workers =
-      static_cast<int>(flags.GetInt("workers", 4).value());
-  opts.num_servers =
-      static_cast<int>(flags.GetInt("servers", 2).value());
-  opts.seed = static_cast<uint64_t>(flags.GetInt("seed", 42).value());
-  opts.push_window =
-      static_cast<int>(flags.GetInt("push_window", 0).value());
-  opts.push_parallelism =
-      static_cast<int>(flags.GetInt("push_parallelism", 1).value());
-  opts.heartbeat_timeout_seconds =
-      flags.GetDouble("heartbeat_timeout", 0.0).value();
-  opts.evict_dead_workers = flags.GetBool("evict_dead_workers", true);
-  opts.rebalance = flags.GetBool("rebalance", false);
-  opts.balancer.straggler_threshold =
-      flags.GetDouble("straggler_threshold", 1.2).value();
-  opts.balancer.hysteresis = static_cast<int>(
-      flags.GetInt("rebalance_hysteresis", 3).value());
-  opts.balancer.reassign_fraction =
-      flags.GetDouble("reassign_fraction", 0.05).value();
-  auto delays = ParseDelayList(flags.GetString("compute_delay", ""));
-  if (!delays.ok()) return Fail(delays.status());
-  opts.injected_compute_delay = std::move(delays.value());
-  opts.serve_status_path = flags.GetString("serve_status", "");
-
-  auto rule = MakeConsolidationRule(flags.GetString("rule", "dyn"));
-  auto loss = MakeLoss(flags.GetString("loss", "logistic"));
-  const double lr = flags.GetDouble("lr", 0.3).value();
-  std::unique_ptr<LearningRateSchedule> sched;
-  if (flags.GetBool("decay", false)) {
-    sched = std::make_unique<DecayedRate>(lr);
-  } else {
-    sched = std::make_unique<FixedRate>(lr);
-  }
-
+  auto dataset = LoadData(data);
+  if (!dataset.ok()) return Fail(dataset.status());
   std::unique_ptr<RunReporter> reporter = MakeReporter(
-      flags, {{"command", "train"},
-              {"runtime", "rpc"},
-              {"rule", flags.GetString("rule", "dyn")},
-              {"protocol", flags.GetString("protocol", "ssp")},
-              {"workers", std::to_string(opts.num_workers)},
-              {"servers", std::to_string(opts.num_servers)},
-              {"clocks", std::to_string(opts.max_clocks)}});
+      report, {{"command", "train"},
+               {"runtime", runtime},
+               {"loss", cfg.loss},
+               {"rule", cfg.rule},
+               {"protocol", spec.sync.DebugString()},
+               {"workers", std::to_string(spec.num_workers)},
+               {"servers", std::to_string(spec.num_servers)},
+               {"clocks", std::to_string(spec.max_clocks)}});
   if (reporter != nullptr) {
-    RunReporter* rep = reporter.get();
-    opts.on_epoch = [rep](int epoch) { rep->OnEpoch(epoch); };
+    spec.on_epoch = [rep = reporter.get()](int epoch) { rep->OnEpoch(epoch); };
   }
 
+  if (!rpc) {
+    auto model = LinearModel::Train(dataset.value(), cfg);
+    if (!model.ok()) return Fail(model.status());
+    std::printf("trained %s/%s in %.2fs wall: objective %.4f, accuracy "
+                "%.3f\n",
+                cfg.loss.c_str(), cfg.rule.c_str(),
+                model.value().train_stats().wall_seconds,
+                model.value().Objective(dataset.value()),
+                model.value().Accuracy(dataset.value()));
+    const Status saved = SaveModel(model_out, model.value());
+    if (!saved.ok()) return Fail(saved);
+    return FinishReport(reporter.get());
+  }
+
+  auto rule = MakeConsolidationRule(cfg.rule);
+  auto loss = MakeLoss(cfg.loss);
+  std::unique_ptr<LearningRateSchedule> sched;
+  if (cfg.decayed_rate) {
+    sched = std::make_unique<DecayedRate>(cfg.learning_rate);
+  } else {
+    sched = std::make_unique<FixedRate>(cfg.learning_rate);
+  }
   auto result =
-      TrainDistributed(data.value(), *loss, *sched, *rule, opts);
+      TrainDistributed(dataset.value(), *loss, *sched, *rule, rpc_opts);
   if (!result.ok()) return Fail(result.status());
   const DistributedTrainResult& r = result.value();
   std::printf("trained (rpc runtime): objective %.4f over %d clocks, "
               "%lld messages, %lld retries\n",
-              r.final_objective, opts.max_clocks,
+              r.final_objective, rpc_opts.max_clocks,
               static_cast<long long>(r.messages),
               static_cast<long long>(r.rpc_retries));
   if (!r.evicted_workers.empty()) {
@@ -327,242 +330,152 @@ int RunTrainRpc(const FlagParser& flags) {
                 r.evicted_workers.size(),
                 static_cast<long long>(r.examples_failed_over));
   }
-  if (opts.rebalance) {
+  if (rpc_opts.rebalance) {
     std::printf("rebalance: examples_moved=%lld examples_returned=%lld "
                 "migrations=%lld\n",
                 static_cast<long long>(r.examples_rebalanced),
                 static_cast<long long>(r.examples_returned),
                 static_cast<long long>(r.lb_migrations));
   }
-  const Status saved = SaveModelFlag(
-      flags, LinearModel(r.weights, flags.GetString("loss", "logistic"),
-                         opts.l2));
+  const Status saved =
+      SaveModel(model_out, LinearModel(r.weights, cfg.loss, rpc_opts.l2));
   if (!saved.ok()) return Fail(saved);
   return FinishReport(reporter.get());
 }
 
-int RunTrain(const FlagParser& flags) {
-  const std::string runtime = flags.GetString("runtime", "threaded");
-  if (runtime == "rpc") return RunTrainRpc(flags);
-  if (runtime != "threaded") {
-    return Fail(Status::InvalidArgument("unknown --runtime: " + runtime));
+/// `evaluate` prints a saved --model's objective and accuracy over the
+/// data; `predict` prints its predictions, to --out when set.
+int RunSavedModel(FlagParser& flags, bool predict) {
+  DataFlags data;
+  ReadDataFlags(flags, &data);
+  std::string model_path;
+  std::string out_path;
+  flags.Read("model", &model_path);
+  if (predict) flags.Read("out", &out_path);
+  if (auto rc = Gate(flags, predict ? "predict" : "evaluate")) return *rc;
+  if (model_path.empty()) {
+    return Fail(Status::InvalidArgument("pass --model=<file>"));
   }
-  auto data = LoadData(flags);
-  if (!data.ok()) return Fail(data.status());
-
-  LinearModelConfig cfg;
-  cfg.loss = flags.GetString("loss", "logistic");
-  cfg.rule = flags.GetString("rule", "dyn");
-  Status sync_st;
-  cfg.sync = ParseSync(flags, &sync_st);
-  if (!sync_st.ok()) return Fail(sync_st);
-  cfg.num_workers =
-      static_cast<int>(flags.GetInt("workers", 4).value());
-  cfg.num_servers =
-      static_cast<int>(flags.GetInt("servers", 2).value());
-  cfg.partitions_per_server =
-      static_cast<int>(flags.GetInt("partitions", 2).value());
-  Status scheme_st;
-  cfg.scheme = ParseScheme(flags, &scheme_st);
-  if (!scheme_st.ok()) return Fail(scheme_st);
-  cfg.max_clocks = static_cast<int>(flags.GetInt("clocks", 20).value());
-  cfg.learning_rate = flags.GetDouble("lr", 0.3).value();
-  cfg.decayed_rate = flags.GetBool("decay", false);
-  cfg.l2 = flags.GetDouble("l2", 1e-4).value();
-  cfg.batch_fraction =
-      flags.GetDouble("batch-fraction", 0.1).value();
-  cfg.update_filter_epsilon =
-      flags.GetDouble("update_filter", 0.0).value();
-  // Push pipeline: --push_window=N overlaps pushes with compute
-  // (0 = synchronous), --push_parallelism fans push application across
-  // server shards (1 = serial, 0 = auto).
-  cfg.push_window =
-      static_cast<int>(flags.GetInt("push_window", 0).value());
-  cfg.push_parallelism =
-      static_cast<int>(flags.GetInt("push_parallelism", 1).value());
-  cfg.seed = static_cast<uint64_t>(flags.GetInt("seed", 42).value());
-
-  std::unique_ptr<RunReporter> reporter = MakeReporter(
-      flags, {{"command", "train"},
-              {"loss", cfg.loss},
-              {"rule", cfg.rule},
-              {"protocol", flags.GetString("protocol", "ssp")},
-              {"workers", std::to_string(cfg.num_workers)},
-              {"servers", std::to_string(cfg.num_servers)},
-              {"clocks", std::to_string(cfg.max_clocks)}});
-  if (reporter != nullptr) {
-    RunReporter* rep = reporter.get();
-    cfg.on_epoch = [rep](int epoch) { rep->OnEpoch(epoch); };
+  auto dataset = LoadData(data);
+  if (!dataset.ok()) return Fail(dataset.status());
+  auto model = LinearModel::Load(model_path);
+  if (!model.ok()) return Fail(model.status());
+  if (!predict) {
+    std::printf("objective %.4f, accuracy %.3f over %zu examples\n",
+                model.value().Objective(dataset.value()),
+                model.value().Accuracy(dataset.value()),
+                dataset.value().size());
+    return 0;
   }
-
-  auto model = LinearModel::Train(data.value(), cfg);
-  if (!model.ok()) return Fail(model.status());
-  std::printf("trained %s/%s in %.2fs wall: objective %.4f, accuracy "
-              "%.3f\n",
-              cfg.loss.c_str(), cfg.rule.c_str(),
-              model.value().train_stats().wall_seconds,
-              model.value().Objective(data.value()),
-              model.value().Accuracy(data.value()));
-  const Status saved = SaveModelFlag(flags, model.value());
-  if (!saved.ok()) return Fail(saved);
-  return FinishReport(reporter.get());
-}
-
-Result<LinearModel> LoadModel(const FlagParser& flags) {
-  const std::string path = flags.GetString("model", "");
-  if (path.empty()) {
-    return Status::InvalidArgument("pass --model=<file>");
-  }
-  return LinearModel::Load(path);
-}
-
-int RunEvaluate(const FlagParser& flags) {
-  auto data = LoadData(flags);
-  if (!data.ok()) return Fail(data.status());
-  auto model = LoadModel(flags);
-  if (!model.ok()) return Fail(model.status());
-  std::printf("objective %.4f, accuracy %.3f over %zu examples\n",
-              model.value().Objective(data.value()),
-              model.value().Accuracy(data.value()),
-              data.value().size());
-  return 0;
-}
-
-int RunPredict(const FlagParser& flags) {
-  auto data = LoadData(flags);
-  if (!data.ok()) return Fail(data.status());
-  auto model = LoadModel(flags);
-  if (!model.ok()) return Fail(model.status());
-  const std::string out_path = flags.GetString("out", "");
   std::ofstream file;
   if (!out_path.empty()) {
     file.open(out_path);
-    if (!file) {
-      return Fail(Status::IOError("cannot open " + out_path));
-    }
+    if (!file) return Fail(Status::IOError("cannot open " + out_path));
   }
   std::ostream& os = out_path.empty() ? std::cout : file;
-  for (size_t i = 0; i < data.value().size(); ++i) {
-    os << model.value().Predict(data.value().example(i).features)
+  for (size_t i = 0; i < dataset.value().size(); ++i) {
+    os << model.value().Predict(dataset.value().example(i).features)
        << '\n';
   }
   return 0;
 }
 
-int RunSimulate(const FlagParser& flags) {
-  const int workers =
-      static_cast<int>(flags.GetInt("workers", 30).value());
-  const int servers =
-      static_cast<int>(flags.GetInt("servers", 10).value());
+/// The values `simulate` reads that no options struct holds (the
+/// cluster's and the step size), and the workers `options` names.
+Status CheckSimulateValues(int workers, int servers, double hl, double lr,
+                           const SimOptions& options) {
+  std::ostringstream bad;
+  if (workers <= 0 || servers <= 0) {
+    bad << "--workers and --servers must be positive, got " << workers
+        << " and " << servers;
+  } else if (!(std::isfinite(hl) && hl >= 1.0)) {
+    bad << "--hl must be >= 1, got " << hl;
+  } else if (!(std::isfinite(lr) && lr > 0.0)) {
+    bad << "--lr must be positive, got " << lr;
+  } else if (options.kill_worker >= workers ||
+             options.slow_worker >= workers) {
+    bad << "--kill_worker and --slow_worker must be below --workers="
+        << workers;
+  }
+  return bad.str().empty() ? Status::OK()
+                           : Status::InvalidArgument(bad.str());
+}
+
+int RunSimulate(FlagParser& flags) {
+  int workers = 30;
+  int servers = 10;
+  double hl = 2.0;
+  flags.Read("workers", &workers);
+  flags.Read("servers", &servers);
+  flags.Read("hl", &hl);
   SimOptions options;
-  options.max_clocks =
-      static_cast<int>(flags.GetInt("clocks", 60).value());
-  options.partitions_per_server =
-      static_cast<int>(flags.GetInt("partitions", 1).value());
-  const std::pair<const char*, int> counts[] = {
-      {"workers", workers},
-      {"servers", servers},
-      {"clocks", options.max_clocks},
-      {"partitions", options.partitions_per_server}};
-  for (const auto& [flag, value] : counts) {
-    if (value <= 0) {
-      return Fail(Status::InvalidArgument(std::string("--") + flag + "=" +
-                                          std::to_string(value) +
-                                          " must be positive"));
-    }
-  }
-  // Load-balancing plane: --rebalance migrates examples off persistent
-  // stragglers; --slow_worker/--slow_multiplier inject a transient
-  // congestion episode to chase (see EXPERIMENTS.md).
-  options.rebalance = flags.GetBool("rebalance", false);
-  options.balancer.straggler_threshold =
-      flags.GetDouble("straggler_threshold", 1.2).value();
-  options.balancer.hysteresis = static_cast<int>(
-      flags.GetInt("rebalance_hysteresis", 3).value());
-  options.balancer.reassign_fraction =
-      flags.GetDouble("reassign_fraction", 0.05).value();
-  if (options.rebalance) {
-    const Status balancer = options.balancer.Validate();
-    if (!balancer.ok()) return Fail(balancer);
-  }
-  auto data = LoadData(flags);
-  if (!data.ok()) return Fail(data.status());
-  const double hl = flags.GetDouble("hl", 2.0).value();
-  auto rule =
-      MakeConsolidationRule(flags.GetString("rule", "dyn"));
-  auto loss = MakeLoss(flags.GetString("loss", "logistic"));
-  FixedRate sched(flags.GetDouble("lr", 2.0).value());
-  Status sync_st;
-  options.sync = ParseSync(flags, &sync_st);
-  if (!sync_st.ok()) return Fail(sync_st);
-  Status scheme_st;
-  options.scheme = ParseScheme(flags, &scheme_st);
-  if (!scheme_st.ok()) return Fail(scheme_st);
-  options.update_filter_epsilon =
-      flags.GetDouble("update_filter", 0.0).value();
-  // Push pipelining model: -1 = legacy unbounded overlap, 0 =
-  // synchronous, >= 1 = bounded window (see SimOptions::push_window).
-  options.push_window =
-      static_cast<int>(flags.GetInt("push_window", -1).value());
-  options.objective_tolerance =
-      flags.GetDouble("tolerance", 0.4).value();
-  options.l2 = flags.GetDouble("l2", 1e-4).value();
+  options.max_clocks = 60;
+  options.objective_tolerance = 0.4;
+  ReadRunSpec(flags, &options);
+  std::string loss_name = "logistic";
+  std::string rule_name = "dyn";
+  double lr = 2.0;
+  flags.Read("loss", &loss_name, LossNames());
+  flags.Read("rule", &rule_name, RuleNames());
+  flags.Read("lr", &lr);
+  flags.Read("tolerance", &options.objective_tolerance);
   // Liveness / failure injection (see DESIGN.md "Failure model & worker
   // eviction"): --kill_worker/--kill_at_clock crash-stop one worker,
   // --heartbeat_timeout arms eviction, --evict_dead_workers=0 shows the
   // stall instead.
-  options.kill_worker =
-      static_cast<int>(flags.GetInt("kill_worker", -1).value());
-  if (options.kill_worker >= workers) {
-    return Fail(Status::InvalidArgument(
-        "--kill_worker=" + std::to_string(options.kill_worker) +
-        " is out of range for --workers=" + std::to_string(workers)));
-  }
-  options.kill_at_clock =
-      static_cast<int>(flags.GetInt("kill_at_clock", -1).value());
-  options.heartbeat_timeout_seconds =
-      flags.GetDouble("heartbeat_timeout", 0.0).value();
-  options.evict_dead_workers = flags.GetBool("evict_dead_workers", true);
-  options.slow_worker =
-      static_cast<int>(flags.GetInt("slow_worker", -1).value());
-  if (options.slow_worker >= workers) {
-    return Fail(Status::InvalidArgument(
-        "--slow_worker=" + std::to_string(options.slow_worker) +
-        " is out of range for --workers=" + std::to_string(workers)));
-  }
-  options.slow_from_clock =
-      static_cast<int>(flags.GetInt("slow_from_clock", 0).value());
-  options.slow_until_clock =
-      static_cast<int>(flags.GetInt("slow_until_clock", 0).value());
-  options.slow_multiplier =
-      flags.GetDouble("slow_multiplier", 1.0).value();
+  flags.Read("kill_worker", &options.kill_worker);
+  flags.Read("kill_at_clock", &options.kill_at_clock);
   if (options.kill_worker >= 0 &&
       options.heartbeat_timeout_seconds <= 0.0) {
     // A kill without the liveness plane stalls until max_sim_seconds;
     // bound the demonstration.
-    options.max_sim_seconds =
-        flags.GetDouble("max_sim_seconds", 600.0).value();
+    options.max_sim_seconds = 600.0;
   }
+  flags.Read("max_sim_seconds", &options.max_sim_seconds);
+  // --slow_worker/--slow_multiplier inject a transient congestion
+  // episode for --rebalance to chase (see EXPERIMENTS.md).
+  flags.Read("slow_worker", &options.slow_worker);
+  flags.Read("slow_from_clock", &options.slow_from_clock);
+  flags.Read("slow_until_clock", &options.slow_until_clock);
+  flags.Read("slow_multiplier", &options.slow_multiplier);
+  DataFlags data;
+  ReadDataFlags(flags, &data);
+  ReportFlags report;
+  ReadReportFlags(flags, &report);
+  const Status values = CheckSimulateValues(workers, servers, hl, lr, options);
+  if (auto rc = Gate(flags, "simulate",
+                     values.ok() ? options.Validate() : values)) {
+    return *rc;
+  }
+
+  auto dataset = LoadData(data);
+  if (!dataset.ok()) return Fail(dataset.status());
+  if (servers > dataset.value().dimension()) {
+    return Fail(Status::InvalidArgument("more servers than features"));
+  }
+  auto rule = MakeConsolidationRule(rule_name);
+  auto loss = MakeLoss(loss_name);
+  FixedRate sched(lr);
   const ClusterConfig cluster =
       ClusterConfig::WithStragglers(workers, servers, hl, 0.2);
   std::unique_ptr<RunReporter> reporter = MakeReporter(
-      flags, {{"command", "simulate"},
-              {"rule", flags.GetString("rule", "dyn")},
-              {"protocol", flags.GetString("protocol", "ssp")},
-              {"workers", std::to_string(workers)},
-              {"servers", std::to_string(servers)},
-              {"hl", std::to_string(hl)}});
+      report, {{"command", "simulate"},
+               {"rule", rule_name},
+               {"protocol", options.sync.DebugString()},
+               {"workers", std::to_string(workers)},
+               {"servers", std::to_string(servers)},
+               {"hl", std::to_string(hl)}});
   if (reporter != nullptr) {
     RunReporter* rep = reporter.get();
     options.on_epoch = [rep](int epoch) { rep->OnEpoch(epoch); };
     if (rep->timeseries() != nullptr) {
-      // The simulator stamps windows with virtual time (SnapshotAt);
-      // the reporter must not also close wall-clock windows.
+      // The simulator stamps windows with virtual time (SnapshotAt); the
+      // reporter must not also close wall-clock windows.
       options.timeseries = rep->timeseries();
       rep->UseExternalTimeSeriesClock();
     }
   }
-  const SimResult r = RunSimulation(data.value(), cluster, *rule, sched,
+  const SimResult r = RunSimulation(dataset.value(), cluster, *rule, sched,
                                     *loss, options);
   std::printf("%s\n", r.Summary().c_str());
   if (options.kill_worker >= 0 || r.workers_evicted > 0) {
@@ -607,8 +520,7 @@ Result<std::string> GatewayCall(GatewayClient* client,
   return body;
 }
 
-Status ConnectGateway(const FlagParser& flags, GatewayClient* client) {
-  const std::string path = flags.GetString("bus", "");
+Status ConnectGateway(const std::string& path, GatewayClient* client) {
   if (path.empty()) {
     return Status::InvalidArgument(
         "pass --bus=<socket path> (the --serve_status= path of the "
@@ -620,14 +532,20 @@ Status ConnectGateway(const FlagParser& flags, GatewayClient* client) {
 /// `dump-status`: one kStatus snapshot from a live run, printed or
 /// written to --out; --scrape_out additionally pulls a full Prometheus
 /// scrape (kMetricsScrape mode 0) with any armed exemplars inline.
-int RunDumpStatus(const FlagParser& flags) {
+int RunDumpStatus(FlagParser& flags) {
+  std::string bus;
+  std::string out;
+  std::string scrape_out;
+  flags.Read("bus", &bus);
+  flags.Read("out", &out);
+  flags.Read("scrape_out", &scrape_out);
+  if (auto rc = Gate(flags, "dump-status")) return *rc;
   GatewayClient client;
-  Status conn = ConnectGateway(flags, &client);
+  Status conn = ConnectGateway(bus, &client);
   if (!conn.ok()) return Fail(conn);
   auto status_json =
       GatewayCall(&client, {static_cast<uint8_t>(PsOpCode::kStatus)});
   if (!status_json.ok()) return Fail(status_json.status());
-  const std::string out = flags.GetString("out", "");
   if (out.empty()) {
     std::printf("%s\n", status_json.value().c_str());
   } else {
@@ -636,7 +554,6 @@ int RunDumpStatus(const FlagParser& flags) {
     file << status_json.value() << '\n';
     std::printf("status written to %s\n", out.c_str());
   }
-  const std::string scrape_out = flags.GetString("scrape_out", "");
   if (!scrape_out.empty()) {
     auto scrape = GatewayCall(
         &client, {static_cast<uint8_t>(PsOpCode::kMetricsScrape), 0});
@@ -652,67 +569,57 @@ int RunDumpStatus(const FlagParser& flags) {
 /// `obs-ctl`: flips live observability knobs in a running train —
 /// trace sampling, histogram exemplars, per-opcode slow-request
 /// thresholds, on-demand flight-recorder dumps.
-int RunObsCtl(const FlagParser& flags) {
-  GatewayClient client;
-  Status conn = ConnectGateway(flags, &client);
-  if (!conn.ok()) return Fail(conn);
-  bool did_anything = false;
-  auto send = [&](const std::vector<uint8_t>& request,
-                  const char* what) -> int {
-    auto ack = GatewayCall(&client, request);
-    if (!ack.ok()) return Fail(ack.status());
-    std::printf("%s: ok\n", what);
-    did_anything = true;
-    return 0;
-  };
+int RunObsCtl(FlagParser& flags) {
+  std::string bus;
+  std::string trace;
+  std::string exemplars;
+  int64_t slow_us = -1;
+  std::string op_name = "all";
+  bool flight_dump = false;
+  flags.Read("bus", &bus);
+  flags.Read("trace", &trace, {"on", "off"});
+  flags.Read("exemplars", &exemplars, {"on", "off"});
+  flags.Read("slow_us", &slow_us);
+  flags.Read("slow_op", &op_name);
+  flags.Read("flight_dump", &flight_dump);
+  // The kObsControl requests the flags ask for, each with its ack line.
   const uint8_t kCtl = static_cast<uint8_t>(PsOpCode::kObsControl);
-  const std::string trace = flags.GetString("trace", "");
+  std::vector<std::pair<std::vector<uint8_t>, std::string>> requests;
   if (!trace.empty()) {
-    if (trace != "on" && trace != "off") {
-      return Fail(Status::InvalidArgument("--trace must be on|off"));
-    }
-    const int rc = send({kCtl, 1, trace == "on" ? uint8_t{1} : uint8_t{0}},
-                        trace == "on" ? "trace on" : "trace off");
-    if (rc != 0) return rc;
+    requests.push_back({{kCtl, 1, static_cast<uint8_t>(trace == "on")},
+                        "trace " + trace});
   }
-  const std::string exemplars = flags.GetString("exemplars", "");
   if (!exemplars.empty()) {
-    if (exemplars != "on" && exemplars != "off") {
-      return Fail(Status::InvalidArgument("--exemplars must be on|off"));
-    }
-    const int rc =
-        send({kCtl, 2, exemplars == "on" ? uint8_t{1} : uint8_t{0}},
-             exemplars == "on" ? "exemplars on" : "exemplars off");
-    if (rc != 0) return rc;
+    requests.push_back({{kCtl, 2, static_cast<uint8_t>(exemplars == "on")},
+                        "exemplars " + exemplars});
   }
-  const int64_t slow_us = flags.GetInt("slow_us", -1).value();
+  // The service's "all opcodes" wildcard is 0.
+  const std::optional<PsOpCode> named = PsOpCodeFromName(op_name);
   if (slow_us >= 0) {
-    const std::string op_name = flags.GetString("slow_op", "all");
-    uint8_t op = 0;  // the service's "all opcodes" wildcard
-    if (op_name != "all") {
-      const std::optional<PsOpCode> named = PsOpCodeFromName(op_name);
-      if (!named.has_value()) {
-        return Fail(Status::InvalidArgument("unknown --slow_op: " + op_name));
-      }
-      op = static_cast<uint8_t>(*named);
-    }
     ByteWriter w;
     w.WriteU8(kCtl);
     w.WriteU8(3);
-    w.WriteU8(op);
+    w.WriteU8(named.has_value() ? static_cast<uint8_t>(*named) : 0);
     w.WriteI64(slow_us);
-    const int rc = send(w.TakeBuffer(),
-                        ("slow threshold (" + op_name + ")").c_str());
-    if (rc != 0) return rc;
+    requests.push_back({w.TakeBuffer(), "slow threshold (" + op_name + ")"});
   }
-  if (flags.GetBool("flight_dump", false)) {
-    const int rc = send({kCtl, 4}, "flight dump");
-    if (rc != 0) return rc;
-  }
-  if (!did_anything) {
-    return Fail(Status::InvalidArgument(
+  if (flight_dump) requests.push_back({{kCtl, 4}, "flight dump"});
+  Status st;
+  if (op_name != "all" && !named.has_value()) {
+    st = Status::InvalidArgument("unknown --slow_op: " + op_name);
+  } else if (requests.empty()) {
+    st = Status::InvalidArgument(
         "pass at least one of --trace= / --exemplars= / --slow_us= / "
-        "--flight_dump"));
+        "--flight_dump");
+  }
+  if (auto rc = Gate(flags, "obs-ctl", st)) return *rc;
+  GatewayClient client;
+  Status conn = ConnectGateway(bus, &client);
+  if (!conn.ok()) return Fail(conn);
+  for (const auto& [request, what] : requests) {
+    auto ack = GatewayCall(&client, request);
+    if (!ack.ok()) return Fail(ack.status());
+    std::printf("%s: ok\n", what.c_str());
   }
   return 0;
 }
@@ -782,13 +689,17 @@ void RenderTopFrame(const JsonValue& doc, int iter) {
 
 /// `top`: a refreshing terminal dashboard over kStatus — clock
 /// frontier, staleness bars, liveness, loan ledger, push overlap.
-int RunTop(const FlagParser& flags) {
+int RunTop(FlagParser& flags) {
+  std::string bus;
+  int interval_ms = 500;
+  int iters = 0;
+  flags.Read("bus", &bus);
+  flags.Read("interval_ms", &interval_ms);
+  flags.Read("iters", &iters);
+  if (auto rc = Gate(flags, "top")) return *rc;
   GatewayClient client;
-  Status conn = ConnectGateway(flags, &client);
+  Status conn = ConnectGateway(bus, &client);
   if (!conn.ok()) return Fail(conn);
-  const int interval_ms =
-      static_cast<int>(flags.GetInt("interval_ms", 500).value());
-  const int iters = static_cast<int>(flags.GetInt("iters", 0).value());
   for (int i = 0; iters <= 0 || i < iters; ++i) {
     auto status_json =
         GatewayCall(&client, {static_cast<uint8_t>(PsOpCode::kStatus)});
@@ -817,65 +728,49 @@ int RunTop(const FlagParser& flags) {
   return 0;
 }
 
+/// The JSON document in the file at `path`, once `validate` accepts it.
+Result<JsonValue> ReadArtifact(const std::string& path,
+                               Status (*validate)(const std::string&)) {
+  std::ifstream in(path);
+  if (!in) return Status::IOError("cannot open " + path);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  HETPS_RETURN_NOT_OK(validate(buf.str()));
+  return ParseJson(buf.str());
+}
+
 /// `check-obs`: parses and schema-validates previously written
 /// metrics.json / trace.json files; non-zero exit on any failure. CI's
 /// obs-smoke job runs this against a fresh train + simulate.
-int RunCheckObs(const FlagParser& flags) {
-  const std::string metrics_path = flags.GetString("metrics", "");
-  const std::string trace_path = flags.GetString("trace", "");
-  const std::string timeseries_path = flags.GetString("timeseries", "");
-  const std::string flightrec_path = flags.GetString("flightrec", "");
-  const std::string status_path = flags.GetString("status", "");
-  if (metrics_path.empty() && trace_path.empty() &&
-      timeseries_path.empty() && flightrec_path.empty() &&
-      status_path.empty()) {
+int RunCheckObs(FlagParser& flags) {
+  struct Artifact {
+    const char* flag;
+    Status (*validate)(const std::string&);
+    const char* schema;
+    std::string path;
+  };
+  Artifact artifacts[] = {
+      {"metrics", ValidateMetricsJson, "hetps.metrics.v2", ""},
+      {"trace", ValidateChromeTraceJson, "Chrome trace", ""},
+      {"timeseries", ValidateTimeSeriesJson, "hetps.timeseries.v1", ""},
+      {"flightrec", ValidateFlightRecJson, "hetps.flightrec.v1", ""},
+      {"status", ValidateStatusJson, "hetps.status.v1", ""}};
+  bool any = false;
+  for (Artifact& a : artifacts) {
+    flags.Read(a.flag, &a.path);
+    any = any || !a.path.empty();
+  }
+  if (auto rc = Gate(flags, "check-obs")) return *rc;
+  if (!any) {
     return Fail(Status::InvalidArgument(
         "pass --metrics= / --trace= / --timeseries= / --flightrec= / "
         "--status="));
   }
-  auto read_file = [](const std::string& path) -> Result<std::string> {
-    std::ifstream in(path);
-    if (!in) return Status::IOError("cannot open " + path);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
-  };
-  if (!metrics_path.empty()) {
-    auto text = read_file(metrics_path);
-    if (!text.ok()) return Fail(text.status());
-    Status st = ValidateMetricsJson(text.value());
-    if (!st.ok()) return Fail(st);
-    std::printf("%s: valid hetps.metrics.v2\n", metrics_path.c_str());
-  }
-  if (!trace_path.empty()) {
-    auto text = read_file(trace_path);
-    if (!text.ok()) return Fail(text.status());
-    Status st = ValidateChromeTraceJson(text.value());
-    if (!st.ok()) return Fail(st);
-    std::printf("%s: valid Chrome trace\n", trace_path.c_str());
-  }
-  if (!timeseries_path.empty()) {
-    auto text = read_file(timeseries_path);
-    if (!text.ok()) return Fail(text.status());
-    Status st = ValidateTimeSeriesJson(text.value());
-    if (!st.ok()) return Fail(st);
-    std::printf("%s: valid hetps.timeseries.v1\n",
-                timeseries_path.c_str());
-  }
-  if (!flightrec_path.empty()) {
-    auto text = read_file(flightrec_path);
-    if (!text.ok()) return Fail(text.status());
-    Status st = ValidateFlightRecJson(text.value());
-    if (!st.ok()) return Fail(st);
-    std::printf("%s: valid hetps.flightrec.v1\n",
-                flightrec_path.c_str());
-  }
-  if (!status_path.empty()) {
-    auto text = read_file(status_path);
-    if (!text.ok()) return Fail(text.status());
-    Status st = ValidateStatusJson(text.value());
-    if (!st.ok()) return Fail(st);
-    std::printf("%s: valid hetps.status.v1\n", status_path.c_str());
+  for (const Artifact& a : artifacts) {
+    if (a.path.empty()) continue;
+    auto doc = ReadArtifact(a.path, a.validate);
+    if (!doc.ok()) return Fail(doc.status());
+    std::printf("%s: valid %s\n", a.path.c_str(), a.schema);
   }
   return 0;
 }
@@ -903,29 +798,22 @@ double MeanOf(const std::vector<double>& v, size_t begin, size_t end) {
 /// per-worker wait/compute over time, the straggler callout, the
 /// push-pipeline comm-overlap summary, and the chronological flight
 /// record.
-int RunInspect(const FlagParser& flags) {
-  const std::string timeseries_path = flags.GetString("timeseries", "");
-  const std::string metrics_path = flags.GetString("metrics", "");
-  const std::string flightrec_path = flags.GetString("flightrec", "");
+int RunInspect(FlagParser& flags) {
+  std::string timeseries_path;
+  std::string metrics_path;
+  std::string flightrec_path;
+  flags.Read("timeseries", &timeseries_path);
+  flags.Read("metrics", &metrics_path);
+  flags.Read("flightrec", &flightrec_path);
+  if (auto rc = Gate(flags, "inspect")) return *rc;
   if (timeseries_path.empty() && metrics_path.empty() &&
       flightrec_path.empty()) {
     return Fail(Status::InvalidArgument(
         "pass at least one of --timeseries=timeseries.json "
         "[--metrics=...] [--flightrec=...]"));
   }
-  auto read_file = [](const std::string& path) -> Result<std::string> {
-    std::ifstream in(path);
-    if (!in) return Status::IOError("cannot open " + path);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
-  };
   if (!timeseries_path.empty()) {
-    auto text = read_file(timeseries_path);
-    if (!text.ok()) return Fail(text.status());
-    Status valid = ValidateTimeSeriesJson(text.value());
-    if (!valid.ok()) return Fail(valid);
-    auto parsed = ParseJson(text.value());
+    auto parsed = ReadArtifact(timeseries_path, ValidateTimeSeriesJson);
     if (!parsed.ok()) return Fail(parsed.status());
     const JsonValue& doc = parsed.value();
 
@@ -1018,11 +906,7 @@ int RunInspect(const FlagParser& flags) {
   // gauges, from WorkerTimeBreakdown). These are end-of-run gauges in
   // metrics.json, not windowed series, so they ride in via --metrics=.
   if (!metrics_path.empty()) {
-    auto m_text = read_file(metrics_path);
-    if (!m_text.ok()) return Fail(m_text.status());
-    Status m_valid = ValidateMetricsJson(m_text.value());
-    if (!m_valid.ok()) return Fail(m_valid);
-    auto m_parsed = ParseJson(m_text.value());
+    auto m_parsed = ReadArtifact(metrics_path, ValidateMetricsJson);
     if (!m_parsed.ok()) return Fail(m_parsed.status());
     const JsonValue* gauges =
         m_parsed.value().Find("metrics")->Find("gauges");
@@ -1070,11 +954,7 @@ int RunInspect(const FlagParser& flags) {
   }
 
   if (!flightrec_path.empty()) {
-    auto fr_text = read_file(flightrec_path);
-    if (!fr_text.ok()) return Fail(fr_text.status());
-    Status fr_valid = ValidateFlightRecJson(fr_text.value());
-    if (!fr_valid.ok()) return Fail(fr_valid);
-    auto fr_parsed = ParseJson(fr_text.value());
+    auto fr_parsed = ReadArtifact(flightrec_path, ValidateFlightRecJson);
     if (!fr_parsed.ok()) return Fail(fr_parsed.status());
     const JsonValue& fr = fr_parsed.value();
     const JsonValue* events = fr.Find("events");
@@ -1108,42 +988,28 @@ int Main(int argc, char** argv) {
   FlagParser flags;
   Status st = flags.Parse(argc - 1, argv + 1);
   if (!st.ok()) return Fail(st);
-  if (flags.positional().empty()) {
+  const std::map<std::string, int (*)(FlagParser&)> commands = {
+      {"train", RunTrain},
+      {"evaluate", [](FlagParser& f) { return RunSavedModel(f, false); }},
+      {"predict", [](FlagParser& f) { return RunSavedModel(f, true); }},
+      {"simulate", RunSimulate},
+      {"check-obs", RunCheckObs},
+      {"inspect", RunInspect},
+      {"dump-status", RunDumpStatus},
+      {"top", RunTop},
+      {"obs-ctl", RunObsCtl}};
+  const auto it = flags.positional().empty()
+                      ? commands.end()
+                      : commands.find(flags.positional()[0]);
+  if (it == commands.end()) {
     std::fprintf(stderr,
                  "usage: hetps_train "
                  "<train|evaluate|predict|simulate|check-obs|inspect|"
-                 "dump-status|top|obs-ctl> "
-                 "[flags]\n(see the header of cli/hetps_train.cc)\n");
+                 "dump-status|top|obs-ctl> [flags]\n"
+                 "(hetps_train COMMAND --help lists COMMAND's flags)\n");
     return 1;
   }
-  const std::string command = flags.positional()[0];
-  int rc = 0;
-  if (command == "train") {
-    rc = RunTrain(flags);
-  } else if (command == "evaluate") {
-    rc = RunEvaluate(flags);
-  } else if (command == "predict") {
-    rc = RunPredict(flags);
-  } else if (command == "simulate") {
-    rc = RunSimulate(flags);
-  } else if (command == "check-obs") {
-    rc = RunCheckObs(flags);
-  } else if (command == "inspect") {
-    rc = RunInspect(flags);
-  } else if (command == "dump-status") {
-    rc = RunDumpStatus(flags);
-  } else if (command == "top") {
-    rc = RunTop(flags);
-  } else if (command == "obs-ctl") {
-    rc = RunObsCtl(flags);
-  } else {
-    std::fprintf(stderr, "unknown command: %s\n", command.c_str());
-    return 1;
-  }
-  for (const std::string& name : flags.UnusedFlags()) {
-    std::fprintf(stderr, "warning: unused flag --%s\n", name.c_str());
-  }
-  return rc;
+  return it->second(flags);
 }
 
 }  // namespace

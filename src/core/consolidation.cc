@@ -94,6 +94,11 @@ std::unique_ptr<ConsolidationRule> ConRule::Clone() const {
   return clone;
 }
 
+const std::vector<std::string>& RuleNames() {
+  static const std::vector<std::string> names = {"ssp", "con", "dyn"};
+  return names;
+}
+
 std::unique_ptr<ConsolidationRule> MakeConsolidationRule(
     const std::string& name) {
   if (name == "ssp") return std::make_unique<SspRule>();

@@ -167,8 +167,11 @@ class ConRule final : public ConsolidationRule {
   double lambda_g_ = 1.0;
 };
 
-/// Factory by name: "ssp" | "con" | "dyn" (DynSgdRule lives in
-/// core/dyn_sgd.h; included here for convenience of callers).
+/// The names MakeConsolidationRule accepts.
+const std::vector<std::string>& RuleNames();
+
+/// Factory by name, one of RuleNames(); aborts on any other (DynSgdRule
+/// lives in core/dyn_sgd.h).
 std::unique_ptr<ConsolidationRule> MakeConsolidationRule(
     const std::string& name);
 

@@ -15,6 +15,17 @@
 
 namespace hetps {
 
+Status DistributedTrainerOptions::Validate() const {
+  HETPS_RETURN_NOT_OK(TrainSpec::Validate());
+  if (resume && resume_clock < 0) {
+    return Status::InvalidArgument("resume_clock must be >= 0");
+  }
+  if (fault_plan.fault_worker >= num_workers) {
+    return Status::InvalidArgument("fault_worker out of range");
+  }
+  return Status::OK();
+}
+
 Result<DistributedTrainResult> TrainDistributed(
     const Dataset& dataset, const LossFunction& loss,
     const LearningRateSchedule& schedule,
@@ -24,21 +35,10 @@ Result<DistributedTrainResult> TrainDistributed(
       PrepareWorkerLoop(dataset, loss, schedule, options);
   if (!prepared.ok()) return prepared.status();
   WorkerLoop& loop = prepared.value();
-  if (options.resume && options.resume_clock < 0) {
-    return Status::InvalidArgument("resume_clock must be >= 0");
-  }
-  if (options.fault_plan.fault_worker >= options.num_workers) {
-    return Status::InvalidArgument("fault_worker out of range");
-  }
-  if (options.rebalance) HETPS_RETURN_NOT_OK(options.balancer.Validate());
 
-  PsOptions ps_opts;
-  ps_opts.num_servers = options.num_servers;
-  ps_opts.sync = options.sync;
-  ps_opts.partition_sync = options.partition_sync;
-  ps_opts.push_parallelism = options.push_parallelism;
-  ParameterServer ps(dataset.dimension(), options.num_workers, rule_proto,
-                     ps_opts);
+  ParameterServer ps(
+      dataset.dimension(), options.num_workers, rule_proto,
+      options.MakePsOptions(options.num_servers, options.push_parallelism));
   if (options.resume) {
     HETPS_RETURN_NOT_OK(
         RestoreCheckpointFromFile(&ps, options.checkpoint_path));

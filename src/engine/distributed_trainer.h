@@ -13,7 +13,6 @@
 #include "net/message_bus.h"
 #include "net/ps_service.h"
 #include "obs/breakdown.h"
-#include "ps/load_balancer.h"
 #include "util/status.h"
 
 namespace hetps {
@@ -24,7 +23,9 @@ namespace hetps {
 /// shared-memory shortcut — with optional periodic checkpointing for
 /// failure recovery. This mirrors the deployed
 /// prototype's architecture (Appendix D) as closely as an in-process
-/// build can.
+/// build can. Its liveness plane counts heartbeat_timeout_seconds on
+/// PsService's request tick (1 ms per request handled), so detection
+/// needs no wall-clock sleeps.
 struct DistributedTrainerOptions : TrainSpec {
   /// Write a checkpoint every N clocks of worker 0 (0 = never).
   int checkpoint_every_clocks = 0;
@@ -39,30 +40,16 @@ struct DistributedTrainerOptions : TrainSpec {
   FaultPlan fault_plan = FaultPlan::None();
   /// Per-RPC timeout/backoff for the worker clients.
   RpcRetryPolicy rpc_retry = RpcRetryPolicy();
-  /// Heartbeat-driven worker eviction (the SSP liveness repair): evict a
-  /// worker whose last request is older than this many *virtual* seconds
-  /// — time advances 1 ms with every request the service handles
-  /// (PsService's request-tick clock), so detection needs no wall-clock
-  /// sleeps. <= 0 disables the liveness plane, restoring the pre-repair
-  /// behavior where one dead worker pins cmin forever.
-  double heartbeat_timeout_seconds = 0.0;
-  /// When false, dead workers are only counted as suspected, never
-  /// evicted (A/B knob for demonstrating the deadlock).
-  bool evict_dead_workers = true;
-  /// --- Load-balancing plane (straggler-aware live rebalancing) ---
-  /// Workers report their measured compute time per clock (kReportClock)
-  /// and the service-side balancer migrates examples from persistent
-  /// stragglers to fast workers at clock boundaries, through the same
-  /// ShardPlane that backs eviction failover. TrainDistributed answers
-  /// InvalidArgument when `balancer` fails LoadBalancerOptions::Validate.
-  bool rebalance = false;
-  LoadBalancerOptions balancer;
   /// Unix-socket path for the live-introspection gateway. When non-empty,
   /// a StatusGateway is bound here for the lifetime of the run so
   /// external tools (`hetps_train top` / `dump-status` / `obs-ctl`) can
   /// issue kStatus / kMetricsScrape / kObsControl against the running
   /// service. Empty = no gateway.
   std::string serve_status_path;
+
+  /// TrainSpec's checks, then a resume_clock >= 0 when resuming and a
+  /// fault_worker the run has.
+  Status Validate() const override;
 };
 
 struct DistributedTrainResult {

@@ -37,6 +37,21 @@ Status RunWorkerThreads(const WorkerLoop& loop, ParameterServer* ps,
 
 }  // namespace
 
+Status ThreadedTrainerOptions::Validate() const {
+  HETPS_RETURN_NOT_OK(TrainSpec::Validate());
+  if (rebalance) {
+    return Status::InvalidArgument(
+        "the threaded runtime has no rebalancing plane (use the rpc "
+        "runtime)");
+  }
+  if (heartbeat_timeout_seconds > 0.0) {
+    return Status::InvalidArgument(
+        "the threaded runtime has no liveness plane, so "
+        "heartbeat_timeout_seconds must be 0 (use the rpc runtime)");
+  }
+  return Status::OK();
+}
+
 ThreadedTrainResult TrainThreaded(const Dataset& dataset,
                                   const LossFunction& loss,
                                   const LearningRateSchedule& schedule,
@@ -45,16 +60,9 @@ ThreadedTrainResult TrainThreaded(const Dataset& dataset,
   WorkerLoop loop =
       PrepareWorkerLoop(dataset, loss, schedule, options).value();
 
-  PsOptions ps_opts;
-  ps_opts.num_servers = options.num_servers;
-  ps_opts.partitions_per_server = options.partitions_per_server;
-  ps_opts.scheme = options.scheme;
-  ps_opts.sync = options.sync;
-  ps_opts.partition_sync = options.partition_sync;
-  ps_opts.update_filter_epsilon = options.update_filter_epsilon;
-  ps_opts.push_parallelism = options.push_parallelism;
-  ParameterServer ps(dataset.dimension(), options.num_workers, rule_proto,
-                     ps_opts);
+  ParameterServer ps(
+      dataset.dimension(), options.num_workers, rule_proto,
+      options.MakePsOptions(options.num_servers, options.push_parallelism));
 
   ThreadedTrainResult result;
   loop.prefetch = options.prefetch;

@@ -13,7 +13,6 @@
 #include "math/loss.h"
 #include "obs/breakdown.h"
 #include "ps/parameter_server.h"
-#include "ps/partition.h"
 #include "util/status.h"
 
 namespace hetps {
@@ -23,15 +22,16 @@ namespace hetps {
 /// "production" execution path; the event simulator is the experiment
 /// path (see DESIGN.md §5.1).
 struct ThreadedTrainerOptions : TrainSpec {
-  int partitions_per_server = 2;
-  PartitionScheme scheme = PartitionScheme::kRangeHash;
-  /// Client-side filter: drop |x| <= epsilon update entries before the
-  /// push (§5.3); 0 disables.
-  double update_filter_epsilon = 0.0;
+  ThreadedTrainerOptions() { partitions_per_server = 2; }
+
   /// Parameter pre-fetching (Appendix D): overlap the SSP admission wait
   /// and the pull with the clock's computation, at the cost of a
   /// slightly staler replica.
   bool prefetch = false;
+
+  /// TrainSpec's checks, then refuses the planes this runtime lacks:
+  /// rebalancing and a positive heartbeat timeout.
+  Status Validate() const override;
 };
 
 struct ThreadedTrainResult {
@@ -51,7 +51,8 @@ struct ThreadedTrainResult {
 /// Runs distributed SGD (Algorithm 1 with the chosen consolidation rule)
 /// on real threads, each running RunWorker over a WorkerClient.
 /// Deterministic in data order; wall time depends on the machine. Aborts
-/// on options PrepareWorkerLoop rejects and on a worker error.
+/// on options Validate() rejects, on too few examples and on a worker
+/// error.
 ThreadedTrainResult TrainThreaded(const Dataset& dataset,
                                   const LossFunction& loss,
                                   const LearningRateSchedule& schedule,

@@ -1,6 +1,7 @@
 #include "engine/worker_loop.h"
 
 #include <chrono>
+#include <cmath>
 #include <string>
 #include <thread>
 
@@ -149,33 +150,47 @@ double WorkerLoop::Objective(const std::vector<double>& weights) const {
   return dataset->ObjectiveSample(*loss, weights, spec->l2, n);
 }
 
+Status TrainSpec::Validate() const {
+  HETPS_RETURN_NOT_OK(RunSpec::Validate());
+  if (num_workers <= 0 || num_servers <= 0) {
+    return Status::InvalidArgument("need positive worker/server counts");
+  }
+  if (push_window < 0) return Invalid("push_window must be >= 0", push_window);
+  if (push_parallelism < 0) {
+    return Invalid("push_parallelism must be >= 0", push_parallelism);
+  }
+  if (injected_compute_delay.size() > static_cast<size_t>(num_workers)) {
+    return Status::InvalidArgument(
+        "injected_compute_delay has " +
+        std::to_string(injected_compute_delay.size()) + " entries for " +
+        std::to_string(num_workers) + " workers");
+  }
+  for (double delay : injected_compute_delay) {
+    if (!(std::isfinite(delay) && delay >= 0.0)) {
+      return Invalid("injected_compute_delay entries must be >= 0", delay);
+    }
+  }
+  return Status::OK();
+}
+
+Status ValidateForDataset(const TrainSpec& spec, const Dataset& dataset) {
+  HETPS_RETURN_NOT_OK(spec.Validate());
+  if (static_cast<size_t>(spec.num_workers) > dataset.size()) {
+    return Status::InvalidArgument(
+        dataset.empty() ? "empty dataset" : "more workers than examples");
+  }
+  if (spec.num_servers > dataset.dimension()) {
+    return Status::InvalidArgument("more servers than features");
+  }
+  return Status::OK();
+}
+
 Result<WorkerLoop> PrepareWorkerLoop(const Dataset& dataset,
                                      const LossFunction& loss,
                                      const LearningRateSchedule& schedule,
                                      const TrainSpec& spec) {
-  if (dataset.empty()) return Status::InvalidArgument("empty dataset");
-  if (spec.num_workers <= 0 || spec.num_servers <= 0) {
-    return Status::InvalidArgument("need positive worker/server counts");
-  }
-  if (spec.max_clocks <= 0) {
-    return Status::InvalidArgument("max_clocks must be positive");
-  }
+  HETPS_RETURN_NOT_OK(ValidateForDataset(spec, dataset));
   const size_t workers = static_cast<size_t>(spec.num_workers);
-  if (workers > dataset.size()) {
-    return Status::InvalidArgument("more workers than examples");
-  }
-  if (spec.push_window < 0) {
-    return Status::InvalidArgument("push_window must be >= 0");
-  }
-  if (spec.push_parallelism < 0) {
-    return Status::InvalidArgument("push_parallelism must be >= 0");
-  }
-  if (spec.injected_compute_delay.size() > workers) {
-    return Status::InvalidArgument(
-        "injected_compute_delay has " +
-        std::to_string(spec.injected_compute_delay.size()) +
-        " entries for " + std::to_string(workers) + " workers");
-  }
   WorkerLoop loop;
   loop.dataset = &dataset;
   loop.loss = &loss;

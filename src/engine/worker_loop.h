@@ -7,7 +7,6 @@
 
 #include "core/learning_rate.h"
 #include "core/sgd_compute.h"
-#include "core/sync_policy.h"
 #include "data/dataset.h"
 #include "data/sharding.h"
 #include "engine/workload.h"
@@ -15,46 +14,29 @@
 #include "net/message_bus.h"
 #include "obs/breakdown.h"
 #include "ps/ps_client.h"
+#include "ps/run_spec.h"
 #include "util/status.h"
 
 namespace hetps {
 
-/// The options both real trainers share, with the same meaning and
-/// default. ThreadedTrainerOptions and DistributedTrainerOptions extend
-/// it with what only their runtime has.
-struct TrainSpec {
-  SyncPolicy sync = SyncPolicy::Ssp(3);
-  int max_clocks = 20;
-  double l2 = 1e-4;
-  double batch_fraction = 0.1;
+/// The options both real trainers add to RunSpec, with the same meaning
+/// and default. ThreadedTrainerOptions and DistributedTrainerOptions
+/// extend it with what only their runtime has.
+struct TrainSpec : RunSpec {
   int num_workers = 4;
   int num_servers = 2;
-  /// Version-based partition synchronization through the master (§6);
-  /// effective with a deferred-mode DynSGD rule.
-  bool partition_sync = false;
-  /// Examples used per objective evaluation (0 = whole dataset).
-  size_t eval_sample = 2000;
-  uint64_t seed = 11;
-  /// Version-aware pull path (§6): the pull sends the client's cached
-  /// tags, so the PS ships only changed partitions (whole block or
-  /// sparse delta, whichever is smaller). Off = no tags, so every
-  /// partition ships whole, in its cheaper layout.
-  bool delta_pull = true;
-  /// Asynchronous push pipeline (PsClient): 0 = synchronous pushes, >= 1
-  /// = bounded in-flight window (1 = compute clock c+1 while the push of
-  /// clock c is in flight).
-  int push_window = 0;
   /// Threads applying a push's partition pieces server-side (see
   /// PsOptions::push_parallelism): 1 = serial (default), 0 = auto.
   int push_parallelism = 1;
   /// Per-worker injected compute delay in wall seconds per clock — the
   /// paper's sleep()-based straggler emulation (§3 Protocol). Empty =
-  /// none; shorter than num_workers is zero-padded, longer is rejected.
+  /// none; shorter than num_workers is zero-padded.
   std::vector<double> injected_compute_delay;
-  /// Called on worker 0's thread after each of its clocks (1-based
-  /// count). RunReporter::OnEpoch hooks in here to snapshot metrics
-  /// mid-run. Keep it cheap: it runs inside the training loop.
-  std::function<void(int)> on_epoch;
+
+  /// RunSpec's checks, then: positive worker and server counts, a
+  /// push_window and push_parallelism >= 0, and at most num_workers
+  /// finite, non-negative injected delays.
+  Status Validate() const override;
 };
 
 /// The RPC runtime's planes, which the loop serves at clock boundaries.
@@ -118,10 +100,11 @@ class SgdWorkload final : public Workload {
   LocalWorkerSgd sgd_;
 };
 
-/// Checks `spec` against `dataset` and prepares the run's shards and
-/// delays. InvalidArgument on an empty dataset, no workers or servers,
-/// more workers than examples, no clocks, a negative push_window or
-/// push_parallelism, or more injected delays than workers.
+/// spec.Validate(), then InvalidArgument unless `dataset` has an example
+/// per worker and a feature per server.
+Status ValidateForDataset(const TrainSpec& spec, const Dataset& dataset);
+
+/// Runs ValidateForDataset and prepares the run's shards and delays.
 Result<WorkerLoop> PrepareWorkerLoop(const Dataset& dataset,
                                      const LossFunction& loss,
                                      const LearningRateSchedule& schedule,

@@ -66,6 +66,12 @@ double SquaredLoss::Predict(double margin) const {
   return margin;
 }
 
+const std::vector<std::string>& LossNames() {
+  static const std::vector<std::string> names = {"logistic", "hinge",
+                                                 "squared"};
+  return names;
+}
+
 std::unique_ptr<LossFunction> MakeLoss(const std::string& name) {
   if (name == "logistic") return std::make_unique<LogisticLoss>();
   if (name == "hinge") return std::make_unique<HingeLoss>();

@@ -60,7 +60,10 @@ class SquaredLoss final : public LossFunction {
   std::string name() const override { return "squared"; }
 };
 
-/// Factory by name: "logistic" | "hinge" | "squared".
+/// The names MakeLoss accepts.
+const std::vector<std::string>& LossNames();
+
+/// Factory by name, one of LossNames(); aborts on any other.
 std::unique_ptr<LossFunction> MakeLoss(const std::string& name);
 
 /// Accumulates the (sub)gradient of f at one example into `grad`:

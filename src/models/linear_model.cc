@@ -1,5 +1,7 @@
 #include "models/linear_model.h"
 
+#include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
@@ -9,6 +11,13 @@
 #include "util/logging.h"
 
 namespace hetps {
+namespace {
+
+bool IsOneOf(const std::vector<std::string>& names, const std::string& name) {
+  return std::find(names.begin(), names.end(), name) != names.end();
+}
+
+}  // namespace
 
 LinearModel::LinearModel(std::vector<double> weights,
                          std::string loss_name, double l2)
@@ -17,22 +26,24 @@ LinearModel::LinearModel(std::vector<double> weights,
       l2_(l2),
       loss_(MakeLoss(loss_name_)) {}
 
-Result<LinearModel> LinearModel::Train(const Dataset& dataset,
-                                       const LinearModelConfig& config) {
-  if (config.loss != "logistic" && config.loss != "hinge" &&
-      config.loss != "squared") {
-    return Status::InvalidArgument("unknown loss: " + config.loss);
+Status LinearModelConfig::Validate() const {
+  HETPS_RETURN_NOT_OK(ThreadedTrainerOptions::Validate());
+  if (!IsOneOf(LossNames(), loss)) {
+    return Status::InvalidArgument("unknown loss: " + loss);
   }
-  if (config.rule != "ssp" && config.rule != "con" &&
-      config.rule != "dyn") {
-    return Status::InvalidArgument("unknown rule: " + config.rule);
+  if (!IsOneOf(RuleNames(), rule)) {
+    return Status::InvalidArgument("unknown rule: " + rule);
   }
-  if (config.learning_rate <= 0.0) {
+  if (!(std::isfinite(learning_rate) && learning_rate > 0.0)) {
     return Status::InvalidArgument("learning_rate must be positive");
   }
-  if (config.partitions_per_server <= 0) {
-    return Status::InvalidArgument("--partitions must be positive");
-  }
+  return Status::OK();
+}
+
+Result<LinearModel> LinearModel::Train(const Dataset& dataset,
+                                       const LinearModelConfig& config) {
+  // What TrainThreaded would otherwise abort on.
+  HETPS_RETURN_NOT_OK(ValidateForDataset(config, dataset));
 
   const std::unique_ptr<LossFunction> loss = MakeLoss(config.loss);
   const std::unique_ptr<ConsolidationRule> rule =
@@ -44,11 +55,6 @@ Result<LinearModel> LinearModel::Train(const Dataset& dataset,
   } else {
     schedule = std::make_unique<FixedRate>(config.learning_rate);
   }
-
-  // The trainer's own checks (dataset, counts, push options) answer with
-  // a status here instead of aborting inside TrainThreaded.
-  HETPS_RETURN_NOT_OK(
-      PrepareWorkerLoop(dataset, *loss, *schedule, config).status());
 
   ThreadedTrainResult stats =
       TrainThreaded(dataset, *loss, *schedule, *rule, config);
@@ -107,8 +113,7 @@ Result<LinearModel> LinearModel::Load(const std::string& path) {
   if (!(in >> loss_name >> l2 >> dim)) {
     return Status::IOError("bad model metadata");
   }
-  if (loss_name != "logistic" && loss_name != "hinge" &&
-      loss_name != "squared") {
+  if (!IsOneOf(LossNames(), loss_name)) {
     return Status::IOError("unknown loss in model file: " + loss_name);
   }
   std::vector<double> weights(dim, 0.0);

@@ -28,12 +28,17 @@ struct LinearModelConfig : ThreadedTrainerOptions {
   double learning_rate = 0.1;
   bool decayed_rate = false;
   double decay_alpha = 0.2;
+
+  /// ThreadedTrainerOptions' checks, then a known loss and rule and a
+  /// positive learning rate.
+  Status Validate() const override;
 };
 
 /// A trained linear classifier/regressor.
 class LinearModel {
  public:
-  /// Trains with the real multi-threaded runtime. Validates the config.
+  /// Trains with the real multi-threaded runtime. InvalidArgument when
+  /// ValidateForDataset(config, dataset) fails.
   static Result<LinearModel> Train(const Dataset& dataset,
                                    const LinearModelConfig& config);
 

@@ -89,11 +89,11 @@ Partitioner Partitioner::Create(PartitionScheme scheme, int64_t dim,
                                 int partitions_per_server) {
   HETPS_CHECK(partitions_per_server > 0)
       << "partitions_per_server must be positive";
-  int parts = num_servers * partitions_per_server;
-  if (static_cast<int64_t>(parts) > dim) {
-    parts = static_cast<int>(std::max<int64_t>(num_servers, dim));
-  }
-  return Partitioner(scheme, dim, num_servers, parts);
+  // In 64 bits: the product of two flag values can overflow an int.
+  const int64_t parts =
+      std::min(static_cast<int64_t>(num_servers) * partitions_per_server,
+               std::max<int64_t>(num_servers, dim));
+  return Partitioner(scheme, dim, num_servers, static_cast<int>(parts));
 }
 
 int Partitioner::PartitionOf(int64_t key) const {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <deque>
 #include <future>
 #include <memory>
@@ -185,22 +186,6 @@ struct WorkerSim {
   HistogramMetric* compute_us = nullptr;
 };
 
-/// The simulated cluster's parameter server. The simulator applies the
-/// client-side filter itself (it needs the filtered size for
-/// transmission costs), so the facade filter is off.
-std::unique_ptr<ParameterServer> MakeServer(
-    const Dataset& dataset, const ClusterConfig& cluster,
-    const ConsolidationRule& rule_proto, const SimOptions& options) {
-  PsOptions ps_opts;
-  ps_opts.num_servers = cluster.num_servers;
-  ps_opts.partitions_per_server = options.partitions_per_server;
-  ps_opts.scheme = options.scheme;
-  ps_opts.sync = options.sync;
-  ps_opts.partition_sync = options.partition_sync;
-  return std::make_unique<ParameterServer>(
-      dataset.dimension(), cluster.num_workers, rule_proto, ps_opts);
-}
-
 /// Threads for one simulation's compute pool: one per core, no more
 /// than there are workers to keep busy (RunSimulation checks there is
 /// at least one).
@@ -224,7 +209,12 @@ class Simulation {
         schedule_(schedule),
         loss_(loss),
         options_(options),
-        ps_(MakeServer(dataset, cluster, rule_proto, options)),
+        // The simulator applies the client-side filter itself (it needs
+        // the filtered size for transmission costs) and pushes pieces.
+        ps_(std::make_unique<ParameterServer>(
+            dataset.dimension(), cluster.num_workers, rule_proto,
+            options.MakePsOptions(cluster.num_servers,
+                                  /*push_parallelism=*/1))),
         // The balancer and a mitigation baseline would fight over the
         // same shards: the plane refuses to run both.
         plane_(ps_.get(),
@@ -982,6 +972,32 @@ class Simulation {
 
 }  // namespace
 
+Status SimOptions::Validate() const {
+  HETPS_RETURN_NOT_OK(RunSpec::Validate());
+  if (push_window < -1) {
+    return Invalid("push_window must be >= -1", push_window);
+  }
+  if (!std::isfinite(objective_tolerance)) {
+    return Invalid("objective_tolerance must be finite", objective_tolerance);
+  }
+  if (!(max_sim_seconds > 0.0)) {
+    return Invalid("max_sim_seconds must be positive", max_sim_seconds);
+  }
+  if (kill_worker < -1) {
+    return Invalid("kill_worker must be >= -1", kill_worker);
+  }
+  if (kill_at_clock < -1) {
+    return Invalid("kill_at_clock must be >= -1", kill_at_clock);
+  }
+  if (slow_worker < -1) {
+    return Invalid("slow_worker must be >= -1", slow_worker);
+  }
+  if (!(std::isfinite(slow_multiplier) && slow_multiplier > 0.0)) {
+    return Invalid("slow_multiplier must be positive", slow_multiplier);
+  }
+  return Status::OK();
+}
+
 SimResult RunSimulation(const Dataset& dataset,
                         const ClusterConfig& cluster,
                         const ConsolidationRule& rule_proto,
@@ -990,6 +1006,8 @@ SimResult RunSimulation(const Dataset& dataset,
                         StragglerMitigation* mitigation) {
   HETPS_CHECK(dataset.size() > 0) << "empty dataset";
   HETPS_CHECK(cluster.num_workers > 0) << "need workers";
+  const Status valid = options.Validate();
+  HETPS_CHECK(valid.ok()) << valid.ToString();
   Simulation sim(dataset, cluster, rule_proto, schedule, loss, options,
                  mitigation);
   return sim.Run();

@@ -9,12 +9,11 @@
 
 #include "core/consolidation.h"
 #include "core/learning_rate.h"
-#include "core/sync_policy.h"
 #include "data/dataset.h"
 #include "math/loss.h"
 #include "obs/breakdown.h"
 #include "ps/load_balancer.h"
-#include "ps/partition.h"
+#include "ps/run_spec.h"
 #include "ps/status.h"
 #include "sim/cluster_config.h"
 
@@ -22,11 +21,24 @@ namespace hetps {
 
 class TimeSeriesRecorder;
 
-/// Options controlling one simulated training run.
-struct SimOptions {
-  SyncPolicy sync = SyncPolicy::Ssp(3);
-  /// Hard clock limit per worker.
-  int max_clocks = 50;
+/// Options controlling one simulated training run: RunSpec plus the
+/// simulator's own fields, with its own max_clocks (50), seed (7) and
+/// push_window (-1). The simulator models the push pipeline: -1 =
+/// unbounded overlap (the pre-pipeline comm model, kept as the default
+/// so existing results are unchanged), 0 = the worker waits out each
+/// push transfer, >= 1 = it stalls only when `push_window` pushes are in
+/// flight (the stall is charged to comm, the overlap to
+/// push_hidden_seconds). heartbeat_timeout_seconds counts *simulated*
+/// seconds; heartbeats ride on every worker event, and a worker parked
+/// on the SSP admission gate counts as alive. rebalance excludes passing
+/// a `mitigation` baseline to RunSimulation.
+struct SimOptions : RunSpec {
+  SimOptions() {
+    max_clocks = 50;
+    seed = 7;
+    push_window = -1;
+  }
+
   /// End the simulation when the global objective first reaches the
   /// tolerance; when false the run always lasts max_clocks (used by the
   /// convergence-curve figures).
@@ -37,52 +49,18 @@ struct SimOptions {
   /// stays put (§7.1), so a transient dip of an oscillating run must not
   /// count.
   int consecutive_evals_to_converge = 3;
-  double l2 = 1e-4;
-  /// Mini-batch size as a fraction of each worker's shard (§7.1: 10%).
-  double batch_fraction = 0.1;
   /// Evaluate the global objective every this many received updates.
   int eval_every_pushes = 10;
-  /// Examples used per objective evaluation (0 = whole dataset).
-  size_t eval_sample = 2000;
-  /// Version-based partition synchronization through the master (§6);
-  /// meaningful with a deferred-mode DynSGD rule.
-  bool partition_sync = false;
-  /// Client-side small-update filter (§5.3); 0 disables.
-  double update_filter_epsilon = 0.0;
-  /// Version-aware pull path (§6-style content tags): each worker pulls
-  /// into a ReplicaCache and sends its per-partition content tags, and
-  /// the comm model charges only the bytes the server would actually
-  /// ship — nothing for an unchanged partition (header only), a sparse
-  /// delta or sparse block when that undercuts the dense block
-  /// (ParamBlock's 50% rule), the dense block otherwise. Off = the worker
-  /// sends no tags, so every partition ships whole, in its cheaper layout.
-  bool delta_pull = true;
-  int partitions_per_server = 1;
-  PartitionScheme scheme = PartitionScheme::kRangeHash;
-  /// Push pipelining model. -1 = legacy unbounded overlap: the worker
-  /// continues the instant its update is handed to the network (the
-  /// pre-pipeline comm model, kept as the default so existing sim
-  /// results are unchanged). 0 = synchronous: the worker waits out the
-  /// whole push transfer before its next clock (what the real runtimes
-  /// do with push_window 0). >= 1 = bounded in-flight window: the
-  /// worker stalls only when `push_window` pushes are already in
-  /// flight — the stall is charged to comm, the overlapped transfer to
-  /// push_hidden_seconds.
-  int push_window = -1;
   /// Safety limit on simulated time.
   double max_sim_seconds = 1e7;
-  uint64_t seed = 7;
   /// Record the per-clock objective of worker 0 (a fast worker under the
   /// straggler configs) — the paper's convergence curves.
   bool record_clock_objectives = true;
-  /// Called after each of worker 0's clocks completes (1-based count);
-  /// RunReporter::OnEpoch hooks in here. Runs on the event loop (the
-  /// thread that called RunSimulation).
-  std::function<void(int)> on_epoch;
   /// Called after each of worker 0's clocks with the same hetps.status.v1
   /// cluster snapshot the live service serves over kStatus — source set
   /// to "sim", timestamps in *virtual* microseconds, push/loan/liveness
-  /// fields filled from the simulated planes. Runs on the event loop.
+  /// fields filled from the simulated planes. Runs on the event loop, as
+  /// on_epoch does.
   std::function<void(const StatusSnapshot&)> on_status;
   /// When set, the simulator closes one time-series window per worker-0
   /// clock via SnapshotAt, stamped with *virtual* time — so windows line
@@ -93,29 +71,12 @@ struct SimOptions {
   /// windows through RunReporter::OnEpoch (see
   /// RunReporter::UseExternalTimeSeriesClock).
   TimeSeriesRecorder* timeseries = nullptr;
-  /// --- Liveness / failure injection (the SSP liveness repair) ---
+  /// --- Failure injection ---
   /// Crash-stop `kill_worker` just before it starts clock
   /// `kill_at_clock`: it emits no further events — pushes, pulls and
   /// heartbeats all cease. -1 disables.
   int kill_worker = -1;
   int kill_at_clock = -1;
-  /// Evict workers whose last event is older than this many *simulated*
-  /// seconds (heartbeats ride on every worker event; a worker parked on
-  /// the SSP admission gate counts as alive — its standing pull request
-  /// is liveness evidence). <= 0 disables the liveness plane: a killed
-  /// worker then pins cmin and the survivors block until
-  /// max_sim_seconds.
-  double heartbeat_timeout_seconds = 0.0;
-  /// When false, dead workers are only counted as suspected, never
-  /// evicted (A/B knob for demonstrating the deadlock).
-  bool evict_dead_workers = true;
-  /// --- Load-balancing plane (straggler-aware live rebalancing) ---
-  /// Reassign examples from persistent stragglers to fast workers at
-  /// clock boundaries, driven by the live workers' clock times (the
-  /// run's ShardPlane runs a LoadBalancer). Mutually exclusive with
-  /// passing a `mitigation` baseline to RunSimulation.
-  bool rebalance = false;
-  LoadBalancerOptions balancer;
   /// --- Transient congestion episode (exercises the return path) ---
   /// Multiply `slow_worker`'s compute time by `slow_multiplier` for
   /// clocks in [slow_from_clock, slow_until_clock). -1 disables.
@@ -123,6 +84,12 @@ struct SimOptions {
   int slow_from_clock = 0;
   int slow_until_clock = 0;
   double slow_multiplier = 1.0;
+
+  /// RunSpec's checks, then a push_window >= -1, a finite
+  /// objective_tolerance, a positive max_sim_seconds, a kill_worker,
+  /// kill_at_clock and slow_worker >= -1, and a positive finite
+  /// slow_multiplier.
+  Status Validate() const override;
 };
 
 /// Result of one simulated run — every metric the paper reports.
@@ -199,6 +166,8 @@ struct SimResult {
 /// FlexRR-style baseline hooks in here): told every live worker's clock
 /// time on the event loop, it decides moves that the run's ShardPlane applies
 /// to the entitlements each worker copies in at its next clock start.
+///
+/// Aborts when options.Validate() fails, as on other API misuse.
 SimResult RunSimulation(const Dataset& dataset,
                         const ClusterConfig& cluster,
                         const ConsolidationRule& rule_proto,

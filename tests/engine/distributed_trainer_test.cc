@@ -118,6 +118,16 @@ TEST(DistributedTrainerTest, RejectsNegativePushWindow) {
   EXPECT_NE(st.message().find("push_window"), std::string::npos);
 }
 
+// Algorithm 1 admits clock c while c <= cmin + s, so with s < 0 every
+// worker would wait forever after its first push.
+TEST(DistributedTrainerTest, RejectsNegativeStaleness) {
+  DistributedTrainerOptions opts = FastOptions();
+  opts.sync = SyncPolicy::Ssp(-1);
+  const Status st = TrainWith(opts);
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  EXPECT_NE(st.message().find("staleness"), std::string::npos);
+}
+
 TEST(DistributedTrainerTest, RejectsNegativePushParallelism) {
   DistributedTrainerOptions opts = FastOptions();
   opts.push_parallelism = -1;

@@ -113,5 +113,34 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<2>(info.param));
     });
 
+// The RPC runtime applies RunSpec's layout fields as the threaded one
+// does: more partitions per server, another scheme and the update filter.
+TEST(RuntimeParityLayoutTest, BothRuntimesApplyTheLayoutFields) {
+  const Dataset& d = ParityData();
+  LogisticLoss loss;
+  FixedRate sched(0.5);
+  const std::unique_ptr<ConsolidationRule> rule = MakeRule("dyn");
+  auto layout = [](TrainSpec* spec) {
+    Configure("dyn", Protocol::kSsp, 0, spec);
+    spec->partitions_per_server = 4;
+    spec->scheme = PartitionScheme::kRange;
+    spec->update_filter_epsilon = 1e-3;
+  };
+  ThreadedTrainerOptions threaded;
+  layout(&threaded);
+  const ThreadedTrainResult a = TrainThreaded(d, loss, sched, *rule, threaded);
+  DistributedTrainerOptions rpc;
+  layout(&rpc);
+  auto b = TrainDistributed(d, loss, sched, *rule, rpc);
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+
+  ASSERT_EQ(a.weights.size(), b.value().weights.size());
+  EXPECT_EQ(std::memcmp(a.weights.data(), b.value().weights.data(),
+                        a.weights.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(a.objective_per_clock, b.value().objective_per_clock);
+  EXPECT_EQ(a.objective_per_clock.size(), 8u);
+}
+
 }  // namespace
 }  // namespace hetps

@@ -149,6 +149,25 @@ TEST(LinearModelTest, TrainValidatesConfig) {
   cfg = FastConfig();
   cfg.num_workers = 0;
   EXPECT_TRUE(LinearModel::Train(d, cfg).status().IsInvalidArgument());
+  cfg = FastConfig();
+  cfg.sync = SyncPolicy::Ssp(-1);
+  EXPECT_TRUE(LinearModel::Train(d, cfg).status().IsInvalidArgument());
+  for (double fraction : {0.0, 1.5}) {
+    cfg = FastConfig();
+    cfg.batch_fraction = fraction;
+    EXPECT_TRUE(LinearModel::Train(d, cfg).status().IsInvalidArgument());
+  }
+  cfg = FastConfig();
+  cfg.l2 = -1.0;
+  EXPECT_TRUE(LinearModel::Train(d, cfg).status().IsInvalidArgument());
+  // The threaded runtime has no rebalancing plane.
+  cfg = FastConfig();
+  cfg.rebalance = true;
+  EXPECT_TRUE(LinearModel::Train(d, cfg).status().IsInvalidArgument());
+  // More servers than features leaves a server without a partition.
+  cfg = FastConfig();
+  cfg.num_servers = 151;
+  EXPECT_TRUE(LinearModel::Train(d, cfg).status().IsInvalidArgument());
   EXPECT_TRUE(
       LinearModel::Train(Dataset(), FastConfig()).status()
           .IsInvalidArgument());

@@ -117,6 +117,11 @@ TEST(PartitionerTest, CreateClampsPartitionCount) {
                           /*num_servers=*/2, /*partitions_per_server=*/5);
   EXPECT_LE(part.num_partitions(), 3);
   EXPECT_GE(part.num_partitions(), 2);
+  // servers x partitions_per_server beyond int range clamps the same way.
+  const Partitioner huge = Partitioner::Create(
+      PartitionScheme::kRange, /*dim=*/100, /*num_servers=*/2,
+      /*partitions_per_server=*/2000000000);
+  EXPECT_EQ(huge.num_partitions(), 100);
 }
 
 TEST(PartitionerDeathTest, Validates) {

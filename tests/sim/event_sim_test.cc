@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <string>
 #include <type_traits>
@@ -789,6 +791,42 @@ TEST(EventSimComputePoolTest, EveryPushSendJoinsItsClock) {
       EXPECT_EQ(waits->count() - waits_before, r.total_pushes);
     }
   }
+}
+
+// SimOptions keeps the simulator's own defaults over RunSpec's and checks
+// its own fields after RunSpec's; RunSimulation aborts on a rejected spec.
+TEST(SimOptionsTest, DefaultsAndValidate) {
+  const SimOptions defaults;
+  EXPECT_EQ(defaults.max_clocks, 50);
+  EXPECT_EQ(defaults.seed, 7u);
+  EXPECT_EQ(defaults.push_window, -1);
+  EXPECT_EQ(defaults.partitions_per_server, 1);
+  EXPECT_TRUE(defaults.Validate().ok());
+  const std::vector<std::function<void(SimOptions*)>> bad = {
+      [](SimOptions* o) { o->sync = SyncPolicy::Ssp(-1); },
+      [](SimOptions* o) { o->push_window = -2; },
+      [](SimOptions* o) { o->objective_tolerance = std::nan(""); },
+      [](SimOptions* o) { o->max_sim_seconds = 0.0; },
+      [](SimOptions* o) { o->kill_worker = -3; },
+      [](SimOptions* o) { o->slow_multiplier = 0.0; },
+  };
+  for (const auto& corrupt : bad) {
+    SimOptions o;
+    corrupt(&o);
+    EXPECT_TRUE(o.Validate().IsInvalidArgument()) << o.Validate().ToString();
+  }
+}
+
+TEST(SimOptionsDeathTest, RunSimulationAbortsOnARejectedSpec) {
+  const Dataset d = TestData();
+  ConRule rule;
+  FixedRate sched(0.5);
+  LogisticLoss loss;
+  SimOptions opts = FastOptions();
+  opts.sync = SyncPolicy::Ssp(-1);
+  EXPECT_DEATH((void)RunSimulation(d, ClusterConfig::Homogeneous(2, 1), rule,
+                                   sched, loss, opts),
+               "staleness must be >= 0");
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+
 namespace hetps {
 namespace {
 
@@ -13,17 +16,30 @@ FlagParser Parsed(std::vector<const char*> args) {
 
 TEST(FlagParserTest, ParsesEqualsAndSpaceForms) {
   FlagParser p = Parsed({"--alpha=0.5", "--workers", "8", "--verbose"});
-  EXPECT_DOUBLE_EQ(p.GetDouble("alpha", 0.0).value(), 0.5);
-  EXPECT_EQ(p.GetInt("workers", 0).value(), 8);
-  EXPECT_TRUE(p.GetBool("verbose", false));
+  double alpha = 0.0;
+  int workers = 0;
+  bool verbose = false;
+  EXPECT_TRUE(p.Read("alpha", &alpha).ok());
+  EXPECT_TRUE(p.Read("workers", &workers).ok());
+  EXPECT_TRUE(p.Read("verbose", &verbose).ok());
+  EXPECT_DOUBLE_EQ(alpha, 0.5);
+  EXPECT_EQ(workers, 8);
+  EXPECT_TRUE(verbose);
+  EXPECT_TRUE(p.Check().ok());
 }
 
 TEST(FlagParserTest, DefaultsWhenMissing) {
   FlagParser p = Parsed({});
-  EXPECT_EQ(p.GetString("mode", "train"), "train");
-  EXPECT_EQ(p.GetInt("n", 7).value(), 7);
-  EXPECT_FALSE(p.GetBool("quiet", false));
-  EXPECT_FALSE(p.Has("mode"));
+  std::string mode = "train";
+  int n = 7;
+  bool quiet = false;
+  EXPECT_TRUE(p.Read("mode", &mode).ok());
+  EXPECT_TRUE(p.Read("n", &n).ok());
+  EXPECT_TRUE(p.Read("quiet", &quiet).ok());
+  EXPECT_EQ(mode, "train");
+  EXPECT_EQ(n, 7);
+  EXPECT_FALSE(quiet);
+  EXPECT_TRUE(p.Check().ok());
 }
 
 TEST(FlagParserTest, PositionalArguments) {
@@ -43,33 +59,106 @@ TEST(FlagParserTest, RejectsDuplicatesAndEmptyNames) {
 }
 
 TEST(FlagParserTest, TypeErrorsSurfaceAsStatus) {
-  FlagParser p = Parsed({"--n=abc", "--x=1.2.3"});
-  EXPECT_FALSE(p.GetInt("n", 0).ok());
-  EXPECT_FALSE(p.GetDouble("x", 0.0).ok());
+  FlagParser p = Parsed({"--n=abc", "--x=1.2.3", "--big=99999999999",
+                         "--seed=-1", "--nan=nan"});
+  int n = 0;
+  double x = 0.0;
+  int big = 0;
+  uint64_t seed = 0;
+  double nan = 0.0;
+  EXPECT_TRUE(p.Read("n", &n).IsInvalidArgument());
+  EXPECT_TRUE(p.Read("x", &x).IsInvalidArgument());
+  // Out of the field's range is malformed too, not wrapped.
+  EXPECT_TRUE(p.Read("big", &big).IsInvalidArgument());
+  EXPECT_TRUE(p.Read("seed", &seed).IsInvalidArgument());
+  // A number reads whole; range checks belong to the options' Validate.
+  EXPECT_TRUE(p.Read("nan", &nan).ok());
+  EXPECT_TRUE(std::isnan(nan));
 }
 
-TEST(FlagParserDeathTest, ReadingABadValueAbortsWithTheParseError) {
-  // The CLI reads every numeric flag through .value(): a malformed value
-  // must stop it with the parse error, not train on a garbage count.
-  FlagParser p = Parsed({"--clocks=2x"});
-  EXPECT_DEATH((void)p.GetInt("clocks", 10).value(),
-               "flag --clocks expects an integer, got '2x'");
+// A malformed value answers InvalidArgument naming the flag, leaves the
+// field at its default, and is what Check() reports.
+TEST(FlagParserTest, MalformedValueLeavesTheFieldUnchanged) {
+  FlagParser p = Parsed({"--clocks=2x", "--workers=3"});
+  int clocks = 10;
+  int workers = 4;
+  const Status st = p.Read("clocks", &clocks);
+  EXPECT_TRUE(st.IsInvalidArgument());
+  EXPECT_NE(st.message().find("flag --clocks expects"), std::string::npos)
+      << st.message();
+  EXPECT_NE(st.message().find("'2x'"), std::string::npos) << st.message();
+  EXPECT_EQ(clocks, 10);
+  EXPECT_TRUE(p.Read("workers", &workers).ok());
+  EXPECT_EQ(workers, 3);
+  EXPECT_EQ(p.Check(), st);
 }
 
 TEST(FlagParserTest, BoolValueForms) {
-  FlagParser p = Parsed({"--a=true", "--b=1", "--c=yes", "--d=false"});
-  EXPECT_TRUE(p.GetBool("a", false));
-  EXPECT_TRUE(p.GetBool("b", false));
-  EXPECT_TRUE(p.GetBool("c", false));
-  EXPECT_FALSE(p.GetBool("d", true));
+  FlagParser p = Parsed({"--a=true", "--b=1", "--c=yes", "--d=false",
+                         "--e=0", "--f=no", "--g", "--h=ture"});
+  bool a = false, b = false, c = false, g = false;
+  bool d = true, e = true, f = true;
+  EXPECT_TRUE(p.Read("a", &a).ok());
+  EXPECT_TRUE(p.Read("b", &b).ok());
+  EXPECT_TRUE(p.Read("c", &c).ok());
+  EXPECT_TRUE(p.Read("d", &d).ok());
+  EXPECT_TRUE(p.Read("e", &e).ok());
+  EXPECT_TRUE(p.Read("f", &f).ok());
+  EXPECT_TRUE(p.Read("g", &g).ok());
+  EXPECT_TRUE(a && b && c && g);
+  EXPECT_FALSE(d || e || f);
+  // A misspelt bool no longer reads as false.
+  bool h = true;
+  EXPECT_TRUE(p.Read("h", &h).IsInvalidArgument());
+  EXPECT_TRUE(h);
+  EXPECT_FALSE(p.Check().ok());
 }
 
 TEST(FlagParserTest, UnusedFlagsDetectTypos) {
   FlagParser p = Parsed({"--learning-rate=0.1", "--lr=0.2"});
-  (void)p.GetDouble("learning-rate", 0.0);
-  const auto unused = p.UnusedFlags();
-  ASSERT_EQ(unused.size(), 1u);
-  EXPECT_EQ(unused[0], "lr");
+  double rate = 0.0;
+  EXPECT_TRUE(p.Read("learning-rate", &rate).ok());
+  const Status st = p.Check();
+  EXPECT_TRUE(st.IsInvalidArgument());
+  EXPECT_NE(st.message().find("unknown flag --lr"), std::string::npos)
+      << st.message();
+}
+
+enum class Color { kRed, kBlue };
+
+TEST(FlagParserTest, ChoicesRejectOtherNames) {
+  FlagParser p = Parsed({"--rule=bogus", "--color=blue", "--shade=dark"});
+  std::string rule = "dyn";
+  EXPECT_TRUE(p.Read("rule", &rule, {"ssp", "con", "dyn"}).IsInvalidArgument());
+  EXPECT_EQ(rule, "dyn");
+  Color color = Color::kRed;
+  const std::vector<std::pair<std::string, Color>> colors = {
+      {"red", Color::kRed}, {"blue", Color::kBlue}};
+  EXPECT_TRUE(p.Read("color", &color, colors).ok());
+  EXPECT_EQ(color, Color::kBlue);
+  Color shade = Color::kRed;
+  EXPECT_TRUE(p.Read("shade", &shade, colors).IsInvalidArgument());
+  EXPECT_EQ(shade, Color::kRed);
+}
+
+TEST(FlagParserTest, UsageListsEachReadFlagWithTypeAndDefault) {
+  FlagParser p = Parsed({});
+  int clocks = 20;
+  double lr = 0.3;
+  bool decay = false;
+  std::string rule = "dyn";
+  (void)p.Read("clocks", &clocks);
+  (void)p.Read("lr", &lr);
+  (void)p.Read("decay", &decay);
+  (void)p.Read("rule", &rule, {"ssp", "con", "dyn"});
+  (void)p.Read("clocks", &clocks);  // listed once
+  const std::string usage = p.Usage();
+  EXPECT_NE(usage.find("--clocks=int"), std::string::npos) << usage;
+  EXPECT_NE(usage.find("default 20"), std::string::npos) << usage;
+  EXPECT_NE(usage.find("--lr=number"), std::string::npos) << usage;
+  EXPECT_NE(usage.find("--decay=bool"), std::string::npos) << usage;
+  EXPECT_NE(usage.find("--rule=ssp|con|dyn"), std::string::npos) << usage;
+  EXPECT_EQ(usage.find("--clocks"), usage.rfind("--clocks")) << usage;
 }
 
 }  // namespace
