@@ -450,9 +450,9 @@ int RunSimulate(FlagParser& flags) {
 
   auto dataset = LoadData(data);
   if (!dataset.ok()) return Fail(dataset.status());
-  if (servers > dataset.value().dimension()) {
-    return Fail(Status::InvalidArgument("more servers than features"));
-  }
+  const Status fits =
+      ValidateClusterForDataset(workers, servers, dataset.value());
+  if (!fits.ok()) return Fail(fits);
   auto rule = MakeConsolidationRule(rule_name);
   auto loss = MakeLoss(loss_name);
   FixedRate sched(lr);

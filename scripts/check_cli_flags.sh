@@ -128,6 +128,7 @@ SIM_BOUNDS=(
   "--workers|--workers=0"
   "--servers|--servers=0"
   "more servers than features|--servers=1000000"
+  "more workers than examples|--workers=8001"
   "--hl|--hl=0.5"
   "--lr|--lr=0"
   "max_clocks|--clocks=0"

@@ -32,6 +32,16 @@ double Dataset::AverageNnz() const {
   return static_cast<double>(total) / static_cast<double>(examples_.size());
 }
 
+std::vector<bool> Dataset::HeldFeatures() const {
+  std::vector<bool> held(static_cast<size_t>(dimension_), false);
+  for (const auto& ex : examples_) {
+    for (int64_t key : ex.features.indices()) {
+      held[static_cast<size_t>(key)] = true;
+    }
+  }
+  return held;
+}
+
 double Dataset::Objective(const LossFunction& loss,
                           const std::vector<double>& w, double l2) const {
   if (examples_.empty()) return 0.0;

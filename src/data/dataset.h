@@ -44,6 +44,10 @@ class Dataset {
   /// Mean nnz per example.
   double AverageNnz() const;
 
+  /// held[k] is true iff some example holds feature k (a stored
+  /// entry); dimension() entries. One pass over the nonzeros.
+  std::vector<bool> HeldFeatures() const;
+
   /// Full L2-regularized objective:
   ///   (1/N) sum_i loss(x_i, y_i, w) + (l2/2) ||w||^2.
   double Objective(const LossFunction& loss, const std::vector<double>& w,

@@ -36,9 +36,8 @@ Result<DistributedTrainResult> TrainDistributed(
   if (!prepared.ok()) return prepared.status();
   WorkerLoop& loop = prepared.value();
 
-  ParameterServer ps(
-      dataset.dimension(), options.num_workers, rule_proto,
-      options.MakePsOptions(options.num_servers, options.push_parallelism));
+  ParameterServer ps(dataset.dimension(), options.num_workers, rule_proto,
+                     loop.ps_options);
   if (options.resume) {
     HETPS_RETURN_NOT_OK(
         RestoreCheckpointFromFile(&ps, options.checkpoint_path));

@@ -60,9 +60,8 @@ ThreadedTrainResult TrainThreaded(const Dataset& dataset,
   WorkerLoop loop =
       PrepareWorkerLoop(dataset, loss, schedule, options).value();
 
-  ParameterServer ps(
-      dataset.dimension(), options.num_workers, rule_proto,
-      options.MakePsOptions(options.num_servers, options.push_parallelism));
+  ParameterServer ps(dataset.dimension(), options.num_workers, rule_proto,
+                     loop.ps_options);
 
   ThreadedTrainResult result;
   loop.prefetch = options.prefetch;

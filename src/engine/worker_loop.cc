@@ -175,14 +175,8 @@ Status TrainSpec::Validate() const {
 
 Status ValidateForDataset(const TrainSpec& spec, const Dataset& dataset) {
   HETPS_RETURN_NOT_OK(spec.Validate());
-  if (static_cast<size_t>(spec.num_workers) > dataset.size()) {
-    return Status::InvalidArgument(
-        dataset.empty() ? "empty dataset" : "more workers than examples");
-  }
-  if (spec.num_servers > dataset.dimension()) {
-    return Status::InvalidArgument("more servers than features");
-  }
-  return Status::OK();
+  return ValidateClusterForDataset(spec.num_workers, spec.num_servers,
+                                   dataset);
 }
 
 Result<WorkerLoop> PrepareWorkerLoop(const Dataset& dataset,
@@ -200,6 +194,14 @@ Result<WorkerLoop> PrepareWorkerLoop(const Dataset& dataset,
       SplitData(dataset.size(), workers, ShardingPolicy::kContiguous);
   loop.delays = spec.injected_compute_delay;
   loop.delays.resize(workers, 0.0);
+  loop.ps_options =
+      spec.MakePsOptions(spec.num_servers, spec.push_parallelism);
+  if (spec.scheme != PartitionScheme::kHash) {
+    loop.ps_options.range_cuts = Partitioner::HeldKeyCuts(
+        dataset.HeldFeatures(),
+        Partitioner::NumPartitions(dataset.dimension(), spec.num_servers,
+                                   spec.partitions_per_server));
+  }
   return loop;
 }
 

@@ -66,6 +66,9 @@ struct WorkerLoop {
   const TrainSpec* spec = nullptr;
   std::vector<DataShard> shards;  // contiguous split
   std::vector<double> delays;     // padded to num_workers
+  /// The ParameterServer both trainers build: the spec's options, with
+  /// the range schemes cut at the keys the dataset holds.
+  PsOptions ps_options;
   /// Clocks run: [start_clock, start_clock + max_clocks).
   int start_clock = 0;
   bool prefetch = false;
@@ -100,11 +103,13 @@ class SgdWorkload final : public Workload {
   LocalWorkerSgd sgd_;
 };
 
-/// spec.Validate(), then InvalidArgument unless `dataset` has an example
-/// per worker and a feature per server.
+/// spec.Validate(), then ValidateClusterForDataset: InvalidArgument
+/// unless `dataset` has an example per worker and a feature per server.
 Status ValidateForDataset(const TrainSpec& spec, const Dataset& dataset);
 
-/// Runs ValidateForDataset and prepares the run's shards and delays.
+/// Runs ValidateForDataset and prepares the run's shards, delays and
+/// server options, whose range cuts (Partitioner::HeldKeyCuts) give each
+/// partition an equal share of the features the dataset holds.
 Result<WorkerLoop> PrepareWorkerLoop(const Dataset& dataset,
                                      const LossFunction& loss,
                                      const LearningRateSchedule& schedule,

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
+#include <optional>
 #include <thread>
 
 #include "obs/flight_recorder.h"
@@ -390,6 +392,10 @@ std::vector<uint8_t> PsService::HandleLayout(ByteReader* reader) {
   w.WriteI64(part.num_servers());
   w.WriteI64(part.num_partitions());
   w.WriteDouble(ps_->options().update_filter_epsilon);
+  if (part.scheme() != PartitionScheme::kHash) {
+    w.WriteU64(part.cuts().size());
+    for (int64_t cut : part.cuts()) w.WriteI64(cut);
+  }
   return w.TakeBuffer();
 }
 
@@ -535,6 +541,53 @@ std::vector<uint8_t> PsService::HandleObsControl(ByteReader* reader) {
 
 namespace {
 
+/// A kLayout reply after its status: the layout, or nullopt when a field
+/// is out of range, a range scheme's cut points are not P+1 points rising
+/// strictly from 0 to dim, or the frame is truncated or runs on.
+std::optional<ServerLayout> DecodeLayout(ByteReader* reader) {
+  uint8_t scheme = 0;
+  int64_t dim = 0;
+  int64_t num_servers = 0;
+  int64_t num_partitions = 0;
+  double filter_epsilon = 0.0;
+  if (!reader->ReadU8(&scheme).ok() || !reader->ReadI64(&dim).ok() ||
+      !reader->ReadI64(&num_servers).ok() ||
+      !reader->ReadI64(&num_partitions).ok() ||
+      !reader->ReadDouble(&filter_epsilon).ok()) {
+    return std::nullopt;
+  }
+  if (scheme > static_cast<uint8_t>(PartitionScheme::kRangeHash) ||
+      dim <= 0 || num_servers <= 0 || num_partitions < num_servers ||
+      num_partitions > dim ||
+      num_partitions > std::numeric_limits<int>::max() ||
+      !std::isfinite(filter_epsilon) || filter_epsilon < 0.0) {
+    return std::nullopt;
+  }
+  const PartitionScheme layout_scheme = static_cast<PartitionScheme>(scheme);
+  const int parts = static_cast<int>(num_partitions);
+  std::vector<int64_t> cuts;
+  if (layout_scheme != PartitionScheme::kHash) {
+    uint64_t count = 0;
+    // The count is checked against P and the bytes left before anything
+    // is allocated.
+    if (!reader->ReadU64(&count).ok() ||
+        count != static_cast<uint64_t>(parts) + 1 ||
+        reader->remaining() != count * sizeof(int64_t)) {
+      return std::nullopt;
+    }
+    cuts.resize(static_cast<size_t>(count));
+    for (int64_t& cut : cuts) {
+      if (!reader->ReadI64(&cut).ok()) return std::nullopt;
+    }
+    if (!Partitioner::ValidCuts(cuts, dim, parts)) return std::nullopt;
+  }
+  if (!reader->AtEnd()) return std::nullopt;
+  return ServerLayout{Partitioner(layout_scheme, dim,
+                                  static_cast<int>(num_servers), parts,
+                                  std::move(cuts)),
+                      filter_epsilon};
+}
+
 /// RpcWorkerClient's transport: see the class comment.
 class BusChannel final : public PsChannel {
  public:
@@ -561,26 +614,12 @@ class BusChannel final : public PsChannel {
     if (!response.ok()) return response.status();
     ByteReader reader(response.value());
     HETPS_RETURN_NOT_OK(ConsumeStatus(&reader));
-    uint8_t scheme = 0;
-    int64_t dim = 0;
-    int64_t num_servers = 0;
-    int64_t num_partitions = 0;
-    double filter_epsilon = 0.0;
-    HETPS_RETURN_NOT_OK(reader.ReadU8(&scheme));
-    HETPS_RETURN_NOT_OK(reader.ReadI64(&dim));
-    HETPS_RETURN_NOT_OK(reader.ReadI64(&num_servers));
-    HETPS_RETURN_NOT_OK(reader.ReadI64(&num_partitions));
-    HETPS_RETURN_NOT_OK(reader.ReadDouble(&filter_epsilon));
-    if (scheme > static_cast<uint8_t>(PartitionScheme::kRangeHash) ||
-        dim <= 0 || num_servers <= 0 || num_partitions < num_servers ||
-        num_partitions > dim || !std::isfinite(filter_epsilon) ||
-        filter_epsilon < 0.0) {
+    std::optional<ServerLayout> layout = DecodeLayout(&reader);
+    if (!layout.has_value()) {
       return Status::InvalidArgument("bad partition-layout handshake");
     }
-    layout_.emplace(static_cast<PartitionScheme>(scheme), dim,
-                    static_cast<int>(num_servers),
-                    static_cast<int>(num_partitions));
-    return ServerLayout{*layout_, filter_epsilon};
+    layout_.emplace(layout->partitioner);
+    return *std::move(layout);
   }
 
   Status Push(int clock, const PushPieceList& pieces) override {

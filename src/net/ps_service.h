@@ -34,9 +34,11 @@ enum class PsOpCode : uint8_t {
   /// sparse piece, or sparse delta — see ParameterServer::PullDelta.
   kPullDelta = 6,
   /// Partition-layout handshake: returns (scheme, dim, num_servers,
-  /// num_partitions, update-filter epsilon) so a client can reconstruct
-  /// the Partitioner, filter and split its pushes, and scatter
-  /// partition-local pieces without out-of-band configuration.
+  /// num_partitions, update-filter epsilon), then for the range schemes
+  /// the count and list of the P+1 cut points (nothing for kHash), so a
+  /// client can rebuild the server's Partitioner exactly, filter and
+  /// split its pushes, and scatter partition-local pieces without
+  /// out-of-band configuration.
   kLayout = 7,
   /// Worker reports the measured duration of its last compute clock
   /// (worker id, clock, seconds). A well-formed report goes to the
@@ -260,8 +262,10 @@ struct RpcRetryPolicy {
 /// `ps_endpoint`, each attempt bounded by `retry.timeout` and retried
 /// with backoff on DeadlineExceeded (rpc.client_retries in
 /// GlobalMetrics() counts the retries of all clients). The kLayout
-/// handshake supplies the partition layout and the update filter; a
-/// malformed handshake is InvalidArgument. Pushes are kPush frames, which
+/// handshake supplies the partition layout, its range cuts included, and
+/// the update filter; a malformed handshake (a bad field, cut points
+/// that do not rise strictly from 0 to dim or are not P+1, a truncated
+/// frame or trailing bytes) is InvalidArgument. Pushes are kPush frames, which
 /// the service dedups by (worker, clock), so a retried push applies once.
 /// A kPullDelta response is untrusted bytes: the whole frame is decoded
 /// and checked against the layout before any piece reaches the cache.

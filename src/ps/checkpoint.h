@@ -18,8 +18,12 @@ namespace hetps {
 /// partition versions. Worker replicas are deliberately NOT captured —
 /// restarted workers re-pull.
 ///
+/// The file (header "hetps-checkpoint v2") also records the key layout:
+/// the partition scheme and, for the range schemes, the P+1 cut points.
 /// Restore requires a ParameterServer constructed with the same shape
-/// (dim, workers, partitioning, rule type); mismatches are rejected.
+/// (dim, workers, partition count, rule type) and the same key layout;
+/// a mismatch, like a v1 file, is InvalidArgument and leaves the server
+/// untouched.
 Status SaveCheckpointToFile(const ParameterServer& ps,
                             const std::string& path);
 Status RestoreCheckpointFromFile(ParameterServer* ps,

@@ -81,7 +81,8 @@ ParameterServer::ParameterServer(int64_t dim, int num_workers,
       options_(options),
       partitioner_(Partitioner::Create(options.scheme, dim,
                                        options.num_servers,
-                                       options.partitions_per_server)),
+                                       options.partitions_per_server,
+                                       options.range_cuts)),
       master_(partitioner_.num_partitions()),
       empty_push_is_noop_(rule_proto.EmptyPushIsNoOp()),
       versioned_snapshots_(rule_proto.SupportsVersionedSnapshots()),
@@ -770,10 +771,14 @@ Status ParameterServer::SaveCheckpoint(std::ostream& os) const {
   // shard sections (pushes block on their final clock advance until the
   // checkpoint finishes).
   std::lock_guard<std::mutex> clock_lock(clock_mu_);
-  os << "hetps-checkpoint v1\n";
+  os << "hetps-checkpoint v2\n";
   os << std::setprecision(17);
   os << dim() << ' ' << num_workers_ << ' '
      << partitioner_.num_partitions() << '\n';
+  // The key layout: which partition and local index each key has.
+  os << "layout " << PartitionSchemeName(partitioner_.scheme());
+  for (int64_t cut : partitioner_.cuts()) os << ' ' << cut;
+  os << '\n';
   os << "clocks";
   for (int c : clock_table_.clocks()) os << ' ' << c;
   os << '\n';
@@ -799,7 +804,12 @@ Status ParameterServer::SaveCheckpoint(std::ostream& os) const {
 Status ParameterServer::LoadCheckpoint(std::istream& is) {
   std::string header;
   std::getline(is, header);
-  if (header != "hetps-checkpoint v1") {
+  if (header == "hetps-checkpoint v1") {
+    return Status::InvalidArgument(
+        "checkpoint format v1 records no key layout; this build reads v2 "
+        "only");
+  }
+  if (header != "hetps-checkpoint v2") {
     return Status::IOError("bad checkpoint header: " + header);
   }
   int64_t saved_dim = 0;
@@ -813,7 +823,27 @@ Status ParameterServer::LoadCheckpoint(std::istream& is) {
     return Status::InvalidArgument(
         "checkpoint shape does not match this ParameterServer");
   }
+  // A layout mismatch would put every restored value on another key, so
+  // it is refused here, before anything is staged.
   std::string tag;
+  std::string scheme;
+  if (!(is >> tag >> scheme) || tag != "layout") {
+    return Status::IOError("missing layout section");
+  }
+  if (scheme != PartitionSchemeName(partitioner_.scheme())) {
+    return Status::InvalidArgument(
+        "checkpoint partition scheme " + scheme +
+        " does not match this ParameterServer's " +
+        PartitionSchemeName(partitioner_.scheme()));
+  }
+  for (int64_t cut : partitioner_.cuts()) {
+    int64_t saved_cut = 0;
+    if (!(is >> saved_cut)) return Status::IOError("truncated layout");
+    if (saved_cut != cut) {
+      return Status::InvalidArgument(
+          "checkpoint range cuts do not match this ParameterServer's");
+    }
+  }
   if (!(is >> tag) || tag != "clocks") {
     return Status::IOError("missing clocks section");
   }

@@ -29,6 +29,9 @@ struct PsOptions {
   int num_servers = 1;
   int partitions_per_server = 1;
   PartitionScheme scheme = PartitionScheme::kRangeHash;
+  /// For the range schemes: the P+1 partition boundaries (see
+  /// Partitioner::HeldKeyCuts). Empty = equal ranges.
+  std::vector<int64_t> range_cuts;
   SyncPolicy sync = SyncPolicy::Ssp(3);
   /// Client-side filter: drop |x| <= epsilon update entries before the
   /// push (§5.3); 0 disables.
@@ -310,7 +313,10 @@ class ParameterServer {
   void BuildStatusSnapshot(StatusSnapshot* snap) const;
 
   /// Checkpointing (Appendix D failure recovery); see ps/checkpoint.h for
-  /// the file-level helpers. Both ends must use the same configuration.
+  /// the file-level helpers and the format. Both ends must use the same
+  /// configuration and key layout: LoadCheckpoint refuses another shape,
+  /// scheme or set of range cuts with InvalidArgument before it stages
+  /// anything.
   ///
   /// LoadCheckpoint is transactional: the whole checkpoint is parsed and
   /// staged into shadow state first and committed only if every section

@@ -21,8 +21,22 @@ const char* PartitionSchemeName(PartitionScheme scheme) {
   return "?";
 }
 
+namespace {
+
+/// Equal contiguous ranges: boundary p is dim*p/P.
+std::vector<int64_t> EqualCuts(int64_t dim, int num_partitions) {
+  std::vector<int64_t> cuts(static_cast<size_t>(num_partitions) + 1);
+  for (int p = 0; p <= num_partitions; ++p) {
+    cuts[static_cast<size_t>(p)] = dim * p / num_partitions;
+  }
+  return cuts;
+}
+
+}  // namespace
+
 Partitioner::Partitioner(PartitionScheme scheme, int64_t dim,
-                         int num_servers, int num_partitions)
+                         int num_servers, int num_partitions,
+                         std::vector<int64_t> cuts)
     : scheme_(scheme),
       dim_(dim),
       num_servers_(num_servers),
@@ -35,11 +49,12 @@ Partitioner::Partitioner(PartitionScheme scheme, int64_t dim,
       << "more partitions than keys";
 
   if (scheme_ != PartitionScheme::kHash) {
-    // Equal contiguous ranges.
-    boundaries_.resize(static_cast<size_t>(num_partitions_) + 1);
-    for (int p = 0; p <= num_partitions_; ++p) {
-      boundaries_[static_cast<size_t>(p)] =
-          dim_ * p / num_partitions_;
+    if (cuts.empty()) {
+      boundaries_ = EqualCuts(dim_, num_partitions_);
+    } else {
+      HETPS_CHECK(ValidCuts(cuts, dim_, num_partitions_))
+          << "partition cuts must rise strictly from 0 to dim";
+      boundaries_ = std::move(cuts);
     }
   }
 
@@ -85,15 +100,69 @@ Partitioner::Partitioner(PartitionScheme scheme, int64_t dim,
 }
 
 Partitioner Partitioner::Create(PartitionScheme scheme, int64_t dim,
-                                int num_servers,
-                                int partitions_per_server) {
+                                int num_servers, int partitions_per_server,
+                                std::vector<int64_t> cuts) {
+  return Partitioner(scheme, dim, num_servers,
+                     NumPartitions(dim, num_servers, partitions_per_server),
+                     std::move(cuts));
+}
+
+int Partitioner::NumPartitions(int64_t dim, int num_servers,
+                               int partitions_per_server) {
   HETPS_CHECK(partitions_per_server > 0)
       << "partitions_per_server must be positive";
   // In 64 bits: the product of two flag values can overflow an int.
   const int64_t parts =
       std::min(static_cast<int64_t>(num_servers) * partitions_per_server,
                std::max<int64_t>(num_servers, dim));
-  return Partitioner(scheme, dim, num_servers, static_cast<int>(parts));
+  return static_cast<int>(parts);
+}
+
+std::vector<int64_t> Partitioner::HeldKeyCuts(const std::vector<bool>& held,
+                                              int num_partitions) {
+  const int64_t dim = static_cast<int64_t>(held.size());
+  const int64_t parts = num_partitions;
+  HETPS_CHECK(parts > 0 && parts <= dim) << "need 1 <= partitions <= keys";
+  const int64_t total = std::count(held.begin(), held.end(), true);
+  if (total == 0) return EqualCuts(dim, num_partitions);
+  // Boundary p is the key of held key number floor(p*H/P), counted from
+  // 0: every key before it leaves at most p*H/P held keys below the cut.
+  std::vector<int64_t> cuts(static_cast<size_t>(parts) + 1, dim);
+  cuts[0] = 0;
+  int64_t seen = 0;  // held keys in [0, k)
+  int64_t p = 1;
+  for (int64_t k = 0; k < dim && p < parts; ++k) {
+    if (!held[static_cast<size_t>(k)]) continue;
+    while (p < parts && (seen + 1) * parts > p * total) {
+      cuts[static_cast<size_t>(p++)] = k;
+    }
+    ++seen;
+  }
+  // Every partition keeps a key: push each cut past the one below it,
+  // then pull each back below the one above it. Neither pass moves
+  // strictly increasing cuts, such as equal ranges.
+  for (int64_t q = 1; q < parts; ++q) {
+    const size_t i = static_cast<size_t>(q);
+    cuts[i] = std::max(cuts[i], cuts[i - 1] + 1);
+  }
+  for (int64_t q = parts - 1; q > 0; --q) {
+    const size_t i = static_cast<size_t>(q);
+    cuts[i] = std::min(cuts[i], cuts[i + 1] - 1);
+  }
+  return cuts;
+}
+
+bool Partitioner::ValidCuts(const std::vector<int64_t>& cuts, int64_t dim,
+                            int num_partitions) {
+  if (num_partitions <= 0 ||
+      cuts.size() != static_cast<size_t>(num_partitions) + 1 ||
+      cuts.front() != 0 || cuts.back() != dim) {
+    return false;
+  }
+  for (size_t i = 1; i < cuts.size(); ++i) {
+    if (cuts[i] <= cuts[i - 1]) return false;
+  }
+  return true;
 }
 
 int Partitioner::PartitionOf(int64_t key) const {

@@ -29,18 +29,45 @@ const char* PartitionSchemeName(PartitionScheme scheme);
 /// server may own several.
 class Partitioner {
  public:
-  /// `num_partitions` must be >= `num_servers` and <= dim.
+  /// `num_partitions` must be >= `num_servers` and <= dim. For the range
+  /// schemes, `cuts` are the P+1 partition boundaries (ValidCuts must
+  /// hold); empty means equal ranges, dim*p/P. kHash ignores them.
   Partitioner(PartitionScheme scheme, int64_t dim, int num_servers,
-              int num_partitions);
+              int num_partitions, std::vector<int64_t> cuts = {});
 
-  /// Convenience: `partitions_per_server` ranges per server.
+  /// Convenience: `partitions_per_server` ranges per server, so
+  /// NumPartitions(dim, num_servers, partitions_per_server) partitions.
   static Partitioner Create(PartitionScheme scheme, int64_t dim,
-                            int num_servers, int partitions_per_server = 2);
+                            int num_servers, int partitions_per_server = 2,
+                            std::vector<int64_t> cuts = {});
+
+  /// The partition count Create builds: servers × partitions_per_server,
+  /// clamped to [num_servers, dim].
+  static int NumPartitions(int64_t dim, int num_servers,
+                           int partitions_per_server);
+
+  /// The range schemes' cut rule over the key space [0, held.size()),
+  /// where held[k] says whether the training data holds key k: with H
+  /// held keys, boundary p (0 < p < P) is the last key k for which
+  /// (held keys in [0, k)) × P <= p × H, so each range gets an equal
+  /// share of the held keys; boundaries then move just far enough that
+  /// every partition keeps at least one key. With every key held, or
+  /// none, the cuts are the equal ranges dim*p/P bit for bit. Returns
+  /// the P+1 cut points; needs 1 <= num_partitions <= held.size().
+  static std::vector<int64_t> HeldKeyCuts(const std::vector<bool>& held,
+                                          int num_partitions);
+
+  /// True iff `cuts` can lay out [0, dim) in `num_partitions` non-empty
+  /// ranges: P+1 points, strictly increasing from 0 to dim.
+  static bool ValidCuts(const std::vector<int64_t>& cuts, int64_t dim,
+                        int num_partitions);
 
   PartitionScheme scheme() const { return scheme_; }
   int64_t dim() const { return dim_; }
   int num_servers() const { return num_servers_; }
   int num_partitions() const { return num_partitions_; }
+  /// The range schemes' P+1 partition boundaries; empty under kHash.
+  const std::vector<int64_t>& cuts() const { return boundaries_; }
 
   /// Partition owning global key `key`.
   int PartitionOf(int64_t key) const;

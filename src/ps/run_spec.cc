@@ -57,4 +57,16 @@ PsOptions RunSpec::MakePsOptions(int num_servers,
   return ps;
 }
 
+Status ValidateClusterForDataset(int num_workers, int num_servers,
+                                 const Dataset& dataset) {
+  if (static_cast<size_t>(num_workers) > dataset.size()) {
+    return Status::InvalidArgument(
+        dataset.empty() ? "empty dataset" : "more workers than examples");
+  }
+  if (num_servers > dataset.dimension()) {
+    return Status::InvalidArgument("more servers than features");
+  }
+  return Status::OK();
+}
+
 }  // namespace hetps

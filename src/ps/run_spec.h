@@ -7,6 +7,7 @@
 #include <string>
 
 #include "core/sync_policy.h"
+#include "data/dataset.h"
 #include "ps/load_balancer.h"
 #include "ps/parameter_server.h"
 #include "ps/partition.h"
@@ -82,6 +83,13 @@ struct RunSpec {
   /// stream.
   static Status Invalid(const std::string& what, double value);
 };
+
+/// InvalidArgument unless `dataset` holds an example for each of
+/// `num_workers` workers and a feature for each of `num_servers`
+/// servers: the dataset check of every runtime (ValidateForDataset for
+/// both trainers, RunSimulation, and the CLI's `simulate`).
+Status ValidateClusterForDataset(int num_workers, int num_servers,
+                                 const Dataset& dataset);
 
 }  // namespace hetps
 

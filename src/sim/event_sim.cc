@@ -1004,10 +1004,12 @@ SimResult RunSimulation(const Dataset& dataset,
                         const LearningRateSchedule& schedule,
                         const LossFunction& loss, const SimOptions& options,
                         StragglerMitigation* mitigation) {
-  HETPS_CHECK(dataset.size() > 0) << "empty dataset";
   HETPS_CHECK(cluster.num_workers > 0) << "need workers";
   const Status valid = options.Validate();
   HETPS_CHECK(valid.ok()) << valid.ToString();
+  const Status fits = ValidateClusterForDataset(
+      cluster.num_workers, cluster.num_servers, dataset);
+  HETPS_CHECK(fits.ok()) << fits.ToString();
   Simulation sim(dataset, cluster, rule_proto, schedule, loss, options,
                  mitigation);
   return sim.Run();

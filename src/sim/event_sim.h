@@ -167,7 +167,9 @@ struct SimResult {
 /// time on the event loop, it decides moves that the run's ShardPlane applies
 /// to the entitlements each worker copies in at its next clock start.
 ///
-/// Aborts when options.Validate() fails, as on other API misuse.
+/// Aborts when options.Validate() or ValidateClusterForDataset (more
+/// workers than examples, more servers than features) fails, as on other
+/// API misuse.
 SimResult RunSimulation(const Dataset& dataset,
                         const ClusterConfig& cluster,
                         const ConsolidationRule& rule_proto,

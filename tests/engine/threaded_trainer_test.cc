@@ -211,6 +211,36 @@ TEST(ThreadedTrainerTest, PrefetchingTrainsComparably) {
   EXPECT_LT(fetched.final_objective, 0.5);
 }
 
+TEST(PrepareWorkerLoopTest, CutsTheRangeSchemesAtTheHeldKeys) {
+  // The examples hold only keys 0..39 of 400, which equal ranges would
+  // all put in partition 0; the cut gives each of the 4 partitions ten.
+  std::vector<Example> examples;
+  for (int64_t i = 0; i < 80; ++i) {
+    examples.push_back({SparseVector({i % 40}, {1.0}), i % 2 ? 1.0 : -1.0});
+  }
+  const Dataset d(std::move(examples), 400);
+  LogisticLoss loss;
+  FixedRate sched(0.1);
+  ThreadedTrainerOptions opts = FastOptions(2);
+  ASSERT_EQ(opts.num_servers * opts.partitions_per_server, 4);
+  for (const PartitionScheme scheme :
+       {PartitionScheme::kRange, PartitionScheme::kRangeHash,
+        PartitionScheme::kHash}) {
+    opts.scheme = scheme;
+    Result<WorkerLoop> loop = PrepareWorkerLoop(d, loss, sched, opts);
+    ASSERT_TRUE(loop.ok()) << loop.status().ToString();
+    const PsOptions& ps = loop.value().ps_options;
+    EXPECT_EQ(ps.scheme, scheme);
+    EXPECT_EQ(ps.num_servers, 2);
+    EXPECT_EQ(ps.partitions_per_server, 2);
+    const std::vector<int64_t> want =
+        scheme == PartitionScheme::kHash
+            ? std::vector<int64_t>()
+            : std::vector<int64_t>({0, 10, 20, 30, 400});
+    EXPECT_EQ(ps.range_cuts, want) << PartitionSchemeName(scheme);
+  }
+}
+
 TEST(ThreadedTrainerDeathTest, ValidatesSleepVector) {
   const Dataset d = TrainData();
   LogisticLoss loss;

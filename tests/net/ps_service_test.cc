@@ -496,6 +496,166 @@ TEST(PsServiceTest, PullCachedRejectsMalformedResponses) {
   }
 }
 
+TEST(PsServiceTest, ClientLayoutMatchesACutServer) {
+  // The handshake carries the server's range cuts, so the client splits
+  // every key into the partition and local index the server stores it
+  // at: a unit push to each key lands on that key, and the pull scatters
+  // every partition back where it belongs.
+  for (const PartitionScheme scheme :
+       {PartitionScheme::kRange, PartitionScheme::kRangeHash,
+        PartitionScheme::kHash}) {
+    SspRule rule;
+    PsOptions opts;
+    opts.num_servers = 2;
+    opts.partitions_per_server = 2;
+    opts.scheme = scheme;
+    opts.sync = SyncPolicy::Asp();
+    std::vector<bool> held(48, false);
+    for (size_t k = 0; k < 12; ++k) held[k] = true;
+    opts.range_cuts = Partitioner::HeldKeyCuts(held, 4);
+    ASSERT_EQ(opts.range_cuts, (std::vector<int64_t>{0, 3, 6, 9, 48}));
+    ParameterServer ps(48, 1, rule, opts);
+    MessageBus bus;
+    PsService service(&ps, &bus, "ps");
+    ASSERT_TRUE(service.status().ok());
+    RpcWorkerClient client(0, &bus, "ps");
+    for (int64_t key = 0; key < 48; ++key) {
+      ASSERT_TRUE(client
+                      .Push(static_cast<int>(key),
+                            SparseVector({key}, {static_cast<double>(key + 1)}))
+                      .ok())
+          << PartitionSchemeName(scheme) << " key " << key;
+    }
+    const std::vector<double> truth = ps.Snapshot();
+    for (int64_t key = 0; key < 48; ++key) {
+      ASSERT_EQ(truth[static_cast<size_t>(key)], static_cast<double>(key + 1))
+          << PartitionSchemeName(scheme) << " key " << key;
+    }
+    std::vector<double> replica;
+    int cmin = -1;
+    ASSERT_TRUE(client.PullCached(&replica, &cmin).ok());
+    EXPECT_EQ(replica, truth) << PartitionSchemeName(scheme);
+  }
+}
+
+TEST(PsServiceTest, MalformedLayoutHandshakeIsRefused) {
+  // The kLayout reply is untrusted bytes. A fake "ps" endpoint forwards
+  // every request to the real service but answers kLayout with a crafted
+  // frame: a 48-key space on 2 servers x 2 partitions, then each kind of
+  // bad cut list. Each must be refused with InvalidArgument before the
+  // client builds a layout (a bad cut would otherwise abort in
+  // Partitioner) or sends a push.
+  SspRule rule;
+  PsOptions opts;
+  opts.num_servers = 2;
+  opts.partitions_per_server = 2;
+  opts.scheme = PartitionScheme::kRange;
+  opts.sync = SyncPolicy::Asp();
+  ParameterServer ps(48, 1, rule, opts);
+  std::mutex mu;
+  std::vector<uint8_t> armed;  // guarded by mu
+  MessageBus bus;
+  PsService service(&ps, &bus, "real-ps");
+  ASSERT_TRUE(service.status().ok());
+  ASSERT_TRUE(bus.RegisterEndpoint("ps", [&](const Envelope& request) {
+                   {
+                     std::lock_guard<std::mutex> lock(mu);
+                     if (!armed.empty() && !request.payload.empty() &&
+                         request.payload[0] ==
+                             static_cast<uint8_t>(PsOpCode::kLayout)) {
+                       return std::exchange(armed, {});
+                     }
+                   }
+                   return bus
+                       .BlockingCall(request.from, "real-ps",
+                                     request.payload, kForever)
+                       .payload;
+                 }).ok());
+
+  // The reply up to the cut list: status OK, scheme, dim 48, 2 servers,
+  // P = 4 partitions, no update filter.
+  const auto head = [](ByteWriter* w, PartitionScheme scheme) {
+    w->WriteU8(0);
+    w->WriteU8(static_cast<uint8_t>(scheme));
+    w->WriteI64(48);
+    w->WriteI64(2);
+    w->WriteI64(4);
+    w->WriteDouble(0.0);
+  };
+  const auto cuts = [](ByteWriter* w, uint64_t count,
+                       const std::vector<int64_t>& points) {
+    w->WriteU64(count);
+    for (int64_t point : points) w->WriteI64(point);
+  };
+  struct Case {
+    std::string name;
+    std::function<void(ByteWriter*)> frame;
+  };
+  // A range-scheme reply whose cut list holds `count`, then `points`.
+  const auto range = [&](uint64_t count, std::vector<int64_t> points) {
+    return [=](ByteWriter* w) {
+      head(w, PartitionScheme::kRange);
+      cuts(w, count, points);
+    };
+  };
+  const std::vector<Case> cases = {
+      {"first cut not 0", range(5, {1, 3, 6, 9, 48})},
+      {"last cut not dim", range(5, {0, 3, 6, 9, 47})},
+      {"repeated cut", range(5, {0, 6, 6, 9, 48})},
+      {"falling cut", range(5, {0, 9, 6, 12, 48})},
+      {"P cut points", range(4, {0, 3, 9, 48})},
+      {"P+2 cut points", range(6, {0, 3, 6, 9, 12, 48})},
+      {"count beyond the frame", range(1ULL << 40, {0, 48})},
+      {"truncated cut list", range(5, {0, 3, 6, 9})},
+      {"no cut list",
+       [&](ByteWriter* w) { head(w, PartitionScheme::kRangeHash); }},
+      {"truncated header",
+       [&](ByteWriter* w) {
+         w->WriteU8(0);
+         w->WriteU8(static_cast<uint8_t>(PartitionScheme::kRange));
+         w->WriteI64(48);
+       }},
+      {"trailing byte after the cuts",
+       [&](ByteWriter* w) {
+         range(5, {0, 3, 6, 9, 48})(w);
+         w->WriteU8(7);
+       }},
+      {"trailing bytes after a hash layout",
+       [&](ByteWriter* w) {
+         head(w, PartitionScheme::kHash);
+         cuts(w, 5, {0, 3, 6, 9, 48});
+       }},
+  };
+  for (const Case& c : cases) {
+    ByteWriter w;
+    c.frame(&w);
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      armed = w.TakeBuffer();
+    }
+    RpcWorkerClient client(0, &bus, "ps");
+    const Status st = client.Push(0, SparseVector({3}, {1.0}));
+    EXPECT_TRUE(st.IsInvalidArgument()) << c.name << ": " << st.ToString();
+    EXPECT_NE(st.message().find("bad partition-layout handshake"),
+              std::string::npos)
+        << c.name << ": " << st.ToString();
+  }
+  EXPECT_EQ(ps.TotalPushes(), 0);
+  // The same frame with good cuts is accepted, and the real server's
+  // answer still works.
+  {
+    ByteWriter w;
+    range(5, {0, 12, 24, 36, 48})(&w);
+    std::lock_guard<std::mutex> lock(mu);
+    armed = w.TakeBuffer();
+  }
+  RpcWorkerClient good(0, &bus, "ps");
+  EXPECT_TRUE(good.Push(0, SparseVector({3}, {1.0})).ok());
+  RpcWorkerClient real(0, &bus, "ps");
+  EXPECT_TRUE(real.Push(1, SparseVector({3}, {1.0})).ok());
+  EXPECT_EQ(ps.Snapshot()[3], 2.0);
+}
+
 TEST(PsServiceTest, DistributedSgdTrainsOverRpc) {
   // Full mini end-to-end: three worker threads run Algorithm 1 against
   // the PS purely through serialized messages.

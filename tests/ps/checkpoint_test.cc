@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/dyn_sgd.h"
 #include "util/rng.h"
@@ -109,8 +112,121 @@ TEST(CheckpointTest, RejectsGarbage) {
   ParameterServer ps(8, 2, rule, Options());
   std::stringstream buffer("not a checkpoint\n");
   EXPECT_FALSE(ps.LoadCheckpoint(buffer).ok());
-  std::stringstream truncated("hetps-checkpoint v1\n8 2");
+  std::stringstream truncated("hetps-checkpoint v2\n8 2");
   EXPECT_FALSE(ps.LoadCheckpoint(truncated).ok());
+}
+
+/// A live server's observable state, to check a refused restore left it
+/// as it was.
+struct ServerState {
+  std::vector<double> snapshot;
+  int cmin = 0;
+  int cmax = 0;
+  int64_t pushes = 0;
+  int64_t stable = 0;
+
+  static ServerState Of(const ParameterServer& ps) {
+    return {ps.Snapshot(), ps.cmin(), ps.cmax(), ps.TotalPushes(),
+            ps.StableVersion()};
+  }
+  bool operator==(const ServerState& o) const {
+    return snapshot == o.snapshot && cmin == o.cmin && cmax == o.cmax &&
+           pushes == o.pushes && stable == o.stable;
+  }
+};
+
+PsOptions LayoutOptions(PartitionScheme scheme, std::vector<int64_t> cuts) {
+  PsOptions opts = Options();
+  opts.scheme = scheme;
+  opts.range_cuts = std::move(cuts);
+  return opts;
+}
+
+TEST(CheckpointTest, RefusesAnotherPartitionScheme) {
+  // Same dim, workers and partition count, but hash striping puts keys 6
+  // and 13 where the range layout keeps keys 9 and 7: a restore across
+  // the two would move values between keys.
+  SspRule rule;
+  ParameterServer range(16, 2, rule,
+                        LayoutOptions(PartitionScheme::kRange, {}));
+  PushTraffic(&range, 3);
+  std::stringstream buffer;
+  ASSERT_TRUE(range.SaveCheckpoint(buffer).ok());
+  ParameterServer hash(16, 2, rule, LayoutOptions(PartitionScheme::kHash, {}));
+  ASSERT_EQ(hash.num_partitions(), range.num_partitions());
+  PushTraffic(&hash, 1);
+  const ServerState before = ServerState::Of(hash);
+  const Status st = hash.LoadCheckpoint(buffer);
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  EXPECT_NE(st.message().find("scheme"), std::string::npos) << st.ToString();
+  EXPECT_TRUE(ServerState::Of(hash) == before);
+}
+
+TEST(CheckpointTest, RefusesOtherRangeCuts) {
+  DynSgdRule rule;
+  const PsOptions saved_layout =
+      LayoutOptions(PartitionScheme::kRangeHash, {0, 2, 4, 9, 16});
+  ParameterServer source(16, 2, rule, saved_layout);
+  PushTraffic(&source, 3);
+  std::stringstream buffer;
+  ASSERT_TRUE(source.SaveCheckpoint(buffer).ok());
+  const std::string full = buffer.str();
+  for (const std::vector<int64_t>& cuts :
+       {std::vector<int64_t>{}, std::vector<int64_t>{0, 2, 4, 10, 16}}) {
+    ParameterServer target(16, 2, rule,
+                           LayoutOptions(PartitionScheme::kRangeHash, cuts));
+    PushTraffic(&target, 2);
+    const ServerState before = ServerState::Of(target);
+    std::stringstream in(full);
+    const Status st = target.LoadCheckpoint(in);
+    EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+    EXPECT_NE(st.message().find("cuts"), std::string::npos) << st.ToString();
+    EXPECT_TRUE(ServerState::Of(target) == before);
+  }
+}
+
+TEST(CheckpointTest, RoundTripsACutLayoutBitForBit) {
+  DynSgdRule rule;
+  const PsOptions layout =
+      LayoutOptions(PartitionScheme::kRange, {0, 1, 3, 7, 24});
+  ParameterServer source(24, 3, rule, layout);
+  PushTraffic(&source, 5);
+  std::stringstream buffer;
+  ASSERT_TRUE(source.SaveCheckpoint(buffer).ok());
+  const std::string first = buffer.str();
+  EXPECT_NE(first.find("\nlayout range 0 1 3 7 24\n"), std::string::npos);
+
+  ParameterServer restored(24, 3, rule, layout);
+  ASSERT_TRUE(restored.LoadCheckpoint(buffer).ok());
+  const std::vector<double> a = source.Snapshot();
+  const std::vector<double> b = restored.Snapshot();
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0);
+  for (int p = 0; p < source.num_partitions(); ++p) {
+    EXPECT_EQ(restored.shard(p).push_count(), source.shard(p).push_count());
+  }
+  std::stringstream again;
+  ASSERT_TRUE(restored.SaveCheckpoint(again).ok());
+  EXPECT_EQ(again.str(), first);
+}
+
+TEST(CheckpointTest, RefusesVersionOneFiles) {
+  SspRule rule;
+  ParameterServer ps(8, 2, rule, Options());
+  ps.Push(0, 0, SparseVector({1, 5}, {2.0, -1.0}));
+  std::stringstream buffer;
+  ASSERT_TRUE(ps.SaveCheckpoint(buffer).ok());
+  std::string text = buffer.str();
+  ASSERT_EQ(text.rfind("hetps-checkpoint v2\n", 0), 0u);
+  text.replace(0, std::string("hetps-checkpoint v2").size(),
+               "hetps-checkpoint v1");
+  ParameterServer target(8, 2, rule, Options());
+  const ServerState before = ServerState::Of(target);
+  std::stringstream v1(text);
+  const Status st = target.LoadCheckpoint(v1);
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  EXPECT_NE(st.message().find("v1"), std::string::npos) << st.ToString();
+  EXPECT_TRUE(ServerState::Of(target) == before);
 }
 
 TEST(CheckpointTest, FailedRestoreLeavesServerUntouched) {

@@ -829,5 +829,16 @@ TEST(SimOptionsDeathTest, RunSimulationAbortsOnARejectedSpec) {
                "staleness must be >= 0");
 }
 
+TEST(SimOptionsDeathTest, RunSimulationAbortsOnMoreWorkersThanExamples) {
+  const Dataset d = TestData();
+  ConRule rule;
+  FixedRate sched(0.5);
+  LogisticLoss loss;
+  const int workers = static_cast<int>(d.size()) + 1;
+  EXPECT_DEATH((void)RunSimulation(d, ClusterConfig::Homogeneous(workers, 1),
+                                   rule, sched, loss, FastOptions()),
+               "more workers than examples");
+}
+
 }  // namespace
 }  // namespace hetps
